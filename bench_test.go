@@ -380,25 +380,16 @@ func BenchmarkUtilityEval(b *testing.B) {
 	}
 }
 
-// BenchmarkSpeculate compares the two ways to score a candidate move:
-// speculative apply/delta-evaluate/revert on the shared state versus the
-// clone-and-full-rescore it replaced (the evalengine's reason to exist).
+// BenchmarkSpeculate prices one candidate move per op: the
+// clone-and-full-rescore oracle versus the read-only SpeculateBatch
+// scorer evalengine.ScoreAll runs on every candidate, in its float
+// default and its fixed-point kernel.
 func BenchmarkSpeculate(b *testing.B) {
 	_, plan := benchScenario(b)
 	moves := make([]config.Change, len(plan.Neighbors))
 	for i, n := range plan.Neighbors {
 		moves[i] = config.Change{Sector: n, PowerDelta: 1}
 	}
-	b.Run("speculate", func(b *testing.B) {
-		st := plan.Upgrade.Clone()
-		st.EnableUtilityTracking(utility.Performance)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := st.Speculate(moves[i%len(moves)], utility.Performance); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("clone-full", func(b *testing.B) {
 		st := plan.Upgrade.Clone()
 		st.Utility(utility.Performance)
@@ -411,9 +402,9 @@ func BenchmarkSpeculate(b *testing.B) {
 			_ = work.Utility(utility.Performance)
 		}
 	})
-	// The batched read-only paths score the same per-move candidates
-	// without the apply/revert round-trip; "batch-fixed" additionally
-	// replaces the per-entry exponentials with centi-dB table lookups.
+	// The read-only scorer prices the same candidates without applying
+	// them; "batch-fixed" additionally replaces the per-entry
+	// exponentials with centi-dB table lookups.
 	for _, mode := range []struct {
 		name  string
 		fixed bool
@@ -434,13 +425,13 @@ func BenchmarkSpeculate(b *testing.B) {
 	}
 }
 
-// BenchmarkUtilityDelta compares the tracked running-sum utility (repair
-// only the touched grids inside Apply, O(1) read) against the memoized
-// full-grid scan, after one incremental power change. The two do similar
-// per-change work — the memo scan also recomputes only dirty grids — so
-// the expected result is parity: what the running sum buys is not a
-// faster warm read but the revert-safe Speculate path, which avoids the
-// state clone that BenchmarkSpeculate shows dominating candidate cost.
+// BenchmarkUtilityDelta answers "what is the utility after this power
+// change?" three ways: Apply then read the tracked running sum (repaired
+// over only the touched grids inside Apply), Apply then the memoized
+// full-grid scan, and the read-only SpeculateBatch delta. The first two
+// do similar per-change work — the memo scan also recomputes only dirty
+// grids — so they run at parity; what the tracked memo buys is the
+// batch path, which needs no Apply, no revert and no scan.
 func BenchmarkUtilityDelta(b *testing.B) {
 	_, plan := benchScenario(b)
 	neighbor := plan.Neighbors[0]
@@ -492,9 +483,11 @@ func BenchmarkUtilityDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkJointSearch compares the sequential joint search against the
-// parallel candidate-scoring variant on the four-corners scenario (the
-// largest neighbor set).
+// BenchmarkJointSearch runs the joint search on the four-corners
+// scenario (the largest neighbor set) with one scoring worker and with
+// one per CPU. Power candidates are priced read-only by SpeculateBatch
+// at both settings; with more than one worker the greedy tilt climbs
+// also batch their candidates.
 func BenchmarkJointSearch(b *testing.B) {
 	engine, err := experiments.BuildEngine(benchSeeds[0], experiments.DefaultAreaSpec(topology.Suburban))
 	if err != nil {

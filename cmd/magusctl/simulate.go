@@ -55,7 +55,7 @@ func runSimulate(args []string) {
 	scenario := fs.String("scenario", "a", "upgrade scenario: a, b, c")
 	method := fs.String("method", "joint", "tuning method: power, tilt, joint, naive, anneal")
 	utilFlag := fs.String("utility", "", "objective: performance, coverage (server default when empty)")
-	workers := fs.Int("workers", 0, "in-search scoring parallelism (0 = exact sequential search)")
+	workers := fs.Int("workers", 0, "in-search scoring parallelism (0 = score on one goroutine)")
 	ticks := fs.Int("ticks", 0, "window length in ticks (0 = one per push plus settle)")
 	simSeed := fs.Int64("sim-seed", 0, "simulator seed (load noise)")
 	faults := fs.String("faults", "", `fault script, e.g. "push-fail@2,sector-down@20:17,surge@10+8:5:x1.8"`)

@@ -194,10 +194,10 @@ type JobSpec struct {
 	Timeout time.Duration
 	// Workers is the candidate-scoring parallelism inside this job's
 	// search (see search.Options.Workers): 0 inherits the orchestrator's
-	// SearchWorkers, 1 forces the exact sequential path.
+	// SearchWorkers, 1 scores on the job's own goroutine.
 	Workers int
-	// FixedPoint scores this job's candidates on the batched quantized
-	// path (shared read-only state, int16 centi-dB inner loop); see
+	// FixedPoint scores this job's candidates with the quantized kernel
+	// (int16 centi-dB inner loop); see
 	// core.MitigateRequest.FixedPoint.
 	FixedPoint bool
 	// AnnealSeed seeds the Annealed method's random walk (0 = default).

@@ -68,13 +68,14 @@ type SetupConfig struct {
 	NeighborRadiusM float64
 	// SearchWorkers is the default candidate-scoring parallelism for
 	// mitigation searches planned by this engine (see search.Options
-	// .Workers). Zero or one keeps the exact sequential path. The
+	// .Workers). Zero or one scores each candidate batch on the calling
+	// goroutine; power plans are identical at every setting. The
 	// planner's Equalize pass always runs sequentially so a cached or
 	// shared baseline is identical whatever the worker setting.
 	SearchWorkers int
-	// FixedPoint makes mitigation searches default to the batched
-	// quantized scoring path (see MitigateRequest.FixedPoint, which can
-	// also enable it per plan). Planning (Equalize) is unaffected.
+	// FixedPoint makes mitigation searches default to the quantized
+	// scoring kernel (see MitigateRequest.FixedPoint, which can also
+	// enable it per plan). Planning (Equalize) is unaffected.
 	FixedPoint bool
 	// Params optionally overrides the class planning parameters.
 	Params *topology.ClassParams
@@ -356,14 +357,14 @@ type MitigateRequest struct {
 	// scenario over the engine's tuning area.
 	Targets []int
 	// Workers overrides the engine's SearchWorkers for this plan:
-	// 0 inherits, 1 forces the exact sequential path, >1 scores
-	// candidates on that many worker-local clones.
+	// 0 inherits, 1 scores on the calling goroutine, >1 scores each
+	// candidate batch on that many goroutines over the one shared state
+	// (and batches the greedy tilt climbs; see search.Options.Workers).
 	Workers int
-	// FixedPoint scores candidates on the engine's batched quantized
-	// path (shared read-only state, int16 centi-dB inner loop, no clone
-	// pool). Candidate ranking may deviate from the exact path by ≤0.1%
-	// utility quantization error; committed plan utilities remain exact
-	// full-scan values.
+	// FixedPoint scores candidates with the quantized kernel (int16
+	// centi-dB inner loop). Candidate ranking may deviate from the float
+	// scorer by ≤0.1% utility quantization error; committed plan
+	// utilities remain exact full-scan values.
 	FixedPoint bool
 	// AnnealSeed seeds the Annealed method's private rand.Rand, so
 	// annealing runs are reproducible per request and race-free under

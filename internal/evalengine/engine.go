@@ -1,31 +1,28 @@
 // Package evalengine is the unified move → evaluate → accept pipeline
 // behind every configuration search. A strategy (Power, Tilt, Equalize,
-// annealing, ...) proposes candidate changes; the engine scores them —
-// exactly on the committed state, or speculatively in parallel across a
-// pool of worker-local clones — and the strategy decides which to
-// commit. The engine owns the bookkeeping the strategies used to
-// hand-roll: undo, the current-utility cache, clone synchronization, and
+// annealing, ...) proposes candidate changes; the engine scores them and
+// the strategy decides which to commit. The engine owns the bookkeeping
+// the strategies used to hand-roll: undo, the current-utility cache and
 // instrumentation counters.
 //
-// Two evaluation regimes, chosen by Workers:
+// Two ways to evaluate a move:
 //
-//   - Workers <= 1 (exact): every score is apply → memoized full-grid
-//     Utility → invert on the committed state itself. This reproduces
-//     the seed implementations' floating-point operation sequence
-//     bit-for-bit, which the golden-equivalence tests rely on.
-//   - Workers > 1 (speculative): candidates are scored concurrently on
-//     worker-local clones via State.Speculate, whose delta-repaired
-//     running sum can differ from a full scan by float rounding (ulps).
-//     Accept decisions near epsilon thresholds may therefore differ from
-//     the sequential run; commits always re-evaluate with the exact
-//     Utility, so reported utilities are never speculative. Results are
-//     deterministic for a fixed worker count (candidate index, not
-//     goroutine timing, breaks ties).
+//   - ScoreAll prices a batch of independent alternatives read-only with
+//     State.SpeculateBatch: each score is Current() plus the move's
+//     utility delta over the grids it touches. Nothing is applied, so
+//     there is no undo, and Workers goroutines share the one committed
+//     state. A move that changes no grid's rate scores exactly Current(),
+//     so tracked-sum rounding can never win an argmax or pass an
+//     epsilon test. Scores are float by default; Config.FixedPoint
+//     selects the quantized kernel. Within a batch the scores do not
+//     depend on Workers.
+//   - Try/Keep/Undo applies a move to the committed state, runs the
+//     exact full-scan Utility and reverts on Undo: the sequential
+//     climbs' native shape.
 //
-// Clone-pool sync protocol: clones are created lazily from the committed
-// state on first parallel batch; every committed move is appended to a
-// log, and each clone replays the log suffix it has not seen before
-// scoring. Clones are never re-cloned per candidate or per step.
+// Commit applies a winner and re-evaluates with the exact full-scan
+// Utility, so every reported step and plan utility is a full-scan value,
+// never a speculative one.
 package evalengine
 
 import (
@@ -42,20 +39,19 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Workers is the number of goroutines used to score candidate
-	// batches. 0 or 1 means sequential exact scoring.
+	// Workers is the number of goroutines that score one ScoreAll batch,
+	// each pricing a contiguous chunk of it against the shared committed
+	// state. 0 or 1 scores on the calling goroutine. It changes
+	// wall-clock time, not the scores.
 	Workers int
-	// FixedPoint selects the batched read-only scoring path
-	// (State.SpeculateBatch) with the quantized centi-dB inner loop. All
-	// workers share ONE state — no clone pool, no per-clone radio-array
-	// copies — because batch scoring never mutates. Scores may deviate
-	// from the exact path by the fixed-point quantization (≤0.1% utility
-	// relative error, see netmodel/fixedpoint.go); commits still
-	// re-evaluate exactly, so reported plan utilities are never
-	// quantized. Under the magus_nofixed build tag the batch path still
-	// runs but evaluates in float.
+	// FixedPoint selects SpeculateBatch's quantized centi-dB kernel
+	// instead of the float one. Scores may deviate from the float path
+	// by the fixed-point quantization (≤0.1% utility relative error, see
+	// netmodel/fixedpoint.go); commits still re-evaluate exactly, so
+	// reported plan utilities are never quantized. Under the
+	// magus_nofixed build tag the kernel evaluates in float.
 	FixedPoint bool
-	// Ctx cancels long scoring runs between candidates. Optional.
+	// Ctx cancels long scoring runs between batches. Optional.
 	Ctx context.Context
 }
 
@@ -65,9 +61,10 @@ type Score struct {
 	// actually absorbed after clamping (zero when the move is a no-op).
 	Move    config.Change
 	Applied config.Change
-	// Utility is the overall utility the state would have after Applied.
-	// Meaningless when Applied.IsZero() (the engine never evaluates
-	// no-ops, mirroring the seed searches).
+	// Utility is the overall utility the state would have after Applied:
+	// the engine's Current() plus the move's delta, so it equals Current()
+	// exactly when no grid's rate changes. Meaningless when
+	// Applied.IsZero() (the searches never count no-ops as evaluations).
 	Utility float64
 }
 
@@ -93,7 +90,7 @@ type StatsSnapshot struct {
 	Workers          int   `json:"workers"`
 	FixedPoint       bool  `json:"fixed_point,omitempty"`
 	// WorkerUtilization is Σ per-worker busy time divided by
-	// Σ batch wall time × pool size: 1.0 means every clone scored
+	// Σ batch wall time × pool size: 1.0 means every worker scored
 	// candidates for the full duration of every parallel batch.
 	WorkerUtilization float64 `json:"worker_utilization,omitempty"`
 }
@@ -122,10 +119,6 @@ type Engine struct {
 	workers int
 	fixed   bool
 	ctx     context.Context
-
-	clones  []*netmodel.State
-	cloneAt []int // per clone: prefix of log already replayed
-	log     []config.Change
 
 	current float64
 
@@ -165,18 +158,18 @@ func (e *Engine) State() *netmodel.State { return e.main }
 // Util returns the objective the engine scores against.
 func (e *Engine) Util() utility.Func { return e.util }
 
-// Workers returns the evaluation pool size (1 = sequential exact).
+// Workers returns the scoring parallelism (1 = the calling goroutine).
 func (e *Engine) Workers() int { return e.workers }
 
 // Current returns the utility of the committed state. It is always an
 // exact full-scan value, never a speculative delta.
 func (e *Engine) Current() float64 { return e.current }
 
-// Parallel reports whether ScoreAll batches run concurrently (on the
-// clone pool, or over the shared state in fixed-point mode).
+// Parallel reports whether ScoreAll batches fan out over several
+// goroutines sharing the committed state.
 func (e *Engine) Parallel() bool { return e.workers > 1 }
 
-// FixedPoint reports whether ScoreAll uses the batched quantized path.
+// FixedPoint reports whether ScoreAll uses the quantized kernel.
 func (e *Engine) FixedPoint() bool { return e.fixed }
 
 // Snapshot copies the instrumentation counters.
@@ -201,100 +194,16 @@ func (e *Engine) Snapshot() StatsSnapshot {
 // Order of results matches the order of moves; ties between equal
 // utilities are the caller's to break, and the slice order makes that
 // deterministic regardless of worker scheduling.
+//
+// Every candidate is priced read-only by State.SpeculateBatch and
+// reported as Current() plus its delta over the grids the move touches.
+// Tracking is enabled single-threaded before the fan-out; after that
+// every access on the scoring path is a read, so a contiguous chunk per
+// worker is race-free (TestSharedStateConcurrentScoring under -race).
+// Each move is scored independently of the chunking, so the results do
+// not depend on Workers.
 func (e *Engine) ScoreAll(moves []config.Change) ([]Score, error) {
 	e.stats.movesProposed.Add(int64(len(moves)))
-	if e.fixed {
-		return e.scoreBatch(moves)
-	}
-	if !e.Parallel() || len(moves) < 2 {
-		return e.scoreSequential(moves)
-	}
-	return e.scoreParallel(moves)
-}
-
-// scoreSequential is the exact path: apply → full Utility → invert on
-// the committed state, the seed searches' candidate loop verbatim.
-func (e *Engine) scoreSequential(moves []config.Change) ([]Score, error) {
-	out := make([]Score, len(moves))
-	for i, mv := range moves {
-		if err := e.ctx.Err(); err != nil {
-			return nil, err
-		}
-		applied, err := e.main.Apply(mv)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = Score{Move: mv, Applied: applied}
-		if applied.IsZero() {
-			continue
-		}
-		out[i].Utility = e.main.Utility(e.util)
-		e.stats.fullEvals.Add(1)
-		if _, err := e.main.Apply(applied.Inverse()); err != nil {
-			return nil, fmt.Errorf("evalengine: undo candidate %v: %w", applied, err)
-		}
-	}
-	return out, nil
-}
-
-// scoreParallel fans the batch out over the clone pool with a strided
-// assignment (clone w scores candidates w, w+n, w+2n, ...).
-func (e *Engine) scoreParallel(moves []config.Change) ([]Score, error) {
-	n := e.workers
-	if len(moves) < n {
-		n = len(moves)
-	}
-	if err := e.syncClones(n); err != nil {
-		return nil, err
-	}
-	out := make([]Score, len(moves))
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := e.clones[w]
-			workStart := time.Now()
-			var evals int64
-			for i := w; i < len(moves); i += n {
-				if err := e.ctx.Err(); err != nil {
-					errs[w] = err
-					break
-				}
-				applied, u, err := st.Speculate(moves[i], e.util)
-				if err != nil {
-					errs[w] = fmt.Errorf("evalengine: speculate %v: %w", moves[i], err)
-					break
-				}
-				out[i] = Score{Move: moves[i], Applied: applied, Utility: u}
-				if !applied.IsZero() {
-					evals++
-				}
-			}
-			e.stats.deltaEvals.Add(evals)
-			e.stats.busyNs.Add(time.Since(workStart).Nanoseconds())
-		}(w)
-	}
-	wg.Wait()
-	e.stats.parallelBatches.Add(1)
-	e.stats.batchCapNs.Add(time.Since(start).Nanoseconds() * int64(n))
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// scoreBatch is the fixed-point regime: all workers score read-only
-// batches over the ONE committed state via SpeculateBatch — no clones,
-// no replay log, no per-worker copy of the radio arrays. Tracking is
-// enabled single-threaded before the fan-out; after that every access
-// on the scoring path is a read, so a contiguous chunk per worker is
-// race-free (verified by TestSharedStateConcurrentScoring under -race).
-func (e *Engine) scoreBatch(moves []config.Change) ([]Score, error) {
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -305,8 +214,10 @@ func (e *Engine) scoreBatch(moves []config.Change) ([]Score, error) {
 		n = len(moves)
 	}
 	if n <= 1 {
-		res := e.main.SpeculateBatch(moves, e.util, true, nil)
-		return e.foldBatch(out, moves, res, 0)
+		if err := e.scoreChunk(out, moves, 0, len(moves)); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
 	chunk := (len(moves) + n - 1) / n
 	errs := make([]error, n)
@@ -314,10 +225,7 @@ func (e *Engine) scoreBatch(moves []config.Change) ([]Score, error) {
 	start := time.Now()
 	for w := 0; w < n; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(moves) {
-			hi = len(moves)
-		}
+		hi := min(lo+chunk, len(moves))
 		if lo >= hi {
 			break
 		}
@@ -325,8 +233,7 @@ func (e *Engine) scoreBatch(moves []config.Change) ([]Score, error) {
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			workStart := time.Now()
-			res := e.main.SpeculateBatch(moves[lo:hi], e.util, true, nil)
-			_, errs[w] = e.foldBatch(out, moves, res, lo)
+			errs[w] = e.scoreChunk(out, moves, lo, hi)
 			e.stats.busyNs.Add(time.Since(workStart).Nanoseconds())
 		}(w, lo, hi)
 	}
@@ -341,40 +248,21 @@ func (e *Engine) scoreBatch(moves []config.Change) ([]Score, error) {
 	return out, nil
 }
 
-// foldBatch copies one worker's batch results into out at offset,
-// counting evaluations and surfacing the first per-move error.
-func (e *Engine) foldBatch(out []Score, moves []config.Change, res []netmodel.BatchResult, offset int) ([]Score, error) {
+// scoreChunk prices moves[lo:hi] into out[lo:hi], counting evaluations
+// and surfacing the first per-move error.
+func (e *Engine) scoreChunk(out []Score, moves []config.Change, lo, hi int) error {
+	res := e.main.SpeculateBatch(moves[lo:hi], e.util, e.fixed, nil)
 	var evals int64
+	defer func() { e.stats.deltaEvals.Add(evals) }()
 	for i, r := range res {
+		mv := moves[lo+i]
 		if r.Err != nil {
-			e.stats.deltaEvals.Add(evals)
-			return nil, fmt.Errorf("evalengine: speculate %v: %w", moves[offset+i], r.Err)
+			return fmt.Errorf("evalengine: speculate %v: %w", mv, r.Err)
 		}
-		out[offset+i] = Score{Move: moves[offset+i], Applied: r.Applied, Utility: r.Utility}
+		out[lo+i] = Score{Move: mv, Applied: r.Applied, Utility: e.current + r.Delta}
 		if !r.Applied.IsZero() {
 			evals++
 		}
-	}
-	e.stats.deltaEvals.Add(evals)
-	return out, nil
-}
-
-// syncClones grows the pool to n clones and replays the committed-move
-// log suffix each existing clone has not yet seen.
-func (e *Engine) syncClones(n int) error {
-	for len(e.clones) < n {
-		// The committed state is, by invariant, exactly at the logged
-		// configuration, so a fresh clone starts fully synced.
-		e.clones = append(e.clones, e.main.Clone())
-		e.cloneAt = append(e.cloneAt, len(e.log))
-	}
-	for w := 0; w < n; w++ {
-		for _, ch := range e.log[e.cloneAt[w]:] {
-			if _, err := e.clones[w].Apply(ch); err != nil {
-				return fmt.Errorf("evalengine: replay %v on clone %d: %w", ch, w, err)
-			}
-		}
-		e.cloneAt[w] = len(e.log)
 	}
 	return nil
 }
@@ -402,7 +290,6 @@ func (e *Engine) Try(mv config.Change) (applied config.Change, u float64, err er
 // returned; the state already reflects the move, so no re-evaluation).
 func (e *Engine) Keep(u float64) {
 	if !e.pending.IsZero() {
-		e.log = append(e.log, e.pending)
 		e.stats.movesAccepted.Add(1)
 		e.pending = config.Change{}
 	}
@@ -431,7 +318,6 @@ func (e *Engine) Commit(mv config.Change) (applied config.Change, current float6
 		return applied, e.current, err
 	}
 	if !applied.IsZero() {
-		e.log = append(e.log, applied)
 		e.stats.movesAccepted.Add(1)
 	}
 	e.current = e.main.Utility(e.util)

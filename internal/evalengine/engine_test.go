@@ -43,84 +43,92 @@ func candidateMoves(neighbors []int, delta float64) []config.Change {
 	return moves
 }
 
-func TestSequentialScoreMatchesManualLoop(t *testing.T) {
-	st, neighbors := testState(t, 3)
-	ref := st.Clone()
-	u := utility.Performance
-	e := New(st, u, Config{})
-	if got, want := e.Current(), ref.Utility(u); got != want {
-		t.Fatalf("initial current %v != %v", got, want)
-	}
-	moves := candidateMoves(neighbors, 2)
-	scores, err := e.ScoreAll(moves)
-	if err != nil {
-		t.Fatal(err)
-	}
+// assertScoresMatchOracle checks every score against the exact oracle:
+// apply the move to a clone of the committed state and run the full-scan
+// Utility. Scores are exact current plus a delta summed in a different
+// order, so they may differ from the oracle by rounding only.
+func assertScoresMatchOracle(t *testing.T, st *netmodel.State, u utility.Func, scores []Score) {
+	t.Helper()
 	for i, sc := range scores {
-		applied, err := ref.Apply(moves[i])
+		ref := st.Clone()
+		applied, err := ref.Apply(sc.Move)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sc.Applied != applied {
-			t.Fatalf("candidate %d: applied %v != %v", i, sc.Applied, applied)
+			t.Fatalf("candidate %d: applied %v != oracle %v", i, sc.Applied, applied)
 		}
 		if applied.IsZero() {
 			continue
 		}
-		if want := ref.Utility(u); sc.Utility != want {
-			t.Fatalf("candidate %d: utility %v != exact %v", i, sc.Utility, want)
+		if want := ref.Utility(u); relDiff(sc.Utility, want) > 1e-12 {
+			t.Fatalf("candidate %d: utility %v != oracle %v", i, sc.Utility, want)
 		}
-		ref.MustApply(applied.Inverse())
 	}
+}
+
+func TestSequentialScoreMatchesManualLoop(t *testing.T) {
+	st, neighbors := testState(t, 3)
+	cfg := st.Cfg.Clone()
+	u := utility.Performance
+	e := New(st, u, Config{})
+	if got, want := e.Current(), st.Clone().Utility(u); got != want {
+		t.Fatalf("initial current %v != %v", got, want)
+	}
+	scores, err := e.ScoreAll(candidateMoves(neighbors, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertScoresMatchOracle(t, st, u, scores)
 	// Scoring must leave the committed state untouched.
-	if !st.Cfg.Equal(ref.Cfg) {
+	if !st.Cfg.Equal(cfg) {
 		t.Fatal("ScoreAll mutated the committed configuration")
 	}
 }
 
+// TestParallelScoresMatchSequential: every move is priced independently
+// of how the batch is chunked, so the scores are bit-identical for every
+// worker count, in float and in fixed point alike.
 func TestParallelScoresMatchSequential(t *testing.T) {
-	stSeq, neighbors := testState(t, 5)
-	stPar, _ := testState(t, 5)
 	u := utility.Performance
-	seq := New(stSeq, u, Config{Workers: 1})
-	par := New(stPar, u, Config{Workers: 4})
-	moves := candidateMoves(neighbors, 2)
-
-	sGot, err := seq.ScoreAll(moves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pGot, err := par.ScoreAll(moves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sGot {
-		if sGot[i].Applied != pGot[i].Applied {
-			t.Fatalf("candidate %d: applied %v (seq) vs %v (par)", i, sGot[i].Applied, pGot[i].Applied)
+	for _, fixed := range []bool{false, true} {
+		var want []Score
+		for _, workers := range []int{1, 2, 4} {
+			st, neighbors := testState(t, 5)
+			e := New(st, u, Config{Workers: workers, FixedPoint: fixed})
+			got, err := e.ScoreAll(candidateMoves(neighbors, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := e.Snapshot()
+			if snap.DeltaEvaluations == 0 || snap.FullEvaluations != 0 {
+				t.Errorf("fixed=%v workers=%d: scoring must be delta-only: %+v", fixed, workers, snap)
+			}
+			if workers == 1 {
+				want = got
+				if snap.ParallelBatches != 0 {
+					t.Errorf("fixed=%v: single-worker batch counted as parallel: %+v", fixed, snap)
+				}
+				continue
+			}
+			if snap.ParallelBatches != 1 {
+				t.Errorf("fixed=%v workers=%d: parallel batch not recorded: %+v", fixed, workers, snap)
+			}
+			if snap.WorkerUtilization <= 0 || snap.WorkerUtilization > 1.000001 {
+				t.Errorf("fixed=%v workers=%d: utilization out of range: %v", fixed, workers, snap.WorkerUtilization)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("fixed=%v workers=%d candidate %d: %+v, workers=1 gave %+v", fixed, workers, i, got[i], want[i])
+				}
+			}
 		}
-		if sGot[i].Applied.IsZero() {
-			continue
-		}
-		if relDiff(sGot[i].Utility, pGot[i].Utility) > 1e-9 {
-			t.Fatalf("candidate %d: utility %v (seq) vs %v (par)", i, sGot[i].Utility, pGot[i].Utility)
-		}
-	}
-	snap := par.Snapshot()
-	if snap.ParallelBatches != 1 || snap.DeltaEvaluations == 0 {
-		t.Errorf("parallel stats not recorded: %+v", snap)
-	}
-	if snap.WorkerUtilization <= 0 || snap.WorkerUtilization > 1.000001 {
-		t.Errorf("utilization out of range: %v", snap.WorkerUtilization)
-	}
-	if s := seq.Snapshot(); s.DeltaEvaluations != 0 || s.FullEvaluations == 0 {
-		t.Errorf("sequential engine should full-evaluate only: %+v", s)
 	}
 }
 
-// TestFixedPointScoresMatchSequential pins the fixed-point regime to
-// the exact path within the quantization budget: same applied changes,
-// utilities within 0.1%, and no clone pool (the whole point — every
-// worker scores the one shared state read-only).
+// TestFixedPointScoresMatchSequential pins the fixed-point kernel to
+// the float one within the quantization budget: same applied changes,
+// utilities within 0.1%.
 func TestFixedPointScoresMatchSequential(t *testing.T) {
 	stSeq, neighbors := testState(t, 5)
 	stFix, _ := testState(t, 5)
@@ -150,9 +158,6 @@ func TestFixedPointScoresMatchSequential(t *testing.T) {
 		if relDiff(sGot[i].Utility, fGot[i].Utility) > 1e-3 {
 			t.Fatalf("candidate %d: utility %v (seq) vs %v (fixed) beyond 0.1%%", i, sGot[i].Utility, fGot[i].Utility)
 		}
-	}
-	if len(fix.clones) != 0 {
-		t.Fatalf("fixed-point scoring built %d clones; the shared-state path must not clone", len(fix.clones))
 	}
 	snap := fix.Snapshot()
 	if !snap.FixedPoint || snap.ParallelBatches != 1 || snap.DeltaEvaluations == 0 {
@@ -212,9 +217,10 @@ func TestSharedStateConcurrentScoring(t *testing.T) {
 	}
 }
 
-// TestCloneSyncAfterCommits: clones created before and after commits
-// must both score against the committed configuration.
-func TestCloneSyncAfterCommits(t *testing.T) {
+// TestScoresAfterCommitsMatchOracle: after commits move the committed
+// state (with tracking live since the first batch), every score still
+// matches the exact oracle on the new configuration.
+func TestScoresAfterCommitsMatchOracle(t *testing.T) {
 	st, neighbors := testState(t, 7)
 	if len(neighbors) < 3 {
 		t.Skip("not enough neighbors")
@@ -222,35 +228,114 @@ func TestCloneSyncAfterCommits(t *testing.T) {
 	u := utility.Performance
 	e := New(st, u, Config{Workers: 2})
 	moves := candidateMoves(neighbors, 1)
-
-	// First batch creates the pool.
 	if _, err := e.ScoreAll(moves); err != nil {
 		t.Fatal(err)
 	}
-	// Commit two moves, then score again: clones must replay the log.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if _, _, err := e.Commit(moves[i]); err != nil {
 			t.Fatal(err)
 		}
+		if e.Current() != st.Clone().Utility(u) {
+			t.Fatalf("commit %d: current %v is not the full-scan utility", i, e.Current())
+		}
+		scores, err := e.ScoreAll(moves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertScoresMatchOracle(t, st, u, scores)
 	}
+}
+
+// TestNoRateChangeScoresCurrent: a move that changes no grid's rate has
+// a delta of exactly zero and scores exactly Current(), so rounding in
+// the tracked running sum can never make a do-nothing move look like an
+// improvement.
+func TestNoRateChangeScoresCurrent(t *testing.T) {
+	st, neighbors := testState(t, 3)
+	u := utility.Performance
+	// testState turned the central site's first sector off; power and
+	// tilt changes on it are configuration bookkeeping only.
+	target := st.Model.Net.Sites[st.Model.Net.CentralSite()].Sectors[0]
+	moves := []config.Change{
+		{Sector: target, PowerDelta: -1},
+		{Sector: target, TiltDelta: 1},
+	}
+	// Tiny power nudges on live sectors: every received power changes,
+	// but (almost) no grid leaves its CQI rate bucket.
+	for _, b := range neighbors {
+		moves = append(moves, config.Change{Sector: b, PowerDelta: -1e-9})
+	}
+	e := New(st, u, Config{})
+	// Commit a few real moves first: Apply repairs the tracked sum in
+	// footprint order, so it drifts off the full-scan Current() by ulps.
+	for _, b := range neighbors[:3] {
+		if _, err := e.ScoreAll([]config.Change{{Sector: b, PowerDelta: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.Commit(config.Change{Sector: b, PowerDelta: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("tracked sum - Current() = %g", st.UtilityTracked(u)-e.Current())
 	scores, err := e.ScoreAll(moves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := st.Clone() // committed state after the two commits
+	res := st.SpeculateBatch(moves, u, false, nil)
+	liveNoops := 0
 	for i, sc := range scores {
-		applied, err := ref.Apply(moves[i])
-		if err != nil {
+		if sc.Applied.IsZero() {
+			t.Fatalf("move %d (%v) was clamped to a no-op", i, moves[i])
+		}
+		if i < 2 && res[i].Delta != 0 {
+			t.Fatalf("off-air bookkeeping move %v has delta %v", moves[i], res[i].Delta)
+		}
+		if res[i].Delta != 0 {
+			continue
+		}
+		if i >= 2 {
+			liveNoops++
+		}
+		if sc.Utility != e.Current() {
+			t.Fatalf("move %d (%v): zero-delta score %v != Current() %v", i, moves[i], sc.Utility, e.Current())
+		}
+	}
+	t.Logf("live zero-delta moves: %d of %d", liveNoops, len(neighbors))
+	if liveNoops == 0 {
+		t.Fatal("no live-sector move left every rate unchanged; the nudge is too large")
+	}
+}
+
+// TestScoreAllReadOnly: scoring every move shape, in float and fixed
+// point and across a worker fan-out, leaves the committed configuration
+// equal and the full-scan utility bit-equal.
+func TestScoreAllReadOnly(t *testing.T) {
+	u := utility.Performance
+	for _, fixed := range []bool{false, true} {
+		st, neighbors := testState(t, 9)
+		cfg := st.Cfg.Clone()
+		before := st.Utility(u)
+		var moves []config.Change
+		for _, b := range neighbors {
+			moves = append(moves,
+				config.Change{Sector: b, PowerDelta: 2},
+				config.Change{Sector: b, PowerDelta: -2},
+				config.Change{Sector: b, TiltDelta: 1},
+				config.Change{Sector: b, TiltDelta: -1},
+				config.Change{Sector: b, TurnOff: true})
+		}
+		e := New(st, u, Config{Workers: 4, FixedPoint: fixed})
+		if _, err := e.ScoreAll(moves); err != nil {
 			t.Fatal(err)
 		}
-		if sc.Applied != applied {
-			t.Fatalf("candidate %d: applied %v, want %v (clone out of sync)", i, sc.Applied, applied)
+		if !st.Cfg.Equal(cfg) {
+			t.Fatalf("fixed=%v: ScoreAll mutated the configuration", fixed)
 		}
-		if !applied.IsZero() {
-			if want := ref.Utility(u); relDiff(sc.Utility, want) > 1e-9 {
-				t.Fatalf("candidate %d: utility %v, want %v (clone out of sync)", i, sc.Utility, want)
-			}
-			ref.MustApply(applied.Inverse())
+		if after := st.Utility(u); after != before {
+			t.Fatalf("fixed=%v: full-scan utility %v -> %v across ScoreAll", fixed, before, after)
+		}
+		if fresh := st.Clone().Utility(u); fresh != before {
+			t.Fatalf("fixed=%v: a fresh scan of the scored state gives %v, want %v", fixed, fresh, before)
 		}
 	}
 }

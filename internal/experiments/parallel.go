@@ -1,5 +1,5 @@
 // Parallel-search study: quantifies what the evalengine refactor buys —
-// delta-utility speculation versus clone-and-rescore, and parallel
+// read-only delta scoring versus clone-and-rescore, and parallel
 // candidate scoring versus the sequential search — on a full-size
 // evaluation market. Not a paper artifact; it meters this
 // reproduction's own planning throughput the way Section 7's
@@ -16,6 +16,7 @@ import (
 	"magus/internal/config"
 	"magus/internal/core"
 	"magus/internal/evalengine"
+	"magus/internal/netmodel"
 	"magus/internal/upgrade"
 	"magus/internal/utility"
 )
@@ -67,8 +68,8 @@ type Timed interface {
 }
 
 // ParallelJointStudy compares the sequential and parallel joint search
-// on one market, plus the per-candidate cost of speculative delta
-// evaluation against the clone-and-full-rescore it replaces.
+// on one market, plus the per-candidate cost of read-only delta scoring
+// (SpeculateBatch) against the clone-and-full-rescore it replaces.
 type ParallelJointStudy struct {
 	Seed    int64
 	Workers int
@@ -164,8 +165,8 @@ func RunParallelJoint(seed int64, workers int) (*ParallelJointStudy, error) {
 	study.SeqUtility, study.ParUtility = seqPlan.UtilityAfter, parPlan.UtilityAfter
 	study.Stats = parPlan.Search.Stats
 
-	// Per-candidate cost: score every neighbor's +1 dB move once by
-	// speculation and once by the clone-and-rescore the engine replaced.
+	// Per-candidate cost: score every neighbor's +1 dB move once by the
+	// engine's read-only delta scorer and once by clone-and-rescore.
 	work := seqPlan.Upgrade.Clone()
 	moves := make([]config.Change, 0, len(seqPlan.Neighbors))
 	for _, b := range seqPlan.Neighbors {
@@ -174,10 +175,12 @@ func RunParallelJoint(seed int64, workers int) (*ParallelJointStudy, error) {
 	study.Candidates = len(moves)
 	if len(moves) > 0 {
 		work.EnableUtilityTracking(utility.Performance)
+		out := make([]netmodel.BatchResult, 0, 1)
 		start := time.Now()
-		for _, mv := range moves {
-			if _, _, err := work.Speculate(mv, utility.Performance); err != nil {
-				return nil, err
+		for i := range moves {
+			out = work.SpeculateBatch(moves[i:i+1], utility.Performance, false, out[:0])
+			if out[0].Err != nil {
+				return nil, out[0].Err
 			}
 		}
 		study.SpeculateNsPer = time.Since(start).Nanoseconds() / int64(len(moves))

@@ -678,9 +678,9 @@ type campaignJobRequest struct {
 	Utility   string `json:"utility"`
 	TimeoutMS int64  `json:"timeout_ms"`
 	// Workers is the in-search scoring parallelism (0 = orchestrator
-	// default, which keeps the exact sequential path).
+	// default).
 	Workers int `json:"workers"`
-	// FixedPoint scores candidates on the batched quantized path.
+	// FixedPoint scores candidates with the quantized kernel.
 	FixedPoint bool `json:"fixed_point"`
 	// AnnealSeed seeds the anneal method's random walk (0 = default).
 	AnnealSeed int64 `json:"anneal_seed"`

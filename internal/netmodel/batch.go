@@ -1,23 +1,20 @@
-// Batched, read-only speculative scoring: the delta-utility of many
-// candidate moves evaluated against one frozen State without the
-// apply/revert round-trip Speculate performs.
+// Batched, read-only speculative scoring: the utility delta of many
+// candidate moves evaluated against one frozen State, without applying
+// anything.
 //
-// Speculate mutates: it applies the move, repairs the tracked running
-// sum, reads it, and applies the inverse — two full passes over the
-// sector's entries, each paying one math.Exp per entry, plus the
-// dirty-mark bookkeeping twice. SpeculateBatch instead computes what
-// WOULD change — per-grid new serving sector, SINR and rate, per-sector
-// load shifts — in epoch-marked scratch, folds the per-grid utility
-// deltas into a sum, and never touches the state. One pass, no revert,
-// no tracking repair; a power-only move costs one multiply per entry
-// instead of two exponentials.
+// SpeculateBatch computes what WOULD change — per-grid new serving
+// sector, SINR and rate, per-sector load shifts — in epoch-marked
+// scratch, folds the per-grid utility deltas against the tracked memo
+// into a sum, and never touches the state. One pass, no revert, no
+// tracking repair; a power-only move costs one exponential (float) or
+// one multiply (fixed) per entry, where apply-and-revert pays two
+// exponentials plus a utility scan.
 //
 // Because scoring is read-only, any number of goroutines may score
 // batches against the same State concurrently, provided utility tracking
 // was enabled (EnableUtilityTracking) before the fan-out and no Apply is
-// in flight — the evaluation engine's fixed-point mode shares one State
-// across its whole worker pool this way, making the clone pool (and its
-// per-clone copies of the radio arrays) unnecessary on the scoring path.
+// in flight — the evaluation engine shares one State across its whole
+// worker pool this way.
 //
 // Scratch is recycled through a package-level sync.Pool; arrays are
 // epoch-marked so per-move initialization is O(footprint), not O(grid).
@@ -26,8 +23,10 @@
 // differ only in how an entry's new received power is derived:
 //
 //   - float: from the state's own linkDB/rpMw float64 columns, the same
-//     arithmetic Apply performs (golden-pinned to Speculate within
-//     summation-order rounding, ≤1e-9 relative).
+//     arithmetic Apply performs, so per-grid rates are bit-identical to
+//     an Apply and the delta differs from the full-scan oracle only by
+//     summation order (≤1e-9 relative, pinned by
+//     TestSpeculateMatchesFullEvaluation).
 //   - fixed: from the core's int16 centi-dB mirror via the decade tables
 //     (fixedpoint.go) — no math.Exp anywhere on the move path
 //     (quantization-pinned, ≤0.1% utility deviation).
@@ -51,8 +50,15 @@ import (
 type BatchResult struct {
 	// Applied is the change that would take effect after clamping.
 	Applied config.Change
-	// Utility is the overall utility the state would have after Applied;
-	// when Applied.IsZero() it is the current tracked utility.
+	// Delta is the change in overall utility Applied would cause, summed
+	// over the grids whose rate it changes. It is exactly 0 when no
+	// grid's rate changes (including when Applied.IsZero()), so adding
+	// it to an exact full-scan utility never introduces rounding for a
+	// move that does nothing.
+	Delta float64
+	// Utility is the tracked running sum plus Delta: the overall utility
+	// the state would have after Applied, up to the running sum's
+	// summation-order rounding.
 	Utility float64
 	// Err is set when the move itself is invalid (unknown sector).
 	Err error
@@ -135,11 +141,10 @@ func (sc *batchScratch) touchSec(b int32) {
 }
 
 // SpeculateBatch scores each candidate move independently against the
-// current state — the batched, read-only counterpart of calling
-// Speculate per move. Results are appended to out (allocated when nil)
-// in move order. fixed selects the quantized centi-dB evaluation
-// (tolerance-pinned); false selects the float path (rounding-pinned to
-// Speculate).
+// current state without mutating it. Results are appended to out
+// (allocated when nil) in move order. fixed selects the quantized
+// centi-dB evaluation (tolerance-pinned); false selects the float path
+// (rounding-pinned to the full-scan Utility).
 //
 // The call enables utility tracking for u if it is not already live —
 // that first enable mutates the state, so concurrent callers over a
@@ -275,7 +280,7 @@ func (s *State) speculateOne(mv config.Change, u utility.Func, fixed bool, sc *b
 		}
 		delta += w * f * (u.U(rate) - s.trackU[g])
 	}
-	return BatchResult{Applied: applied, Utility: s.trackSum + delta}
+	return BatchResult{Applied: applied, Delta: delta, Utility: s.trackSum + delta}
 }
 
 // batchScaleSector handles the fixed-path power-only move on an on-air
@@ -294,7 +299,7 @@ func (s *State) batchScaleSector(sc *batchScratch, b int, factor float64) {
 // batchPowerSectorFloat is the float twin of the power-only move: it
 // re-derives each entry in the dB domain with the same expression
 // applySectorPower uses, so per-grid rates are bit-identical to an
-// Apply and the batch can diverge from Speculate only by summation
+// Apply and the delta can diverge from a full scan only by summation
 // order.
 func (s *State) batchPowerSectorFloat(sc *batchScratch, b int, deltaDb float64) {
 	newPower := s.Cfg.PowerDbm(b) + deltaDb

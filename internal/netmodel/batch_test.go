@@ -19,10 +19,13 @@ func randomBatchChange(rng *rand.Rand, numSectors int) config.Change {
 	return randomChange(rng, numSectors)
 }
 
-// TestSpeculateBatchMatchesSpeculate is the float-path golden property:
-// over a long random move sequence against evolving base configurations,
-// SpeculateBatch must agree with Speculate on the applied change exactly
-// and on the utility to within summation-order rounding.
+// TestSpeculateBatchMatchesSpeculate checks that scoring a batch of
+// moves in one call gives, move for move, the same result as scoring
+// each move in a call of its own: the scratch a batch reuses across its
+// moves must not leak from one move into the next. It runs over a long
+// random move sequence against evolving base configurations, including
+// off-air sectors; the applied change must agree exactly and the
+// utility to within summation-order rounding.
 func TestSpeculateBatchMatchesSpeculate(t *testing.T) {
 	m := testModel(t)
 	s := baseline(t, m)
@@ -30,29 +33,41 @@ func TestSpeculateBatchMatchesSpeculate(t *testing.T) {
 	u := utility.Performance
 
 	nonNoop := 0
-	for i := 0; i < 400; i++ {
-		ch := randomBatchChange(rng, m.Net.NumSectors())
-		got := s.SpeculateBatch([]config.Change{ch}, u, false, nil)[0]
-		if got.Err != nil {
-			t.Fatalf("move %d (%v): %v", i, ch, got.Err)
+	for round := 0; round < 40; round++ {
+		moves := make([]config.Change, 10)
+		for i := range moves {
+			moves[i] = randomBatchChange(rng, m.Net.NumSectors())
 		}
-		wantApplied, wantU, err := s.Speculate(ch, u)
-		if err != nil {
-			t.Fatalf("move %d: Speculate(%v): %v", i, ch, err)
+		batch := s.SpeculateBatch(moves, u, false, nil)
+		if len(batch) != len(moves) {
+			t.Fatalf("round %d: %d results for %d moves", round, len(batch), len(moves))
 		}
-		if got.Applied != wantApplied {
-			t.Fatalf("move %d (%v): batch applied %v, speculate %v", i, ch, got.Applied, wantApplied)
+		for i, ch := range moves {
+			got := batch[i]
+			if got.Err != nil {
+				t.Fatalf("round %d move %d (%v): %v", round, i, ch, got.Err)
+			}
+			want := s.SpeculateBatch([]config.Change{ch}, u, false, nil)[0]
+			if want.Err != nil {
+				t.Fatalf("round %d move %d (%v): single: %v", round, i, ch, want.Err)
+			}
+			if got.Applied != want.Applied {
+				t.Fatalf("round %d move %d (%v): batch applied %v, single %v", round, i, ch, got.Applied, want.Applied)
+			}
+			if relDiff(got.Utility, want.Utility) > 1e-9 {
+				t.Fatalf("round %d move %d (%v): batch utility %v, single %v", round, i, ch, got.Utility, want.Utility)
+			}
+			if !want.Applied.IsZero() {
+				nonNoop++
+			}
 		}
-		if relDiff(got.Utility, wantU) > 1e-9 {
-			t.Fatalf("move %d (%v): batch utility %v, speculate %v", i, ch, got.Utility, wantU)
-		}
-		if !wantApplied.IsZero() {
-			nonNoop++
-		}
-		// Periodically commit so the batch is tested against many base
-		// configurations, including ones with off-air sectors.
-		if i%13 == 0 && !wantApplied.IsZero() {
-			s.MustApply(ch)
+		// Commit one effective move per round so the batch is tested
+		// against many base configurations.
+		for _, r := range batch {
+			if !r.Applied.IsZero() {
+				s.MustApply(r.Applied)
+				break
+			}
 		}
 	}
 	if nonNoop < 150 {
@@ -61,8 +76,8 @@ func TestSpeculateBatchMatchesSpeculate(t *testing.T) {
 }
 
 // TestSpeculateBatchManyMoves scores a whole candidate set in one call
-// and cross-checks each result against a commit-on-clone full
-// evaluation — the reference Speculate itself is pinned to.
+// and cross-checks each result against the exact oracle: commit on a
+// clone, then a full-scan Utility.
 func TestSpeculateBatchManyMoves(t *testing.T) {
 	m := testModel(t)
 	s := baseline(t, m)
@@ -148,7 +163,8 @@ func TestSpeculateBatchFixedWithinTolerance(t *testing.T) {
 // TestSpeculateBatchFixedCurveOverride: a sector answering from a
 // tabulated link curve must be scored on the float path even when the
 // caller asks for fixed — the mirror quantizes the analytic pattern,
-// not ingested curves — and therefore stay rounding-exact.
+// not ingested curves — and therefore stay within summation-order
+// rounding of the exact oracle.
 func TestSpeculateBatchFixedCurveOverride(t *testing.T) {
 	m := testModel(t)
 	s := baseline(t, m)
@@ -173,21 +189,20 @@ func TestSpeculateBatchFixedCurveOverride(t *testing.T) {
 	if got.Err != nil {
 		t.Fatal(got.Err)
 	}
-	wantApplied, wantU, err := s.Speculate(ch, u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := s.Clone()
+	wantApplied := ref.MustApply(ch)
 	if got.Applied != wantApplied {
 		t.Fatalf("applied %v, want %v", got.Applied, wantApplied)
 	}
-	if relDiff(got.Utility, wantU) > 1e-9 {
-		t.Fatalf("curve-override sector must score on the float path: batch %v, speculate %v", got.Utility, wantU)
+	if gotU, wantU := s.Utility(u)+got.Delta, ref.Utility(u); relDiff(gotU, wantU) > 1e-9 {
+		t.Fatalf("curve-override sector must score on the float path: batch %v, full evaluation %v", gotU, wantU)
 	}
 }
 
 // TestSharedCoreConcurrentEngines is the shared-substrate race test: N
 // views forked from one model — one immutable core — each drive their
-// own State through interleaved batch scoring, speculation and commits.
+// own State through interleaved fixed and float batch scoring and
+// commits.
 // Under -race this proves the core is never written after construction
 // and per-engine mutation stays confined to the engine's State.
 func TestSharedCoreConcurrentEngines(t *testing.T) {
@@ -216,8 +231,8 @@ func TestSharedCoreConcurrentEngines(t *testing.T) {
 					t.Errorf("engine %d move %d: %v", e, i, res.Err)
 					return
 				}
-				if _, _, err := s.Speculate(ch, u); err != nil {
-					t.Errorf("engine %d move %d: %v", e, i, err)
+				if res := s.SpeculateBatch([]config.Change{ch}, u, false, nil)[0]; res.Err != nil {
+					t.Errorf("engine %d move %d: %v", e, i, res.Err)
 					return
 				}
 				if i%5 == 0 {

@@ -1,5 +1,5 @@
 // Fixed-point mirror of the link budgets: the quantized, sector-major
-// representation behind the opt-in Speculate fast path (batch.go).
+// representation behind SpeculateBatch's opt-in fixed kernel (batch.go).
 //
 // Representation. Every per-entry quantity the speculative scorer needs
 // is quantized to int16 at 0.01 resolution: link budgets in centi-dB

@@ -33,7 +33,7 @@
 // touched grid. Consumers bound the drift with periodic
 // ResyncKPIAggregates calls (simwindow resyncs every 64 ticks and after
 // a replan) and pin the incremental series to the full-scan reference
-// within 1e-9 relative. Like Speculate's tracking, none of this state
+// within 1e-9 relative. Like the utility tracking sum, none of this state
 // survives Clone (a clone re-derives on enable) and RecomputeLoads
 // switches the aggregates off.
 package netmodel
@@ -361,7 +361,7 @@ func (s *State) aggReaccount(g int) {
 // model, after the model call, instead of a full RecomputeLoads. The
 // old weight is recovered as w/factor: the ulp-level residue against
 // the exact pre-scale value is bounded per event and cleared by the
-// next resync or RecomputeLoads. The Speculate tracking sum does not
+// next resync or RecomputeLoads. The utility tracking sum does not
 // survive (weights underneath it changed); the next enable re-derives.
 func (s *State) NoteUsersScaledAt(grids []int, factor float64) {
 	s.trackOn = false

@@ -55,7 +55,7 @@ type State struct {
 	servedList  [][]int32
 	servedPos   []int32
 
-	// Incremental utility tracking backing Speculate; see speculate.go.
+	// Incremental utility tracking backing SpeculateBatch; see tracking.go.
 	// Deliberately not cloned: a clone re-derives its own running sum on
 	// first use, so it always equals a fresh full scan. trackFactor is
 	// the model's uniform UE factor the sum was derived under; a factor
@@ -127,7 +127,7 @@ func (s *State) resetUtilityMemo(name string) {
 // Clone returns an independent snapshot of the state (the configuration
 // is deep-copied too). The utility memo IS copied — it is a consistent
 // snapshot of (rate, u(rate)) pairs, so the clone's first Utility call
-// under the same objective stays incremental. The Speculate tracking
+// under the same objective stays incremental. The utility tracking
 // arrays and the SINRImprovers scratch are NOT copied: they are either
 // transient scratch or cheaper to re-derive than to keep coherent, and
 // zero values mean "off"/"unallocated" for both.
@@ -627,8 +627,8 @@ func (s *State) AssignUsersWeighted(weight func(g int) float64) {
 // RecomputeLoads rebuilds the per-sector loads from the current serving
 // map and UE distribution. Needed after the Model's UE distribution
 // changes beneath an existing state. The UE weights underneath the
-// Speculate running sum may have changed, so tracking is switched off;
-// the next Speculate re-derives it.
+// utility tracking sum may have changed, so tracking is switched off;
+// the next EnableUtilityTracking re-derives it.
 func (s *State) RecomputeLoads() {
 	s.trackOn = false
 	s.servedIdxOn = false

@@ -1,17 +1,12 @@
 package netmodel
 
-import (
-	"fmt"
+import "magus/internal/utility"
 
-	"magus/internal/config"
-	"magus/internal/utility"
-)
-
-// This file gives State a speculative-evaluation fast path: a running
-// overall-utility sum that is repaired from only the grids a change
-// touched, instead of the full-grid scan Utility performs. It is what
-// lets the evaluation engine score a candidate move in time proportional
-// to the change's footprint rather than the market size.
+// This file gives State a running overall-utility sum that Apply
+// repairs from only the grids a change touched. SpeculateBatch prices a
+// candidate move as a delta against its per-grid memo (trackRate/trackU),
+// which is what lets the evaluation engine score a move in time
+// proportional to the change's footprint rather than the market size.
 //
 // Invariants:
 //
@@ -25,16 +20,16 @@ import (
 //   - Tracking survives Apply but not RecomputeLoads or AssignUsers*
 //     (those change the UE weights underneath the sum); they switch it
 //     off and the next use re-derives it with one full scan.
-//   - The running sum and the Utility memo are independent: Speculate
-//     never touches cacheRate/cacheU, so interleaving Speculate with
-//     exact Utility calls is safe and the exact path stays bit-identical
-//     to a never-speculating state.
+//   - The running sum and the Utility memo are independent: tracking
+//     never touches cacheRate/cacheU, so the exact full-scan Utility of
+//     a tracked state is bit-identical to that of an untracked one.
 //
 // trackSum accumulates in repair order rather than grid order, so it can
 // differ from Utility's left-to-right sum by floating-point rounding
 // (observed ulps on utilities of magnitude 1e4–1e5). Callers that need
-// exact comparability against Utility values must re-evaluate with
-// Utility; the evaluation engine does exactly that when committing.
+// exact comparability against Utility values add a BatchResult's Delta
+// to a full-scan Utility instead of reading the sum; the evaluation
+// engine does exactly that.
 
 // EnableUtilityTracking (re)derives the running utility sum under u with
 // one full scan. A no-op when tracking is already live for the same
@@ -85,31 +80,6 @@ func (s *State) EnableUtilityTracking(u utility.Func) {
 func (s *State) UtilityTracked(u utility.Func) float64 {
 	s.EnableUtilityTracking(u)
 	return s.trackSum
-}
-
-// Speculate scores a candidate change without committing it: apply ch,
-// read the delta-repaired running utility, revert. The configuration and
-// radio state are restored exactly (Apply's inverse is bit-exact in the
-// dB domain), and the running sum is pinned back to its pre-speculation
-// value so ±w round-trips cannot accumulate residue over thousands of
-// speculations.
-//
-// Returns the clamped change that would take effect and the overall
-// utility the state would have after it; when applied.IsZero() the
-// current utility is returned unchanged.
-func (s *State) Speculate(ch config.Change, u utility.Func) (applied config.Change, utilAfter float64, err error) {
-	s.EnableUtilityTracking(u)
-	before := s.trackSum
-	applied, err = s.Apply(ch)
-	if err != nil || applied.IsZero() {
-		return applied, before, err
-	}
-	utilAfter = s.trackSum
-	if _, rerr := s.Apply(applied.Inverse()); rerr != nil {
-		return applied, utilAfter, fmt.Errorf("netmodel: speculate revert: %w", rerr)
-	}
-	s.trackSum = before
-	return applied, utilAfter, nil
 }
 
 func (s *State) markGrid(g int32) {

@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"magus/internal/config"
-	"magus/internal/geo"
-	"magus/internal/propagation"
-	"magus/internal/topology"
 	"magus/internal/utility"
 )
 
@@ -29,9 +26,12 @@ func randomChange(rng *rand.Rand, numSectors int) config.Change {
 }
 
 // TestSpeculateMatchesFullEvaluation is the core delta-utility property:
-// for a long random move sequence, Speculate's score must agree with
-// committing the move and running a full-grid Utility scan, and the
-// state must be exactly restored after each speculation.
+// over a long random move sequence against evolving base configurations
+// (including off-air sectors and their reactivation), SpeculateBatch's
+// float path must agree with the exact oracle — commit the move on a
+// clone and run the full-grid Utility scan — on the applied change
+// exactly and on the utility to within summation-order rounding, and
+// must leave the state untouched.
 func TestSpeculateMatchesFullEvaluation(t *testing.T) {
 	m := testModel(t)
 	s := baseline(t, m)
@@ -41,46 +41,51 @@ func TestSpeculateMatchesFullEvaluation(t *testing.T) {
 	cfgBefore := s.Cfg.Clone()
 	u0 := s.Utility(u)
 	nonNoop := 0
-	for i := 0; i < 300; i++ {
-		ch := randomChange(rng, m.Net.NumSectors())
-		applied, got, err := s.Speculate(ch, u)
-		if err != nil {
-			t.Fatalf("Speculate(%v): %v", ch, err)
+	for i := 0; i < 400; i++ {
+		ch := randomBatchChange(rng, m.Net.NumSectors())
+		got := s.SpeculateBatch([]config.Change{ch}, u, false, nil)[0]
+		if got.Err != nil {
+			t.Fatalf("move %d (%v): %v", i, ch, got.Err)
 		}
-		// Reference: commit on a clone, full evaluation.
 		ref := s.Clone()
 		refApplied, err := ref.Apply(ch)
 		if err != nil {
 			t.Fatalf("reference Apply(%v): %v", ch, err)
 		}
-		if applied != refApplied {
-			t.Fatalf("move %d: speculated applied %v != reference %v", i, applied, refApplied)
+		if got.Applied != refApplied {
+			t.Fatalf("move %d: speculated applied %v != reference %v", i, got.Applied, refApplied)
 		}
 		want := ref.Utility(u)
-		if applied.IsZero() {
+		if refApplied.IsZero() {
 			want = u0
+			if got.Delta != 0 {
+				t.Fatalf("move %d: no-op move has delta %v", i, got.Delta)
+			}
 		} else {
 			nonNoop++
 		}
-		if relDiff(got, want) > 1e-9 {
-			t.Fatalf("move %d (%v): speculated utility %v, full evaluation %v", i, ch, got, want)
+		if relDiff(u0+got.Delta, want) > 1e-9 {
+			t.Fatalf("move %d (%v): exact+delta %v, full evaluation %v", i, ch, u0+got.Delta, want)
+		}
+		if relDiff(got.Utility, want) > 1e-9 {
+			t.Fatalf("move %d (%v): tracked utility %v, full evaluation %v", i, ch, got.Utility, want)
 		}
 		// The state must be untouched.
 		if !s.Cfg.Equal(cfgBefore) {
-			t.Fatalf("move %d: configuration mutated by Speculate", i)
+			t.Fatalf("move %d: configuration mutated by SpeculateBatch", i)
 		}
-		if got := s.UtilityTracked(u); relDiff(got, u0) > 1e-12 {
-			t.Fatalf("move %d: running sum drifted: %v vs %v", i, got, u0)
+		if got := s.Utility(u); got != u0 {
+			t.Fatalf("move %d: full-scan utility moved: %v vs %v", i, got, u0)
 		}
-		// Occasionally commit a move so speculation is tested against many
-		// base configurations, with tracking live across commits.
-		if i%17 == 0 && !applied.IsZero() {
+		// Periodically commit so speculation is tested against many base
+		// configurations, with tracking repaired across commits.
+		if i%13 == 0 && !refApplied.IsZero() {
 			s.MustApply(ch)
 			cfgBefore = s.Cfg.Clone()
 			u0 = s.Utility(u)
 		}
 	}
-	if nonNoop < 100 {
+	if nonNoop < 150 {
 		t.Fatalf("only %d effective moves exercised; scenario too degenerate", nonNoop)
 	}
 	// After everything, the running sum still matches a fresh full scan.
@@ -89,8 +94,8 @@ func TestSpeculateMatchesFullEvaluation(t *testing.T) {
 	}
 }
 
-// TestSpeculateTurnOffOn covers the refreshSector path (tilt and on/off
-// moves touch every entry of the sector, including serving handoffs).
+// TestSpeculateTurnOffOn covers the recompute path (on/off moves touch
+// every entry of the sector, including serving handoffs).
 func TestSpeculateTurnOffOn(t *testing.T) {
 	m := testModel(t)
 	s := baseline(t, m)
@@ -99,12 +104,14 @@ func TestSpeculateTurnOffOn(t *testing.T) {
 	target := m.Net.Sites[central].Sectors[0]
 
 	u0 := s.Utility(u)
-	_, specOff, err := s.Speculate(config.Change{Sector: target, TurnOff: true}, u)
-	if err != nil {
-		t.Fatal(err)
+	off := config.Change{Sector: target, TurnOff: true}
+	res := s.SpeculateBatch([]config.Change{off}, u, false, nil)[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
+	specOff := u0 + res.Delta
 	ref := s.Clone()
-	ref.MustApply(config.Change{Sector: target, TurnOff: true})
+	ref.MustApply(off)
 	if want := ref.Utility(u); relDiff(specOff, want) > 1e-9 {
 		t.Fatalf("turn-off speculation %v != full %v", specOff, want)
 	}
@@ -113,6 +120,20 @@ func TestSpeculateTurnOffOn(t *testing.T) {
 	}
 	if got := s.Utility(u); got != u0 {
 		t.Fatalf("Utility changed after speculation: %v vs %v", got, u0)
+	}
+
+	// Turning the sector back on from the off-air state must price the
+	// restoration against the same oracle.
+	on := config.Change{Sector: target, TurnOn: true}
+	uOff := ref.Utility(u)
+	res = ref.SpeculateBatch([]config.Change{on}, u, false, nil)[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	back := ref.Clone()
+	back.MustApply(on)
+	if got, want := uOff+res.Delta, back.Utility(u); relDiff(got, want) > 1e-9 {
+		t.Fatalf("turn-on speculation %v != full %v", got, want)
 	}
 }
 
@@ -217,31 +238,4 @@ func TestSINRImproversScratchReuse(t *testing.T) {
 			}
 		}
 	}
-}
-
-func BenchmarkSpeculateNetmodel(b *testing.B) {
-	m := testModelB(b)
-	s := m.NewState(config.New(m.Net))
-	s.AssignUsersUniform()
-	u := utility.Performance
-	s.EnableUtilityTracking(u)
-	ch := config.Change{Sector: 1, PowerDelta: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Speculate(ch, u); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// testModelB mirrors testModel for benchmarks.
-func testModelB(b *testing.B) *Model {
-	b.Helper()
-	net := topology.MustGenerate(topology.GenConfig{
-		Seed:   3,
-		Class:  topology.Suburban,
-		Bounds: geo.NewRectCentered(geo.Point{}, 6000, 6000),
-	})
-	spm := propagation.MustNewSPM(2.635e9, nil)
-	return MustNewModel(net, spm, net.Bounds, Params{CellSizeM: 200})
 }

@@ -12,14 +12,16 @@
 // configurations", Section 5).
 //
 // Every strategy is a thin proposer/acceptor over evalengine.Engine,
-// which owns candidate scoring. With Options.Workers <= 1 scoring is
-// sequential and exact — bit-identical to the historical hand-rolled
-// loops, as the golden-equivalence tests verify. With Workers > 1
-// candidates are scored concurrently on a pool of worker-local state
-// clones using speculative delta evaluation; accepted configurations may
-// then differ from the sequential run by floating-point rounding near
-// accept thresholds (never in validity, and committed utilities are
-// always exact re-evaluations). See evalengine's package comment.
+// which owns candidate scoring. Algorithm 1 prices its candidate set β
+// read-only as exact current utility plus each move's delta, at every
+// Options.Workers value; the golden-equivalence tests pin it bit for bit
+// to a reference loop that scores every candidate on a clone with the
+// full-scan Utility. The greedy climbs and Equalize try, keep or undo
+// moves on the committed state with Workers <= 1; with Workers > 1 they
+// batch their candidates through the same read-only scorer, so accepted
+// configurations may then differ from the sequential run in acceptance
+// order (never in validity, and committed utilities are always exact
+// re-evaluations). See evalengine's package comment.
 package search
 
 import (
@@ -38,9 +40,9 @@ type Step struct {
 	// Change is the applied configuration change.
 	Change config.Change
 	// Utility is the overall utility after applying the change. In
-	// parallel runs intermediate utilities inside one accepted batch are
-	// speculative (delta-evaluated); the utility after each commit is
-	// exact.
+	// batched climbs (Workers > 1) intermediate utilities inside one
+	// accepted batch are delta-evaluated; the utility after each commit
+	// is exact.
 	Utility float64
 }
 
@@ -93,16 +95,17 @@ type Options struct {
 	// "conditionally good" pruning saves.
 	NoPruning bool
 	// Workers sets the engine's candidate-scoring parallelism: the
-	// number of worker-local state clones used per batch. 0 or 1 keeps
-	// the sequential exact path; values above 1 trade bit-exact
-	// reproducibility for wall-clock speed (see the package comment).
+	// number of goroutines that score one batch over the shared state.
+	// Algorithm 1's results do not depend on it. Values above 1 also
+	// switch the greedy climbs and Equalize from try/undo to batched
+	// scoring, which can change their acceptance order (see the package
+	// comment).
 	Workers int
-	// FixedPoint routes candidate scoring through the engine's batched
-	// quantized path: workers share one state read-only (no clone pool)
-	// and the inner loop runs in int16 centi-dB with table-driven
-	// dB→linear conversion. Scores carry ≤0.1% utility quantization
-	// error; committed utilities are still exact. Combine with Workers
-	// for the fastest scoring configuration.
+	// FixedPoint selects the scorer's quantized kernel: the inner loop
+	// runs in int16 centi-dB with table-driven dB→linear conversion.
+	// Scores carry ≤0.1% utility quantization error; committed utilities
+	// are still exact. Combine with Workers for the fastest scoring
+	// configuration.
 	FixedPoint bool
 	// Ctx, when non-nil, lets the caller abandon a long-running search:
 	// every outer iteration checks it and the search returns Ctx's error
@@ -233,9 +236,9 @@ func powerPhase(e *evalengine.Engine, base *netmodel.State, neighbors []int, opt
 			continue
 		}
 		// Line 9: evaluate each candidate globally and keep the best.
-		// The batch goes to the engine as one scoring round — the main
-		// parallelism win: every β member scores concurrently. Ties keep
-		// the earliest candidate, which is what the sequential argmax did.
+		// The batch goes to the engine as one read-only scoring round,
+		// fanned out over its workers. Ties keep the earliest candidate,
+		// which is what the sequential argmax did.
 		moves := make([]config.Change, len(beta))
 		for i, b := range beta {
 			moves[i] = config.Change{Sector: b, PowerDelta: unit}
@@ -430,7 +433,7 @@ func climbBatch(e *evalengine.Engine, b int, opts *Options, res *Result, unit co
 // followed by power-tuning", Section 5) — and keeps alternating the two
 // phases while they make progress (bounded), since a power change can
 // open new profitable tilts and vice versa. All phases share one engine
-// (and therefore one clone pool and one set of counters).
+// (and therefore one set of counters).
 func Joint(st *netmodel.State, base *netmodel.State, neighbors []int, opts Options) (*Result, error) {
 	opts.applyDefaults()
 	if st.Model != base.Model {

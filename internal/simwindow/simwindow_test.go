@@ -159,9 +159,10 @@ func TestReplanRecovery(t *testing.T) {
 	noReplan := run(t, grad, base)
 
 	withCfg := base
-	// Workers: 1 keeps the replanner on the exact sequential search
-	// path, whose accepted steps are individually utility-improving —
-	// the property the per-tick comparison below relies on.
+	// Workers: 1 keeps the replanner's climbs on the sequential
+	// try/undo path, whose accepted steps are individually
+	// utility-improving — the property the per-tick comparison below
+	// relies on.
 	withCfg.Replanner = &simwindow.SearchReplanner{}
 	withCfg.Workers = 1
 	withReplan := run(t, grad, withCfg)
