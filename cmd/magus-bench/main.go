@@ -7,7 +7,6 @@
 //	magus-bench [-exp all|table1|table2|fig2|fig8|fig10|fig11|fig12|fig13|maps|calendar] [-seeds 1,2,3]
 //	            [-json results.json] [-model-cache dir]
 //	            [-cpuprofile cpu.prof] [-memprofile mem.prof]
-//	magus-bench -exp sim-window -grid-scale 1,1.5,2
 //	magus-bench -compare [-gate regexp] [-regress-pct 20] old.json new.json
 //
 // With -json, per-experiment timings are also written to the given path
@@ -51,7 +50,6 @@ func run() int {
 	jsonPath := flag.String("json", "", "also write per-experiment timings to this path as JSON")
 	workers := flag.Int("workers", 0, "in-search candidate-scoring parallelism (0 = sequential; parallel-joint defaults to NumCPU)")
 	modelCacheDir := flag.String("model-cache", "", "directory for on-disk model snapshots; repeat runs over the same markets skip the model build")
-	gridScale := flag.String("grid-scale", "", "with -exp sim-window: comma-separated grid-density multipliers (e.g. 1,1.5,2), each dividing the cell size; sweeps the simulator's per-tick measurement cost, incremental KPI engine vs full-scan")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	compareMode := flag.Bool("compare", false, "compare two timing files (old new) instead of running experiments")
@@ -128,16 +126,7 @@ func run() int {
 		"ext-uedist":    func() (fmt.Stringer, error) { return experiments.RunUEDistribution(seeds[0]) },
 		"ext-carriers":  func() (fmt.Stringer, error) { return experiments.RunMultiCarrier(seeds[0]) },
 		"ops-week":      func() (fmt.Stringer, error) { return experiments.RunOpsWeek(seeds[0], 2) },
-		"sim-window": func() (fmt.Stringer, error) {
-			if *gridScale != "" {
-				scales, err := parseScales(*gridScale)
-				if err != nil {
-					return nil, err
-				}
-				return experiments.RunSimWindowScale(seeds[0], scales)
-			}
-			return experiments.RunSimWindow(seeds[0])
-		},
+		"sim-window":    func() (fmt.Stringer, error) { return experiments.RunSimWindow(seeds[0]) },
 		// wave-season is the upgrade-season scheduler study: annealed
 		// wave assignment vs naive round-robin on season-min f(C_after).
 		"wave-season": func() (fmt.Stringer, error) { return experiments.RunWaveSeason(seeds[0]) },
@@ -216,25 +205,6 @@ func writeBenchJSON(path string, records []benchRecord) error {
 		return err
 	}
 	return f.Close()
-}
-
-func parseScales(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad grid scale %q: %v", part, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no grid scales given")
-	}
-	return out, nil
 }
 
 func parseSeeds(s string) ([]int64, error) {

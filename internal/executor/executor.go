@@ -627,7 +627,7 @@ func (e *Executor) verifyStep(ctx context.Context, st runbook.Step) error {
 			ss.Utility = sample.Utility
 			ss.Floor = sample.Floor
 		})
-		if sample.Utility < sample.Floor-simwindow.FloorTolerance(sample.Floor) {
+		if simwindow.BelowFloor(sample.Utility, sample.Floor) {
 			below++
 			e.setRun(func(s *Status) { s.SamplesBelowFloor++ })
 			if below > e.opts.GraceSamples {

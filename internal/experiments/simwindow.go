@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"magus/internal/config"
 	"magus/internal/core"
@@ -212,136 +211,6 @@ func RunSimWindow(seed int64) (*SimWindow, error) {
 		}
 	}
 	return out, nil
-}
-
-// SimWindowScaleRun is one grid density of the measurement-cost sweep.
-type SimWindowScaleRun struct {
-	// Scale multiplies the market's grid density: cell size is divided
-	// by Scale, so the grid count grows with Scale².
-	Scale float64
-	// Grids is the resulting model grid count.
-	Grids int
-	// IncNsPerTick and FullNsPerTick are the simulated window's
-	// wall-clock cost per tick under the incremental KPI engine and the
-	// legacy full-scan measurement path.
-	IncNsPerTick  int64
-	FullNsPerTick int64
-}
-
-// SimWindowScale sweeps the upgrade-window simulator's per-tick
-// measurement cost across grid densities, incremental KPI engine vs
-// full-scan reference — the "simulate a large market" scaling story.
-type SimWindowScale struct {
-	Seed  int64
-	Ticks int
-	Runs  []SimWindowScaleRun
-}
-
-// RunSimWindowScale executes the same fault-scripted gradual-upgrade
-// window at each grid density and times the tick loop in both
-// measurement modes. Scales are density multipliers relative to the
-// class default (1 = the sim-window experiment's geometry, 2 = half the
-// cell size, four times the grids).
-func RunSimWindowScale(seed int64, scales []float64) (*SimWindowScale, error) {
-	out := &SimWindowScale{Seed: seed}
-	for _, scale := range scales {
-		if scale <= 0 {
-			return nil, fmt.Errorf("sim-window scale sweep: scale %g must be positive", scale)
-		}
-		spec := DefaultAreaSpec(topology.Suburban)
-		spec.CellSizeM /= scale
-		engine, err := BuildEngine(seed, spec)
-		if err != nil {
-			return nil, fmt.Errorf("sim-window scale sweep (x%g): %w", scale, err)
-		}
-		plan, err := engine.Mitigate(upgrade.SingleSector, core.PowerOnly, utility.Performance)
-		if err != nil {
-			return nil, fmt.Errorf("sim-window scale sweep (x%g): %w", scale, err)
-		}
-		grad, err := plan.GradualMigration(migrate.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("sim-window scale sweep (x%g): %w", scale, err)
-		}
-		gradRB, err := runbook.Build(plan, grad)
-		if err != nil {
-			return nil, fmt.Errorf("sim-window scale sweep (x%g): %w", scale, err)
-		}
-
-		victim, bestLoad := -1, -1.0
-		for _, b := range plan.Neighbors {
-			if l := plan.After.Load(b); l > bestLoad {
-				victim, bestLoad = b, l
-			}
-		}
-		if victim < 0 {
-			return nil, fmt.Errorf("sim-window scale sweep (x%g): no neighbor sectors", scale)
-		}
-		// Long settle phase after the pushes: per-tick cost in the settled
-		// window is pure measurement, which is the axis being swept.
-		ticks := len(gradRB.Steps) + 300
-		out.Ticks = ticks
-		profile := schedule.DefaultProfile()
-		faults := []simwindow.Fault{
-			{Kind: simwindow.FaultSectorDown, Tick: len(gradRB.Steps) + 5, Sector: victim},
-			{Kind: simwindow.FaultLoadSurge, Tick: len(gradRB.Steps) + 8,
-				DurationTicks: 10, Sector: plan.Targets[0], Factor: 1.5},
-		}
-		run := SimWindowScaleRun{Scale: scale, Grids: engine.Model.Grid.NumCells()}
-		for _, full := range []bool{false, true} {
-			cfg := simwindow.Config{
-				Seed:         seed,
-				Ticks:        ticks,
-				Profile:      &profile,
-				LoadNoise:    0.02,
-				Faults:       faults,
-				FullScanKPIs: full,
-			}
-			sim, err := simwindow.New(engine.Before, gradRB, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("sim-window scale sweep (x%g): %w", scale, err)
-			}
-			start := time.Now()
-			if _, err := sim.Run(); err != nil {
-				return nil, fmt.Errorf("sim-window scale sweep (x%g): %w", scale, err)
-			}
-			perTick := time.Since(start).Nanoseconds() / int64(ticks+1)
-			if full {
-				run.FullNsPerTick = perTick
-			} else {
-				run.IncNsPerTick = perTick
-			}
-		}
-		out.Runs = append(out.Runs, run)
-	}
-	return out, nil
-}
-
-// String prints the density sweep as a table.
-func (s *SimWindowScale) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Upgrade-window measurement cost by grid density (seed %d, %d ticks, incremental vs full-scan KPIs)\n",
-		s.Seed, s.Ticks)
-	fmt.Fprintf(&b, "  %-7s %8s %14s %14s %9s\n", "scale", "grids", "inc ns/tick", "full ns/tick", "speedup")
-	for _, r := range s.Runs {
-		speedup := 0.0
-		if r.IncNsPerTick > 0 {
-			speedup = float64(r.FullNsPerTick) / float64(r.IncNsPerTick)
-		}
-		fmt.Fprintf(&b, "  x%-6g %8d %14d %14d %8.1fx\n",
-			r.Scale, r.Grids, r.IncNsPerTick, r.FullNsPerTick, speedup)
-	}
-	return b.String()
-}
-
-// Timings exports the per-density tick costs as benchmark records.
-func (s *SimWindowScale) Timings() []BenchTiming {
-	out := make([]BenchTiming, 0, 2*len(s.Runs))
-	for _, r := range s.Runs {
-		out = append(out,
-			BenchTiming{Name: fmt.Sprintf("inc-x%g", r.Scale), Iterations: int64(s.Ticks + 1), NsPerOp: r.IncNsPerTick},
-			BenchTiming{Name: fmt.Sprintf("full-x%g", r.Scale), Iterations: int64(s.Ticks + 1), NsPerOp: r.FullNsPerTick})
-	}
-	return out
 }
 
 // String prints the strategy comparison as a table.

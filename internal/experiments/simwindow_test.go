@@ -63,26 +63,3 @@ func TestRunSimWindow(t *testing.T) {
 		}
 	}
 }
-
-// TestRunSimWindowScale smoke-tests the grid-density sweep at a coarse
-// (cheap) density: both measurement modes run the same window, the
-// timings are populated, and the Timed records export per mode.
-func TestRunSimWindowScale(t *testing.T) {
-	res, err := RunSimWindowScale(1, []float64{0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) != 1 {
-		t.Fatalf("runs = %d, want 1", len(res.Runs))
-	}
-	r := res.Runs[0]
-	if r.Grids <= 0 || r.IncNsPerTick <= 0 || r.FullNsPerTick <= 0 {
-		t.Fatalf("sweep run not populated: %+v", r)
-	}
-	if got := len(res.Timings()); got != 2 {
-		t.Fatalf("Timings() exported %d records, want 2", got)
-	}
-	if out := res.String(); !strings.Contains(out, "x0.5") {
-		t.Errorf("sweep output missing the density row:\n%s", out)
-	}
-}

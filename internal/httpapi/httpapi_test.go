@@ -556,7 +556,8 @@ func TestSimulateValidation(t *testing.T) {
 		"/simulate?sim_seed=abc",
 		"/simulate?scenario=z",
 		"/simulate?workers=-1",
-		"/simulate?faults=push-fail@999", // step out of runbook range
+		"/simulate?faults=push-fail@999",    // step out of runbook range
+		"/simulate?faults=push-delay@2%2B0", // non-positive delay
 	} {
 		if rec := get(t, s, path); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s status = %d, want 400", path, rec.Code)

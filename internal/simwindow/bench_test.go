@@ -84,7 +84,7 @@ func benchFixture(b *testing.B, sz benchSize) (*core.Engine, *runbook.Runbook) {
 // pushes, diurnal load evolution, a fault of each timed kind, and the
 // per-tick measurement pass — across grid sizes, in both measurement
 // modes: "inc" is the default incremental KPI engine, "full" the
-// retained full-scan reference (Config.FullScanKPIs). The inc/full
+// retained full-scan reference (the NewFullScan test hook). The inc/full
 // ratio at a given size is the tentpole's claim; the checked-in
 // BENCH_PR10.json records it and CI gates inc-medium against it.
 // Run with -benchmem to see the per-window allocation budget (the tick
@@ -118,18 +118,21 @@ func BenchmarkSimWindow(b *testing.B) {
 				// states, pre-applying the runbook to the floor reference)
 				// is untimed: it is per-window, not per-tick.
 				cfg := simwindow.Config{
-					Seed:         42,
-					Ticks:        360,
-					Profile:      &profile,
-					LoadNoise:    0.05,
-					Faults:       faults,
-					FullScanKPIs: mode.full,
+					Seed:      42,
+					Ticks:     360,
+					Profile:   &profile,
+					LoadNoise: 0.05,
+					Faults:    faults,
+				}
+				newSim := simwindow.New
+				if mode.full {
+					newSim = simwindow.NewFullScan
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					sim, err := simwindow.New(eng.Before, grad, cfg)
+					sim, err := newSim(eng.Before, grad, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -53,7 +53,7 @@ type Fault struct {
 	Tick int `json:"tick,omitempty"`
 	// Sector is the failing sector (sector-down) or the surge center.
 	Sector int `json:"sector,omitempty"`
-	// DurationTicks bounds a surge (0 = until the window ends).
+	// DurationTicks bounds a surge (0 = never expires).
 	DurationTicks int `json:"duration_ticks,omitempty"`
 	// Factor is the surge's UE-density multiplier.
 	Factor float64 `json:"factor,omitempty"`
@@ -76,6 +76,38 @@ func (f Fault) String() string {
 	default:
 		return f.Kind.String()
 	}
+}
+
+// validate checks f against a runbook of steps pushes and a network of
+// sectors sectors.
+func (f Fault) validate(steps, sectors int) error {
+	switch f.Kind {
+	case FaultPushFail, FaultPushDelay:
+		if f.Step < 1 || f.Step > steps {
+			return fmt.Errorf("simwindow: fault %v: runbook has %d steps", f, steps)
+		}
+		if f.Kind == FaultPushDelay && f.DelayTicks <= 0 {
+			return fmt.Errorf("simwindow: fault %v: delay must be positive", f)
+		}
+	case FaultSectorDown, FaultLoadSurge:
+		if f.Tick < 0 {
+			return fmt.Errorf("simwindow: fault %v: tick must be non-negative", f)
+		}
+		if f.Sector < 0 || f.Sector >= sectors {
+			return fmt.Errorf("simwindow: fault %v: sector out of range [0, %d)", f, sectors)
+		}
+		if f.Kind == FaultLoadSurge {
+			if f.DurationTicks < 0 {
+				return fmt.Errorf("simwindow: fault %v: duration must be non-negative", f)
+			}
+			if f.Factor <= 0 {
+				return fmt.Errorf("simwindow: fault %v: factor must be positive", f)
+			}
+		}
+	default:
+		return fmt.Errorf("simwindow: unknown fault kind %d", int(f.Kind))
+	}
+	return nil
 }
 
 // ParseFault parses one fault in the compact script syntax:

@@ -32,26 +32,23 @@ func TestGoldenIncrementalVsFullScan(t *testing.T) {
 		t.Fatalf("runbook tunes no sectors")
 	}
 	faultTick := len(grad.Steps) + 5
-	mkCfg := func(fullScan bool) simwindow.Config {
-		faults, err := simwindow.ParseFaults(
-			"push-delay@2+3" +
-				", surge@10+8:" + itoa(grad.Targets[0]) + ":x1.8" +
-				", sector-down@" + itoa(faultTick) + ":" + itoa(victim))
-		if err != nil {
-			t.Fatalf("ParseFaults: %v", err)
-		}
-		return simwindow.Config{
-			Seed:         11,
-			Ticks:        faultTick + 45,
-			Faults:       faults,
-			Replanner:    &simwindow.SearchReplanner{},
-			Workers:      2,
-			FullScanKPIs: fullScan,
-		}
+	faults, err := simwindow.ParseFaults(
+		"push-delay@2+3" +
+			", surge@10+8:" + itoa(grad.Targets[0]) + ":x1.8" +
+			", sector-down@" + itoa(faultTick) + ":" + itoa(victim))
+	if err != nil {
+		t.Fatalf("ParseFaults: %v", err)
+	}
+	cfg := simwindow.Config{
+		Seed:      11,
+		Ticks:     faultTick + 45,
+		Faults:    faults,
+		Replanner: &simwindow.SearchReplanner{},
+		Workers:   2,
 	}
 
-	ref := run(t, grad, mkCfg(true))
-	inc := run(t, grad, mkCfg(false))
+	ref := runWith(t, simwindow.NewFullScan, grad, cfg)
+	inc := run(t, grad, cfg)
 
 	if ref.Summary.Replans == 0 {
 		t.Fatalf("sector %d down (load %.1f) never triggered a replan; storm too weak: %+v",
@@ -107,18 +104,15 @@ func TestGoldenIncrementalVsFullScan(t *testing.T) {
 func TestGoldenLongWindowResync(t *testing.T) {
 	_, _, grad, _ := fixture(t)
 	profile := schedule.DefaultProfile()
-	mkCfg := func(fullScan bool) simwindow.Config {
-		return simwindow.Config{
-			Seed:         5,
-			Ticks:        150, // > 2 resync periods
-			Profile:      &profile,
-			LoadNoise:    0.05,
-			Workers:      2,
-			FullScanKPIs: fullScan,
-		}
+	cfg := simwindow.Config{
+		Seed:      5,
+		Ticks:     150, // > 2 resync periods
+		Profile:   &profile,
+		LoadNoise: 0.05,
+		Workers:   2,
 	}
-	ref := run(t, grad, mkCfg(true))
-	inc := run(t, grad, mkCfg(false))
+	ref := runWith(t, simwindow.NewFullScan, grad, cfg)
+	inc := run(t, grad, cfg)
 	if len(inc.Series) != len(ref.Series) {
 		t.Fatalf("series lengths differ: %d vs %d", len(inc.Series), len(ref.Series))
 	}

@@ -15,10 +15,11 @@ const meterResyncTicks = 64
 // mode it reads the states' per-sector KPI aggregates (O(sectors) per
 // tick) and repairs its own handover snapshot and below-floor running
 // sum from the live state's radio-change log (O(changed) per tick).
-// With Config.FullScanKPIs it retains the legacy full-grid scans —
-// sharded over fixed grid ranges with in-order reduction, so the
-// reference series is deterministic for every worker count — and the
-// golden tests pin the incremental series against that path.
+// The full-scan mode retains the legacy full-grid scans — sharded over
+// fixed grid ranges with in-order reduction, so the reference series is
+// deterministic for every worker count. Only tests select it: the
+// golden tests pin the incremental series against it, and
+// BenchmarkSimWindow prices the two modes side by side.
 //
 // Bit-identity contract: the handover series is identical between the
 // two modes — both group the per-grid sum by the same fixed shard
@@ -51,10 +52,14 @@ type meter struct {
 	sinceSync int
 }
 
-func newMeter(m *netmodel.Model, live, afterRef *netmodel.State, cfg *Config, sinrFloor float64) *meter {
+func newMeter(m *netmodel.Model, live, afterRef *netmodel.State, cfg *Config, full bool) *meter {
+	sinrFloor := cfg.SINRFloorDB
+	if sinrFloor == 0 {
+		sinrFloor = m.Link.MinSINRdB()
+	}
 	numGrids := m.Grid.NumCells()
 	mt := &meter{
-		full:        cfg.FullScanKPIs,
+		full:        full,
 		util:        cfg.Util,
 		workers:     cfg.Workers,
 		sinrFloor:   sinrFloor,
@@ -169,14 +174,15 @@ func (mt *meter) measureChanges() (handovers, below float64) {
 	return handovers, mt.belowBase * mt.model.UEFactor()
 }
 
-// preScale and postScale bracket a Model.ScaleUsersAt call: flagged
-// grids' base weights move out of and back into the running below-floor
-// sum exactly (old weight read before the rescale, new weight after),
-// and the live/floor states repair their loads and aggregates from the
-// same event. No-ops in full-scan mode, where the legacy RecomputeLoads
-// path owns the refresh.
-func (mt *meter) preScale(grids []int) {
+// scaleAt rescales the model's base UE weights over grids by factor.
+// Flagged grids' base weights move out of and back into the running
+// below-floor sum exactly (old weight read before the rescale, new
+// weight after), and the live/floor states repair their loads and
+// aggregates from the same event. In full-scan mode loadsChanged
+// rebuilds the loads instead.
+func (mt *meter) scaleAt(grids []int, factor float64) {
 	if mt.full {
+		mt.model.ScaleUsersAt(grids, factor)
 		return
 	}
 	for _, g := range grids {
@@ -184,12 +190,7 @@ func (mt *meter) preScale(grids []int) {
 			mt.belowBase -= mt.model.UEBase(g)
 		}
 	}
-}
-
-func (mt *meter) postScale(grids []int, factor float64) {
-	if mt.full {
-		return
-	}
+	mt.model.ScaleUsersAt(grids, factor)
 	for _, g := range grids {
 		if mt.belowFlag[g] {
 			mt.belowBase += mt.model.UEBase(g)
@@ -197,6 +198,16 @@ func (mt *meter) postScale(grids []int, factor float64) {
 	}
 	mt.live.NoteUsersScaledAt(grids, factor)
 	mt.afterRef.NoteUsersScaledAt(grids, factor)
+}
+
+// loadsChanged follows a tick's load evolution: the full-scan mode
+// rebuilds both states' loads wholesale; the incremental mode already
+// repaired them per event.
+func (mt *meter) loadsChanged() {
+	if mt.full {
+		mt.live.RecomputeLoads()
+		mt.afterRef.RecomputeLoads()
+	}
 }
 
 // tickDone advances the drift clock, resyncing on cadence.

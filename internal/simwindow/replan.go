@@ -102,21 +102,21 @@ func (r *SearchReplanner) Replan(rc *ReplanContext) ([][]config.Change, error) {
 
 // replan builds the context and invokes the configured replanner. The
 // C_before baseline's loads are refreshed here, lazily: surges rescale
-// base weights mid-window, but nothing reads beforeRef until a replan,
-// so the incremental path skips the per-event refresh for it entirely.
+// base weights mid-window, but nothing reads beforeRef until a replan.
 func (s *Simulator) replan(floor float64) ([][]config.Change, error) {
-	if s.beforeStale {
+	if s.beforeRescales != s.sess.rescales {
 		s.beforeRef.RecomputeLoads()
-		s.beforeStale = false
+		s.beforeRescales = s.sess.rescales
 	}
+	cfg := &s.sess.cfg
 	rc := &ReplanContext{
-		Live:      s.live.Clone(),
+		Live:      s.sess.live.Clone(),
 		Baseline:  s.beforeRef,
 		Targets:   s.rb.Targets,
 		Neighbors: s.neighbors,
-		Util:      s.cfg.Util,
+		Util:      cfg.Util,
 		Floor:     floor,
-		Workers:   s.cfg.Workers,
+		Workers:   cfg.Workers,
 	}
-	return s.cfg.Replanner.Replan(rc)
+	return cfg.Replanner.Replan(rc)
 }

@@ -11,16 +11,15 @@ import (
 	"magus/internal/runbook"
 )
 
-// Session is the live, step-driven sibling of Simulator: where Run
-// replays a whole window as a batch, a Session hands control of the
-// clock and the pushes to a caller — the runbook executor treats one as
-// the "real" network, applying each step's changes when (and only when)
-// the guarded protocol decides to, and sampling utility against the
-// f(C_after) floor between pushes. Load evolution, timed faults
-// (sector-down, surge) and the determinism contract are the same as the
-// batch simulator's; push-level faults are deliberately NOT handled
-// here — they belong to the chaos layer wrapped around the executor's
-// network, which owns delivery semantics.
+// Session is the simulator's one tick loop. It owns the forked model,
+// the live and C_after states, the clock (diurnal load, noise, surge
+// expiry), the timed faults and the KPI meter. A caller drives it: the
+// runbook executor treats a Session as the "real" network, applying
+// each step's changes when (and only when) the guarded protocol decides
+// to and sampling utility against the f(C_after) floor between pushes;
+// Simulator.Run drives one through a whole window with runbook pacing,
+// push faults and replanning layered on top. Both therefore measure the
+// same series for the same clock and pushes.
 type Session struct {
 	cfg Config
 
@@ -32,15 +31,32 @@ type Session struct {
 	// afterRef holds the planned C_after; its utility at the current
 	// load is the sample's floor.
 	afterRef *netmodel.State
+	mt       *meter
 
 	rng       *rand.Rand
 	tick      int
 	curFactor float64
-	timed     []Fault
+	timed     []timedFault
 	timedNext int
-	surgeGrid map[int][]int
 	active    []surge
-	sinceSync int
+	// rescales counts localized base-weight rescales (surge starts and
+	// ends): a driver holding its own state on the session's model uses
+	// it to tell when that state's loads went stale.
+	rescales int
+}
+
+// timedFault is a validated sector-down or surge fault; a surge carries
+// the grid set it scales.
+type timedFault struct {
+	Fault
+	grids []int
+}
+
+// surge tracks an active load-surge fault so it can be unwound.
+type surge struct {
+	endTick int
+	grids   []int
+	factor  float64
 }
 
 // Sample is one KPI observation of a live session.
@@ -53,6 +69,13 @@ type Sample struct {
 	Floor float64 `json:"floor"`
 	// LoadFactor is the diurnal (plus noise) multiplier in effect.
 	LoadFactor float64 `json:"load_factor"`
+	// Handovers is the UE weight whose serving sector changed since the
+	// previous sample.
+	Handovers float64 `json:"handovers"`
+	// UsersBelowFloor is the UE weight at SINR below the floor.
+	UsersBelowFloor float64 `json:"users_below_floor"`
+	// MaxSectorLoad is the busiest sector's UE load.
+	MaxSectorLoad float64 `json:"max_sector_load"`
 }
 
 // NewSession prepares a live session of rb starting from base (the
@@ -61,6 +84,19 @@ type Sample struct {
 // push faults are the executor/chaos layer's concern, and rejecting
 // them here keeps one owner per failure mode.
 func NewSession(base *netmodel.State, rb *runbook.Runbook, cfg Config) (*Session, error) {
+	for _, f := range cfg.Faults {
+		if f.Kind == FaultPushFail || f.Kind == FaultPushDelay {
+			return nil, fmt.Errorf("simwindow: session fault %v: only sector-down and surge faults run in a session", f)
+		}
+	}
+	return newSession(base, rb, cfg, false)
+}
+
+// newSession is the constructor shared by sessions and simulators: it
+// forks the model, builds the live and C_after states, validates every
+// fault once and sets up the meter (full selects the full-scan
+// reference measurement).
+func newSession(base *netmodel.State, rb *runbook.Runbook, cfg Config, full bool) (*Session, error) {
 	if base == nil || rb == nil {
 		return nil, fmt.Errorf("simwindow: nil state or runbook")
 	}
@@ -75,7 +111,6 @@ func NewSession(base *netmodel.State, rb *runbook.Runbook, cfg Config) (*Session
 		afterRef:  live.Clone(),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		curFactor: 1,
-		surgeGrid: map[int][]int{},
 	}
 	for _, step := range rb.Steps {
 		for _, ch := range step.Changes {
@@ -85,56 +120,34 @@ func NewSession(base *netmodel.State, rb *runbook.Runbook, cfg Config) (*Session
 		}
 	}
 
-	numSectors := model.Net.NumSectors()
-	for i, f := range cfg.Faults {
-		switch f.Kind {
-		case FaultSectorDown, FaultLoadSurge:
-			if f.Sector < 0 || f.Sector >= numSectors {
-				return nil, fmt.Errorf("simwindow: fault %v: sector out of range [0, %d)", f, numSectors)
-			}
-			if f.Kind == FaultLoadSurge {
-				if f.Factor <= 0 {
-					return nil, fmt.Errorf("simwindow: fault %v: factor must be positive", f)
-				}
-				r := f.RadiusM
-				if r <= 0 {
-					r = cfg.SurgeRadiusM
-				}
-				rect := geo.NewRectCentered(model.Net.Sectors[f.Sector].Pos, 2*r, 2*r)
-				s.surgeGrid[i] = model.GridsIn(nil, rect)
-			}
-			s.timed = append(s.timed, f)
-		default:
-			return nil, fmt.Errorf("simwindow: session fault %v: only sector-down and surge faults run in a session", f)
+	var timed []Fault
+	for _, f := range cfg.Faults {
+		if err := f.validate(len(rb.Steps), model.Net.NumSectors()); err != nil {
+			return nil, err
+		}
+		if f.Kind == FaultSectorDown || f.Kind == FaultLoadSurge {
+			timed = append(timed, f)
 		}
 	}
-	sortFaults(s.timed)
-	if !cfg.FullScanKPIs {
-		s.live.EnableKPIAggregates(cfg.Util, cfg.Workers)
-		s.afterRef.EnableKPIAggregates(cfg.Util, cfg.Workers)
+	sortFaults(timed)
+	for _, f := range timed {
+		tf := timedFault{Fault: f}
+		if f.Kind == FaultLoadSurge {
+			r := f.RadiusM
+			if r <= 0 {
+				r = cfg.SurgeRadiusM
+			}
+			rect := geo.NewRectCentered(model.Net.Sectors[f.Sector].Pos, 2*r, 2*r)
+			tf.grids = model.GridsIn(nil, rect)
+		}
+		s.timed = append(s.timed, tf)
 	}
+	s.mt = newMeter(model, live, s.afterRef, &s.cfg, full)
 	return s, nil
 }
 
-// Tick returns the number of Advance calls so far (the next sample's
-// tick).
-func (s *Session) Tick() int { return s.tick }
-
-// Floor returns f(C_after) at the current load without advancing time.
-func (s *Session) Floor() float64 {
-	if s.cfg.FullScanKPIs {
-		return s.afterRef.Utility(s.cfg.Util)
-	}
-	return s.afterRef.KPIUtility()
-}
-
 // Utility returns f(C_live) at the current load without advancing time.
-func (s *Session) Utility() float64 {
-	if s.cfg.FullScanKPIs {
-		return s.live.Utility(s.cfg.Util)
-	}
-	return s.live.KPIUtility()
-}
+func (s *Session) Utility() float64 { return s.live.KPIUtility() }
 
 // Push applies one step's configuration changes to the live network.
 // The session clock does not move: delivery timing is the caller's
@@ -154,8 +167,21 @@ func (s *Session) Push(changes []config.Change) error {
 // bit-identical run to run.
 func (s *Session) Advance() Sample {
 	t := s.tick
+	s.evolve(nil)
+	smp := s.measure(t)
+	s.mt.tickDone()
+	return smp
+}
+
+// evolve moves the clock to the next tick: load factor and noise draw,
+// surge expiry, then the timed faults due. It appends one event per
+// expiry and fault to events and returns the extended slice.
+func (s *Session) evolve(events []string) []string {
+	t := s.tick
 	s.tick++
 
+	// The uniform swing is a factor fold on the model (O(1)); localized
+	// surge edits repair loads and aggregates per touched grid.
 	factor := profileFactorAt(&s.cfg, t)
 	if s.cfg.LoadNoise > 0 {
 		factor *= math.Exp(s.cfg.LoadNoise * s.rng.NormFloat64())
@@ -167,9 +193,9 @@ func (s *Session) Advance() Sample {
 	}
 	for i := 0; i < len(s.active); {
 		if t >= s.active[i].endTick {
-			inv := 1 / s.active[i].factor
-			s.model.ScaleUsersAt(s.active[i].grids, inv)
-			s.noteScaledAt(s.active[i].grids, inv)
+			s.mt.scaleAt(s.active[i].grids, 1/s.active[i].factor)
+			s.rescales++
+			events = append(events, fmt.Sprintf("surge over %d grids ends", len(s.active[i].grids)))
 			s.active = append(s.active[:i], s.active[i+1:]...)
 			loadChanged = true
 			continue
@@ -182,67 +208,65 @@ func (s *Session) Advance() Sample {
 		s.timedNext++
 		switch f.Kind {
 		case FaultSectorDown:
-			// The session's faults were validated at construction; a failed
-			// apply here means the sector is already off, which the fault
-			// subsumes.
+			// The sector was range-checked at construction; turning off an
+			// already-off sector is a no-op, so the apply cannot fail.
 			s.live.MustApply(config.Change{Sector: f.Sector, TurnOff: true})
+			events = append(events, fmt.Sprintf("fault: sector %d off-air", f.Sector))
 		case FaultLoadSurge:
-			grids := s.surgeGrid[s.sessionFaultIndex(f)]
-			dur := f.DurationTicks
-			if dur <= 0 {
-				dur = s.cfg.Ticks + 1 - t
+			s.mt.scaleAt(f.grids, f.Factor)
+			s.rescales++
+			end := math.MaxInt // duration 0: never expires
+			if f.DurationTicks > 0 {
+				end = t + f.DurationTicks
 			}
-			s.model.ScaleUsersAt(grids, f.Factor)
-			s.noteScaledAt(grids, f.Factor)
-			s.active = append(s.active, surge{endTick: t + dur, grids: grids, factor: f.Factor})
+			s.active = append(s.active, surge{endTick: end, grids: f.grids, factor: f.Factor})
 			loadChanged = true
+			events = append(events, fmt.Sprintf("fault: x%g load surge over %d grids", f.Factor, len(f.grids)))
 		}
 	}
-	if loadChanged && s.cfg.FullScanKPIs {
-		s.live.RecomputeLoads()
-		s.afterRef.RecomputeLoads()
+	if loadChanged {
+		s.mt.loadsChanged()
 	}
-	if !s.cfg.FullScanKPIs {
-		s.sinceSync++
-		if s.sinceSync >= meterResyncTicks {
-			s.sinceSync = 0
-			s.live.ResyncKPIAggregates(s.cfg.Workers)
-			s.afterRef.ResyncKPIAggregates(s.cfg.Workers)
-		}
-	}
+	return events
+}
 
+// measure takes tick t's sample: both utilities, the handover and
+// below-floor weight since the previous sample, and the busiest
+// sector's load.
+func (s *Session) measure(t int) Sample {
+	u, floor := s.mt.utilities()
+	handovers, below := s.mt.measureChanges()
+	maxLoad := 0.0
+	for b := 0; b < s.model.Net.NumSectors(); b++ {
+		if l := s.live.Load(b); l > maxLoad {
+			maxLoad = l
+		}
+	}
 	return Sample{
-		Tick:       t,
-		Utility:    s.Utility(),
-		Floor:      s.Floor(),
-		LoadFactor: s.curFactor,
+		Tick:            t,
+		Utility:         u,
+		Floor:           floor,
+		LoadFactor:      s.curFactor,
+		Handovers:       handovers,
+		UsersBelowFloor: below,
+		MaxSectorLoad:   maxLoad,
 	}
 }
 
-// noteScaledAt repairs both states' loads and aggregates after a
-// localized base-weight rescale (no-op on the legacy full-scan path,
-// which rebuilds loads wholesale instead).
-func (s *Session) noteScaledAt(grids []int, factor float64) {
-	if s.cfg.FullScanKPIs {
-		return
+// profileFactorAt is the diurnal load multiplier at tick t.
+func profileFactorAt(cfg *Config, t int) float64 {
+	if cfg.Profile == nil {
+		return 1
 	}
-	s.live.NoteUsersScaledAt(grids, factor)
-	s.afterRef.NoteUsersScaledAt(grids, factor)
+	h := math.Mod(cfg.StartHour+float64(t)*cfg.TickSeconds/3600, 24)
+	lo := int(h) % 24
+	frac := h - math.Floor(h)
+	p := cfg.Profile
+	return p[lo]*(1-frac) + p[(lo+1)%24]*frac
 }
 
-// sessionFaultIndex recovers the Config.Faults index of a timed fault
-// (surge grid sets are precomputed per original index).
-func (s *Session) sessionFaultIndex(f Fault) int {
-	for i := range s.cfg.Faults {
-		if s.cfg.Faults[i] == f {
-			return i
-		}
-	}
-	return -1
-}
-
-// FloorTolerance is the comparison tolerance when checking utility
-// against the floor: the floor is itself a model evaluation, so exact
-// ties count as "at the floor". Exported for the executor's KPI
-// watchdog, which must agree with the simulator on what a breach is.
-func FloorTolerance(floor float64) float64 { return floorEps(floor) }
+// BelowFloor reports whether utility u breaches the floor. The floor is
+// itself a model evaluation, so exact ties (within 1e-9 relative) count
+// as "at the floor". The simulator's halt and replan rules and the
+// executor's KPI watchdog all judge a breach with this predicate.
+func BelowFloor(u, floor float64) bool { return u < floor-1e-9*(1+math.Abs(floor)) }

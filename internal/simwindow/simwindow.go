@@ -25,10 +25,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"magus/internal/config"
-	"magus/internal/geo"
 	"magus/internal/netmodel"
 	"magus/internal/runbook"
 	"magus/internal/schedule"
@@ -42,8 +40,9 @@ type Config struct {
 	// Seed drives the run's private rand.Rand (load noise). Two runs
 	// with equal Config and inputs are bit-identical.
 	Seed int64
-	// Ticks is the window length: the series covers ticks 0..Ticks
-	// (default: one tick per push plus 30 settle ticks).
+	// Ticks is the window length: Run's series covers ticks 0..Ticks
+	// (default: one tick per push plus 30 settle ticks). A Session runs
+	// for as long as its caller advances it.
 	Ticks int
 	// TickSeconds is the wall-clock length of one tick (default: the
 	// runbook's StepIntervalSec, else 60).
@@ -95,13 +94,6 @@ type Config struct {
 	// RecordSectorLoads adds the full per-sector load matrix to the
 	// outcome (the series always carries the per-tick maximum).
 	RecordSectorLoads bool
-	// FullScanKPIs retains the legacy O(grids) per-tick measurement —
-	// full utility/handover/SINR scans and full load rebuilds — instead
-	// of the incremental KPI engine. The handover series is bit-identical
-	// between the two modes; utility, floor, below-floor and load series
-	// agree within floating-point association (≤1e-9 relative). The flag
-	// is the golden-test reference path and an escape hatch.
-	FullScanKPIs bool
 	// Ctx, when non-nil, aborts the simulation between ticks.
 	Ctx context.Context
 }
@@ -207,43 +199,27 @@ type push struct {
 	changes []config.Change
 }
 
-// surge tracks an active load-surge fault so it can be unwound.
-type surge struct {
-	endTick int
-	grids   []int
-	factor  float64
-}
-
-// Simulator holds the mutable state of one run. Build with New, run
-// once with Run.
+// Simulator drives one batch run of a window over a Session, adding
+// what is specific to a batch: runbook pacing, push faults, the
+// replanner, the halt rule and the Outcome. Build with New, run once
+// with Run.
 type Simulator struct {
-	cfg Config
-	rb  *runbook.Runbook
+	sess *Session
+	rb   *runbook.Runbook
 
-	// model is a private fork: load evolution must never leak into the
-	// (possibly cached and shared) planning model.
-	model *netmodel.Model
-	// live is the configuration actually in the field.
-	live *netmodel.State
-	// afterRef holds the planned C_after; its utility at the current
-	// load is the tick's floor.
-	afterRef *netmodel.State
-	// beforeRef holds C_before for the replanner's degraded-grid set.
-	beforeRef *netmodel.State
+	// beforeRef holds C_before for the replanner's degraded-grid set
+	// (nil without a replanner). Surges rescale base weights without
+	// refreshing its loads: nothing reads them until a replan, which
+	// refreshes them when the session's rescale count has moved past
+	// beforeRescales.
+	beforeRef      *netmodel.State
+	beforeRescales int
 
-	rng       *rand.Rand
 	pending   []push
 	pendingRe int // replan pushes still in pending
 	pushFail  map[int]bool
 	pushDelay map[int]int
-	timed     []Fault // sector-down and surge faults, sorted
-	surgeGrid map[int][]int
 	neighbors []int
-
-	// beforeStale marks that a surge rescaled base weights without
-	// refreshing beforeRef's loads: nothing reads them until a replan,
-	// which refreshes lazily (full-scan mode refreshes eagerly instead).
-	beforeStale bool
 }
 
 // New prepares a simulation of rb starting from base (the C_before
@@ -251,24 +227,22 @@ type Simulator struct {
 // are not mutated: the simulator forks the model's user distribution
 // and builds private states.
 func New(base *netmodel.State, rb *runbook.Runbook, cfg Config) (*Simulator, error) {
-	if base == nil || rb == nil {
-		return nil, fmt.Errorf("simwindow: nil state or runbook")
-	}
-	cfg.applyDefaults(rb)
+	return newSimulator(base, rb, cfg, false)
+}
 
-	model := base.Model.ForkUsers()
-	live := model.NewState(base.Cfg.Clone())
+// newSimulator builds a Simulator; full selects the meter's full-scan
+// reference measurement.
+func newSimulator(base *netmodel.State, rb *runbook.Runbook, cfg Config, full bool) (*Simulator, error) {
+	sess, err := newSession(base, rb, cfg, full)
+	if err != nil {
+		return nil, err
+	}
+	cfg = sess.cfg
 	s := &Simulator{
-		cfg:       cfg,
+		sess:      sess,
 		rb:        rb,
-		model:     model,
-		live:      live,
-		beforeRef: live.Clone(),
-		afterRef:  live.Clone(),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		pushFail:  map[int]bool{},
 		pushDelay: map[int]int{},
-		surgeGrid: map[int][]int{},
 	}
 	for i, step := range rb.Steps {
 		s.pending = append(s.pending, push{
@@ -277,105 +251,32 @@ func New(base *netmodel.State, rb *runbook.Runbook, cfg Config) (*Simulator, err
 			kind:    step.Kind,
 			changes: step.Changes,
 		})
-		for _, ch := range step.Changes {
-			if _, err := s.afterRef.Apply(ch); err != nil {
-				return nil, fmt.Errorf("simwindow: step %d: %w", step.Index, err)
-			}
-		}
 	}
-
-	numSectors := model.Net.NumSectors()
-	for i, f := range cfg.Faults {
+	for _, f := range cfg.Faults {
 		switch f.Kind {
-		case FaultPushFail, FaultPushDelay:
-			if f.Step < 1 || f.Step > len(rb.Steps) {
-				return nil, fmt.Errorf("simwindow: fault %v: runbook has %d steps", f, len(rb.Steps))
-			}
-			if f.Kind == FaultPushFail {
-				s.pushFail[f.Step] = true
-			} else if f.DelayTicks > 0 {
-				s.pushDelay[f.Step] = f.DelayTicks
-			}
-		case FaultSectorDown, FaultLoadSurge:
-			if f.Sector < 0 || f.Sector >= numSectors {
-				return nil, fmt.Errorf("simwindow: fault %v: sector out of range [0, %d)", f, numSectors)
-			}
-			if f.Kind == FaultLoadSurge {
-				if f.Factor <= 0 {
-					return nil, fmt.Errorf("simwindow: fault %v: factor must be positive", f)
-				}
-				r := f.RadiusM
-				if r <= 0 {
-					r = cfg.SurgeRadiusM
-				}
-				rect := geo.NewRectCentered(model.Net.Sectors[f.Sector].Pos, 2*r, 2*r)
-				s.surgeGrid[i] = model.GridsIn(nil, rect)
-			}
-			s.timed = append(s.timed, f)
-		default:
-			return nil, fmt.Errorf("simwindow: unknown fault kind %d", int(f.Kind))
+		case FaultPushFail:
+			s.pushFail[f.Step] = true
+		case FaultPushDelay:
+			s.pushDelay[f.Step] = f.DelayTicks
 		}
 	}
-	sortFaults(s.timed)
-
 	if cfg.Replanner != nil {
+		s.beforeRef = sess.live.Clone()
 		radius := cfg.NeighborRadiusM
 		if radius <= 0 {
-			radius = 1.6 * model.Net.Params.InterSiteDistanceM
+			radius = 1.6 * sess.model.Net.Params.InterSiteDistanceM
 		}
-		s.neighbors = model.Net.NeighborSectors(rb.Targets, radius)
+		s.neighbors = sess.model.Net.NeighborSectors(rb.Targets, radius)
 	}
 	return s, nil
 }
 
-// profileFactor returns the diurnal load multiplier at tick t.
-func (s *Simulator) profileFactor(t int) float64 {
-	return profileFactorAt(&s.cfg, t)
-}
-
-// profileFactorAt is the diurnal multiplier shared by Simulator and
-// Session (both must evolve load identically for equal configs).
-func profileFactorAt(cfg *Config, t int) float64 {
-	if cfg.Profile == nil {
-		return 1
-	}
-	h := math.Mod(cfg.StartHour+float64(t)*cfg.TickSeconds/3600, 24)
-	lo := int(h) % 24
-	frac := h - math.Floor(h)
-	p := cfg.Profile
-	return p[lo]*(1-frac) + p[(lo+1)%24]*frac
-}
-
-// recomputeLoads refreshes every private state after the model's UE
-// distribution changed — the legacy full-scan path only; the
-// incremental path repairs loads per event and refreshes beforeRef
-// lazily at replan time.
-func (s *Simulator) recomputeLoads() {
-	s.live.RecomputeLoads()
-	s.afterRef.RecomputeLoads()
-	s.beforeRef.RecomputeLoads()
-}
-
-// floorEps is the tolerance used when comparing utility to the floor:
-// the floor is itself a model evaluation, so exact ties count as "at
-// the floor".
-func floorEps(floor float64) float64 { return 1e-9 * (1 + math.Abs(floor)) }
-
 // Run executes the window and returns the recorded time series. A
 // Simulator is single-use: Run may be called once.
 func (s *Simulator) Run() (*Outcome, error) {
-	cfg := &s.cfg
+	sess := s.sess
+	cfg := &sess.cfg
 	out := &Outcome{}
-	sinrFloor := cfg.SINRFloorDB
-	if sinrFloor == 0 {
-		sinrFloor = s.model.Link.MinSINRdB()
-	}
-
-	mt := newMeter(s.model, s.live, s.afterRef, cfg, sinrFloor)
-
-	curFactor := 1.0
-	var active []surge
-	timedNext := 0
 	belowStreak := 0
 	replans := 0
 	sum := &out.Summary
@@ -391,67 +292,9 @@ func (s *Simulator) Run() (*Outcome, error) {
 				return nil, err
 			}
 		}
-		events := evBuf[:0]
+		events := sess.evolve(evBuf[:0])
 
-		// 1. Load evolution: diurnal profile, noise, surge expiry. The
-		// uniform swing is a factor fold on the model (O(1)); localized
-		// surge edits repair loads and aggregates per touched grid.
-		factor := s.profileFactor(t)
-		if cfg.LoadNoise > 0 {
-			factor *= math.Exp(cfg.LoadNoise * s.rng.NormFloat64())
-		}
-		loadChanged := factor != curFactor
-		if loadChanged {
-			s.model.ScaleUsers(factor / curFactor)
-			curFactor = factor
-		}
-		for i := 0; i < len(active); {
-			if t >= active[i].endTick {
-				inv := 1 / active[i].factor
-				mt.preScale(active[i].grids)
-				s.model.ScaleUsersAt(active[i].grids, inv)
-				mt.postScale(active[i].grids, inv)
-				s.beforeStale = true
-				events = append(events, fmt.Sprintf("surge over %d grids ends", len(active[i].grids)))
-				active = append(active[:i], active[i+1:]...)
-				loadChanged = true
-				continue
-			}
-			i++
-		}
-
-		// 2. Timed faults scheduled for this tick.
-		for timedNext < len(s.timed) && s.timed[timedNext].Tick <= t {
-			f := s.timed[timedNext]
-			timedNext++
-			sum.FaultsInjected++
-			switch f.Kind {
-			case FaultSectorDown:
-				if _, err := s.live.Apply(config.Change{Sector: f.Sector, TurnOff: true}); err != nil {
-					return nil, fmt.Errorf("simwindow: %v: %w", f, err)
-				}
-				events = append(events, fmt.Sprintf("fault: sector %d off-air", f.Sector))
-			case FaultLoadSurge:
-				grids := s.surgeGrid[s.faultIndex(f)]
-				dur := f.DurationTicks
-				if dur <= 0 {
-					dur = cfg.Ticks + 1 - t
-				}
-				mt.preScale(grids)
-				s.model.ScaleUsersAt(grids, f.Factor)
-				mt.postScale(grids, f.Factor)
-				s.beforeStale = true
-				active = append(active, surge{endTick: t + dur, grids: grids, factor: f.Factor})
-				loadChanged = true
-				events = append(events, fmt.Sprintf("fault: x%g load surge over %d grids", f.Factor, len(grids)))
-			}
-		}
-		if loadChanged && cfg.FullScanKPIs {
-			s.recomputeLoads()
-			s.beforeStale = false
-		}
-
-		// 3. At most one configuration push per tick, in order.
+		// At most one configuration push per tick, in order.
 		pushed := 0
 		if len(s.pending) > 0 && s.pending[0].tick <= t {
 			p := s.pending[0]
@@ -472,7 +315,7 @@ func (s *Simulator) Run() (*Outcome, error) {
 			default:
 				s.pending = s.pending[1:]
 				for _, ch := range p.changes {
-					if _, err := s.live.Apply(ch); err != nil {
+					if _, err := sess.live.Apply(ch); err != nil {
 						return nil, fmt.Errorf("simwindow: push %d: %w", p.step, err)
 					}
 				}
@@ -487,19 +330,10 @@ func (s *Simulator) Run() (*Outcome, error) {
 			}
 		}
 
-		// 4. Measure the tick: O(sectors + changed grids) on the
-		// incremental path, sharded full scans on the reference path.
-		u, floor := mt.utilities()
-		handovers, below := mt.measureChanges()
-		maxLoad := 0.0
-		for b := 0; b < s.model.Net.NumSectors(); b++ {
-			if l := s.live.Load(b); l > maxLoad {
-				maxLoad = l
-			}
-		}
+		smp := sess.measure(t)
 
-		// 5. Floor watch: season halt, then replanning.
-		if u < floor-floorEps(floor) {
+		// Floor watch: season halt, then replanning.
+		if BelowFloor(smp.Utility, smp.Floor) {
 			belowStreak++
 			sum.TicksBelowFloor++
 		} else {
@@ -514,11 +348,11 @@ func (s *Simulator) Run() (*Outcome, error) {
 		}
 		if !halted && belowStreak >= cfg.FloorGraceTicks && cfg.Replanner != nil &&
 			replans < cfg.MaxReplans && s.pendingRe == 0 {
-			batches, err := s.replan(floor)
+			batches, err := s.replan(smp.Floor)
 			if err != nil {
 				return nil, fmt.Errorf("simwindow: replan at tick %d: %w", t, err)
 			}
-			mt.resync()
+			sess.mt.resync()
 			replans++
 			belowStreak = 0
 			if len(batches) > 0 {
@@ -536,13 +370,13 @@ func (s *Simulator) Run() (*Outcome, error) {
 			}
 		}
 
-		gap := u - floor
+		gap := smp.Utility - smp.Floor
 		if gap < sum.MinFloorGap {
 			sum.MinFloorGap = gap
 		}
-		sum.TotalHandovers += handovers
-		if handovers > sum.MaxTickHandovers {
-			sum.MaxTickHandovers = handovers
+		sum.TotalHandovers += smp.Handovers
+		if smp.Handovers > sum.MaxTickHandovers {
+			sum.MaxTickHandovers = smp.Handovers
 		}
 		var tickEvents []string
 		if len(events) > 0 {
@@ -552,23 +386,23 @@ func (s *Simulator) Run() (*Outcome, error) {
 		out.Series = append(out.Series, Tick{
 			Tick:            t,
 			HourOfDay:       math.Mod(cfg.StartHour+float64(t)*cfg.TickSeconds/3600, 24),
-			LoadFactor:      curFactor,
-			Utility:         u,
-			FloorUtility:    floor,
-			Handovers:       handovers,
-			MaxSectorLoad:   maxLoad,
-			UsersBelowFloor: below,
+			LoadFactor:      smp.LoadFactor,
+			Utility:         smp.Utility,
+			FloorUtility:    smp.Floor,
+			Handovers:       smp.Handovers,
+			MaxSectorLoad:   smp.MaxSectorLoad,
+			UsersBelowFloor: smp.UsersBelowFloor,
 			PushedChanges:   pushed,
 			Events:          tickEvents,
 		})
 		if cfg.RecordSectorLoads {
-			loads := make([]float64, s.model.Net.NumSectors())
+			loads := make([]float64, sess.model.Net.NumSectors())
 			for b := range loads {
-				loads[b] = s.live.Load(b)
+				loads[b] = sess.live.Load(b)
 			}
 			out.SectorLoads = append(out.SectorLoads, loads)
 		}
-		mt.tickDone()
+		sess.mt.tickDone()
 		if halted {
 			break
 		}
@@ -576,10 +410,11 @@ func (s *Simulator) Run() (*Outcome, error) {
 
 	sum.Ticks = len(out.Series)
 	sum.Replans = replans
+	sum.FaultsInjected += sess.timedNext // timed faults fired
 	last := out.Series[len(out.Series)-1]
 	sum.FinalUtility = last.Utility
 	sum.FinalFloor = last.FloorUtility
-	sum.EndsAboveFloor = last.Utility >= last.FloorUtility-floorEps(last.FloorUtility)
+	sum.EndsAboveFloor = !BelowFloor(last.Utility, last.FloorUtility)
 	us := make([]float64, len(out.Series))
 	hs := make([]float64, len(out.Series))
 	for i, tk := range out.Series {
@@ -589,17 +424,6 @@ func (s *Simulator) Run() (*Outcome, error) {
 	sum.UtilityStats = stats.Summarize(us)
 	sum.HandoverStats = stats.Summarize(hs)
 	return out, nil
-}
-
-// faultIndex recovers the Config.Faults index of a timed fault (the
-// surge grid sets are precomputed per original index).
-func (s *Simulator) faultIndex(f Fault) int {
-	for i := range s.cfg.Faults {
-		if s.cfg.Faults[i] == f {
-			return i
-		}
-	}
-	return -1
 }
 
 // String renders the outcome as a compact operator report.

@@ -9,6 +9,7 @@ import (
 
 	"magus/internal/core"
 	"magus/internal/migrate"
+	"magus/internal/netmodel"
 	"magus/internal/runbook"
 	"magus/internal/schedule"
 	"magus/internal/simwindow"
@@ -79,10 +80,18 @@ func fixture(t testing.TB) (*core.Engine, *core.Plan, *runbook.Runbook, *runbook
 
 func run(t *testing.T, rb *runbook.Runbook, cfg simwindow.Config) *simwindow.Outcome {
 	t.Helper()
+	return runWith(t, simwindow.New, rb, cfg)
+}
+
+// runWith simulates rb from the fixture's C_before with a Simulator
+// built by newSim (New, or the NewFullScan reference).
+func runWith(t *testing.T, newSim func(*netmodel.State, *runbook.Runbook, simwindow.Config) (*simwindow.Simulator, error),
+	rb *runbook.Runbook, cfg simwindow.Config) *simwindow.Outcome {
+	t.Helper()
 	eng, _, _, _ := fixture(t)
-	sim, err := simwindow.New(eng.Before, rb, cfg)
+	sim, err := newSim(eng.Before, rb, cfg)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("constructing simulator: %v", err)
 	}
 	out, err := sim.Run()
 	if err != nil {
