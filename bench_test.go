@@ -411,7 +411,7 @@ func BenchmarkSpeculate(b *testing.B) {
 	}{{"batch-float", false}, {"batch-fixed", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			st := plan.Upgrade.Clone()
-			st.EnableUtilityTracking(utility.Performance)
+			st.Utility(utility.Performance)
 			out := make([]netmodel.BatchResult, 0, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -426,28 +426,13 @@ func BenchmarkSpeculate(b *testing.B) {
 }
 
 // BenchmarkUtilityDelta answers "what is the utility after this power
-// change?" three ways: Apply then read the tracked running sum (repaired
-// over only the touched grids inside Apply), Apply then the memoized
-// full-grid scan, and the read-only SpeculateBatch delta. The first two
-// do similar per-change work — the memo scan also recomputes only dirty
-// grids — so they run at parity; what the tracked memo buys is the
-// batch path, which needs no Apply, no revert and no scan.
+// change?" two ways: Apply then the memoized full-grid scan (which
+// recomputes u(rate) only for grids whose rate changed), and the
+// read-only SpeculateBatch delta against the same memo, which needs no
+// Apply, no revert and no scan.
 func BenchmarkUtilityDelta(b *testing.B) {
 	_, plan := benchScenario(b)
 	neighbor := plan.Neighbors[0]
-	b.Run("delta", func(b *testing.B) {
-		st := plan.Upgrade.Clone()
-		st.EnableUtilityTracking(utility.Performance)
-		delta := 1.0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := st.Apply(config.Change{Sector: neighbor, PowerDelta: delta}); err != nil {
-				b.Fatal(err)
-			}
-			_ = st.UtilityTracked(utility.Performance)
-			delta = -delta
-		}
-	})
 	b.Run("full-scan", func(b *testing.B) {
 		st := plan.Upgrade.Clone()
 		st.Utility(utility.Performance)
@@ -462,14 +447,14 @@ func BenchmarkUtilityDelta(b *testing.B) {
 		}
 	})
 	// The batch paths answer the same "utility after this change"
-	// question read-only — no Apply, no tracking repair.
+	// question read-only — no Apply, no revert.
 	for _, mode := range []struct {
 		name  string
 		fixed bool
 	}{{"batch-float", false}, {"batch-fixed", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			st := plan.Upgrade.Clone()
-			st.EnableUtilityTracking(utility.Performance)
+			st.Utility(utility.Performance)
 			moves := []config.Change{{Sector: neighbor, PowerDelta: 1}}
 			out := make([]netmodel.BatchResult, 0, 1)
 			b.ResetTimer()

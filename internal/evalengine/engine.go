@@ -9,13 +9,14 @@
 //
 //   - ScoreAll prices a batch of independent alternatives read-only with
 //     State.SpeculateBatch: each score is Current() plus the move's
-//     utility delta over the grids it touches. Nothing is applied, so
-//     there is no undo, and Workers goroutines share the one committed
-//     state. A move that changes no grid's rate scores exactly Current(),
-//     so tracked-sum rounding can never win an argmax or pass an
-//     epsilon test. Scores are float by default; Config.FixedPoint
-//     selects the quantized kernel. Within a batch the scores do not
-//     depend on Workers.
+//     utility delta over the grids it touches, priced against the
+//     Utility memo that New and every Commit refresh. Nothing is
+//     applied, so there is no undo, and Workers goroutines share the one
+//     committed state. A move that changes no grid's rate scores exactly
+//     Current(), so rounding can never win an argmax or pass an epsilon
+//     test. Scores are float by default; Config.FixedPoint selects the
+//     quantized kernel. Within a batch the scores do not depend on
+//     Workers.
 //   - Try/Keep/Undo applies a move to the committed state, runs the
 //     exact full-scan Utility and reverts on Undo: the sequential
 //     climbs' native shape.
@@ -197,17 +198,16 @@ func (e *Engine) Snapshot() StatsSnapshot {
 //
 // Every candidate is priced read-only by State.SpeculateBatch and
 // reported as Current() plus its delta over the grids the move touches.
-// Tracking is enabled single-threaded before the fan-out; after that
-// every access on the scoring path is a read, so a contiguous chunk per
-// worker is race-free (TestSharedStateConcurrentScoring under -race).
-// Each move is scored independently of the chunking, so the results do
-// not depend on Workers.
+// Every access on the scoring path is a read, and nothing applies or
+// evaluates the state during a batch, so a contiguous chunk per worker
+// is race-free (TestSharedStateConcurrentScoring under -race). Each move
+// is scored independently of the chunking, so the results do not depend
+// on Workers.
 func (e *Engine) ScoreAll(moves []config.Change) ([]Score, error) {
 	e.stats.movesProposed.Add(int64(len(moves)))
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
 	}
-	e.main.EnableUtilityTracking(e.util)
 	out := make([]Score, len(moves))
 	n := e.workers
 	if n > len(moves) {

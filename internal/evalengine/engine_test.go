@@ -168,8 +168,8 @@ func TestFixedPointScoresMatchSequential(t *testing.T) {
 // TestSharedStateConcurrentScoring drives a fixed-point engine through
 // interleaved score/commit rounds — every ScoreAll fans goroutines out
 // over the ONE committed state. Run under -race this is the proof the
-// batch scoring path never writes shared state after the single-threaded
-// tracking enable.
+// batch scoring path never writes shared state: nothing is enabled or
+// warmed before the fan-out beyond the Utility scans New and Commit run.
 func TestSharedStateConcurrentScoring(t *testing.T) {
 	st, neighbors := testState(t, 11)
 	if len(neighbors) < 2 {
@@ -191,7 +191,7 @@ func TestSharedStateConcurrentScoring(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Commit the best-scoring move; the next round scores against the
-		// mutated state, exercising tracking repair between fan-outs.
+		// mutated state and the memo Commit refreshed.
 		best := -1
 		for i, sc := range scores {
 			if sc.Applied.IsZero() {
@@ -218,7 +218,7 @@ func TestSharedStateConcurrentScoring(t *testing.T) {
 }
 
 // TestScoresAfterCommitsMatchOracle: after commits move the committed
-// state (with tracking live since the first batch), every score still
+// state (and refresh the Utility memo between batches), every score still
 // matches the exact oracle on the new configuration.
 func TestScoresAfterCommitsMatchOracle(t *testing.T) {
 	st, neighbors := testState(t, 7)
@@ -247,9 +247,8 @@ func TestScoresAfterCommitsMatchOracle(t *testing.T) {
 }
 
 // TestNoRateChangeScoresCurrent: a move that changes no grid's rate has
-// a delta of exactly zero and scores exactly Current(), so rounding in
-// the tracked running sum can never make a do-nothing move look like an
-// improvement.
+// a delta of exactly zero and scores exactly Current(), so rounding can
+// never make a do-nothing move look like an improvement.
 func TestNoRateChangeScoresCurrent(t *testing.T) {
 	st, neighbors := testState(t, 3)
 	u := utility.Performance
@@ -266,8 +265,8 @@ func TestNoRateChangeScoresCurrent(t *testing.T) {
 		moves = append(moves, config.Change{Sector: b, PowerDelta: -1e-9})
 	}
 	e := New(st, u, Config{})
-	// Commit a few real moves first: Apply repairs the tracked sum in
-	// footprint order, so it drifts off the full-scan Current() by ulps.
+	// Commit a few real moves first, so the moves are scored against a
+	// mutated state rather than the one New evaluated.
 	for _, b := range neighbors[:3] {
 		if _, err := e.ScoreAll([]config.Change{{Sector: b, PowerDelta: 1}}); err != nil {
 			t.Fatal(err)
@@ -276,7 +275,6 @@ func TestNoRateChangeScoresCurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	t.Logf("tracked sum - Current() = %g", st.UtilityTracked(u)-e.Current())
 	scores, err := e.ScoreAll(moves)
 	if err != nil {
 		t.Fatal(err)

@@ -174,7 +174,8 @@ func RunParallelJoint(seed int64, workers int) (*ParallelJointStudy, error) {
 	}
 	study.Candidates = len(moves)
 	if len(moves) > 0 {
-		work.EnableUtilityTracking(utility.Performance)
+		// Warm the Utility memo, as evalengine does before every batch.
+		work.Utility(utility.Performance)
 		out := make([]netmodel.BatchResult, 0, 1)
 		start := time.Now()
 		for i := range moves {

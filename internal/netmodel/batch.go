@@ -4,17 +4,21 @@
 //
 // SpeculateBatch computes what WOULD change — per-grid new serving
 // sector, SINR and rate, per-sector load shifts — in epoch-marked
-// scratch, folds the per-grid utility deltas against the tracked memo
-// into a sum, and never touches the state. One pass, no revert, no
-// tracking repair; a power-only move costs one exponential (float) or
-// one multiply (fixed) per entry, where apply-and-revert pays two
-// exponentials plus a utility scan.
+// scratch, folds the per-grid utility deltas into a sum, and never
+// touches the state. One pass, no revert; a power-only move costs one
+// exponential (float) or one multiply (fixed) per entry, where
+// apply-and-revert pays two exponentials plus a utility scan.
+//
+// A touched grid's old per-UE utility is read from the Utility memo
+// (cacheU) when the memo belongs to the same objective and still holds
+// the grid's current rate, and recomputed as u(rate) otherwise. Both are
+// u of the same rate, so the delta does not depend on how warm or stale
+// the memo is; a warm memo only saves the recomputation.
 //
 // Because scoring is read-only, any number of goroutines may score
-// batches against the same State concurrently, provided utility tracking
-// was enabled (EnableUtilityTracking) before the fan-out and no Apply is
-// in flight — the evaluation engine shares one State across its whole
-// worker pool this way.
+// batches against the same State concurrently, provided no goroutine is
+// in Apply or Utility on that state — the evaluation engine shares one
+// State across its whole worker pool this way.
 //
 // Scratch is recycled through a package-level sync.Pool; arrays are
 // epoch-marked so per-move initialization is O(footprint), not O(grid).
@@ -56,10 +60,6 @@ type BatchResult struct {
 	// it to an exact full-scan utility never introduces rounding for a
 	// move that does nothing.
 	Delta float64
-	// Utility is the tracked running sum plus Delta: the overall utility
-	// the state would have after Applied, up to the running sum's
-	// summation-order rounding.
-	Utility float64
 	// Err is set when the move itself is invalid (unknown sector).
 	Err error
 }
@@ -144,13 +144,8 @@ func (sc *batchScratch) touchSec(b int32) {
 // current state without mutating it. Results are appended to out
 // (allocated when nil) in move order. fixed selects the quantized
 // centi-dB evaluation (tolerance-pinned); false selects the float path
-// (rounding-pinned to the full-scan Utility).
-//
-// The call enables utility tracking for u if it is not already live —
-// that first enable mutates the state, so concurrent callers over a
-// shared state must EnableUtilityTracking(u) once before fanning out.
+// (rounding-pinned to the full-scan Utility). The state is only read.
 func (s *State) SpeculateBatch(moves []config.Change, u utility.Func, fixed bool, out []BatchResult) []BatchResult {
-	s.EnableUtilityTracking(u)
 	sc := batchScratchPool.Get().(*batchScratch)
 	sc.ensure(s.Model.Grid.NumCells(), s.Model.Net.NumSectors())
 	for _, mv := range moves {
@@ -200,14 +195,14 @@ func (s *State) speculateOne(mv config.Change, u utility.Func, fixed bool, sc *b
 	}
 	applied := s.clampChange(mv)
 	if applied.IsZero() {
-		return BatchResult{Applied: applied, Utility: s.trackSum}
+		return BatchResult{Applied: applied}
 	}
 	b := applied.Sector
 	wasOff := s.Cfg.Off(b)
 	newOff := wasOff && !applied.TurnOn || applied.TurnOff
 	if wasOff && newOff {
 		// Power/tilt bookkeeping on an off-air sector: no radio change.
-		return BatchResult{Applied: applied, Utility: s.trackSum}
+		return BatchResult{Applied: applied}
 	}
 	sc.nextMove()
 
@@ -239,27 +234,17 @@ func (s *State) speculateOne(mv config.Change, u utility.Func, fixed bool, sc *b
 		if sc.loadDelta[bb] == 0 {
 			continue
 		}
-		if s.servedIdxOn {
-			for _, g := range s.servedList[bb] {
-				sc.touchGrid(s, g)
-			}
-			continue
-		}
-		for _, ref := range m.core.sectorEntries[bb] {
-			eff := s.bestSec[ref.Grid]
-			if sc.gridMark[ref.Grid] == sc.epoch {
-				eff = sc.newBestSec[ref.Grid]
-			}
-			if eff == bb {
-				sc.touchGrid(s, ref.Grid)
-			}
+		for _, g := range s.servedList[bb] {
+			sc.touchGrid(s, g)
 		}
 	}
 
-	// Utility delta over the touched grids, against the tracked memo.
-	// Loads (and their per-move deltas) are in base UE units; the model's
-	// uniform factor converts to effective load at the rate division.
+	// Utility delta over the touched grids, each priced against its old
+	// per-UE utility. Loads (and their per-move deltas) are in base UE
+	// units; the model's uniform factor converts to effective load at the
+	// rate division.
 	f := m.ueFactor
+	memo := s.cacheName == u.Name
 	delta := 0.0
 	for _, g := range sc.grids {
 		w := m.ue[g]
@@ -278,9 +263,14 @@ func (s *State) speculateOne(mv config.Change, u utility.Func, fixed bool, sc *b
 			}
 			rate = sc.newRmax[g] / n
 		}
-		delta += w * f * (u.U(rate) - s.trackU[g])
+		old := s.RateBps(int(g))
+		oldU := s.cacheU[g]
+		if !memo || s.cacheRate[g] != old {
+			oldU = u.U(old)
+		}
+		delta += w * f * (u.U(rate) - oldU)
 	}
-	return BatchResult{Applied: applied, Delta: delta, Utility: s.trackSum + delta}
+	return BatchResult{Applied: applied, Delta: delta}
 }
 
 // batchScaleSector handles the fixed-path power-only move on an on-air
@@ -312,7 +302,7 @@ func (s *State) batchPowerSectorFloat(sc *batchScratch, b int, deltaDb float64) 
 }
 
 // batchRecomputeSectorFloat handles tilt and on/off moves by re-deriving
-// each entry's link budget exactly as refreshSector would.
+// each entry's link budget exactly as RefreshSector would.
 func (s *State) batchRecomputeSectorFloat(sc *batchScratch, applied config.Change, newOff bool) {
 	m := s.Model
 	b := applied.Sector

@@ -2,12 +2,30 @@ package netmodel
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"magus/internal/config"
 	"magus/internal/utility"
 )
+
+// randomChange draws a plausible single-sector search move.
+func randomChange(rng *rand.Rand, numSectors int) config.Change {
+	b := rng.Intn(numSectors)
+	switch rng.Intn(5) {
+	case 0:
+		return config.Change{Sector: b, PowerDelta: float64(1 + rng.Intn(4))}
+	case 1:
+		return config.Change{Sector: b, PowerDelta: -float64(1 + rng.Intn(4))}
+	case 2:
+		return config.Change{Sector: b, TiltDelta: 1 + rng.Intn(3)}
+	case 3:
+		return config.Change{Sector: b, TiltDelta: -(1 + rng.Intn(3))}
+	default:
+		return config.Change{Sector: b, TurnOff: true}
+	}
+}
 
 // randomBatchChange widens randomChange with TurnOn moves so the batch
 // paths see every move shape, including reactivation of sectors an
@@ -17,6 +35,111 @@ func randomBatchChange(rng *rand.Rand, numSectors int) config.Change {
 		return config.Change{Sector: rng.Intn(numSectors), TurnOn: true}
 	}
 	return randomChange(rng, numSectors)
+}
+
+// TestSpeculateMatchesFullEvaluation is the core delta-utility property:
+// over a long random move sequence against evolving base configurations
+// (including off-air sectors and their reactivation), SpeculateBatch's
+// float path must agree with the exact oracle — commit the move on a
+// clone and run the full-grid Utility scan — on the applied change
+// exactly and on the utility to within summation-order rounding, and
+// must leave the state untouched.
+func TestSpeculateMatchesFullEvaluation(t *testing.T) {
+	m := testModel(t)
+	s := baseline(t, m)
+	rng := rand.New(rand.NewSource(42))
+	u := utility.Performance
+
+	cfgBefore := s.Cfg.Clone()
+	u0 := s.Utility(u)
+	nonNoop := 0
+	for i := 0; i < 400; i++ {
+		ch := randomBatchChange(rng, m.Net.NumSectors())
+		got := s.SpeculateBatch([]config.Change{ch}, u, false, nil)[0]
+		if got.Err != nil {
+			t.Fatalf("move %d (%v): %v", i, ch, got.Err)
+		}
+		ref := s.Clone()
+		refApplied, err := ref.Apply(ch)
+		if err != nil {
+			t.Fatalf("reference Apply(%v): %v", ch, err)
+		}
+		if got.Applied != refApplied {
+			t.Fatalf("move %d: speculated applied %v != reference %v", i, got.Applied, refApplied)
+		}
+		want := ref.Utility(u)
+		if refApplied.IsZero() {
+			want = u0
+			if got.Delta != 0 {
+				t.Fatalf("move %d: no-op move has delta %v", i, got.Delta)
+			}
+		} else {
+			nonNoop++
+		}
+		if relDiff(u0+got.Delta, want) > 1e-9 {
+			t.Fatalf("move %d (%v): exact+delta %v, full evaluation %v", i, ch, u0+got.Delta, want)
+		}
+		// The state must be untouched.
+		if !s.Cfg.Equal(cfgBefore) {
+			t.Fatalf("move %d: configuration mutated by SpeculateBatch", i)
+		}
+		if got := s.Utility(u); got != u0 {
+			t.Fatalf("move %d: full-scan utility moved: %v vs %v", i, got, u0)
+		}
+		// Periodically commit so speculation is tested against many base
+		// configurations.
+		if i%13 == 0 && !refApplied.IsZero() {
+			s.MustApply(ch)
+			cfgBefore = s.Cfg.Clone()
+			u0 = s.Utility(u)
+		}
+	}
+	if nonNoop < 150 {
+		t.Fatalf("only %d effective moves exercised; scenario too degenerate", nonNoop)
+	}
+}
+
+// TestSpeculateTurnOffOn covers the recompute path (on/off moves touch
+// every entry of the sector, including serving handoffs).
+func TestSpeculateTurnOffOn(t *testing.T) {
+	m := testModel(t)
+	s := baseline(t, m)
+	u := utility.Performance
+	central := m.Net.CentralSite()
+	target := m.Net.Sites[central].Sectors[0]
+
+	u0 := s.Utility(u)
+	off := config.Change{Sector: target, TurnOff: true}
+	res := s.SpeculateBatch([]config.Change{off}, u, false, nil)[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	specOff := u0 + res.Delta
+	ref := s.Clone()
+	ref.MustApply(off)
+	if want := ref.Utility(u); relDiff(specOff, want) > 1e-9 {
+		t.Fatalf("turn-off speculation %v != full %v", specOff, want)
+	}
+	if specOff >= u0 && s.Load(target) > 0 {
+		t.Errorf("turning off a loaded sector should cost utility: %v -> %v", u0, specOff)
+	}
+	if got := s.Utility(u); got != u0 {
+		t.Fatalf("Utility changed after speculation: %v vs %v", got, u0)
+	}
+
+	// Turning the sector back on from the off-air state must price the
+	// restoration against the same oracle.
+	on := config.Change{Sector: target, TurnOn: true}
+	uOff := ref.Utility(u)
+	res = ref.SpeculateBatch([]config.Change{on}, u, false, nil)[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	back := ref.Clone()
+	back.MustApply(on)
+	if got, want := uOff+res.Delta, back.Utility(u); relDiff(got, want) > 1e-9 {
+		t.Fatalf("turn-on speculation %v != full %v", got, want)
+	}
 }
 
 // TestSpeculateBatchMatchesSpeculate checks that scoring a batch of
@@ -38,6 +161,7 @@ func TestSpeculateBatchMatchesSpeculate(t *testing.T) {
 		for i := range moves {
 			moves[i] = randomBatchChange(rng, m.Net.NumSectors())
 		}
+		u0 := s.Utility(u)
 		batch := s.SpeculateBatch(moves, u, false, nil)
 		if len(batch) != len(moves) {
 			t.Fatalf("round %d: %d results for %d moves", round, len(batch), len(moves))
@@ -54,8 +178,8 @@ func TestSpeculateBatchMatchesSpeculate(t *testing.T) {
 			if got.Applied != want.Applied {
 				t.Fatalf("round %d move %d (%v): batch applied %v, single %v", round, i, ch, got.Applied, want.Applied)
 			}
-			if relDiff(got.Utility, want.Utility) > 1e-9 {
-				t.Fatalf("round %d move %d (%v): batch utility %v, single %v", round, i, ch, got.Utility, want.Utility)
+			if relDiff(u0+got.Delta, u0+want.Delta) > 1e-9 {
+				t.Fatalf("round %d move %d (%v): batch utility %v, single %v", round, i, ch, u0+got.Delta, u0+want.Delta)
 			}
 			if !want.Applied.IsZero() {
 				nonNoop++
@@ -83,7 +207,8 @@ func TestSpeculateBatchManyMoves(t *testing.T) {
 	s := baseline(t, m)
 	rng := rand.New(rand.NewSource(11))
 	u := utility.Performance
-	s.EnableUtilityTracking(u)
+	base := s.Utility(u)
+	cfgBefore := s.Cfg.Clone()
 
 	moves := make([]config.Change, 120)
 	for i := range moves {
@@ -93,7 +218,6 @@ func TestSpeculateBatchManyMoves(t *testing.T) {
 	if len(results) != len(moves) {
 		t.Fatalf("got %d results for %d moves", len(results), len(moves))
 	}
-	base := s.UtilityTracked(u)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("move %d (%v): %v", i, moves[i], r.Err)
@@ -107,13 +231,16 @@ func TestSpeculateBatchManyMoves(t *testing.T) {
 		if refApplied.IsZero() {
 			want = base
 		}
-		if relDiff(r.Utility, want) > 1e-9 {
-			t.Fatalf("move %d (%v): batch %v, full evaluation %v", i, moves[i], r.Utility, want)
+		if relDiff(base+r.Delta, want) > 1e-9 {
+			t.Fatalf("move %d (%v): batch %v, full evaluation %v", i, moves[i], base+r.Delta, want)
 		}
 	}
 	// Scoring must not have mutated the state.
-	if got := s.UtilityTracked(u); got != base {
-		t.Fatalf("batch scoring mutated the tracked sum: %v -> %v", base, got)
+	if !s.Cfg.Equal(cfgBefore) {
+		t.Fatal("batch scoring mutated the configuration")
+	}
+	if got := s.Utility(u); got != base {
+		t.Fatalf("batch scoring moved the full-scan utility: %v -> %v", base, got)
 	}
 }
 
@@ -128,14 +255,13 @@ func TestSpeculateBatchFixedWithinTolerance(t *testing.T) {
 	s := baseline(t, m)
 	rng := rand.New(rand.NewSource(23))
 	u := utility.Performance
-	s.EnableUtilityTracking(u)
+	base := s.Utility(u)
 
 	moves := make([]config.Change, 200)
 	for i := range moves {
 		moves[i] = randomBatchChange(rng, m.Net.NumSectors())
 	}
 	results := s.SpeculateBatch(moves, u, true, nil)
-	base := s.UtilityTracked(u)
 	worst := 0.0
 	for i, r := range results {
 		if r.Err != nil {
@@ -150,7 +276,7 @@ func TestSpeculateBatchFixedWithinTolerance(t *testing.T) {
 		if refApplied.IsZero() {
 			want = base
 		}
-		if d := relDiff(r.Utility, want); d > worst {
+		if d := relDiff(base+r.Delta, want); d > worst {
 			worst = d
 		}
 	}
@@ -222,7 +348,6 @@ func TestSharedCoreConcurrentEngines(t *testing.T) {
 			s := view.NewState(config.New(view.Net))
 			s.AssignUsersUniform()
 			u := utility.Performance
-			s.EnableUtilityTracking(u)
 			rng := rand.New(rand.NewSource(int64(100 + e)))
 			for i := 0; i < 40; i++ {
 				ch := randomBatchChange(rng, view.Net.NumSectors())
@@ -244,5 +369,189 @@ func TestSharedCoreConcurrentEngines(t *testing.T) {
 	wg.Wait()
 	if core.Refs() < 1 {
 		t.Fatalf("core refcount %d, want >= 1", core.Refs())
+	}
+}
+
+// TestSpeculateIgnoresMemoState pins SpeculateBatch's contract with the
+// Utility memo: a touched grid's old utility comes from the memo only
+// when the memo holds that grid's current rate under the same objective,
+// so the deltas must be bit-identical to those of a freshly warmed memo
+// (and match the clone-apply oracle) whatever state the memo is in —
+// cold, stale after an Apply, stale after an undone move, owned by the
+// other objective, or stale after the UE distribution changed. Scoring
+// must also leave the memo itself untouched.
+func TestSpeculateIgnoresMemoState(t *testing.T) {
+	m := testModel(t)
+	u := utility.Performance
+	central := m.Net.Sites[m.Net.CentralSite()].Sectors
+	off := config.Change{Sector: central[0], TurnOff: true}
+	boost := config.Change{Sector: central[1], PowerDelta: 3}
+
+	rng := rand.New(rand.NewSource(31))
+	moves := []config.Change{off, boost, {Sector: central[2], TiltDelta: -2}}
+	for len(moves) < 60 {
+		moves = append(moves, randomBatchChange(rng, m.Net.NumSectors()))
+	}
+
+	cases := []struct {
+		name  string
+		setup func(s *State)
+	}{
+		{"cold", func(s *State) {}},
+		{"stale-after-apply", func(s *State) {
+			s.Utility(u)
+			s.MustApply(off)
+		}},
+		{"stale-after-undone-try", func(s *State) {
+			s.Utility(u)
+			applied := s.MustApply(off)
+			s.Utility(u)
+			s.MustApply(applied.Inverse())
+		}},
+		{"other-objective", func(s *State) {
+			s.Utility(utility.Coverage)
+		}},
+		{"after-assign-users", func(s *State) {
+			s.MustApply(boost)
+			s.Utility(u)
+			s.AssignUsersUniform()
+		}},
+		{"after-scale-users-at", func(s *State) {
+			s.Utility(u)
+			grids := servedGridsOf(s, central[1])
+			s.Model.ScaleUsersAt(grids, 1.7)
+			s.NoteUsersScaledAt(grids, 1.7)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			view := m.ForkUsers()
+			s := view.NewState(config.New(view.Net))
+			s.AssignUsersUniform()
+			s = s.Clone() // a fresh clone of a never-scored state: cold memo
+			tc.setup(s)
+			checkSpeculateVsWarmMemo(t, s, moves, u)
+		})
+	}
+}
+
+// checkSpeculateVsWarmMemo scores moves on s under u, whatever state
+// its Utility memo is in, and requires that the call leaves the memo
+// untouched, that every delta is bit-identical to the delta priced
+// against a freshly warmed memo, and that every effective move lands
+// within 1e-9 of the clone-apply oracle.
+func checkSpeculateVsWarmMemo(t *testing.T, s *State, moves []config.Change, u utility.Func) {
+	t.Helper()
+	memoRate := append([]float64(nil), s.cacheRate...)
+	memoU := append([]float64(nil), s.cacheU...)
+	memoName := s.cacheName
+	got := s.SpeculateBatch(moves, u, false, nil)
+	if s.cacheName != memoName || !slices.Equal(s.cacheRate, memoRate) || !slices.Equal(s.cacheU, memoU) {
+		t.Fatal("SpeculateBatch wrote the Utility memo")
+	}
+
+	warm := s.Clone()
+	base := warm.Utility(u)
+	want := warm.SpeculateBatch(moves, u, false, nil)
+	effective := 0
+	for i, mv := range moves {
+		if got[i].Err != nil || want[i].Err != nil {
+			t.Fatalf("move %d (%v): %v / %v", i, mv, got[i].Err, want[i].Err)
+		}
+		if got[i].Applied != want[i].Applied {
+			t.Fatalf("move %d (%v): applied %v, warm memo %v", i, mv, got[i].Applied, want[i].Applied)
+		}
+		if got[i].Delta != want[i].Delta {
+			t.Fatalf("move %d (%v): delta %v, warm-memo delta %v", i, mv, got[i].Delta, want[i].Delta)
+		}
+		ref := s.Clone()
+		if ref.MustApply(mv).IsZero() {
+			continue
+		}
+		effective++
+		if oracle := ref.Utility(u); relDiff(base+got[i].Delta, oracle) > 1e-9 {
+			t.Fatalf("move %d (%v): scored %v, clone-apply oracle %v", i, mv, base+got[i].Delta, oracle)
+		}
+	}
+	if effective < len(moves)/2 {
+		t.Fatalf("only %d of %d moves effective; scenario too degenerate", effective, len(moves))
+	}
+}
+
+// memoTestMoves draws a seeded batch of search moves for the memo tests.
+func memoTestMoves(m *Model, seed int64, n int) []config.Change {
+	rng := rand.New(rand.NewSource(seed))
+	moves := make([]config.Change, 0, n)
+	for len(moves) < n {
+		moves = append(moves, randomBatchChange(rng, m.Net.NumSectors()))
+	}
+	return moves
+}
+
+// TestTrackingInvalidatedByReassignment: changing the UE distribution
+// must not leave stale per-grid utilities behind. The memo is warmed
+// after a committed move, then AssignUsersUniform rebuilds the UE
+// weights underneath it; both the full-scan Utility and the deltas
+// SpeculateBatch prices from the memo must match a state that never
+// saw the old distribution.
+func TestTrackingInvalidatedByReassignment(t *testing.T) {
+	m := testModel(t)
+	s := baseline(t, m)
+	u := utility.Performance
+	s.MustApply(config.Change{Sector: 0, PowerDelta: 2})
+	s.Utility(u)
+
+	s.AssignUsersUniform()
+	fresh := m.NewState(s.Cfg.Clone())
+	fresh.AssignUsersUniform()
+	if got, want := s.Utility(u), fresh.Utility(u); relDiff(got, want) > 1e-9 {
+		t.Fatalf("utility stale after reassignment: %v vs fresh state %v", got, want)
+	}
+	checkSpeculateVsWarmMemo(t, s, memoTestMoves(m, 17, 40), u)
+}
+
+// TestTrackingSwitchesObjective: scoring under one utility function
+// against a memo owned by the other re-derives the per-grid utilities
+// rather than mixing objectives, in both directions.
+func TestTrackingSwitchesObjective(t *testing.T) {
+	m := testModel(t)
+	moves := memoTestMoves(m, 19, 40)
+	for _, dir := range []struct{ warm, score utility.Func }{
+		{utility.Performance, utility.Coverage},
+		{utility.Coverage, utility.Performance},
+	} {
+		s := baseline(t, m)
+		s.Utility(dir.warm)
+		checkSpeculateVsWarmMemo(t, s, moves, dir.score)
+		if got, want := s.Utility(dir.score), s.Clone().Utility(dir.score); got != want {
+			t.Fatalf("%s utility after a %s memo: %v, cold clone %v", dir.score.Name, dir.warm.Name, got, want)
+		}
+	}
+}
+
+// TestCloneDropsTracking: a clone prices its own moves against its own
+// state, and the parent's utility and deltas are unaffected by the
+// clone's moves.
+func TestCloneDropsTracking(t *testing.T) {
+	m := testModel(t)
+	s := baseline(t, m)
+	u := utility.Performance
+	moves := memoTestMoves(m, 23, 40)
+	parentUtility := s.Utility(u)
+	parentDeltas := s.SpeculateBatch(moves, u, false, nil)
+
+	c := s.Clone()
+	c.MustApply(config.Change{Sector: 1, PowerDelta: 3})
+	checkSpeculateVsWarmMemo(t, c, moves, u)
+	c.Utility(u)
+
+	if got := s.Utility(u); got != parentUtility {
+		t.Fatalf("parent utility changed by clone activity: %v vs %v", got, parentUtility)
+	}
+	for i, r := range s.SpeculateBatch(moves, u, false, nil) {
+		if r.Applied != parentDeltas[i].Applied || r.Delta != parentDeltas[i].Delta {
+			t.Fatalf("move %d: parent scored %v/%v after clone activity, %v/%v before",
+				i, r.Applied, r.Delta, parentDeltas[i].Applied, parentDeltas[i].Delta)
+		}
 	}
 }

@@ -33,9 +33,8 @@
 // touched grid. Consumers bound the drift with periodic
 // ResyncKPIAggregates calls (simwindow resyncs every 64 ticks and after
 // a replan) and pin the incremental series to the full-scan reference
-// within 1e-9 relative. Like the utility tracking sum, none of this state
-// survives Clone (a clone re-derives on enable) and RecomputeLoads
-// switches the aggregates off.
+// within 1e-9 relative. None of this state survives Clone (a clone
+// re-derives on enable) and RecomputeLoads switches the aggregates off.
 package netmodel
 
 import (
@@ -157,7 +156,7 @@ func (s *State) UtilityScan(u utility.Func, workers int) float64 {
 // EnableKPIAggregates builds the per-sector utility aggregates for u
 // with one sharded full accounting pass and keeps them repaired
 // incrementally from then on. A no-op when already live for the same
-// objective. Like tracking, the aggregates do not survive Clone, and
+// objective. The aggregates do not survive Clone, and
 // RecomputeLoads/AssignUsers* switch them off (the weights underneath
 // the sums changed wholesale).
 func (s *State) EnableKPIAggregates(u utility.Func, workers int) {
@@ -182,10 +181,6 @@ func (s *State) EnableKPIAggregates(u utility.Func, workers int) {
 		s.aggMode = aggModeGeneric
 	}
 	s.aggOn = true
-	if !s.servedIdxOn {
-		// The exact fallback scan enumerates a sector's served grids.
-		s.buildServedIndex()
-	}
 	s.ResyncKPIAggregates(workers)
 }
 
@@ -361,10 +356,8 @@ func (s *State) aggReaccount(g int) {
 // model, after the model call, instead of a full RecomputeLoads. The
 // old weight is recovered as w/factor: the ulp-level residue against
 // the exact pre-scale value is bounded per event and cleared by the
-// next resync or RecomputeLoads. The utility tracking sum does not
-// survive (weights underneath it changed); the next enable re-derives.
+// next resync or RecomputeLoads.
 func (s *State) NoteUsersScaledAt(grids []int, factor float64) {
-	s.trackOn = false
 	m := s.Model
 	for _, g := range grids {
 		w := m.ue[g]

@@ -1,7 +1,9 @@
 package netmodel
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"magus/internal/config"
@@ -299,6 +301,63 @@ func TestSINRImprovers(t *testing.T) {
 	}
 }
 
+// TestSINRImproversScratchReuse: repeated calls (including overlapping
+// affected sets) must agree with a reference map-based membership test.
+func TestSINRImproversScratchReuse(t *testing.T) {
+	m := testModel(t)
+	s := baseline(t, m)
+	base := s.Clone()
+	central := m.Net.CentralSite()
+	targets := m.Net.Sites[central].Sectors
+	for _, tg := range targets {
+		s.MustApply(config.Change{Sector: tg, TurnOff: true})
+	}
+	degraded := s.DegradedGrids(base)
+	if len(degraded) == 0 {
+		t.Skip("no degradation in this layout")
+	}
+	neighbors := m.Net.NeighborSectors(targets, 4000)
+
+	first := s.SINRImprovers(degraded, neighbors, 1)
+	// A second identical call must return the same set (scratch cleared).
+	second := s.SINRImprovers(degraded, neighbors, 1)
+	if len(first) != len(second) {
+		t.Fatalf("scratch not cleared: %v then %v", first, second)
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("scratch not cleared: %v then %v", first, second)
+		}
+	}
+	// A disjoint affected set must not see the previous marks.
+	other := []int{}
+	seen := map[int]bool{}
+	for _, g := range degraded {
+		seen[g] = true
+	}
+	for g := 0; g < m.Grid.NumCells() && len(other) < 5; g++ {
+		if !seen[g] && m.UE(g) != 0 {
+			other = append(other, g)
+		}
+	}
+	if len(other) > 0 {
+		got := s.SINRImprovers(other, neighbors, 1)
+		for _, b := range got {
+			found := false
+			for _, ref := range m.core.sectorEntries[b] {
+				for _, g := range other {
+					if int(ref.Grid) == g {
+						found = true
+					}
+				}
+			}
+			if !found {
+				t.Fatalf("improver %d has no entry on the affected grids; stale scratch marks", b)
+			}
+		}
+	}
+}
+
 func TestHandoverUEs(t *testing.T) {
 	m := testModel(t)
 	s := baseline(t, m)
@@ -428,5 +487,74 @@ func TestCoverageGrids(t *testing.T) {
 	out := m.CoverageGrids(prefix, 0, 6)
 	if len(out) < 1 || out[0] != -1 {
 		t.Error("CoverageGrids does not append to dst")
+	}
+}
+
+// checkServedIndex asserts the served-grid index invariant: servedList[b]
+// holds exactly the grids with bestSec == b, each once, and servedPos
+// points every served grid back at its slot.
+func checkServedIndex(t *testing.T, s *State, where string) {
+	t.Helper()
+	if len(s.servedList) != s.Model.Net.NumSectors() {
+		t.Fatalf("%s: %d served lists for %d sectors", where, len(s.servedList), s.Model.Net.NumSectors())
+	}
+	listed := 0
+	for b, list := range s.servedList {
+		for p, g := range list {
+			if s.bestSec[g] != int32(b) {
+				t.Fatalf("%s: grid %d listed under sector %d but served by %d", where, g, b, s.bestSec[g])
+			}
+			if s.servedPos[g] != int32(p) {
+				t.Fatalf("%s: grid %d at slot %d of sector %d, servedPos says %d", where, g, p, b, s.servedPos[g])
+			}
+		}
+		listed += len(list)
+	}
+	served := 0
+	for _, b := range s.bestSec {
+		if b >= 0 {
+			served++
+		}
+	}
+	if listed != served {
+		t.Fatalf("%s: index lists %d grids, %d are served", where, listed, served)
+	}
+}
+
+// TestServedIndexMatchesServing drives random move sequences (including
+// TurnOff/TurnOn) and the load-rebuild entry points, checking the
+// served-grid index after every step, then diverges a clone from its
+// parent: each index must stay exact, which also proves the clone's
+// flat copy shares no backing storage with the parent's lists.
+func TestServedIndexMatchesServing(t *testing.T) {
+	m := testModel(t)
+	s := baseline(t, m)
+	checkServedIndex(t, s, "baseline")
+	rng := rand.New(rand.NewSource(5))
+	n := m.Net.NumSectors()
+	for i := 0; i < 200; i++ {
+		ch := randomChange(rng, n)
+		if rng.Intn(4) == 0 {
+			ch = config.Change{Sector: rng.Intn(n), TurnOn: true}
+		}
+		s.MustApply(ch)
+		checkServedIndex(t, s, fmt.Sprintf("move %d (%v)", i, ch))
+	}
+	s.RecomputeLoads()
+	checkServedIndex(t, s, "RecomputeLoads")
+	s.AssignUsersUniform()
+	checkServedIndex(t, s, "AssignUsersUniform")
+	grids := servedGridsOf(s, 3)
+	m.ScaleUsersAt(grids, 1.5)
+	s.NoteUsersScaledAt(grids, 1.5)
+	checkServedIndex(t, s, "NoteUsersScaledAt")
+
+	c := s.Clone()
+	checkServedIndex(t, c, "clone")
+	for i := 0; i < 100; i++ {
+		s.MustApply(randomBatchChange(rng, n))
+		c.MustApply(randomBatchChange(rng, n))
+		checkServedIndex(t, s, fmt.Sprintf("parent after diverging move %d", i))
+		checkServedIndex(t, c, fmt.Sprintf("clone after diverging move %d", i))
 	}
 }

@@ -46,36 +46,17 @@ type State struct {
 
 	// Per-sector served-grid index: servedList[b] holds exactly the grids
 	// with bestSec == b, servedPos[g] the grid's slot in its list, so the
-	// "which grids does this load shift touch?" sweeps in repairTracking
-	// and SpeculateBatch run over the served set instead of the (much
-	// larger) contributor entry list. Built with the tracking sum in
-	// EnableUtilityTracking, maintained O(1) by setServing, and — like
-	// tracking — dropped rather than cloned.
-	servedIdxOn bool
-	servedList  [][]int32
-	servedPos   []int32
-
-	// Incremental utility tracking backing SpeculateBatch; see tracking.go.
-	// Deliberately not cloned: a clone re-derives its own running sum on
-	// first use, so it always equals a fresh full scan. trackFactor is
-	// the model's uniform UE factor the sum was derived under; a factor
-	// change invalidates the sum (weights scaled underneath it), so the
-	// next enable re-derives.
-	trackOn     bool
-	trackFn     utility.Func
-	trackFactor float64
-	trackSum    float64
-	trackRate   []float64
-	trackU      []float64
-	gridDirty   []bool
-	secDirty    []bool
-	dirtyGrids  []int32
-	dirtySecs   []int32
+	// "which grids does this load shift touch?" sweeps in SpeculateBatch
+	// and the KPI aggregates run over the served set instead of the (much
+	// larger) contributor entry list. Built by NewState, copied by Clone
+	// and maintained O(1) by setServing.
+	servedList [][]int32
+	servedPos  []int32
 
 	// Incremental KPI aggregates backing KPIUtility and the radio-change
 	// grid log backing DrainChangedGrids; see incremental.go. Neither
 	// survives Clone (zero values mean "off"), and RecomputeLoads /
-	// AssignUsers* switch the aggregates off like they do tracking.
+	// AssignUsers* switch the aggregates off.
 	aggOn    bool
 	aggFn    utility.Func
 	aggMode  uint8
@@ -108,6 +89,7 @@ func (m *Model) NewState(cfg *config.Config) *State {
 	}
 	s.resetUtilityMemo("")
 	s.recomputeAll()
+	s.buildServedIndex()
 	return s
 }
 
@@ -127,12 +109,11 @@ func (s *State) resetUtilityMemo(name string) {
 // Clone returns an independent snapshot of the state (the configuration
 // is deep-copied too). The utility memo IS copied — it is a consistent
 // snapshot of (rate, u(rate)) pairs, so the clone's first Utility call
-// under the same objective stays incremental. The utility tracking
-// arrays and the SINRImprovers scratch are NOT copied: they are either
-// transient scratch or cheaper to re-derive than to keep coherent, and
-// zero values mean "off"/"unallocated" for both.
+// under the same objective stays incremental — and so is the served-grid
+// index. The KPI aggregates, the change log and the SINRImprovers
+// scratch are NOT copied: zero values mean "off"/"unallocated".
 func (s *State) Clone() *State {
-	return &State{
+	c := &State{
 		Model:     s.Model,
 		Cfg:       s.Cfg.Clone(),
 		rpMw:      append([]float64(nil), s.rpMw...),
@@ -148,7 +129,19 @@ func (s *State) Clone() *State {
 		cacheRate: append([]float64(nil), s.cacheRate...),
 		cacheU:    append([]float64(nil), s.cacheU...),
 		cacheName: s.cacheName,
+		servedPos: append([]int32(nil), s.servedPos...),
 	}
+	// One backing array for every sector's list, each a capacity-capped
+	// window: the first append setServing makes to a list reallocates
+	// only that list and can never write into a neighbour's range.
+	flat := make([]int32, 0, len(s.servedPos))
+	c.servedList = make([][]int32, len(s.servedList))
+	for b, list := range s.servedList {
+		off := len(flat)
+		flat = append(flat, list...)
+		c.servedList[b] = flat[off:len(flat):len(flat)]
+	}
+	return c
 }
 
 // recomputeAll evaluates every grid from scratch.
@@ -209,9 +202,6 @@ func (s *State) rescanGrid(g int) {
 // "does this move change the grid's rate at all?" against them without
 // re-running the threshold scan.
 func (s *State) updateRate(g int) {
-	if s.trackOn {
-		s.markGrid(int32(g))
-	}
 	if s.logOn && !s.logMark[g] {
 		s.logMark[g] = true
 		s.logGrids = append(s.logGrids, int32(g))
@@ -262,10 +252,7 @@ func (s *State) Apply(ch config.Change) (config.Change, error) {
 		!s.Cfg.Off(applied.Sector) {
 		s.applySectorPower(applied.Sector)
 	} else {
-		s.refreshSector(applied.Sector)
-	}
-	if s.trackOn {
-		s.repairTracking()
+		s.RefreshSector(applied.Sector)
 	}
 	return applied, nil
 }
@@ -280,21 +267,13 @@ func (s *State) MustApply(ch config.Change) config.Change {
 }
 
 // RefreshSector re-derives sector b's link budgets and received powers
-// from the model under the state's current configuration — needed after
-// InstallLinkTable replaces the sector's link-budget source beneath an
-// existing state. Entries whose received power is unchanged are left
-// untouched, so refreshing against identical data cannot perturb the
-// state.
+// from the model under the state's current configuration and
+// incrementally fixes the affected grids. Apply uses it for tilt and
+// on/off changes; it is also needed after InstallLinkTable replaces the
+// sector's link-budget source beneath an existing state. Entries whose
+// received power is unchanged are left untouched, so refreshing against
+// identical data cannot perturb the state.
 func (s *State) RefreshSector(b int) {
-	s.refreshSector(b)
-	if s.trackOn {
-		s.repairTracking()
-	}
-}
-
-// refreshSector recomputes every contributor entry of sector b under the
-// current configuration and incrementally fixes the affected grids.
-func (s *State) refreshSector(b int) {
 	m := s.Model
 	off := s.Cfg.Off(b)
 	power := s.Cfg.PowerDbm(b)
@@ -376,18 +355,10 @@ func (s *State) rescanBest(g int) {
 	s.setServing(g, best, bestMw)
 }
 
-// setServing moves grid g to a new serving sector, maintaining loads and
-// served-grid counts.
+// setServing moves grid g to a new serving sector, maintaining loads,
+// served-grid counts and the served-grid index.
 func (s *State) setServing(g int, sec int32, mw float64) {
 	old := s.bestSec[g]
-	if s.trackOn {
-		if old >= 0 {
-			s.markSector(old)
-		}
-		if sec >= 0 {
-			s.markSector(sec)
-		}
-	}
 	if old >= 0 {
 		s.load[old] -= s.Model.ue[g]
 		s.served[old]--
@@ -401,40 +372,32 @@ func (s *State) setServing(g int, sec int32, mw float64) {
 		s.load[sec] += s.Model.ue[g]
 		s.served[sec]++
 	}
-	if s.servedIdxOn {
-		if old >= 0 {
-			list := s.servedList[old]
-			p := s.servedPos[g]
-			last := int32(len(list) - 1)
-			moved := list[last]
-			list[p] = moved
-			s.servedPos[moved] = p
-			s.servedList[old] = list[:last]
-		}
-		if sec >= 0 {
-			s.servedPos[g] = int32(len(s.servedList[sec]))
-			s.servedList[sec] = append(s.servedList[sec], int32(g))
-		}
+	if old >= 0 {
+		list := s.servedList[old]
+		p := s.servedPos[g]
+		last := int32(len(list) - 1)
+		moved := list[last]
+		list[p] = moved
+		s.servedPos[moved] = p
+		s.servedList[old] = list[:last]
+	}
+	if sec >= 0 {
+		s.servedPos[g] = int32(len(s.servedList[sec]))
+		s.servedList[sec] = append(s.servedList[sec], int32(g))
 	}
 }
 
-// buildServedIndex (re)derives the per-sector served-grid index from the
-// current serving map.
+// buildServedIndex derives the per-sector served-grid index from the
+// serving map of a freshly evaluated state.
 func (s *State) buildServedIndex() {
-	if s.servedList == nil {
-		s.servedList = make([][]int32, s.Model.Net.NumSectors())
-		s.servedPos = make([]int32, s.Model.Grid.NumCells())
-	}
-	for b := range s.servedList {
-		s.servedList[b] = s.servedList[b][:0]
-	}
+	s.servedList = make([][]int32, s.Model.Net.NumSectors())
+	s.servedPos = make([]int32, s.Model.Grid.NumCells())
 	for g, b := range s.bestSec {
 		if b >= 0 {
 			s.servedPos[g] = int32(len(s.servedList[b]))
 			s.servedList[b] = append(s.servedList[b], int32(g))
 		}
 	}
-	s.servedIdxOn = true
 }
 
 // ServingSector returns the serving sector of grid g, or -1 when the
@@ -626,12 +589,10 @@ func (s *State) AssignUsersWeighted(weight func(g int) float64) {
 
 // RecomputeLoads rebuilds the per-sector loads from the current serving
 // map and UE distribution. Needed after the Model's UE distribution
-// changes beneath an existing state. The UE weights underneath the
-// utility tracking sum may have changed, so tracking is switched off;
-// the next EnableUtilityTracking re-derives it.
+// changes beneath an existing state. The UE weights underneath the KPI
+// aggregates may have changed, so they are switched off; the serving
+// map, and with it the served-grid index, is untouched.
 func (s *State) RecomputeLoads() {
-	s.trackOn = false
-	s.servedIdxOn = false
 	s.aggOn = false
 	for i := range s.load {
 		s.load[i] = 0

@@ -416,7 +416,7 @@ func TestParallelEqualizeConverges(t *testing.T) {
 // on the worker count, so Algorithm 1 fanned out over 4 workers must
 // reproduce the single-worker power-phase steps bit for bit — on its
 // own, and inside Joint's alternation, where the tilt climbs between
-// power phases apply and undo moves with utility tracking live.
+// power phases apply and undo moves under the shared Utility memo.
 func TestParallelPowerReproducesSequential(t *testing.T) {
 	for _, seed := range []int64{3, 5, 11} {
 		sc := makeScenario(t, seed)

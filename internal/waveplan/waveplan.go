@@ -230,7 +230,7 @@ func offDeltas(e *core.Engine, sectors []int, util utility.Func, fixed bool) (ma
 			deltas[sectors[i]] = 0
 			continue
 		}
-		deltas[sectors[i]] = r.Utility - uBefore
+		deltas[sectors[i]] = r.Delta
 	}
 	return deltas, uBefore
 }
