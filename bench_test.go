@@ -470,9 +470,8 @@ func BenchmarkUtilityDelta(b *testing.B) {
 
 // BenchmarkJointSearch runs the joint search on the four-corners
 // scenario (the largest neighbor set) with one scoring worker and with
-// one per CPU. Power candidates are priced read-only by SpeculateBatch
-// at both settings; with more than one worker the greedy tilt climbs
-// also batch their candidates.
+// one per CPU. Every candidate is priced read-only by SpeculateBatch, so
+// both settings produce the same plan.
 func BenchmarkJointSearch(b *testing.B) {
 	engine, err := experiments.BuildEngine(benchSeeds[0], experiments.DefaultAreaSpec(topology.Suburban))
 	if err != nil {

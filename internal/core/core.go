@@ -69,9 +69,9 @@ type SetupConfig struct {
 	// SearchWorkers is the default candidate-scoring parallelism for
 	// mitigation searches planned by this engine (see search.Options
 	// .Workers). Zero or one scores each candidate batch on the calling
-	// goroutine; power plans are identical at every setting. The
-	// planner's Equalize pass always runs sequentially so a cached or
-	// shared baseline is identical whatever the worker setting.
+	// goroutine; plans are identical at every setting. The planner's
+	// Equalize pass does not take this setting; its C_before would be
+	// the same at any value.
 	SearchWorkers int
 	// FixedPoint makes mitigation searches default to the quantized
 	// scoring kernel (see MitigateRequest.FixedPoint, which can also
@@ -358,8 +358,8 @@ type MitigateRequest struct {
 	Targets []int
 	// Workers overrides the engine's SearchWorkers for this plan:
 	// 0 inherits, 1 scores on the calling goroutine, >1 scores each
-	// candidate batch on that many goroutines over the one shared state
-	// (and batches the greedy tilt climbs; see search.Options.Workers).
+	// candidate batch on that many goroutines over the one shared state.
+	// The plan is the same at every setting (see search.Options.Workers).
 	Workers int
 	// FixedPoint scores candidates with the quantized kernel (int16
 	// centi-dB inner loop). Candidate ranking may deviate from the float

@@ -2,24 +2,18 @@
 // behind every configuration search. A strategy (Power, Tilt, Equalize,
 // annealing, ...) proposes candidate changes; the engine scores them and
 // the strategy decides which to commit. The engine owns the bookkeeping
-// the strategies used to hand-roll: undo, the current-utility cache and
+// the strategies used to hand-roll: the current-utility cache and
 // instrumentation counters.
 //
-// Two ways to evaluate a move:
-//
-//   - ScoreAll prices a batch of independent alternatives read-only with
-//     State.SpeculateBatch: each score is Current() plus the move's
-//     utility delta over the grids it touches, priced against the
-//     Utility memo that New and every Commit refresh. Nothing is
-//     applied, so there is no undo, and Workers goroutines share the one
-//     committed state. A move that changes no grid's rate scores exactly
-//     Current(), so rounding can never win an argmax or pass an epsilon
-//     test. Scores are float by default; Config.FixedPoint selects the
-//     quantized kernel. Within a batch the scores do not depend on
-//     Workers.
-//   - Try/Keep/Undo applies a move to the committed state, runs the
-//     exact full-scan Utility and reverts on Undo: the sequential
-//     climbs' native shape.
+// ScoreAll prices a batch of independent alternatives read-only with
+// State.SpeculateBatch: each score is Current() plus the move's utility
+// delta over the grids it touches, priced against the Utility memo that
+// New and every Commit refresh. Nothing is applied, so there is no undo,
+// and Workers goroutines share the one committed state. A move that
+// changes no grid's rate scores exactly Current(), so rounding can never
+// win an argmax or pass an epsilon test. Scores are float by default;
+// Config.FixedPoint selects the quantized kernel. The scores do not
+// depend on Workers, so neither does any search built on them.
 //
 // Commit applies a winner and re-evaluates with the exact full-scan
 // Utility, so every reported step and plan utility is a full-scan value,
@@ -86,10 +80,12 @@ type StatsSnapshot struct {
 	MovesProposed    int64 `json:"moves_proposed"`
 	MovesAccepted    int64 `json:"moves_accepted"`
 	DeltaEvaluations int64 `json:"delta_evaluations"`
-	FullEvaluations  int64 `json:"full_evaluations"`
-	ParallelBatches  int64 `json:"parallel_batches"`
-	Workers          int   `json:"workers"`
-	FixedPoint       bool  `json:"fixed_point,omitempty"`
+	// FullEvaluations counts exact full-scan re-evaluations: one per
+	// Commit.
+	FullEvaluations int64 `json:"full_evaluations"`
+	ParallelBatches int64 `json:"parallel_batches"`
+	Workers         int   `json:"workers"`
+	FixedPoint      bool  `json:"fixed_point,omitempty"`
 	// WorkerUtilization is Σ per-worker busy time divided by
 	// Σ batch wall time × pool size: 1.0 means every worker scored
 	// candidates for the full duration of every parallel batch.
@@ -123,9 +119,6 @@ type Engine struct {
 
 	current float64
 
-	// pending is the applied change of the last Try, awaiting Keep/Undo.
-	pending config.Change
-
 	stats Stats
 }
 
@@ -156,19 +149,9 @@ func New(st *netmodel.State, util utility.Func, cfg Config) *Engine {
 // State returns the committed state the engine mutates.
 func (e *Engine) State() *netmodel.State { return e.main }
 
-// Util returns the objective the engine scores against.
-func (e *Engine) Util() utility.Func { return e.util }
-
-// Workers returns the scoring parallelism (1 = the calling goroutine).
-func (e *Engine) Workers() int { return e.workers }
-
 // Current returns the utility of the committed state. It is always an
 // exact full-scan value, never a speculative delta.
 func (e *Engine) Current() float64 { return e.current }
-
-// Parallel reports whether ScoreAll batches fan out over several
-// goroutines sharing the committed state.
-func (e *Engine) Parallel() bool { return e.workers > 1 }
 
 // FixedPoint reports whether ScoreAll uses the quantized kernel.
 func (e *Engine) FixedPoint() bool { return e.fixed }
@@ -267,51 +250,10 @@ func (e *Engine) scoreChunk(out []Score, moves []config.Change, lo, hi int) erro
 	return nil
 }
 
-// Try applies mv to the committed state and returns the exact resulting
-// utility, leaving the move in place: the caller accepts it with Keep or
-// discards it with Undo. This is the sequential strategies' native
-// try/keep-or-undo shape; a no-op move is reported without evaluation
-// and needs neither Keep nor Undo.
-func (e *Engine) Try(mv config.Change) (applied config.Change, u float64, err error) {
-	e.stats.movesProposed.Add(1)
-	applied, err = e.main.Apply(mv)
-	if err != nil {
-		return applied, e.current, err
-	}
-	e.pending = applied
-	if applied.IsZero() {
-		return applied, e.current, nil
-	}
-	e.stats.fullEvals.Add(1)
-	return applied, e.main.Utility(e.util), nil
-}
-
-// Keep accepts the pending Try move at utility u (the value Try
-// returned; the state already reflects the move, so no re-evaluation).
-func (e *Engine) Keep(u float64) {
-	if !e.pending.IsZero() {
-		e.stats.movesAccepted.Add(1)
-		e.pending = config.Change{}
-	}
-	e.current = u
-}
-
-// Undo reverts the pending Try move.
-func (e *Engine) Undo() error {
-	if e.pending.IsZero() {
-		return nil
-	}
-	inv := e.pending.Inverse()
-	e.pending = config.Change{}
-	if _, err := e.main.Apply(inv); err != nil {
-		return fmt.Errorf("evalengine: undo %v: %w", inv, err)
-	}
-	return nil
-}
-
 // Commit applies mv to the committed state (typically a ScoreAll winner,
 // being re-applied exactly as the seed searches re-apply theirs) and
-// re-evaluates with the exact full-scan Utility.
+// re-evaluates with the exact full-scan Utility, counted as one full
+// evaluation.
 func (e *Engine) Commit(mv config.Change) (applied config.Change, current float64, err error) {
 	applied, err = e.main.Apply(mv)
 	if err != nil {
@@ -320,6 +262,7 @@ func (e *Engine) Commit(mv config.Change) (applied config.Change, current float6
 	if !applied.IsZero() {
 		e.stats.movesAccepted.Add(1)
 	}
+	e.stats.fullEvals.Add(1)
 	e.current = e.main.Utility(e.util)
 	return applied, e.current, nil
 }

@@ -338,43 +338,42 @@ func TestScoreAllReadOnly(t *testing.T) {
 	}
 }
 
-func TestTryKeepUndo(t *testing.T) {
+// TestCommitReevaluatesExactly: Commit installs the exact full-scan
+// utility of the committed state, and every Commit counts as one full
+// evaluation whether or not the move changed anything.
+func TestCommitReevaluatesExactly(t *testing.T) {
 	st, neighbors := testState(t, 9)
 	u := utility.Performance
 	e := New(st, u, Config{})
-	u0 := e.Current()
 
-	mv := config.Change{Sector: neighbors[0], PowerDelta: 2}
-	applied, got, err := e.Try(mv)
+	mv := config.Change{Sector: neighbors[0], PowerDelta: -2}
+	scores, err := e.ScoreAll([]config.Change{mv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied.IsZero() {
-		t.Skip("first neighbor at max power")
+	if scores[0].Applied.IsZero() {
+		t.Skip("first neighbor at min power")
 	}
-	if want := st.Utility(u); got != want {
-		t.Fatalf("Try utility %v != state %v", got, want)
-	}
-	if err := e.Undo(); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Utility(u); got != u0 {
-		t.Fatalf("Undo did not restore: %v vs %v", got, u0)
-	}
-	if e.Current() != u0 {
-		t.Fatalf("current moved on undo: %v vs %v", e.Current(), u0)
-	}
-
-	_, got, err = e.Try(mv)
+	applied, got, err := e.Commit(mv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Keep(got)
-	if e.Current() != got {
-		t.Fatalf("Keep did not install utility: %v vs %v", e.Current(), got)
+	if applied != scores[0].Applied {
+		t.Fatalf("Commit applied %v, ScoreAll priced %v", applied, scores[0].Applied)
+	}
+	if want := st.Clone().Utility(u); got != want || e.Current() != want {
+		t.Fatalf("Commit utility %v (current %v) != full scan %v", got, e.Current(), want)
+	}
+	if relDiff(got, scores[0].Utility) > 1e-9 {
+		t.Errorf("committed utility %v far from its score %v", got, scores[0].Utility)
+	}
+
+	// A no-op commit re-evaluates but accepts nothing.
+	if applied, _, err := e.Commit(config.Change{Sector: neighbors[0]}); err != nil || !applied.IsZero() {
+		t.Fatalf("no-op commit: applied %v, err %v", applied, err)
 	}
 	snap := e.Snapshot()
-	if snap.MovesAccepted != 1 || snap.MovesProposed != 2 {
+	if snap.MovesProposed != 1 || snap.MovesAccepted != 1 || snap.FullEvaluations != 2 || snap.DeltaEvaluations != 1 {
 		t.Errorf("stats: %+v", snap)
 	}
 }

@@ -26,10 +26,11 @@ import (
 var searchWorkers atomic.Int64
 
 // SetSearchWorkers sets the default search parallelism baked into
-// engines built by BuildEngine from now on: 0 or 1 keeps the exact
-// sequential path. Set it at process start (the magusd/magusctl
-// -workers flags do): engines already in the shared cache keep the
-// value they were built with, though per-request overrides still apply.
+// engines built by BuildEngine from now on: 0 or 1 scores on the
+// calling goroutine; plans are the same at every value. Set it at
+// process start (the magusd/magusctl -workers flags do): engines
+// already in the shared cache keep the value they were built with,
+// though per-request overrides still apply.
 func SetSearchWorkers(n int) {
 	if n < 0 {
 		n = 0

@@ -5,17 +5,15 @@ import (
 	"math/rand"
 
 	"magus/internal/config"
-	"magus/internal/evalengine"
 	"magus/internal/netmodel"
 )
 
 // AnnealOptions tune the simulated-annealing search.
 type AnnealOptions struct {
-	// Options embeds the common search knobs (utility, caps). Workers is
-	// ignored: the Metropolis chain is inherently sequential (each
-	// proposal's acceptance depends on the previous state and the shared
-	// RNG stream), so annealing always uses the exact single-threaded
-	// evaluation path.
+	// Options embeds the common search knobs (utility, caps, Workers).
+	// The Metropolis chain is sequential (each proposal's acceptance
+	// depends on the previous state and the shared RNG stream), so each
+	// proposal is a one-move batch and Workers changes nothing.
 	Options
 	// Seed drives the proposal sequence; equal seeds reproduce runs.
 	Seed int64
@@ -47,8 +45,8 @@ func (o *AnnealOptions) applyDefaults() {
 // power (+-1 dB) or tilt (+-1 step) moves; worsening moves are accepted
 // with the Metropolis probability under a geometric cooling schedule.
 // The best configuration seen is restored before returning, so the
-// result is never worse than the starting point. The engine's
-// try/keep-or-undo pipeline drives each proposal.
+// result is never worse than the starting point. Each proposal is priced
+// read-only by the engine's scorer and committed on acceptance.
 func Anneal(st *netmodel.State, neighbors []int, opts AnnealOptions) (*Result, error) {
 	opts.applyDefaults()
 	res := &Result{}
@@ -58,7 +56,7 @@ func Anneal(st *netmodel.State, neighbors []int, opts AnnealOptions) (*Result, e
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	e := evalengine.New(st, opts.Util, evalengine.Config{Workers: 1, Ctx: opts.Ctx})
+	e := opts.engine(st)
 	best := e.Current()
 	bestCfg := st.Cfg.Clone()
 	cooling := math.Pow(opts.EndTemp/opts.StartTemp, 1/float64(opts.Iterations))
@@ -87,11 +85,11 @@ func Anneal(st *netmodel.State, neighbors []int, opts AnnealOptions) (*Result, e
 		case 3:
 			mv.TiltDelta = -1
 		}
-		applied, u, err := e.Try(mv)
+		scores, err := e.ScoreAll([]config.Change{mv})
 		if err != nil {
 			return nil, err
 		}
-		if applied.IsZero() {
+		if scores[0].Applied.IsZero() {
 			temp *= cooling
 			continue
 		}
@@ -99,17 +97,16 @@ func Anneal(st *netmodel.State, neighbors []int, opts AnnealOptions) (*Result, e
 		// Short-circuit order matters: the Metropolis draw consumes the
 		// RNG stream only for worsening moves, part of the per-seed
 		// reproducibility contract.
-		accept := u >= e.Current() || rng.Float64() < math.Exp((u-e.Current())/temp)
-		if accept {
-			e.Keep(u)
-			if u > best {
-				best = u
-				bestCfg = st.Cfg.Clone()
-				res.Steps = append(res.Steps, Step{Change: applied, Utility: u})
-			}
-		} else {
-			if err := e.Undo(); err != nil {
+		u := scores[0].Utility
+		if u >= e.Current() || rng.Float64() < math.Exp((u-e.Current())/temp) {
+			applied, current, err := e.Commit(mv)
+			if err != nil {
 				return nil, err
+			}
+			if current > best {
+				best = current
+				bestCfg = st.Cfg.Clone()
+				res.Steps = append(res.Steps, Step{Change: applied, Utility: current})
 			}
 		}
 		temp *= cooling

@@ -78,13 +78,20 @@ func TestEqualizeCapAtDefaultPower(t *testing.T) {
 	}
 }
 
+// TestEqualizeRespectsMaxSteps: the cap holds per commit, not per
+// sector, so one sector's pass cannot overshoot it.
 func TestEqualizeRespectsMaxSteps(t *testing.T) {
-	sc := rawScenario(t, 27)
-	res, err := Equalize(sc.base, Options{MaxSteps: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Steps) > 3 {
-		t.Errorf("steps = %d, cap was 3", len(res.Steps))
+	for _, tc := range []struct {
+		seed     int64
+		maxSteps int
+	}{{27, 3}, {21, 1}} {
+		sc := rawScenario(t, tc.seed)
+		res, err := Equalize(sc.base, Options{MaxSteps: tc.maxSteps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Steps) > tc.maxSteps {
+			t.Errorf("seed %d: steps = %d, cap was %d", tc.seed, len(res.Steps), tc.maxSteps)
+		}
 	}
 }

@@ -11,17 +11,14 @@
 // intractable: "10 sectors x 5 power units is over 9 million
 // configurations", Section 5).
 //
-// Every strategy is a thin proposer/acceptor over evalengine.Engine,
-// which owns candidate scoring. Algorithm 1 prices its candidate set β
-// read-only as exact current utility plus each move's delta, at every
-// Options.Workers value; the golden-equivalence tests pin it bit for bit
-// to a reference loop that scores every candidate on a clone with the
-// full-scan Utility. The greedy climbs and Equalize try, keep or undo
-// moves on the committed state with Workers <= 1; with Workers > 1 they
-// batch their candidates through the same read-only scorer, so accepted
-// configurations may then differ from the sequential run in acceptance
-// order (never in validity, and committed utilities are always exact
-// re-evaluations). See evalengine's package comment.
+// Every strategy is a thin proposer/acceptor over evalengine.Engine: it
+// prices candidates read-only with ScoreAll (exact current utility plus
+// each move's delta) and commits its choice with Commit, which
+// re-evaluates exactly. Options.Workers only fans a ScoreAll batch out
+// over goroutines, so no result depends on it. The golden-equivalence
+// tests pin every strategy bit for bit to a reference loop that scores
+// each candidate on a clone with the full-scan Utility. See evalengine's
+// package comment.
 package search
 
 import (
@@ -39,10 +36,8 @@ import (
 type Step struct {
 	// Change is the applied configuration change.
 	Change config.Change
-	// Utility is the overall utility after applying the change. In
-	// batched climbs (Workers > 1) intermediate utilities inside one
-	// accepted batch are delta-evaluated; the utility after each commit
-	// is exact.
+	// Utility is the overall utility after applying the change: the
+	// exact full-scan re-evaluation Commit performs.
 	Utility float64
 }
 
@@ -95,11 +90,8 @@ type Options struct {
 	// "conditionally good" pruning saves.
 	NoPruning bool
 	// Workers sets the engine's candidate-scoring parallelism: the
-	// number of goroutines that score one batch over the shared state.
-	// Algorithm 1's results do not depend on it. Values above 1 also
-	// switch the greedy climbs and Equalize from try/undo to batched
-	// scoring, which can change their acceptance order (see the package
-	// comment).
+	// number of goroutines that score one batch over the shared state
+	// (and BruteForcePower's striping). No search result depends on it.
 	Workers int
 	// FixedPoint selects the scorer's quantized kernel: the inner loop
 	// runs in int16 centi-dB with table-driven dB→linear conversion.
@@ -311,9 +303,10 @@ func Tilt(st *netmodel.State, neighbors []int, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// climbPhase is the greedy per-neighbor hill climb shared by Tilt and
-// NaivePower: push one knob (unit, a single-step power or tilt move)
-// while the utility strictly improves, then move to the next neighbor.
+// climbPhase is the greedy per-neighbor hill climb shared by Tilt,
+// NaivePower and Joint: push one knob (unit, a single-step power or tilt
+// move) while the utility strictly improves, then move to the next
+// neighbor.
 func climbPhase(e *evalengine.Engine, neighbors []int, opts *Options, unit config.Change) (*Result, error) {
 	st := e.State()
 	res := &Result{}
@@ -327,105 +320,28 @@ func climbPhase(e *evalengine.Engine, neighbors []int, opts *Options, unit confi
 		if opts.CapUtility > 0 && e.Current() >= opts.CapUtility {
 			break
 		}
-		if e.Parallel() {
-			if err := climbBatch(e, b, opts, res, unit); err != nil {
-				return nil, err
-			}
-			continue
-		}
+		mv := unit
+		mv.Sector = b
 		for len(res.Steps) < opts.MaxSteps {
-			mv := unit
-			mv.Sector = b
-			applied, u, err := e.Try(mv)
+			scores, err := e.ScoreAll([]config.Change{mv})
 			if err != nil {
 				return nil, err
 			}
-			if applied.IsZero() {
+			if scores[0].Applied.IsZero() {
 				break // knob range exhausted
 			}
 			res.Evaluations++
-			if u <= e.Current() {
-				// Worsened (or flat): undo and move on.
-				if err := e.Undo(); err != nil {
-					return nil, err
-				}
-				break
+			if scores[0].Utility <= e.Current() {
+				break // worsened (or flat): move on
 			}
-			e.Keep(u)
-			res.Steps = append(res.Steps, Step{Change: applied, Utility: u})
+			applied, current, err := e.Commit(mv)
+			if err != nil {
+				return nil, err
+			}
+			res.Steps = append(res.Steps, Step{Change: applied, Utility: current})
 		}
 	}
 	return res, nil
-}
-
-// climbBatch is the parallel variant of one neighbor's hill climb: score
-// the cumulative 1-step, 2-step, ..., K-step moves as one batch, accept
-// the longest strictly improving prefix, commit it as a single change,
-// and keep climbing while full batches are accepted.
-func climbBatch(e *evalengine.Engine, b int, opts *Options, res *Result, unit config.Change) error {
-	for len(res.Steps) < opts.MaxSteps {
-		k := e.Workers()
-		if rem := opts.MaxSteps - len(res.Steps); k > rem {
-			k = rem
-		}
-		moves := make([]config.Change, k)
-		for j := 0; j < k; j++ {
-			moves[j] = config.Change{
-				Sector:     b,
-				PowerDelta: unit.PowerDelta * float64(j+1),
-				TiltDelta:  unit.TiltDelta * (j + 1),
-			}
-		}
-		scores, err := e.ScoreAll(moves)
-		if err != nil {
-			return err
-		}
-		accept := 0
-		prevU := e.Current()
-		var prevApplied config.Change
-		for j := 0; j < k; j++ {
-			sc := scores[j]
-			if sc.Applied.IsZero() || (j > 0 && sc.Applied == prevApplied) {
-				break // knob range exhausted at this depth
-			}
-			res.Evaluations++
-			if sc.Utility <= prevU {
-				break
-			}
-			// Record the per-step trace the sequential climb would have
-			// produced; the deltas between consecutive cumulative applied
-			// changes handle a partially clamped last step.
-			res.Steps = append(res.Steps, Step{
-				Change: config.Change{
-					Sector:     b,
-					PowerDelta: sc.Applied.PowerDelta - prevApplied.PowerDelta,
-					TiltDelta:  sc.Applied.TiltDelta - prevApplied.TiltDelta,
-				},
-				Utility: sc.Utility,
-			})
-			prevU = sc.Utility
-			prevApplied = sc.Applied
-			accept = j + 1
-		}
-		if accept == 0 {
-			return nil
-		}
-		// Commit the accepted prefix as one cumulative change; the exact
-		// re-evaluation lands on the last recorded step.
-		_, current, err := e.Commit(config.Change{
-			Sector:     b,
-			PowerDelta: prevApplied.PowerDelta,
-			TiltDelta:  prevApplied.TiltDelta,
-		})
-		if err != nil {
-			return err
-		}
-		res.Steps[len(res.Steps)-1].Utility = current
-		if accept < k {
-			return nil // the climb found its stopping point mid-batch
-		}
-	}
-	return nil
 }
 
 // Joint runs the paper's joint strategy — tilt tuning first, then power
@@ -476,11 +392,9 @@ func Joint(st *netmodel.State, base *netmodel.State, neighbors []int, opts Optio
 // configuration into a locally optimal C_before, so that recovery ratios
 // measure genuine upgrade mitigation rather than leftover planning slack.
 //
-// With Workers > 1 each sector's four moves are scored as one batch and
-// only the best improving move commits per sector per pass (the
-// sequential pass can accept several moves on one sector back to back);
-// later passes pick up the rest, so both variants converge to a fixed
-// point of the same move set.
+// Each sector's candidate moves are scored as one batch; the first
+// improving one commits and only the moves after it are rescored against
+// the new state, which is the sequential first-improvement order.
 func Equalize(st *netmodel.State, opts Options) (*Result, error) {
 	opts.applyDefaults()
 	e := opts.engine(st)
@@ -491,11 +405,6 @@ func Equalize(st *netmodel.State, opts Options) (*Result, error) {
 		{TiltDelta: opts.TiltUnit},
 		{TiltDelta: -opts.TiltUnit},
 	}
-	// skip reports whether a move is barred by the planner-headroom cap.
-	skip := func(b int, mv config.Change) bool {
-		return opts.CapAtDefaultPower && mv.PowerDelta > 0 &&
-			st.Cfg.PowerDbm(b)+mv.PowerDelta > st.Model.Net.Sectors[b].DefaultPowerDbm
-	}
 	for pass := 0; ; pass++ {
 		improvedInPass := false
 		for b := 0; b < st.Cfg.NumSectors() && len(res.Steps) < opts.MaxSteps; b++ {
@@ -505,37 +414,11 @@ func Equalize(st *netmodel.State, opts Options) (*Result, error) {
 			if st.Cfg.Off(b) {
 				continue
 			}
-			if e.Parallel() {
-				improved, err := equalizeSectorBatch(e, b, moves, skip, res)
-				if err != nil {
-					return nil, err
-				}
-				improvedInPass = improvedInPass || improved
-				continue
+			improved, err := equalizeSector(e, b, moves, &opts, res)
+			if err != nil {
+				return nil, err
 			}
-			for _, mv := range moves {
-				mv.Sector = b
-				if skip(b, mv) {
-					continue
-				}
-				applied, u, err := e.Try(mv)
-				if err != nil {
-					return nil, err
-				}
-				if applied.IsZero() {
-					continue
-				}
-				res.Evaluations++
-				if u > e.Current()+1e-12 {
-					e.Keep(u)
-					res.Steps = append(res.Steps, Step{Change: applied, Utility: u})
-					improvedInPass = true
-				} else {
-					if err := e.Undo(); err != nil {
-						return nil, err
-					}
-				}
-			}
+			improvedInPass = improvedInPass || improved
 		}
 		if !improvedInPass || len(res.Steps) >= opts.MaxSteps {
 			break
@@ -546,43 +429,52 @@ func Equalize(st *netmodel.State, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// equalizeSectorBatch scores one sector's move set concurrently and
-// commits the best improving move, if any.
-func equalizeSectorBatch(e *evalengine.Engine, b int, moves []config.Change, skip func(int, config.Change) bool, res *Result) (bool, error) {
-	batch := make([]config.Change, 0, len(moves))
-	for _, mv := range moves {
-		mv.Sector = b
-		if skip(b, mv) {
-			continue
+// equalizeSector is one sector's share of an Equalize pass: score the
+// sector's non-skipped moves as one batch, commit the first improving
+// one, then rescore the moves after it against the new state. It stops
+// as soon as MaxSteps moves are committed.
+func equalizeSector(e *evalengine.Engine, b int, moves []config.Change, opts *Options, res *Result) (improved bool, err error) {
+	st := e.State()
+	// pending drops the moves the planner-headroom cap bars.
+	pending := func(from []config.Change) []config.Change {
+		var batch []config.Change
+		for _, mv := range from {
+			mv.Sector = b
+			if opts.CapAtDefaultPower && mv.PowerDelta > 0 &&
+				st.Cfg.PowerDbm(b)+mv.PowerDelta > st.Model.Net.Sectors[b].DefaultPowerDbm {
+				continue
+			}
+			batch = append(batch, mv)
 		}
-		batch = append(batch, mv)
+		return batch
 	}
-	if len(batch) == 0 {
-		return false, nil
-	}
-	scores, err := e.ScoreAll(batch)
-	if err != nil {
-		return false, err
-	}
-	bestIdx := -1
-	bestU := e.Current()
-	for i, sc := range scores {
-		if sc.Applied.IsZero() {
-			continue
+	batch := pending(moves)
+	for len(batch) > 0 && len(res.Steps) < opts.MaxSteps {
+		scores, err := e.ScoreAll(batch)
+		if err != nil {
+			return improved, err
 		}
-		res.Evaluations++
-		if sc.Utility > bestU+1e-12 {
-			bestU = sc.Utility
-			bestIdx = i
+		first := -1
+		for i, sc := range scores {
+			if sc.Applied.IsZero() {
+				continue
+			}
+			res.Evaluations++
+			if sc.Utility > e.Current()+1e-12 {
+				first = i
+				break
+			}
 		}
+		if first < 0 {
+			break
+		}
+		applied, current, err := e.Commit(batch[first])
+		if err != nil {
+			return improved, err
+		}
+		res.Steps = append(res.Steps, Step{Change: applied, Utility: current})
+		improved = true
+		batch = pending(batch[first+1:])
 	}
-	if bestIdx < 0 {
-		return false, nil
-	}
-	applied, current, err := e.Commit(batch[bestIdx])
-	if err != nil {
-		return false, err
-	}
-	res.Steps = append(res.Steps, Step{Change: applied, Utility: current})
-	return true, nil
+	return improved, nil
 }

@@ -28,7 +28,7 @@ type ReplanContext struct {
 	Util  utility.Func
 	Floor float64
 	// Workers is the candidate-scoring parallelism (the same knob as
-	// core.MitigateRequest.Workers; determinism holds per fixed value).
+	// core.MitigateRequest.Workers; corrections do not depend on it).
 	Workers int
 }
 

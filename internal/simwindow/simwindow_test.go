@@ -168,12 +168,10 @@ func TestReplanRecovery(t *testing.T) {
 	noReplan := run(t, grad, base)
 
 	withCfg := base
-	// Workers: 1 keeps the replanner's climbs on the sequential
-	// try/undo path, whose accepted steps are individually
-	// utility-improving — the property the per-tick comparison below
-	// relies on.
+	// The replanner's climbs accept only individually
+	// utility-improving steps — the property the per-tick comparison
+	// below relies on.
 	withCfg.Replanner = &simwindow.SearchReplanner{}
-	withCfg.Workers = 1
 	withReplan := run(t, grad, withCfg)
 
 	if withReplan.Summary.Replans == 0 {
