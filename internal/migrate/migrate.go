@@ -16,6 +16,12 @@
 // Because the model knows f(C_after) in advance (only a model-based
 // approach does), the overall utility never drops below the final value
 // throughout the migration.
+//
+// Gradual and OneShot each walk one clone of C_before through the steps
+// and never snapshot it again: a step's handovers come from the clone's
+// radio-change log (netmodel.State.DrainChangedGrids) checked against a
+// per-grid serving snapshot, which sums the same terms in the same
+// ascending grid order as a diff of full serving maps would.
 package migrate
 
 import (
@@ -33,8 +39,9 @@ type StepRecord struct {
 	Changes []config.Change
 	// Utility after the step.
 	Utility float64
-	// Handovers is the number of UEs whose serving sector changed in
-	// this step.
+	// Handovers is the number of UEs whose serving sector differs
+	// between the start and the end of this step (a UE that moves and
+	// moves back within the step does not count).
 	Handovers float64
 	// Seamless is the subset of Handovers whose source sector was still
 	// on-air when the UE moved.
@@ -79,7 +86,9 @@ type Options struct {
 	Util utility.Func
 	// TargetStepDB is the per-step target power reduction (default 3).
 	TargetStepDB float64
-	// MaxSteps bounds the number of migration steps (default 64).
+	// MaxSteps bounds the number of migration steps, the final jump to
+	// C_after included (default 64). A migration that reaches the cap
+	// ends with that forced jump as its MaxSteps-th step.
 	MaxSteps int
 }
 
@@ -134,22 +143,48 @@ func unitMoves(cfg, after *config.Config, targets map[int]bool) ([]config.Change
 	return out, nil
 }
 
-// stepHandovers counts the UEs whose serving sector changed between prev
-// and cur, split into seamless (source still on-air in cur) and hard.
-func stepHandovers(prev, cur *netmodel.State) (total, seamless float64) {
-	m := prev.Model
-	for g := 0; g < m.Grid.NumCells(); g++ {
-		w := m.UE(g)
-		if w == 0 {
-			continue
-		}
-		oldSec := prev.ServingSector(g)
-		newSec := cur.ServingSector(g)
+// handoverCounter counts each step's handovers on the one working state
+// a migration mutates: the state's change log names every grid whose
+// radio state a step touched, and serving holds each grid's serving
+// sector at the end of the previous step. The log drains in ascending
+// grid order, so the per-step sums add exactly the terms, in exactly
+// the order, of a full diff of serving maps across a per-step clone.
+type handoverCounter struct {
+	st      *netmodel.State
+	serving []int32
+	drain   []int32
+}
+
+// newHandoverCounter starts counting on st from its current serving map.
+func newHandoverCounter(st *netmodel.State) *handoverCounter {
+	st.EnableChangeLog()
+	n := st.Model.Grid.NumCells()
+	hc := &handoverCounter{st: st, serving: make([]int32, n)}
+	for g := 0; g < n; g++ {
+		hc.serving[g] = int32(st.ServingSector(g))
+	}
+	return hc
+}
+
+// step returns the UE weight whose serving sector changed since the
+// previous call, split into seamless (source still on-air now) and
+// hard, and advances the serving snapshot.
+func (hc *handoverCounter) step() (total, seamless float64) {
+	st := hc.st
+	hc.drain = st.DrainChangedGrids(hc.drain[:0])
+	for _, g32 := range hc.drain {
+		g := int(g32)
+		oldSec, newSec := int(hc.serving[g]), st.ServingSector(g)
 		if oldSec == newSec {
 			continue
 		}
+		hc.serving[g] = int32(newSec)
+		w := st.Model.UE(g)
+		if w == 0 {
+			continue
+		}
 		total += w
-		if oldSec >= 0 && !cur.Cfg.Off(oldSec) {
+		if oldSec >= 0 && !st.Cfg.Off(oldSec) {
 			seamless += w
 		}
 	}
@@ -184,11 +219,12 @@ func Gradual(before *netmodel.State, after *netmodel.State, targets []int, opts 
 	if err != nil {
 		return nil, err
 	}
+	hc := newHandoverCounter(st)
 
 	plan := &Plan{AfterUtility: afterUtility, UtilityFloor: math.Inf(1)}
 	nextMove := 0
 
-	jumpToAfter := func(prev *netmodel.State) error {
+	jumpToAfter := func() error {
 		// Apply the exact remaining delta to C_after (compensations,
 		// target power restoration, and the off-air switch), so the plan
 		// always terminates precisely at the after configuration.
@@ -212,13 +248,13 @@ func Gradual(before *netmodel.State, after *netmodel.State, targets []int, opts 
 		}
 		nextMove = len(moves)
 		record.Utility = st.Utility(opts.Util)
-		record.Handovers, record.Seamless = stepHandovers(prev, st)
+		record.Handovers, record.Seamless = hc.step()
 		plan.Steps = append(plan.Steps, record)
 		return nil
 	}
 
-	for len(plan.Steps) < opts.MaxSteps {
-		prev := st.Clone()
+	// The final jump is a step too: the loop leaves room for it.
+	for len(plan.Steps) < opts.MaxSteps-1 {
 		record := StepRecord{}
 
 		// Does any target still hold UEs?
@@ -233,7 +269,7 @@ func Gradual(before *netmodel.State, after *netmodel.State, targets []int, opts 
 			// Everyone has migrated: finish by jumping to C_after (the
 			// remaining compensations plus the off-air switch, which now
 			// displaces nobody attached to the targets).
-			if err := jumpToAfter(prev); err != nil {
+			if err := jumpToAfter(); err != nil {
 				return nil, err
 			}
 			break
@@ -254,7 +290,7 @@ func Gradual(before *netmodel.State, after *netmodel.State, targets []int, opts 
 		if !reduced {
 			// Targets at minimum power but still holding UEs: jump.
 			plan.JumpedToAfter = true
-			if err := jumpToAfter(prev); err != nil {
+			if err := jumpToAfter(); err != nil {
 				return nil, err
 			}
 			break
@@ -279,23 +315,22 @@ func Gradual(before *netmodel.State, after *netmodel.State, targets []int, opts 
 			// Cannot compensate: undo nothing, jump straight to C_after
 			// as the paper prescribes.
 			plan.JumpedToAfter = true
-			if err := jumpToAfter(prev); err != nil {
+			if err := jumpToAfter(); err != nil {
 				return nil, err
 			}
 			break
 		}
 
 		record.Utility = utilityNow
-		record.Handovers, record.Seamless = stepHandovers(prev, st)
+		record.Handovers, record.Seamless = hc.step()
 		plan.Steps = append(plan.Steps, record)
 	}
 
-	// If the loop exhausted MaxSteps without reaching the upgrade, force
-	// the final jump so the plan always ends at C_after.
+	// If the loop used up its steps without reaching the upgrade, force
+	// the final jump (step MaxSteps) so the plan always ends at C_after.
 	if n := len(plan.Steps); n == 0 || !plan.Steps[n-1].UpgradeStep {
-		prev := st.Clone()
 		plan.JumpedToAfter = true
-		if err := jumpToAfter(prev); err != nil {
+		if err := jumpToAfter(); err != nil {
 			return nil, err
 		}
 	}
@@ -326,6 +361,7 @@ func OneShot(before *netmodel.State, after *netmodel.State, targets []int, opts 
 	if err != nil {
 		return nil, err
 	}
+	hc := newHandoverCounter(st)
 	record := StepRecord{UpgradeStep: true}
 	for _, ch := range diff {
 		applied, err := st.Apply(ch)
@@ -337,7 +373,7 @@ func OneShot(before *netmodel.State, after *netmodel.State, targets []int, opts 
 		}
 	}
 	record.Utility = st.Utility(opts.Util)
-	record.Handovers, record.Seamless = stepHandovers(before, st)
+	record.Handovers, record.Seamless = hc.step()
 	return &Plan{
 		Steps:                    []StepRecord{record},
 		MaxSimultaneousHandovers: record.Handovers,

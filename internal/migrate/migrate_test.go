@@ -1,7 +1,9 @@
 package migrate
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"magus/internal/config"
@@ -253,6 +255,230 @@ func TestUnitMovesDecomposition(t *testing.T) {
 	for _, mv := range movesExcl {
 		if mv.Sector == 0 {
 			t.Error("excluded sector present in moves")
+		}
+	}
+}
+
+// stepHandovers is the clone-diff reference for one step's handovers:
+// the UE weight whose serving sector differs between prev and cur, in
+// ascending grid order, split into seamless (source still on-air in cur)
+// and hard.
+func stepHandovers(prev, cur *netmodel.State) (total, seamless float64) {
+	m := prev.Model
+	for g := 0; g < m.Grid.NumCells(); g++ {
+		w := m.UE(g)
+		if w == 0 {
+			continue
+		}
+		oldSec := prev.ServingSector(g)
+		newSec := cur.ServingSector(g)
+		if oldSec == newSec {
+			continue
+		}
+		total += w
+		if oldSec >= 0 && !cur.Cfg.Off(oldSec) {
+			seamless += w
+		}
+	}
+	return total, seamless
+}
+
+// refGradual is the clone-per-step reference for Gradual: the same
+// walk, with each step's handovers taken by stepHandovers from a clone
+// of the state at the start of the step.
+func refGradual(before, after *netmodel.State, targets []int, opts Options) (*Plan, error) {
+	opts.applyDefaults()
+	targetSet := map[int]bool{}
+	for _, tg := range targets {
+		targetSet[tg] = true
+	}
+	st := before.Clone()
+	moves, err := unitMoves(st.Cfg, after.Cfg, targetSet)
+	if err != nil {
+		return nil, err
+	}
+	plan := &Plan{AfterUtility: after.Utility(opts.Util), UtilityFloor: math.Inf(1)}
+	nextMove := 0
+	jump := func(prev *netmodel.State) {
+		record := StepRecord{UpgradeStep: true}
+		diff, _ := st.Cfg.Diff(after.Cfg) // unitMoves already diffed the two networks
+		for _, ch := range diff {
+			if applied := st.MustApply(ch); !applied.IsZero() {
+				record.Changes = append(record.Changes, applied)
+				if !targetSet[applied.Sector] {
+					record.Compensations++
+				}
+			}
+		}
+		nextMove = len(moves)
+		record.Utility = st.Utility(opts.Util)
+		record.Handovers, record.Seamless = stepHandovers(prev, st)
+		plan.Steps = append(plan.Steps, record)
+	}
+	for len(plan.Steps) < opts.MaxSteps-1 {
+		prev := st.Clone()
+		holding := false
+		for _, tg := range targets {
+			holding = holding || st.Load(tg) > 0
+		}
+		if !holding {
+			jump(prev)
+			break
+		}
+		record := StepRecord{}
+		for _, tg := range targets {
+			if applied := st.MustApply(config.Change{Sector: tg, PowerDelta: -opts.TargetStepDB}); !applied.IsZero() {
+				record.Changes = append(record.Changes, applied)
+			}
+		}
+		if len(record.Changes) == 0 {
+			plan.JumpedToAfter = true
+			jump(prev)
+			break
+		}
+		u := st.Utility(opts.Util)
+		for u < plan.AfterUtility && nextMove < len(moves) {
+			applied := st.MustApply(moves[nextMove])
+			nextMove++
+			if !applied.IsZero() {
+				record.Changes = append(record.Changes, applied)
+				record.Compensations++
+				u = st.Utility(opts.Util)
+			}
+		}
+		if u < plan.AfterUtility && nextMove >= len(moves) {
+			plan.JumpedToAfter = true
+			jump(prev)
+			break
+		}
+		record.Utility = u
+		record.Handovers, record.Seamless = stepHandovers(prev, st)
+		plan.Steps = append(plan.Steps, record)
+	}
+	if n := len(plan.Steps); n == 0 || !plan.Steps[n-1].UpgradeStep {
+		plan.JumpedToAfter = true
+		jump(st.Clone())
+	}
+	for _, s := range plan.Steps {
+		plan.TotalHandovers += s.Handovers
+		plan.SeamlessHandovers += s.Seamless
+		plan.MaxSimultaneousHandovers = math.Max(plan.MaxSimultaneousHandovers, s.Handovers)
+		plan.UtilityFloor = math.Min(plan.UtilityFloor, s.Utility)
+	}
+	return plan, nil
+}
+
+// refOneShot is the clone-diff reference for OneShot.
+func refOneShot(before, after *netmodel.State, opts Options) *Plan {
+	opts.applyDefaults()
+	st := before.Clone()
+	diff, _ := st.Cfg.Diff(after.Cfg) // OneShot already diffed the two networks
+	record := StepRecord{UpgradeStep: true}
+	for _, ch := range diff {
+		if applied := st.MustApply(ch); !applied.IsZero() {
+			record.Changes = append(record.Changes, applied)
+		}
+	}
+	record.Utility = st.Utility(opts.Util)
+	record.Handovers, record.Seamless = stepHandovers(before, st)
+	return &Plan{
+		Steps:                    []StepRecord{record},
+		MaxSimultaneousHandovers: record.Handovers,
+		TotalHandovers:           record.Handovers,
+		SeamlessHandovers:        record.Seamless,
+		UtilityFloor:             record.Utility,
+		AfterUtility:             after.Utility(opts.Util),
+	}
+}
+
+// samePlan fails unless got and want agree bit for bit: every step's
+// changes, utility, handovers, seamless weight, compensation count and
+// upgrade flag, and every plan total.
+func samePlan(t testing.TB, name string, got, want *Plan) {
+	t.Helper()
+	bits := func(field string, step int, g, w float64) {
+		t.Helper()
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s step %d: %s %v, oracle %v", name, step, field, g, w)
+		}
+	}
+	if len(got.Steps) != len(want.Steps) {
+		t.Fatalf("%s: %d steps, oracle %d", name, len(got.Steps), len(want.Steps))
+	}
+	for i := range got.Steps {
+		g, w := got.Steps[i], want.Steps[i]
+		if !slices.Equal(g.Changes, w.Changes) {
+			t.Errorf("%s step %d: changes %v, oracle %v", name, i, g.Changes, w.Changes)
+		}
+		bits("utility", i, g.Utility, w.Utility)
+		bits("handovers", i, g.Handovers, w.Handovers)
+		bits("seamless", i, g.Seamless, w.Seamless)
+		if g.Compensations != w.Compensations || g.UpgradeStep != w.UpgradeStep {
+			t.Errorf("%s step %d: compensations/upgrade %d/%v, oracle %d/%v",
+				name, i, g.Compensations, g.UpgradeStep, w.Compensations, w.UpgradeStep)
+		}
+	}
+	bits("total handovers", -1, got.TotalHandovers, want.TotalHandovers)
+	bits("seamless handovers", -1, got.SeamlessHandovers, want.SeamlessHandovers)
+	bits("max burst", -1, got.MaxSimultaneousHandovers, want.MaxSimultaneousHandovers)
+	bits("utility floor", -1, got.UtilityFloor, want.UtilityFloor)
+	bits("after utility", -1, got.AfterUtility, want.AfterUtility)
+	if got.JumpedToAfter != want.JumpedToAfter {
+		t.Errorf("%s: JumpedToAfter %v, oracle %v", name, got.JumpedToAfter, want.JumpedToAfter)
+	}
+}
+
+// checkAgainstOracle runs Gradual at each options value, and OneShot at
+// the first, and pins each plan to its clone-per-step reference.
+func checkAgainstOracle(t testing.TB, name string, before, after *netmodel.State, targets []int, opts ...Options) {
+	t.Helper()
+	for _, o := range opts {
+		got, err := Gradual(before, after, targets, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refGradual(before, after, targets, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePlan(t, fmt.Sprintf("%s gradual %+v", name, o), got, want)
+	}
+	got, err := OneShot(before, after, targets, opts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePlan(t, name+" one-shot", got, refOneShot(before, after, opts[0]))
+}
+
+func TestMigrationMatchesCloneOracle(t *testing.T) {
+	for _, seed := range []int64{3, 5, 7} {
+		fx := makeFixture(t, seed)
+		checkAgainstOracle(t, fmt.Sprintf("seed %d", seed), fx.before, fx.after, fx.targets,
+			Options{}, Options{TargetStepDB: 1}, Options{TargetStepDB: 6}, Options{MaxSteps: 2})
+	}
+}
+
+// TestMaxStepsCountsFinalJump pins the cap: the forced jump to C_after
+// is one of the MaxSteps steps, not one past them.
+func TestMaxStepsCountsFinalJump(t *testing.T) {
+	fx := makeFixture(t, 3)
+	full, err := Gradual(fx.before, fx.after, fx.targets, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Steps) < 3 {
+		t.Fatalf("fixture migrates in %d steps; the cap needs a longer plan", len(full.Steps))
+	}
+	for maxSteps := 1; maxSteps < len(full.Steps); maxSteps++ {
+		plan, err := Gradual(fx.before, fx.after, fx.targets, Options{MaxSteps: maxSteps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Steps) != maxSteps {
+			t.Errorf("MaxSteps %d: plan has %d steps", maxSteps, len(plan.Steps))
+		}
+		if last := plan.Steps[len(plan.Steps)-1]; !last.UpgradeStep || !plan.JumpedToAfter {
+			t.Errorf("MaxSteps %d: a capped plan must end with the forced jump", maxSteps)
 		}
 	}
 }

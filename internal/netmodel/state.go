@@ -11,7 +11,8 @@ import (
 // State is the full evaluation of one configuration against a Model:
 // per-grid serving sector, SINR and maximum rate, and per-sector load.
 // Apply performs incremental re-evaluation after a single-sector change;
-// Clone snapshots the state for later comparison.
+// Clone snapshots the state for later comparison; Derive evaluates
+// another configuration from it.
 //
 // A State owns its Config: mutate the configuration only through Apply
 // so the cached radio state stays consistent.
@@ -48,8 +49,8 @@ type State struct {
 	// with bestSec == b, servedPos[g] the grid's slot in its list, so the
 	// "which grids does this load shift touch?" sweeps in SpeculateBatch
 	// and the KPI aggregates run over the served set instead of the (much
-	// larger) contributor entry list. Built by NewState, copied by Clone
-	// and maintained O(1) by setServing.
+	// larger) contributor entry list. Built by NewState and Derive, copied
+	// by Clone and maintained O(1) by setServing.
 	servedList [][]int32
 	servedPos  []int32
 
@@ -73,6 +74,18 @@ type State struct {
 // NewState fully evaluates cfg against the model. The state takes
 // ownership of cfg (clone it first if the caller needs the original).
 func (m *Model) NewState(cfg *config.Config) *State {
+	s := m.allocState(cfg)
+	for b := range m.core.sectorEntries {
+		s.deriveSector(b)
+	}
+	s.evaluateGrids()
+	return s
+}
+
+// allocState returns a zeroed state over m owning cfg, with an empty
+// utility memo: the per-entry and per-grid arrays await deriveSector and
+// evaluateGrids.
+func (m *Model) allocState(cfg *config.Config) *State {
 	s := &State{
 		Model:   m,
 		Cfg:     cfg,
@@ -88,8 +101,6 @@ func (m *Model) NewState(cfg *config.Config) *State {
 		served:  make([]int32, m.Net.NumSectors()),
 	}
 	s.resetUtilityMemo("")
-	s.recomputeAll()
-	s.buildServedIndex()
 	return s
 }
 
@@ -144,33 +155,83 @@ func (s *State) Clone() *State {
 	return c
 }
 
-// recomputeAll evaluates every grid from scratch.
-func (s *State) recomputeAll() {
-	m := s.Model
-	// Per-entry received powers.
-	for b := 0; b < m.Net.NumSectors(); b++ {
-		off := s.Cfg.Off(b)
-		power := s.Cfg.PowerDbm(b)
-		tilt := s.Cfg.TiltDeg(b)
-		for _, ref := range m.core.sectorEntries[b] {
-			s.linkDB[ref.Pos] = m.entryLinkDB(int(ref.Pos), tilt)
-			if off {
-				s.rpMw[ref.Pos] = 0
-			} else {
-				s.rpMw[ref.Pos] = units.DbmToMw(power + s.linkDB[ref.Pos])
-			}
+// Derive returns cfg evaluated against m: a state bit-identical to
+// m.NewState(cfg), built from s instead of from scratch. Every entry's
+// link budget and received power is a pure function of its sector's
+// power, tilt and on/off setting, so Derive copies s's entries and
+// re-derives only the sectors whose setting cfg changes (all of them
+// when m answers link budgets from other tables than s.Model), then
+// runs NewState's per-grid pass. That presumes s's entries are current:
+// s was built or refreshed after its model's last InstallLinkTable.
+//
+// m must share s's ModelCore — s.Model itself or a ForkUsers fork —
+// and Derive panics otherwise. The loads come from m's UE distribution.
+// s is only read, so Derive is safe on a state shared between
+// goroutines. The new state takes ownership of cfg.
+func (s *State) Derive(m *Model, cfg *config.Config) *State {
+	if m.core != s.Model.core {
+		panic("netmodel: Derive onto a model over another core")
+	}
+	d := m.allocState(cfg)
+	copy(d.rpMw, s.rpMw)
+	copy(d.linkDB, s.linkDB)
+	all := !sameLinkTables(m, s.Model)
+	for b := range m.core.sectorEntries {
+		if all || cfg.PowerDbm(b) != s.Cfg.PowerDbm(b) ||
+			cfg.TiltIndex(b) != s.Cfg.TiltIndex(b) || cfg.Off(b) != s.Cfg.Off(b) {
+			d.deriveSector(b)
 		}
 	}
-	// Per-grid aggregates.
-	for i := range s.load {
-		s.load[i] = 0
-		s.served[i] = 0
+	d.evaluateGrids()
+	return d
+}
+
+// sameLinkTables reports whether a and b answer entryLinkDB from the
+// same tabulated link budgets. A ForkUsers fork shares its parent's
+// table slices, so an install on either is seen by both.
+func sameLinkTables(a, b *Model) bool {
+	return sameBacking(a.entryCurve, b.entryCurve) && sameBacking(a.curveSettings, b.curveSettings)
+}
+
+// sameBacking reports whether x and y are the same slice (both empty
+// counts as the same).
+func sameBacking[T any](x, y []T) bool {
+	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
+}
+
+// deriveSector evaluates sector b's entries from scratch under the
+// state's configuration: link budgets at the sector's tilt and received
+// powers at its transmit power (0 when off-air). It leaves the per-grid
+// aggregates to evaluateGrids.
+func (s *State) deriveSector(b int) {
+	m := s.Model
+	off := s.Cfg.Off(b)
+	power := s.Cfg.PowerDbm(b)
+	tilt := s.Cfg.TiltDeg(b)
+	for _, ref := range m.core.sectorEntries[b] {
+		s.linkDB[ref.Pos] = m.entryLinkDB(int(ref.Pos), tilt)
+		if off {
+			s.rpMw[ref.Pos] = 0
+		} else {
+			s.rpMw[ref.Pos] = units.DbmToMw(power + s.linkDB[ref.Pos])
+		}
 	}
+}
+
+// evaluateGrids is the per-grid pass of a freshly allocated state whose
+// entries are derived: it rescans every grid and accumulates the sector
+// loads and the served-grid index in ascending grid order.
+func (s *State) evaluateGrids() {
+	m := s.Model
+	s.servedList = make([][]int32, m.Net.NumSectors())
+	s.servedPos = make([]int32, m.Grid.NumCells())
 	for g := 0; g < m.Grid.NumCells(); g++ {
 		s.rescanGrid(g)
-		if best := s.bestSec[g]; best >= 0 {
-			s.load[best] += m.ue[g]
-			s.served[best]++
+		if b := s.bestSec[g]; b >= 0 {
+			s.load[b] += m.ue[g]
+			s.served[b]++
+			s.servedPos[g] = int32(len(s.servedList[b]))
+			s.servedList[b] = append(s.servedList[b], int32(g))
 		}
 	}
 }
@@ -384,19 +445,6 @@ func (s *State) setServing(g int, sec int32, mw float64) {
 	if sec >= 0 {
 		s.servedPos[g] = int32(len(s.servedList[sec]))
 		s.servedList[sec] = append(s.servedList[sec], int32(g))
-	}
-}
-
-// buildServedIndex derives the per-sector served-grid index from the
-// serving map of a freshly evaluated state.
-func (s *State) buildServedIndex() {
-	s.servedList = make([][]int32, s.Model.Net.NumSectors())
-	s.servedPos = make([]int32, s.Model.Grid.NumCells())
-	for g, b := range s.bestSec {
-		if b >= 0 {
-			s.servedPos[g] = int32(len(s.servedList[b]))
-			s.servedList[b] = append(s.servedList[b], int32(g))
-		}
 	}
 }
 

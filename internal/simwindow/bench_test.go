@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"magus/internal/core"
+	"magus/internal/executor"
 	"magus/internal/migrate"
 	"magus/internal/runbook"
 	"magus/internal/schedule"
@@ -36,12 +37,13 @@ type benchFix struct {
 	once sync.Once
 	err  error
 	eng  *core.Engine
+	plan *core.Plan
 	grad *runbook.Runbook
 }
 
 var benchFixes sync.Map // size name -> *benchFix
 
-func benchFixture(b *testing.B, sz benchSize) (*core.Engine, *runbook.Runbook) {
+func benchFixture(b *testing.B, sz benchSize) *benchFix {
 	b.Helper()
 	v, _ := benchFixes.LoadOrStore(sz.name, &benchFix{})
 	fx := v.(*benchFix)
@@ -72,12 +74,12 @@ func benchFixture(b *testing.B, sz benchSize) (*core.Engine, *runbook.Runbook) {
 			fx.err = err
 			return
 		}
-		fx.eng, fx.grad = eng, grad
+		fx.eng, fx.plan, fx.grad = eng, plan, grad
 	})
 	if fx.err != nil {
 		b.Fatalf("bench fixture %s: %v", sz.name, fx.err)
 	}
-	return fx.eng, fx.grad
+	return fx
 }
 
 // BenchmarkSimWindow sweeps one simulated upgrade window — runbook
@@ -100,7 +102,8 @@ func BenchmarkSimWindow(b *testing.B) {
 	for _, sz := range benchSizes {
 		for _, mode := range modes {
 			b.Run(mode.name+"-"+sz.name, func(b *testing.B) {
-				eng, grad := benchFixture(b, sz)
+				fx := benchFixture(b, sz)
+				eng, grad := fx.eng, fx.grad
 				profile := schedule.DefaultProfile()
 				faults, err := simwindow.ParseFaults(
 					"sector-down@25:" + itoa(grad.TunedSectors[0]) +
@@ -145,6 +148,50 @@ func BenchmarkSimWindow(b *testing.B) {
 					float64(b.Elapsed().Nanoseconds())/float64(b.N*(cfg.Ticks+1)),
 					"ns/tick")
 			})
+		}
+	}
+}
+
+// benchMedium is the sweep's medium grid, the size CI gates.
+var benchMedium = benchSizes[1]
+
+// Sinks keep the measured calls' results alive.
+var (
+	setupSimSink  *simwindow.Simulator
+	setupNetSink  *executor.SimNetwork
+	migrationSink *migrate.Plan
+)
+
+// BenchmarkWindowSetup prices what every /simulate and /execute pays
+// before its first tick: a simulator and an executor network, each a
+// Session whose live and C_after states are derived from the engine's
+// shared baseline, on the medium fixture.
+func BenchmarkWindowSetup(b *testing.B) {
+	fx := benchFixture(b, benchMedium)
+	cfg := simwindow.Config{Seed: 42, Ticks: 360}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if setupSimSink, err = simwindow.New(fx.eng.Before, fx.grad, cfg); err != nil {
+			b.Fatal(err)
+		}
+		if setupNetSink, err = executor.NewSimNetwork(fx.eng.Before, fx.grad, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGradualMigration prices one gradual migration (Figure 11's
+// schedule, the runbook's source) on the medium fixture's plan.
+func BenchmarkGradualMigration(b *testing.B) {
+	plan := benchFixture(b, benchMedium).plan
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if migrationSink, err = plan.GradualMigration(migrate.Options{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -14,3 +14,6 @@ import (
 func NewFullScan(base *netmodel.State, rb *runbook.Runbook, cfg Config) (*Simulator, error) {
 	return newSimulator(base, rb, cfg, true)
 }
+
+// SessionStates returns a session's live and C_after reference states.
+func SessionStates(s *Session) (live, afterRef *netmodel.State) { return s.live, s.afterRef }

@@ -93,31 +93,35 @@ func NewSession(base *netmodel.State, rb *runbook.Runbook, cfg Config) (*Session
 }
 
 // newSession is the constructor shared by sessions and simulators: it
-// forks the model, builds the live and C_after states, validates every
-// fault once and sets up the meter (full selects the full-scan
-// reference measurement).
+// forks the model, derives the live and C_after states from base,
+// validates every fault once and sets up the meter (full selects the
+// full-scan reference measurement).
 func newSession(base *netmodel.State, rb *runbook.Runbook, cfg Config, full bool) (*Session, error) {
 	if base == nil || rb == nil {
 		return nil, fmt.Errorf("simwindow: nil state or runbook")
 	}
 	cfg.applyDefaults(rb)
 
+	afterCfg := base.Cfg.Clone()
+	for _, step := range rb.Steps {
+		for _, ch := range step.Changes {
+			if _, err := afterCfg.Apply(ch); err != nil {
+				return nil, fmt.Errorf("simwindow: step %d: %w", step.Index, err)
+			}
+		}
+	}
+	// Both states are derived on the fork from base's entries, so each is
+	// exactly the fork's NewState of its configuration; afterRef re-derives
+	// only the sectors the runbook touches.
 	model := base.Model.ForkUsers()
-	live := model.NewState(base.Cfg.Clone())
+	live := base.Derive(model, base.Cfg.Clone())
 	s := &Session{
 		cfg:       cfg,
 		model:     model,
 		live:      live,
-		afterRef:  live.Clone(),
+		afterRef:  live.Derive(model, afterCfg),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		curFactor: 1,
-	}
-	for _, step := range rb.Steps {
-		for _, ch := range step.Changes {
-			if _, err := s.afterRef.Apply(ch); err != nil {
-				return nil, fmt.Errorf("simwindow: step %d: %w", step.Index, err)
-			}
-		}
 	}
 
 	var timed []Fault

@@ -5,8 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"magus/internal/netmodel"
+	"magus/internal/runbook"
 	"magus/internal/schedule"
 	"magus/internal/simwindow"
+	"magus/internal/utility"
 )
 
 // TestSessionMatchesRun: Run is a driver over a Session, so on a
@@ -123,4 +126,64 @@ func TestConstructorsValidateFaults(t *testing.T) {
 			t.Errorf("NewSession(%q): err = %v, want ok=%v", c.script, err, c.sessOK)
 		}
 	}
+}
+
+// TestSessionStatesMatchNewState: a session derives its live state and
+// its C_after reference from the base state instead of building them,
+// and each must equal NewState of its configuration (C_before, and
+// C_before with every runbook step applied) bit for bit on every read
+// the meter and the executor take.
+func TestSessionStatesMatchNewState(t *testing.T) {
+	eng, _, grad, one := fixture(t)
+	for _, rb := range []*runbook.Runbook{grad, one} {
+		sess, err := simwindow.NewSession(eng.Before, rb, simwindow.Config{Ticks: 10})
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
+		}
+		afterCfg := eng.Before.Cfg.Clone()
+		for _, step := range rb.Steps {
+			for _, ch := range step.Changes {
+				if _, err := afterCfg.Apply(ch); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fork := eng.Before.Model.ForkUsers()
+		live, afterRef := simwindow.SessionStates(sess)
+		sameState(t, rb.Method+" live", live, fork.NewState(eng.Before.Cfg.Clone()))
+		sameState(t, rb.Method+" C_after", afterRef, fork.NewState(afterCfg))
+	}
+}
+
+// sameState fails unless got equals want bit for bit on every per-grid
+// and per-sector read, the full-scan utility and the KPI aggregate
+// utility.
+func sameState(t *testing.T, where string, got, want *netmodel.State) {
+	t.Helper()
+	if !got.Cfg.Equal(want.Cfg) {
+		t.Fatalf("%s: configuration differs", where)
+	}
+	eq := func(what string, i int, g, w float64) {
+		t.Helper()
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: %s[%d] = %v, NewState %v", where, what, i, g, w)
+		}
+	}
+	m := want.Model
+	for g := 0; g < m.Grid.NumCells(); g++ {
+		if got.ServingSector(g) != want.ServingSector(g) {
+			t.Fatalf("%s: grid %d served by %d, NewState %d", where, g, got.ServingSector(g), want.ServingSector(g))
+		}
+		eq("MaxRateBps", g, got.MaxRateBps(g), want.MaxRateBps(g))
+		eq("SINRdB", g, got.SINRdB(g), want.SINRdB(g))
+	}
+	for b := 0; b < m.Net.NumSectors(); b++ {
+		eq("Load", b, got.Load(b), want.Load(b))
+		if got.ServedGrids(b) != want.ServedGrids(b) {
+			t.Fatalf("%s: sector %d serves %d grids, NewState %d", where, b, got.ServedGrids(b), want.ServedGrids(b))
+		}
+	}
+	eq("UtilityScan", 0, got.UtilityScan(utility.Performance, 1), want.UtilityScan(utility.Performance, 1))
+	want.EnableKPIAggregates(utility.Performance, 1)
+	eq("KPIUtility", 0, got.KPIUtility(), want.KPIUtility())
 }
