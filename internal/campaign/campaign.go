@@ -25,18 +25,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"magus/internal/chaos"
 	"magus/internal/core"
 	"magus/internal/evalengine"
 	"magus/internal/executor"
 	"magus/internal/journal"
 	"magus/internal/migrate"
 	"magus/internal/runbook"
-	"magus/internal/schedule"
 	"magus/internal/simwindow"
 	"magus/internal/topology"
-	"magus/internal/upgrade"
-	"magus/internal/utility"
 	"magus/internal/waveplan"
 )
 
@@ -72,252 +68,6 @@ func (s JobState) String() string {
 
 // JobStates lists every state in lifecycle order.
 var JobStates = []JobState{JobQueued, JobRunning, JobDone, JobFailed, JobCancelled}
-
-// UtilityByName maps the wire names of the objectives to their
-// functions; the empty name selects performance, matching the /plan
-// endpoint's default.
-var UtilityByName = map[string]utility.Func{
-	"":            utility.Performance,
-	"performance": utility.Performance,
-	"coverage":    utility.Coverage,
-}
-
-// Job kinds.
-const (
-	// KindPlan plans a mitigation and its gradual migration (the
-	// default; "" means the same).
-	KindPlan = "plan"
-	// KindSimulate additionally executes the resulting runbook through
-	// the upgrade-window simulator.
-	KindSimulate = "simulate"
-	// KindWave schedules a whole upgrade season: the wave scheduler
-	// partitions the market's upgrade set into conflict-free waves and
-	// evaluates each (see internal/waveplan).
-	KindWave = "wave"
-	// KindExecute drives the resulting runbook through the guarded
-	// executor against a live simulated network: checkpointed pushes,
-	// KPI watchdog against the f(C_after) floor, automatic rollback on
-	// breach (see internal/executor).
-	KindExecute = "execute"
-)
-
-// WaveSpec configures a wave job's season. JSON tags make it the wire
-// form too; zero fields select the scheduler defaults. The job's
-// Method/Utility/Workers/FixedPoint/AnnealSeed fields apply to the
-// per-wave searches and the anneal, as on plan jobs.
-type WaveSpec struct {
-	// Sectors is the upgrade set (empty = the market's whole tuning
-	// area).
-	Sectors []int `json:"sectors,omitempty"`
-	// CrewsPerWave, MaxWaves and Blackout are the season's calendar
-	// constraints (see waveplan.Constraints).
-	CrewsPerWave int   `json:"crews_per_wave,omitempty"`
-	MaxWaves     int   `json:"max_waves,omitempty"`
-	Blackout     []int `json:"blackout,omitempty"`
-	// OverlapThreshold and MarginDB shape the co-upgrade conflict graph.
-	OverlapThreshold float64 `json:"overlap_threshold,omitempty"`
-	MarginDB         float64 `json:"margin_db,omitempty"`
-	// AnnealIters bounds the wave-assignment anneal.
-	AnnealIters int `json:"anneal_iters,omitempty"`
-	// RollingRecovery is the rolling-vs-stopping semantics threshold.
-	RollingRecovery float64 `json:"rolling_recovery,omitempty"`
-	// Replay plays each wave's runbook through a simwindow; a floor
-	// breach halts the season and emits the rollback runbook.
-	Replay bool `json:"replay,omitempty"`
-	// ReplayTicks overrides the replay window length.
-	ReplayTicks int `json:"replay_ticks,omitempty"`
-	// Faults is a fault script injected into every wave's replay.
-	Faults string `json:"faults,omitempty"`
-	// HaltBelowTicks is the consecutive below-floor replay ticks that
-	// halt the season.
-	HaltBelowTicks int `json:"halt_below_ticks,omitempty"`
-}
-
-// SimSpec configures a simulate job's window. JSON tags make it the
-// wire form too.
-type SimSpec struct {
-	// Seed drives the simulator's rand.Rand (load noise).
-	Seed int64 `json:"seed"`
-	// Ticks is the window length (0 = one tick per push plus settle).
-	Ticks int `json:"ticks"`
-	// Faults is a fault script in simwindow.ParseFaults syntax.
-	Faults string `json:"faults"`
-	// Diurnal evolves load along schedule.DefaultProfile.
-	Diurnal bool `json:"diurnal"`
-	// StartHour is the local hour at tick 0 (default 2).
-	StartHour float64 `json:"start_hour"`
-	// LoadNoise is the per-tick lognormal load jitter sigma.
-	LoadNoise float64 `json:"load_noise"`
-	// Replan enables the search-based replanner on floor breaches.
-	Replan bool `json:"replan"`
-}
-
-// ExecSpec configures an execute job's guarded run. JSON tags make it
-// the wire form too; zero fields select the executor defaults.
-type ExecSpec struct {
-	// Seed drives the live session's rand.Rand (load noise).
-	Seed int64 `json:"seed"`
-	// Chaos is a combined fault script in chaos.Split syntax: delivery
-	// faults (push-error@2x2, kpi-breach@3, crash-after-commit@1, ...)
-	// plus simwindow's timed faults (sector-down@TICK:SECTOR, ...).
-	Chaos string `json:"chaos,omitempty"`
-	// Diurnal evolves load along schedule.DefaultProfile.
-	Diurnal bool `json:"diurnal,omitempty"`
-	// StartHour is the local hour at tick 0 (default 2).
-	StartHour float64 `json:"start_hour,omitempty"`
-	// LoadNoise is the per-tick lognormal load jitter sigma.
-	LoadNoise float64 `json:"load_noise,omitempty"`
-	// StepDeadlineMS bounds one step's push-plus-retries.
-	StepDeadlineMS int64 `json:"step_deadline_ms,omitempty"`
-	// Retries is the per-step push retry budget.
-	Retries int `json:"retries,omitempty"`
-	// RetryBackoffMS is the initial retry delay (doubles, jittered).
-	RetryBackoffMS int64 `json:"retry_backoff_ms,omitempty"`
-	// VerifySamples and GraceSamples tune the KPI watchdog.
-	VerifySamples int `json:"verify_samples,omitempty"`
-	GraceSamples  int `json:"grace_samples,omitempty"`
-	// ExecSeed seeds the executor's retry jitter.
-	ExecSeed int64 `json:"exec_seed,omitempty"`
-}
-
-// JobSpec names one unit of planning work: which market, which upgrade,
-// which strategy.
-type JobSpec struct {
-	Class    topology.AreaClass
-	Seed     int64
-	Scenario upgrade.Scenario
-	Method   core.Method
-	// Utility is the objective's wire name ("", "performance",
-	// "coverage"); see UtilityByName.
-	Utility string
-	// Timeout bounds the job's run (0 uses the orchestrator default).
-	Timeout time.Duration
-	// Workers is the candidate-scoring parallelism inside this job's
-	// search (see search.Options.Workers): 0 inherits the orchestrator's
-	// SearchWorkers, 1 scores on the job's own goroutine.
-	Workers int
-	// FixedPoint scores this job's candidates with the quantized kernel
-	// (int16 centi-dB inner loop); see
-	// core.MitigateRequest.FixedPoint.
-	FixedPoint bool
-	// AnnealSeed seeds the Annealed method's random walk (0 = default).
-	AnnealSeed int64
-	// Kind selects the work: KindPlan (or "") plans; KindSimulate also
-	// executes the runbook through the simulator; KindWave schedules an
-	// upgrade season.
-	Kind string
-	// Sim tunes a simulate job (nil = simulator defaults).
-	Sim *SimSpec
-	// Wave tunes a wave job (nil = scheduler defaults).
-	Wave *WaveSpec
-	// Exec tunes an execute job (nil = executor defaults).
-	Exec *ExecSpec
-}
-
-// validate rejects specs the workers could only fail on.
-func (sp JobSpec) validate() error {
-	switch sp.Class {
-	case topology.Rural, topology.Suburban, topology.Urban:
-	default:
-		return fmt.Errorf("campaign: unknown class %d", int(sp.Class))
-	}
-	switch sp.Scenario {
-	case upgrade.SingleSector, upgrade.FullSite, upgrade.FourCorners:
-	default:
-		return fmt.Errorf("campaign: unknown scenario %d", int(sp.Scenario))
-	}
-	switch sp.Method {
-	case core.PowerOnly, core.TiltOnly, core.Joint, core.NaiveBaseline, core.Annealed:
-	default:
-		return fmt.Errorf("campaign: unknown method %d", int(sp.Method))
-	}
-	if _, ok := UtilityByName[sp.Utility]; !ok {
-		return fmt.Errorf("campaign: unknown utility %q", sp.Utility)
-	}
-	if sp.Timeout < 0 {
-		return fmt.Errorf("campaign: negative timeout %v", sp.Timeout)
-	}
-	if sp.Workers < 0 {
-		return fmt.Errorf("campaign: negative workers %d", sp.Workers)
-	}
-	if sp.Exec != nil && sp.Kind != KindExecute {
-		return fmt.Errorf("campaign: exec config on a %q job", sp.Kind)
-	}
-	switch sp.Kind {
-	case "", KindPlan:
-		if sp.Sim != nil {
-			return fmt.Errorf("campaign: sim config on a %q job", KindPlan)
-		}
-		if sp.Wave != nil {
-			return fmt.Errorf("campaign: wave config on a %q job", KindPlan)
-		}
-	case KindSimulate:
-		if sp.Wave != nil {
-			return fmt.Errorf("campaign: wave config on a %q job", KindSimulate)
-		}
-		if sp.Sim != nil {
-			if _, err := simwindow.ParseFaults(sp.Sim.Faults); err != nil {
-				return fmt.Errorf("campaign: %w", err)
-			}
-			if sp.Sim.Ticks < 0 || sp.Sim.LoadNoise < 0 {
-				return fmt.Errorf("campaign: negative sim ticks or load noise")
-			}
-		}
-	case KindWave:
-		if sp.Sim != nil {
-			return fmt.Errorf("campaign: sim config on a %q job", KindWave)
-		}
-		if w := sp.Wave; w != nil {
-			seen := make(map[int]bool, len(w.Sectors))
-			for _, s := range w.Sectors {
-				if s < 0 {
-					return fmt.Errorf("campaign: negative wave sector %d", s)
-				}
-				if seen[s] {
-					return fmt.Errorf("campaign: duplicate wave sector %d", s)
-				}
-				seen[s] = true
-			}
-			for _, s := range w.Blackout {
-				if s < 0 {
-					return fmt.Errorf("campaign: negative blackout slot %d", s)
-				}
-			}
-			if w.CrewsPerWave < 0 || w.MaxWaves < 0 || w.AnnealIters < 0 ||
-				w.ReplayTicks < 0 || w.HaltBelowTicks < 0 {
-				return fmt.Errorf("campaign: negative wave constraint")
-			}
-			if w.OverlapThreshold < 0 || w.OverlapThreshold >= 1 {
-				return fmt.Errorf("campaign: overlap threshold %g outside [0, 1)", w.OverlapThreshold)
-			}
-			if w.MarginDB < 0 || w.RollingRecovery < 0 || w.RollingRecovery > 1 {
-				return fmt.Errorf("campaign: wave margin or rolling recovery out of range")
-			}
-			if _, err := simwindow.ParseFaults(w.Faults); err != nil {
-				return fmt.Errorf("campaign: %w", err)
-			}
-		}
-	case KindExecute:
-		if sp.Sim != nil {
-			return fmt.Errorf("campaign: sim config on a %q job", KindExecute)
-		}
-		if sp.Wave != nil {
-			return fmt.Errorf("campaign: wave config on a %q job", KindExecute)
-		}
-		if e := sp.Exec; e != nil {
-			if _, _, err := chaos.Split(e.Chaos); err != nil {
-				return fmt.Errorf("campaign: %w", err)
-			}
-			if e.LoadNoise < 0 || e.StepDeadlineMS < 0 || e.Retries < 0 ||
-				e.RetryBackoffMS < 0 || e.VerifySamples < 0 || e.GraceSamples < 0 {
-				return fmt.Errorf("campaign: negative exec parameter")
-			}
-		}
-	default:
-		return fmt.Errorf("campaign: unknown kind %q", sp.Kind)
-	}
-	return nil
-}
 
 // Result is a completed job's planning outcome.
 type Result struct {
@@ -585,7 +335,7 @@ func (o *Orchestrator) Submit(specs []JobSpec) (*Campaign, error) {
 		return nil, fmt.Errorf("campaign: no jobs")
 	}
 	for i, sp := range specs {
-		if err := sp.validate(); err != nil {
+		if err := sp.Validate(); err != nil {
 			return nil, fmt.Errorf("job %d: %w", i, err)
 		}
 	}
@@ -970,7 +720,7 @@ func (o *Orchestrator) execute(ctx context.Context, sp JobSpec) (*Result, error)
 				return nil, fmt.Errorf("runbook: %w", err)
 			}
 			if simulate {
-				out, err := simulateWindow(ctx, engine, rb, sp, workers)
+				out, err := sp.Sim.Run(ctx, engine.Before, rb, workers)
 				if err != nil {
 					return nil, fmt.Errorf("simulate: %w", err)
 				}
@@ -995,39 +745,11 @@ func (o *Orchestrator) execute(ctx context.Context, sp JobSpec) (*Result, error)
 // guard refusing to finish the upgrade is a job outcome, not a job
 // failure.
 func executeRunbook(ctx context.Context, engine *core.Engine, rb *runbook.Runbook, sp JobSpec) (*executor.Status, error) {
-	spec := sp.Exec
-	if spec == nil {
-		spec = &ExecSpec{}
-	}
-	plan, timed, err := chaos.Split(spec.Chaos)
+	net, opts, err := sp.Exec.Network(engine.Before, rb)
 	if err != nil {
 		return nil, err
 	}
-	cfg := simwindow.Config{
-		Seed:      spec.Seed,
-		StartHour: spec.StartHour,
-		LoadNoise: spec.LoadNoise,
-		Faults:    timed,
-		Ctx:       ctx,
-	}
-	if spec.Diurnal {
-		profile := schedule.DefaultProfile()
-		cfg.Profile = &profile
-	}
-	net, err := executor.NewSimNetwork(engine.Before, rb, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cnet := plan.Instrument(net)
-	ex, err := executor.New(cnet, rb, executor.Options{
-		StepDeadline:  time.Duration(spec.StepDeadlineMS) * time.Millisecond,
-		Retries:       spec.Retries,
-		RetryBackoff:  time.Duration(spec.RetryBackoffMS) * time.Millisecond,
-		VerifySamples: spec.VerifySamples,
-		GraceSamples:  spec.GraceSamples,
-		Seed:          spec.ExecSeed,
-		CrashHook:     cnet.Hook(),
-	})
+	ex, err := executor.New(net, rb, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -1036,78 +758,20 @@ func executeRunbook(ctx context.Context, engine *core.Engine, rb *runbook.Runboo
 
 // waveSeason plans the upgrade season described by the job's WaveSpec.
 func waveSeason(ctx context.Context, engine *core.Engine, sp JobSpec, workers int) (*waveplan.Result, error) {
-	spec := sp.Wave
-	if spec == nil {
-		spec = &WaveSpec{}
-	}
-	faults, err := simwindow.ParseFaults(spec.Faults)
+	opts, err := sp.Wave.options(ctx, sp, workers)
 	if err != nil {
 		return nil, err
 	}
 	var sectors []int
-	if len(spec.Sectors) > 0 {
-		sectors = append([]int(nil), spec.Sectors...)
+	if sp.Wave != nil && len(sp.Wave.Sectors) > 0 {
+		sectors = append([]int(nil), sp.Wave.Sectors...)
 		for _, s := range sectors {
 			if s >= engine.Net.NumSectors() {
 				return nil, fmt.Errorf("sector %d out of range [0, %d)", s, engine.Net.NumSectors())
 			}
 		}
 	}
-	return waveplan.Plan(engine, sectors, waveplan.Options{
-		Constraints: waveplan.Constraints{
-			CrewsPerWave:     spec.CrewsPerWave,
-			MaxWaves:         spec.MaxWaves,
-			Blackout:         append([]int(nil), spec.Blackout...),
-			OverlapThreshold: spec.OverlapThreshold,
-			MarginDB:         spec.MarginDB,
-		},
-		Method:          sp.Method,
-		Util:            UtilityByName[sp.Utility],
-		Seed:            sp.AnnealSeed,
-		AnnealIters:     spec.AnnealIters,
-		FixedPoint:      sp.FixedPoint,
-		Workers:         workers,
-		RollingRecovery: spec.RollingRecovery,
-		Replay:          spec.Replay,
-		ReplayTicks:     spec.ReplayTicks,
-		ReplayFaults:    faults,
-		HaltBelowTicks:  spec.HaltBelowTicks,
-		Ctx:             ctx,
-	})
-}
-
-// simulateWindow executes the runbook through the upgrade-window
-// simulator per the job's SimSpec.
-func simulateWindow(ctx context.Context, engine *core.Engine, rb *runbook.Runbook, sp JobSpec, workers int) (*simwindow.Outcome, error) {
-	spec := sp.Sim
-	if spec == nil {
-		spec = &SimSpec{}
-	}
-	faults, err := simwindow.ParseFaults(spec.Faults)
-	if err != nil {
-		return nil, err
-	}
-	cfg := simwindow.Config{
-		Seed:      spec.Seed,
-		Ticks:     spec.Ticks,
-		StartHour: spec.StartHour,
-		LoadNoise: spec.LoadNoise,
-		Faults:    faults,
-		Workers:   workers,
-		Ctx:       ctx,
-	}
-	if spec.Diurnal {
-		profile := schedule.DefaultProfile()
-		cfg.Profile = &profile
-	}
-	if spec.Replan {
-		cfg.Replanner = &simwindow.SearchReplanner{}
-	}
-	sim, err := simwindow.New(engine.Before, rb, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run()
+	return waveplan.Plan(engine, sectors, opts)
 }
 
 // Campaign is one submitted batch of jobs.

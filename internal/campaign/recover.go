@@ -294,7 +294,7 @@ func ReplayJournal(path string) ([]PendingJob, error) {
 		if err := json.Unmarshal(raw, &sp); err != nil {
 			continue
 		}
-		if err := sp.validate(); err != nil {
+		if err := sp.Validate(); err != nil {
 			continue
 		}
 		pending = append(pending, PendingJob{Campaign: k.campaign, Job: k.job, Spec: sp})

@@ -245,22 +245,16 @@ type Rates struct {
 	// (default 5ms — benchmarks keep it tiny so wall clock measures the
 	// protocol, not the sleep).
 	Delay time.Duration
-	// Burst is how many times a generated push-error or kpi-loss fault
-	// fires (default 1; keep below the executor's retry/loss budgets if
-	// the run should survive).
-	Burst int
 }
 
 // Generate derives a deterministic fault plan for a runbook of `steps`
-// steps: equal seeds, steps and rates yield the identical plan. Crash
-// and breach faults are never generated — those are scripted
-// deliberately, not sampled.
+// steps: equal seeds, steps and rates yield the identical plan. Each
+// generated push-error or kpi-loss fault fires once, inside the
+// executor's retry and sample-loss budgets. Crash and breach faults are
+// never generated — those are scripted deliberately, not sampled.
 func Generate(seed int64, steps int, r Rates) Plan {
 	if r.Delay <= 0 {
 		r.Delay = 5 * time.Millisecond
-	}
-	if r.Burst <= 0 {
-		r.Burst = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var p Plan
@@ -268,13 +262,13 @@ func Generate(seed int64, steps int, r Rates) Plan {
 		// One draw per fault kind per step, in fixed order, so the plan
 		// depends only on (seed, steps, rates).
 		if rng.Float64() < r.PushError {
-			p.Faults = append(p.Faults, Fault{Kind: KindPushError, Step: step, Count: r.Burst})
+			p.Faults = append(p.Faults, Fault{Kind: KindPushError, Step: step, Count: 1})
 		}
 		if rng.Float64() < r.PushDelay {
 			p.Faults = append(p.Faults, Fault{Kind: KindPushDelay, Step: step, Delay: r.Delay})
 		}
 		if rng.Float64() < r.KPILoss {
-			p.Faults = append(p.Faults, Fault{Kind: KindKPILoss, Step: step, Count: r.Burst})
+			p.Faults = append(p.Faults, Fault{Kind: KindKPILoss, Step: step, Count: 1})
 		}
 	}
 	sort.SliceStable(p.Faults, func(i, j int) bool { return p.Faults[i].Step < p.Faults[j].Step })

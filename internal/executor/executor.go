@@ -88,15 +88,16 @@ type Options struct {
 	// GraceSamples is the watchdog's grace window: more than this many
 	// consecutive below-floor samples is a breach (default 2).
 	GraceSamples int
-	// MaxSampleLoss bounds lost KPI reports per step; beyond it the
-	// step cannot be verified and the run halts (default 5).
-	MaxSampleLoss int
 	// CrashHook, when non-nil, is the chaos layer's kill switch.
 	CrashHook CrashHook
 	// Counters, when non-nil, aggregates across runs (the manager
 	// shares one set; /healthz reports it).
 	Counters *Counters
 }
+
+// maxSampleLoss bounds lost KPI reports per step; beyond it the step
+// cannot be verified and the run halts.
+const maxSampleLoss = 5
 
 func (o *Options) applyDefaults() {
 	if o.StepDeadline <= 0 {
@@ -118,9 +119,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.GraceSamples <= 0 {
 		o.GraceSamples = 2
-	}
-	if o.MaxSampleLoss <= 0 {
-		o.MaxSampleLoss = 5
 	}
 	if o.Counters == nil {
 		o.Counters = &Counters{}
@@ -604,7 +602,7 @@ func (e *Executor) push(ctx context.Context, st runbook.Step) error {
 func (e *Executor) verifyStep(ctx context.Context, st runbook.Step) error {
 	idx := st.Index
 	good, below, lost := 0, 0, 0
-	budget := e.opts.VerifySamples + e.opts.GraceSamples + e.opts.MaxSampleLoss
+	budget := e.opts.VerifySamples + e.opts.GraceSamples + maxSampleLoss
 	for taken := 0; taken < budget; taken++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("executor: step %d verify: %w", idx, err)
@@ -613,7 +611,7 @@ func (e *Executor) verifyStep(ctx context.Context, st runbook.Step) error {
 		if err != nil {
 			lost++
 			e.setRun(func(s *Status) { s.SamplesLost++ })
-			if lost > e.opts.MaxSampleLoss {
+			if lost > maxSampleLoss {
 				return haltError{step: idx, reason: fmt.Sprintf("unverifiable: %d KPI reports lost: %v", lost, err)}
 			}
 			continue

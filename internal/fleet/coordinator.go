@@ -444,12 +444,20 @@ func (c *Coordinator) journalLease(m MarketKey, node string, epoch int64) {
 // --- campaigns ----------------------------------------------------------
 
 // Submit fans a batch of job specs out across the fleet, grouped by
-// market. The batch is rejected with ErrNoWorkers when no live,
-// non-draining worker exists; individual dispatch failures after
-// admission are retried by the reconcile loop instead.
+// market. Every spec is validated first, as a worker's Submit would:
+// one invalid spec rejects the whole batch before anything is admitted,
+// since a worker refuses a dispatch that carries it. The batch is
+// rejected with ErrNoWorkers when no live, non-draining worker exists;
+// individual dispatch failures after admission are retried by the
+// reconcile loop instead.
 func (c *Coordinator) Submit(specs []campaign.JobSpec) (CampaignView, error) {
 	if len(specs) == 0 {
 		return CampaignView{}, fmt.Errorf("fleet: no jobs")
+	}
+	for i, sp := range specs {
+		if err := sp.Validate(); err != nil {
+			return CampaignView{}, fmt.Errorf("job %d: %w", i, err)
+		}
 	}
 	c.mu.Lock()
 	available := false

@@ -481,3 +481,57 @@ func TestFleetGracefulDrain(t *testing.T) {
 		t.Errorf("no graceful-leave record for %s in %+v", drained, tf.status(t).Evictions)
 	}
 }
+
+// TestFleetRejectsInvalidSpecs: the coordinator validates every spec
+// before admitting a campaign. An invalid nested spec, alone or next to
+// a valid job, is refused with 400 and nothing is admitted — a worker
+// would refuse the dispatch carrying it, and the reconcile loop would
+// re-send it forever while the valid jobs on its market stalled.
+func TestFleetRejectsInvalidSpecs(t *testing.T) {
+	tf := startTestFleet(t, "w1")
+	waitFor(t, 5*time.Second, "the worker to join", func() bool {
+		return aliveMembers(tf.status(t)) == 1
+	})
+	const valid = `{"class":"suburban","seed":41,"scenario":"a","method":"naive"}`
+	invalid := map[string]string{
+		"bad sim fault script":   `{"class":"suburban","seed":41,"kind":"simulate","sim":{"faults":"meteor@5"}}`,
+		"sim start hour -3":      `{"class":"suburban","seed":41,"kind":"simulate","sim":{"diurnal":true,"start_hour":-3}}`,
+		"wave overlap 2":         `{"class":"suburban","seed":41,"kind":"wave","wave":{"overlap_threshold":2}}`,
+		"exec chaos step 0":      `{"class":"suburban","seed":41,"kind":"execute","exec":{"chaos":"push-error@0"}}`,
+		"exec start hour -3":     `{"class":"suburban","seed":41,"kind":"execute","exec":{"diurnal":true,"start_hour":-3}}`,
+		"sim config on plan job": `{"class":"suburban","seed":41,"sim":{"seed":1}}`,
+		"unknown kind":           `{"class":"suburban","seed":41,"kind":"dream"}`,
+	}
+	for name, job := range invalid {
+		for _, body := range []string{
+			`{"jobs":[` + job + `]}`,
+			`{"jobs":[` + valid + `,` + job + `]}`,
+		} {
+			resp, err := http.Post(tf.coordSrv.URL+"/campaigns", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: %s, want 400 Bad Request", name, resp.Status)
+			}
+		}
+	}
+	resp, err := http.Get(tf.coordSrv.URL + "/campaigns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Campaigns []string `json:"campaigns"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Campaigns) != 0 {
+		t.Errorf("coordinator admitted campaigns %v", list.Campaigns)
+	}
+	if ids := tf.workers["w1"].orch.CampaignIDs(); len(ids) != 0 {
+		t.Errorf("worker received campaigns %v", ids)
+	}
+}

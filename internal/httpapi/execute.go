@@ -2,16 +2,8 @@ package httpapi
 
 import (
 	"net/http"
-	"time"
 
 	"magus/internal/campaign"
-	"magus/internal/chaos"
-	"magus/internal/core"
-	"magus/internal/executor"
-	"magus/internal/migrate"
-	"magus/internal/runbook"
-	"magus/internal/schedule"
-	"magus/internal/simwindow"
 )
 
 // executeRequest is the POST /execute body: the /plan vocabulary for
@@ -34,8 +26,11 @@ type executeRequest struct {
 // handleExecuteSubmit plans the mitigation synchronously against the
 // server's own engine (seconds), then hands the runbook to the guarded
 // executor asynchronously: 202 with the run ID, progress via
-// GET /execute/{id}. The run outlives the request — disconnecting the
-// client does not abandon a half-pushed runbook.
+// GET /execute/{id}. The body becomes an execute job's spec, validated
+// before planning; its network and executor options come from the same
+// ExecSpec.Network an execute campaign job uses. The run outlives the
+// request — disconnecting the client does not abandon a half-pushed
+// runbook.
 func (s *Server) handleExecuteSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
@@ -44,88 +39,32 @@ func (s *Server) handleExecuteSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	scenario, ok := scenarioByName[req.Scenario]
-	if !ok {
-		httpError(w, http.StatusBadRequest, "unknown scenario %q", req.Scenario)
-		return
+	spec := campaign.JobSpec{
+		Class:      s.engine.Net.Class,
+		Utility:    req.Utility,
+		Workers:    req.Workers,
+		FixedPoint: req.FixedPoint,
+		Kind:       campaign.KindExecute,
+		Exec:       req.Exec,
 	}
-	method, ok := methodByName[req.Method]
-	if !ok {
-		httpError(w, http.StatusBadRequest, "unknown method %q", req.Method)
-		return
+	err := resolve(&spec, req.Scenario, req.Method)
+	if err == nil {
+		err = spec.Validate()
 	}
-	util, ok := campaign.UtilityByName[req.Utility]
-	if !ok {
-		httpError(w, http.StatusBadRequest, "unknown utility %q", req.Utility)
-		return
-	}
-	if req.Workers < 0 {
-		httpError(w, http.StatusBadRequest, "negative workers")
-		return
-	}
-	spec := req.Exec
-	if spec == nil {
-		spec = &campaign.ExecSpec{}
-	}
-	plan, timed, err := chaos.Split(spec.Chaos)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if spec.LoadNoise < 0 || spec.StepDeadlineMS < 0 || spec.Retries < 0 ||
-		spec.RetryBackoffMS < 0 || spec.VerifySamples < 0 || spec.GraceSamples < 0 {
-		httpError(w, http.StatusBadRequest, "negative exec parameter")
+	_, rb := s.runbook(w, r, spec)
+	if rb == nil {
 		return
 	}
-
-	mp, err := s.engine.MitigatePlan(core.MitigateRequest{
-		Ctx:        r.Context(),
-		Scenario:   scenario,
-		Method:     method,
-		Util:       util,
-		Workers:    req.Workers,
-		FixedPoint: req.FixedPoint,
-	})
-	if err != nil {
-		httpError(w, planStatus(err), "%v", err)
-		return
-	}
-	mig, err := mp.GradualMigration(migrate.Options{})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "migrate: %v", err)
-		return
-	}
-	rb, err := runbook.Build(mp, mig)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "runbook: %v", err)
-		return
-	}
-
-	cfg := simwindow.Config{
-		Seed:      spec.Seed,
-		StartHour: spec.StartHour,
-		LoadNoise: spec.LoadNoise,
-		Faults:    timed,
-	}
-	if spec.Diurnal {
-		profile := schedule.DefaultProfile()
-		cfg.Profile = &profile
-	}
-	net, err := executor.NewSimNetwork(s.engine.Before, rb, cfg)
+	net, opts, err := spec.Exec.Network(s.engine.Before, rb)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "execute: %v", err)
 		return
 	}
-	cnet := plan.Instrument(net)
-	run, err := s.exec.Start(cnet, rb, executor.Options{
-		StepDeadline:  time.Duration(spec.StepDeadlineMS) * time.Millisecond,
-		Retries:       spec.Retries,
-		RetryBackoff:  time.Duration(spec.RetryBackoffMS) * time.Millisecond,
-		VerifySamples: spec.VerifySamples,
-		GraceSamples:  spec.GraceSamples,
-		Seed:          spec.ExecSeed,
-		CrashHook:     cnet.Hook(),
-	})
+	run, err := s.exec.Start(net, rb, opts)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "execute: %v", err)
 		return

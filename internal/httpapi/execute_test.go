@@ -130,6 +130,8 @@ func TestExecuteValidation(t *testing.T) {
 		"bad chaos":      `{"scenario":"a","method":"power","utility":"performance","exec":{"chaos":"meteor@3"}}`,
 		"negative param": `{"scenario":"a","method":"power","utility":"performance","exec":{"retries":-1}}`,
 		"neg workers":    `{"scenario":"a","method":"power","utility":"performance","workers":-1}`,
+		"neg start hour": `{"scenario":"a","method":"tilt","exec":{"diurnal":true,"start_hour":-3}}`,
+		"neg load noise": `{"scenario":"a","method":"power","exec":{"load_noise":-0.1}}`,
 		"unknown field":  `{"scenario":"a","method":"power","utility":"performance","oops":1}`,
 	} {
 		rec := post(t, s, "/execute", body)

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"net/http"
 
-	"magus/internal/campaign"
 	"magus/internal/fleet"
 )
 
@@ -48,45 +47,13 @@ func (s *Server) handleFleetDispatch(w http.ResponseWriter, r *http.Request) {
 
 	c, err := s.orch.Submit(req.Jobs)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, campaign.ErrQueueFull) {
-			status = http.StatusServiceUnavailable
-		}
-		if errors.Is(err, campaign.ErrDraining) {
-			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", drainRetryAfter)
-		}
-		httpError(w, status, "%v", err)
+		submitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, fleet.DispatchResponse{ID: c.ID, Jobs: len(req.Jobs)})
 }
 
 // --- coordinator side ---------------------------------------------------
-
-func (s *Server) handleFleetSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w) {
-		return
-	}
-	specs, ok := parseCampaignSpecs(w, r)
-	if !ok {
-		return
-	}
-	view, err := s.coord.Submit(specs)
-	if err != nil {
-		if errors.Is(err, fleet.ErrNoWorkers) {
-			// Capacity may be joining momentarily; tell clients when to
-			// come back (magusctl honors this).
-			w.Header().Set("Retry-After", drainRetryAfter)
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.Header().Set("Location", "/campaigns/"+view.ID)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": view.ID, "jobs": len(view.Jobs)})
-}
 
 func (s *Server) handleFleetList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"campaigns": s.coord.CampaignIDs()})

@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -52,10 +53,8 @@ import (
 	"magus/internal/outageplan"
 	"magus/internal/runbook"
 	"magus/internal/schedule"
-	"magus/internal/simwindow"
 	"magus/internal/topology"
 	"magus/internal/upgrade"
-	"magus/internal/utility"
 	"magus/internal/waveplan"
 )
 
@@ -180,7 +179,7 @@ func New(engine *core.Engine, opts Options) *Server {
 	if s.coord != nil {
 		// Coordinator mode: the campaign surface fans out across the
 		// fleet, and the fleet control endpoints come up.
-		s.mux.HandleFunc("POST /campaigns", s.handleFleetSubmit)
+		s.mux.HandleFunc("POST /campaigns", s.handleCampaignSubmit)
 		s.mux.HandleFunc("GET /campaigns", s.handleFleetList)
 		s.mux.HandleFunc("GET /campaigns/{id}", s.handleFleetCampaign)
 		s.mux.HandleFunc("POST /campaigns/{id}/cancel", s.handleFleetCancel)
@@ -364,38 +363,73 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// planParams parses the shared scenario/method/utility/workers/fixed
-// query parameters.
-func planParams(r *http.Request) (upgrade.Scenario, core.Method, utility.Func, int, bool, error) {
-	scenario, ok := scenarioByName[r.URL.Query().Get("scenario")]
-	if !ok {
-		return 0, 0, utility.Func{}, 0, false, fmt.Errorf("unknown scenario %q", r.URL.Query().Get("scenario"))
+// jobSpec parses a request's query into a job of the given kind on the
+// server's own market — the shared scenario/method/utility/workers/fixed
+// parameters, plus the window parameters of a simulate job — and
+// validates it with JobSpec.Validate, the check every campaign job
+// gets. Any error is the client's.
+func (s *Server) jobSpec(q url.Values, kind string) (campaign.JobSpec, error) {
+	spec := campaign.JobSpec{Class: s.engine.Net.Class, Utility: q.Get("utility"), Kind: kind}
+	if err := resolve(&spec, q.Get("scenario"), q.Get("method")); err != nil {
+		return spec, err
 	}
-	method, ok := methodByName[r.URL.Query().Get("method")]
-	if !ok {
-		return 0, 0, utility.Func{}, 0, false, fmt.Errorf("unknown method %q", r.URL.Query().Get("method"))
-	}
-	util, ok := campaign.UtilityByName[r.URL.Query().Get("utility")]
-	if !ok {
-		return 0, 0, utility.Func{}, 0, false, fmt.Errorf("unknown utility %q", r.URL.Query().Get("utility"))
-	}
-	workers := 0
-	if v := r.URL.Query().Get("workers"); v != "" {
+	if v := q.Get("workers"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return 0, 0, utility.Func{}, 0, false, fmt.Errorf("bad workers %q", v)
+		if err != nil {
+			return spec, fmt.Errorf("bad workers %q", v)
 		}
-		workers = n
+		spec.Workers = n
 	}
-	fixed := false
-	switch v := r.URL.Query().Get("fixed"); v {
+	switch v := q.Get("fixed"); v {
 	case "", "0", "false":
 	case "1", "true":
-		fixed = true
+		spec.FixedPoint = true
 	default:
-		return 0, 0, utility.Func{}, 0, false, fmt.Errorf("bad fixed %q", v)
+		return spec, fmt.Errorf("bad fixed %q", v)
 	}
-	return scenario, method, util, workers, fixed, nil
+	if kind == campaign.KindSimulate {
+		var err error
+		if spec.Sim, err = simSpec(q); err != nil {
+			return spec, err
+		}
+	}
+	return spec, spec.Validate()
+}
+
+// resolve maps the /plan vocabulary's scenario and method names onto
+// spec, naming the first unknown one.
+func resolve(spec *campaign.JobSpec, scenario, method string) error {
+	var ok bool
+	if spec.Scenario, ok = scenarioByName[scenario]; !ok {
+		return fmt.Errorf("unknown scenario %q", scenario)
+	}
+	if spec.Method, ok = methodByName[method]; !ok {
+		return fmt.Errorf("unknown method %q", method)
+	}
+	return nil
+}
+
+// simSpec parses /simulate's window parameters.
+func simSpec(q url.Values) (*campaign.SimSpec, error) {
+	sim := &campaign.SimSpec{
+		Faults:  q.Get("faults"),
+		Diurnal: q.Get("diurnal") == "1",
+		Replan:  q.Get("replan") == "1",
+	}
+	for _, p := range []struct {
+		name  string
+		parse func(v string) error
+	}{
+		{"ticks", func(v string) (err error) { sim.Ticks, err = strconv.Atoi(v); return err }},
+		{"noise", func(v string) (err error) { sim.LoadNoise, err = strconv.ParseFloat(v, 64); return err }},
+		{"start_hour", func(v string) (err error) { sim.StartHour, err = strconv.ParseFloat(v, 64); return err }},
+		{"sim_seed", func(v string) (err error) { sim.Seed, err = strconv.ParseInt(v, 10, 64); return err }},
+	} {
+		if v := q.Get(p.name); v != "" && p.parse(v) != nil {
+			return nil, fmt.Errorf("bad %s %q", p.name, v)
+		}
+	}
+	return sim, nil
 }
 
 // planResponse is the JSON shape of a mitigation plan.
@@ -415,21 +449,49 @@ type planResponse struct {
 	Search evalengine.StatsSnapshot `json:"search"`
 }
 
-// plan runs a mitigation for the request's parameters under the
-// request's context, so a disconnected client abandons the search.
+// plan plans the job in the request's query under the request's
+// context, so a disconnected client abandons the search.
 func (s *Server) plan(r *http.Request) (*core.Plan, error) {
-	scenario, method, util, workers, fixed, err := planParams(r)
+	spec, err := s.jobSpec(r.URL.Query(), campaign.KindPlan)
 	if err != nil {
 		return nil, err
 	}
+	return s.mitigate(r.Context(), spec)
+}
+
+// mitigate plans a validated job against the server's own engine.
+func (s *Server) mitigate(ctx context.Context, spec campaign.JobSpec) (*core.Plan, error) {
 	return s.engine.MitigatePlan(core.MitigateRequest{
-		Ctx:        r.Context(),
-		Scenario:   scenario,
-		Method:     method,
-		Util:       util,
-		Workers:    workers,
-		FixedPoint: fixed,
+		Ctx:        ctx,
+		Scenario:   spec.Scenario,
+		Method:     spec.Method,
+		Util:       campaign.UtilityByName[spec.Utility],
+		Workers:    spec.Workers,
+		FixedPoint: spec.FixedPoint,
 	})
+}
+
+// runbook plans a validated job under the request's context and builds
+// its gradual-migration runbook: the sequence /runbook serves and
+// /simulate and /execute run. On failure it writes the error response
+// and returns nil.
+func (s *Server) runbook(w http.ResponseWriter, r *http.Request, spec campaign.JobSpec) (*core.Plan, *runbook.Runbook) {
+	plan, err := s.mitigate(r.Context(), spec)
+	if err != nil {
+		httpError(w, planStatus(err), "%v", err)
+		return nil, nil
+	}
+	mig, err := plan.GradualMigration(migrate.Options{})
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "migrate: %v", err)
+		return nil, nil
+	}
+	rb, err := runbook.Build(plan, mig)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "runbook: %v", err)
+		return nil, nil
+	}
+	return plan, rb
 }
 
 // planStatus maps a planning error to an HTTP status: parameter errors
@@ -469,22 +531,14 @@ func (s *Server) handleRunbook(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
 	}
-	plan, err := s.plan(r)
+	spec, err := s.jobSpec(r.URL.Query(), campaign.KindPlan)
 	if err != nil {
-		httpError(w, planStatus(err), "%v", err)
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	mig, err := plan.GradualMigration(migrate.Options{})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "migrate: %v", err)
-		return
+	if _, rb := s.runbook(w, r, spec); rb != nil {
+		writeJSON(w, http.StatusOK, rb)
 	}
-	rb, err := runbook.Build(plan, mig)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "runbook: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rb)
 }
 
 // handleSimulate plans the mitigation, builds its runbook, and executes
@@ -499,86 +553,24 @@ func (s *Server) handleRunbook(w http.ResponseWriter, r *http.Request) {
 //	start_hour  local hour at tick 0
 //	replan=1    enable the search-based replanner on floor breaches
 //	series=1    include the full per-tick series in the response
+//
+// The query becomes a simulate job's spec, validated before planning
+// and run exactly as a campaign's simulate job runs it.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
 	}
 	q := r.URL.Query()
-	cfg := simwindow.Config{Ctx: r.Context()}
-	var err error
-	if cfg.Faults, err = simwindow.ParseFaults(q.Get("faults")); err != nil {
+	spec, err := s.jobSpec(q, campaign.KindSimulate)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	intParam := func(name string, dst *int) bool {
-		v := q.Get(name)
-		if v == "" {
-			return true
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "bad %s %q", name, v)
-			return false
-		}
-		*dst = n
-		return true
-	}
-	floatParam := func(name string, dst *float64) bool {
-		v := q.Get(name)
-		if v == "" {
-			return true
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
-			httpError(w, http.StatusBadRequest, "bad %s %q", name, v)
-			return false
-		}
-		*dst = f
-		return true
-	}
-	if !intParam("ticks", &cfg.Ticks) ||
-		!floatParam("noise", &cfg.LoadNoise) ||
-		!floatParam("start_hour", &cfg.StartHour) {
+	plan, rb := s.runbook(w, r, spec)
+	if rb == nil {
 		return
 	}
-	if v := q.Get("sim_seed"); v != "" {
-		seed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad sim_seed %q", v)
-			return
-		}
-		cfg.Seed = seed
-	}
-	if q.Get("diurnal") == "1" {
-		profile := schedule.DefaultProfile()
-		cfg.Profile = &profile
-	}
-	if q.Get("replan") == "1" {
-		cfg.Replanner = &simwindow.SearchReplanner{}
-	}
-
-	plan, err := s.plan(r)
-	if err != nil {
-		httpError(w, planStatus(err), "%v", err)
-		return
-	}
-	cfg.Workers, _ = strconv.Atoi(q.Get("workers")) // validated by planParams
-	mig, err := plan.GradualMigration(migrate.Options{})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "migrate: %v", err)
-		return
-	}
-	rb, err := runbook.Build(plan, mig)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "runbook: %v", err)
-		return
-	}
-	sim, err := simwindow.New(s.engine.Before, rb, cfg)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "simulate: %v", err)
-		return
-	}
-	out, err := sim.Run()
+	out, err := spec.Sim.Run(r.Context(), s.engine.Before, rb, spec.Workers)
 	if err != nil {
 		httpError(w, planStatus(err), "simulate: %v", err)
 		return
@@ -697,10 +689,11 @@ type campaignRequest struct {
 	Jobs []campaignJobRequest `json:"jobs"`
 }
 
-// parseCampaignSpecs decodes and validates a POST /campaigns body,
-// writing the error response itself on failure. Shared by the local
-// orchestrator path and the fleet coordinator path so the two surfaces
-// accept exactly the same wire format.
+// parseCampaignSpecs decodes a POST /campaigns body into job specs,
+// writing the error response itself on failure. It only maps wire
+// names; the local orchestrator and the fleet coordinator both judge
+// the specs with JobSpec.Validate in Submit, so the two surfaces accept
+// exactly the same campaigns.
 func parseCampaignSpecs(w http.ResponseWriter, r *http.Request) ([]campaign.JobSpec, bool) {
 	var req campaignRequest
 	if !decodeBody(w, r, &req) {
@@ -717,33 +710,9 @@ func parseCampaignSpecs(w http.ResponseWriter, r *http.Request) ([]campaign.JobS
 			httpError(w, http.StatusBadRequest, "job %d: unknown class %q", i, jr.Class)
 			return nil, false
 		}
-		scenario, ok := scenarioByName[jr.Scenario]
-		if !ok {
-			httpError(w, http.StatusBadRequest, "job %d: unknown scenario %q", i, jr.Scenario)
-			return nil, false
-		}
-		method, ok := methodByName[jr.Method]
-		if !ok {
-			httpError(w, http.StatusBadRequest, "job %d: unknown method %q", i, jr.Method)
-			return nil, false
-		}
-		if _, ok := campaign.UtilityByName[jr.Utility]; !ok {
-			httpError(w, http.StatusBadRequest, "job %d: unknown utility %q", i, jr.Utility)
-			return nil, false
-		}
-		if jr.TimeoutMS < 0 {
-			httpError(w, http.StatusBadRequest, "job %d: negative timeout_ms", i)
-			return nil, false
-		}
-		if jr.Workers < 0 {
-			httpError(w, http.StatusBadRequest, "job %d: negative workers", i)
-			return nil, false
-		}
 		specs[i] = campaign.JobSpec{
 			Class:      class,
 			Seed:       jr.Seed,
-			Scenario:   scenario,
-			Method:     method,
 			Utility:    jr.Utility,
 			Timeout:    time.Duration(jr.TimeoutMS) * time.Millisecond,
 			Workers:    jr.Workers,
@@ -754,10 +723,16 @@ func parseCampaignSpecs(w http.ResponseWriter, r *http.Request) ([]campaign.JobS
 			Wave:       jr.Wave,
 			Exec:       jr.Exec,
 		}
+		if err := resolve(&specs[i], jr.Scenario, jr.Method); err != nil {
+			httpError(w, http.StatusBadRequest, "job %d: %v", i, err)
+			return nil, false
+		}
 	}
 	return specs, true
 }
 
+// handleCampaignSubmit admits a campaign: on the local orchestrator, or
+// sharded across the fleet when this node coordinates one.
 func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
@@ -766,21 +741,51 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	c, err := s.orch.Submit(specs)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, campaign.ErrQueueFull) {
-			status = http.StatusServiceUnavailable
-		}
-		if errors.Is(err, campaign.ErrDraining) {
-			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", drainRetryAfter)
-		}
-		httpError(w, status, "%v", err)
+	id, ok := s.submit(w, specs)
+	if !ok {
 		return
 	}
-	w.Header().Set("Location", "/campaigns/"+c.ID)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": c.ID, "jobs": len(specs)})
+	w.Header().Set("Location", "/campaigns/"+id)
+	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "jobs": len(specs)})
+}
+
+// submit hands validated-on-admission specs to the fleet coordinator,
+// or to the local orchestrator when this node is not one, and returns
+// the campaign ID. A refusal is written for the caller.
+func (s *Server) submit(w http.ResponseWriter, specs []campaign.JobSpec) (string, bool) {
+	var id string
+	var err error
+	if s.coord != nil {
+		var view fleet.CampaignView
+		view, err = s.coord.Submit(specs)
+		id = view.ID
+	} else {
+		var c *campaign.Campaign
+		if c, err = s.orch.Submit(specs); err == nil {
+			id = c.ID
+		}
+	}
+	if err != nil {
+		submitError(w, err)
+		return "", false
+	}
+	return id, true
+}
+
+// submitError writes the response for a refused Submit: an invalid spec
+// is the client's fault (400); a full queue is 503, and a draining
+// orchestrator or a fleet with no live workers is 503 with a
+// Retry-After, since capacity should be back by then.
+func submitError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, campaign.ErrDraining), errors.Is(err, fleet.ErrNoWorkers):
+		w.Header().Set("Retry-After", drainRetryAfter)
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, campaign.ErrQueueFull):
+		status = http.StatusServiceUnavailable
+	}
+	httpError(w, status, "%v", err)
 }
 
 func (s *Server) handleCampaignList(w http.ResponseWriter, r *http.Request) {

@@ -558,6 +558,11 @@ func TestSimulateValidation(t *testing.T) {
 		"/simulate?workers=-1",
 		"/simulate?faults=push-fail@999",    // step out of runbook range
 		"/simulate?faults=push-delay@2%2B0", // non-positive delay
+		"/simulate?diurnal=1&start_hour=NaN",
+		"/simulate?diurnal=1&start_hour=Inf",
+		"/simulate?diurnal=1&start_hour=-3",
+		"/simulate?diurnal=1&noise=Inf",
+		"/simulate?noise=NaN",
 	} {
 		if rec := get(t, s, path); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s status = %d, want 400", path, rec.Code)
@@ -605,6 +610,8 @@ func TestCampaignSimulateValidation(t *testing.T) {
 		{"sim on plan job", `{"jobs":[{"class":"urban","sim":{"seed":1}}]}`},
 		{"bad fault script", `{"jobs":[{"class":"urban","kind":"simulate","sim":{"faults":"meteor@5"}}]}`},
 		{"negative ticks", `{"jobs":[{"class":"urban","kind":"simulate","sim":{"ticks":-3}}]}`},
+		{"negative sim start hour", `{"jobs":[{"class":"urban","kind":"simulate","sim":{"diurnal":true,"start_hour":-3}}]}`},
+		{"negative exec start hour", `{"jobs":[{"class":"urban","kind":"execute","exec":{"diurnal":true,"start_hour":-3}}]}`},
 	}
 	for _, tc := range cases {
 		rec := post(t, s, "/campaigns", tc.body)

@@ -1,12 +1,10 @@
 package httpapi
 
 import (
-	"errors"
 	"net/http"
 	"time"
 
 	"magus/internal/campaign"
-	"magus/internal/fleet"
 	"magus/internal/waveplan"
 )
 
@@ -37,9 +35,9 @@ type waveStatus struct {
 	Season    *waveplan.Result `json:"season,omitempty"`
 }
 
-// parseWaveSpec decodes and validates a POST /waves body into the
-// one-job campaign spec that carries it, writing the error response
-// itself on failure.
+// parseWaveSpec decodes a POST /waves body into the one-job campaign
+// spec that carries it, writing the error response itself on failure.
+// Submit validates the spec.
 func parseWaveSpec(w http.ResponseWriter, r *http.Request) (campaign.JobSpec, bool) {
 	var req waveRequest
 	if !decodeBody(w, r, &req) {
@@ -53,18 +51,6 @@ func parseWaveSpec(w http.ResponseWriter, r *http.Request) (campaign.JobSpec, bo
 	method, ok := methodByName[req.Method]
 	if !ok {
 		httpError(w, http.StatusBadRequest, "unknown method %q", req.Method)
-		return campaign.JobSpec{}, false
-	}
-	if _, ok := campaign.UtilityByName[req.Utility]; !ok {
-		httpError(w, http.StatusBadRequest, "unknown utility %q", req.Utility)
-		return campaign.JobSpec{}, false
-	}
-	if req.TimeoutMS < 0 {
-		httpError(w, http.StatusBadRequest, "negative timeout_ms")
-		return campaign.JobSpec{}, false
-	}
-	if req.Workers < 0 {
-		httpError(w, http.StatusBadRequest, "negative workers")
 		return campaign.JobSpec{}, false
 	}
 	return campaign.JobSpec{
@@ -93,34 +79,9 @@ func (s *Server) handleWaveSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var id string
-	if s.coord != nil {
-		view, err := s.coord.Submit([]campaign.JobSpec{spec})
-		if err != nil {
-			if errors.Is(err, fleet.ErrNoWorkers) {
-				w.Header().Set("Retry-After", drainRetryAfter)
-				httpError(w, http.StatusServiceUnavailable, "%v", err)
-				return
-			}
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		id = view.ID
-	} else {
-		c, err := s.orch.Submit([]campaign.JobSpec{spec})
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, campaign.ErrQueueFull) {
-				status = http.StatusServiceUnavailable
-			}
-			if errors.Is(err, campaign.ErrDraining) {
-				status = http.StatusServiceUnavailable
-				w.Header().Set("Retry-After", drainRetryAfter)
-			}
-			httpError(w, status, "%v", err)
-			return
-		}
-		id = c.ID
+	id, ok := s.submit(w, []campaign.JobSpec{spec})
+	if !ok {
+		return
 	}
 	w.Header().Set("Location", "/waves/"+id)
 	writeJSON(w, http.StatusAccepted, map[string]any{"id": id})

@@ -20,7 +20,7 @@ const (
 	// FaultSectorDown takes a sector off-air at Tick — the
 	// "compensating neighbor dies mid-window" scenario.
 	FaultSectorDown
-	// FaultLoadSurge multiplies the UE density within RadiusM of a
+	// FaultLoadSurge multiplies the UE density within 1500 m of a
 	// sector by Factor for DurationTicks ticks.
 	FaultLoadSurge
 )
@@ -57,9 +57,6 @@ type Fault struct {
 	DurationTicks int `json:"duration_ticks,omitempty"`
 	// Factor is the surge's UE-density multiplier.
 	Factor float64 `json:"factor,omitempty"`
-	// RadiusM is the surge's half-extent around the sector (default
-	// 1500 m).
-	RadiusM float64 `json:"radius_m,omitempty"`
 }
 
 // String renders the fault in the script syntax ParseFault accepts.

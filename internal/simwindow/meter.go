@@ -53,16 +53,12 @@ type meter struct {
 }
 
 func newMeter(m *netmodel.Model, live, afterRef *netmodel.State, cfg *Config, full bool) *meter {
-	sinrFloor := cfg.SINRFloorDB
-	if sinrFloor == 0 {
-		sinrFloor = m.Link.MinSINRdB()
-	}
 	numGrids := m.Grid.NumCells()
 	mt := &meter{
 		full:        full,
 		util:        cfg.Util,
 		workers:     cfg.Workers,
-		sinrFloor:   sinrFloor,
+		sinrFloor:   m.Link.MinSINRdB(),
 		model:       m,
 		live:        live,
 		afterRef:    afterRef,

@@ -22,6 +22,9 @@ import (
 // same series for the same clock and pushes.
 type Session struct {
 	cfg Config
+	// tickSec is the wall-clock length of one tick: the runbook's
+	// StepIntervalSec, else 60.
+	tickSec float64
 
 	// model is a private fork: load evolution must never leak into the
 	// (possibly cached and shared) planning model.
@@ -100,6 +103,9 @@ func newSession(base *netmodel.State, rb *runbook.Runbook, cfg Config, full bool
 	if base == nil || rb == nil {
 		return nil, fmt.Errorf("simwindow: nil state or runbook")
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg.applyDefaults(rb)
 
 	afterCfg := base.Cfg.Clone()
@@ -117,11 +123,15 @@ func newSession(base *netmodel.State, rb *runbook.Runbook, cfg Config, full bool
 	live := base.Derive(model, base.Cfg.Clone())
 	s := &Session{
 		cfg:       cfg,
+		tickSec:   60,
 		model:     model,
 		live:      live,
 		afterRef:  live.Derive(model, afterCfg),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		curFactor: 1,
+	}
+	if rb.StepIntervalSec > 0 {
+		s.tickSec = rb.StepIntervalSec
 	}
 
 	var timed []Fault
@@ -137,11 +147,7 @@ func newSession(base *netmodel.State, rb *runbook.Runbook, cfg Config, full bool
 	for _, f := range timed {
 		tf := timedFault{Fault: f}
 		if f.Kind == FaultLoadSurge {
-			r := f.RadiusM
-			if r <= 0 {
-				r = cfg.SurgeRadiusM
-			}
-			rect := geo.NewRectCentered(model.Net.Sectors[f.Sector].Pos, 2*r, 2*r)
+			rect := geo.NewRectCentered(model.Net.Sectors[f.Sector].Pos, 2*surgeRadiusM, 2*surgeRadiusM)
 			tf.grids = model.GridsIn(nil, rect)
 		}
 		s.timed = append(s.timed, tf)
@@ -186,7 +192,7 @@ func (s *Session) evolve(events []string) []string {
 
 	// The uniform swing is a factor fold on the model (O(1)); localized
 	// surge edits repair loads and aggregates per touched grid.
-	factor := profileFactorAt(&s.cfg, t)
+	factor := s.profileFactorAt(t)
 	if s.cfg.LoadNoise > 0 {
 		factor *= math.Exp(s.cfg.LoadNoise * s.rng.NormFloat64())
 	}
@@ -257,15 +263,20 @@ func (s *Session) measure(t int) Sample {
 	}
 }
 
+// hourAt is the local hour of day at tick t.
+func (s *Session) hourAt(t int) float64 {
+	return math.Mod(s.cfg.StartHour+float64(t)*s.tickSec/3600, 24)
+}
+
 // profileFactorAt is the diurnal load multiplier at tick t.
-func profileFactorAt(cfg *Config, t int) float64 {
-	if cfg.Profile == nil {
+func (s *Session) profileFactorAt(t int) float64 {
+	p := s.cfg.Profile
+	if p == nil {
 		return 1
 	}
-	h := math.Mod(cfg.StartHour+float64(t)*cfg.TickSeconds/3600, 24)
+	h := s.hourAt(t)
 	lo := int(h) % 24
 	frac := h - math.Floor(h)
-	p := cfg.Profile
 	return p[lo]*(1-frac) + p[(lo+1)%24]*frac
 }
 

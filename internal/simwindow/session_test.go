@@ -128,6 +128,38 @@ func TestConstructorsValidateFaults(t *testing.T) {
 	}
 }
 
+// TestConstructorsValidateConfig: New and NewSession reject a start
+// hour or load noise that is negative or not finite, and negative ticks,
+// with an error — never a panic in the diurnal profile lookup.
+func TestConstructorsValidateConfig(t *testing.T) {
+	eng, _, grad, _ := fixture(t)
+	profile := schedule.DefaultProfile()
+	cases := map[string]simwindow.Config{
+		"start hour -1":   {Profile: &profile, StartHour: -1},
+		"start hour NaN":  {Profile: &profile, StartHour: math.NaN()},
+		"start hour +Inf": {Profile: &profile, StartHour: math.Inf(1)},
+		"noise NaN":       {LoadNoise: math.NaN()},
+		"noise +Inf":      {LoadNoise: math.Inf(1)},
+		"noise -0.1":      {LoadNoise: -0.1},
+		"ticks -1":        {Ticks: -1},
+	}
+	for name, cfg := range cases {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", name)
+		}
+		if _, err := simwindow.New(eng.Before, grad, cfg); err == nil {
+			t.Errorf("%s: New accepted", name)
+		}
+		if _, err := simwindow.NewSession(eng.Before, grad, cfg); err == nil {
+			t.Errorf("%s: NewSession accepted", name)
+		}
+	}
+	ok := simwindow.Config{Profile: &profile, StartHour: 23.5, LoadNoise: 0.02, Ticks: 5}
+	if _, err := simwindow.NewSession(eng.Before, grad, ok); err != nil {
+		t.Errorf("valid config rejected: %v", err)
+	}
+}
+
 // TestSessionStatesMatchNewState: a session derives its live state and
 // its C_after reference from the base state instead of building them,
 // and each must equal NewState of its configuration (C_before, and

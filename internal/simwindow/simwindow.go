@@ -42,11 +42,9 @@ type Config struct {
 	Seed int64
 	// Ticks is the window length: Run's series covers ticks 0..Ticks
 	// (default: one tick per push plus 30 settle ticks). A Session runs
-	// for as long as its caller advances it.
+	// for as long as its caller advances it. A tick lasts the runbook's
+	// StepIntervalSec, else 60 seconds.
 	Ticks int
-	// TickSeconds is the wall-clock length of one tick (default: the
-	// runbook's StepIntervalSec, else 60).
-	TickSeconds float64
 	// PushEveryTicks spaces consecutive runbook pushes (default 1).
 	PushEveryTicks int
 	// StartHour is the local hour of day at tick 0 (operators open
@@ -61,22 +59,11 @@ type Config struct {
 	// Util is the objective measured each tick (default
 	// utility.Performance).
 	Util utility.Func
-	// SINRFloorDB is the "users below SINR floor" threshold; 0 selects
-	// the link model's out-of-service threshold.
-	SINRFloorDB float64
 	// Faults is the fault script (see ParseFaults).
 	Faults []Fault
-	// SurgeRadiusM is the half-extent of a surge fault around its
-	// sector (default 1500).
-	SurgeRadiusM float64
 	// Replanner, when non-nil, is consulted after utility has sat below
-	// the floor for FloorGraceTicks consecutive ticks.
+	// the floor for 3 consecutive ticks, at most twice per run.
 	Replanner Replanner
-	// FloorGraceTicks is K, the consecutive below-floor ticks tolerated
-	// before replanning (default 3).
-	FloorGraceTicks int
-	// MaxReplans bounds replanner invocations (default 2).
-	MaxReplans int
 	// HaltAfterBelowTicks, when > 0, aborts the run once utility has sat
 	// below the floor for this many consecutive ticks: the wave
 	// scheduler's season-halt trigger (ADR-018's halt-height translated
@@ -91,21 +78,40 @@ type Config struct {
 	// NeighborRadiusM bounds the replanner's neighbor set around the
 	// runbook targets (default 1.6 x the class inter-site distance).
 	NeighborRadiusM float64
-	// RecordSectorLoads adds the full per-sector load matrix to the
-	// outcome (the series always carries the per-tick maximum).
-	RecordSectorLoads bool
 	// Ctx, when non-nil, aborts the simulation between ticks.
 	Ctx context.Context
 }
 
-func (c *Config) applyDefaults(rb *runbook.Runbook) {
-	if c.TickSeconds <= 0 {
-		if rb.StepIntervalSec > 0 {
-			c.TickSeconds = rb.StepIntervalSec
-		} else {
-			c.TickSeconds = 60
-		}
+const (
+	// floorGraceTicks is K, the consecutive below-floor ticks tolerated
+	// before replanning.
+	floorGraceTicks = 3
+	// maxReplans bounds replanner invocations per run.
+	maxReplans = 2
+	// surgeRadiusM is the half-extent of a surge fault around its sector.
+	surgeRadiusM = 1500
+)
+
+// Validate rejects a configuration the tick loop cannot run: StartHour
+// and LoadNoise must be finite and non-negative, Ticks non-negative.
+// New and NewSession call it; spec parsers call it to reject a request
+// before any planning work.
+func (c Config) Validate() error {
+	if c.Ticks < 0 {
+		return fmt.Errorf("simwindow: negative ticks %d", c.Ticks)
 	}
+	if !finiteNonNegative(c.StartHour) {
+		return fmt.Errorf("simwindow: start hour %g must be finite and non-negative", c.StartHour)
+	}
+	if !finiteNonNegative(c.LoadNoise) {
+		return fmt.Errorf("simwindow: load noise %g must be finite and non-negative", c.LoadNoise)
+	}
+	return nil
+}
+
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+func (c *Config) applyDefaults(rb *runbook.Runbook) {
 	if c.PushEveryTicks <= 0 {
 		c.PushEveryTicks = 1
 	}
@@ -117,15 +123,6 @@ func (c *Config) applyDefaults(rb *runbook.Runbook) {
 	}
 	if c.Util.U == nil {
 		c.Util = utility.Performance
-	}
-	if c.FloorGraceTicks <= 0 {
-		c.FloorGraceTicks = 3
-	}
-	if c.MaxReplans <= 0 {
-		c.MaxReplans = 2
-	}
-	if c.SurgeRadiusM <= 0 {
-		c.SurgeRadiusM = 1500
 	}
 }
 
@@ -146,8 +143,8 @@ type Tick struct {
 	Handovers float64 `json:"handovers"`
 	// MaxSectorLoad is the busiest sector's UE load.
 	MaxSectorLoad float64 `json:"max_sector_load"`
-	// UsersBelowFloor is the UE weight at SINR below the floor
-	// (out-of-service users).
+	// UsersBelowFloor is the UE weight at SINR below the link model's
+	// out-of-service threshold.
 	UsersBelowFloor float64 `json:"users_below_floor"`
 	// PushedChanges counts configuration changes applied this tick.
 	PushedChanges int `json:"pushed_changes"`
@@ -184,9 +181,6 @@ type Summary struct {
 type Outcome struct {
 	Series  []Tick  `json:"series"`
 	Summary Summary `json:"summary"`
-	// SectorLoads[t][b] is sector b's load at tick t (only with
-	// Config.RecordSectorLoads).
-	SectorLoads [][]float64 `json:"sector_loads,omitempty"`
 }
 
 // push is one pending configuration push (runbook step or spliced
@@ -346,8 +340,8 @@ func (s *Simulator) Run() (*Outcome, error) {
 			events = append(events, fmt.Sprintf(
 				"HALT: utility below floor for %d consecutive ticks; abandon window and roll back", belowStreak))
 		}
-		if !halted && belowStreak >= cfg.FloorGraceTicks && cfg.Replanner != nil &&
-			replans < cfg.MaxReplans && s.pendingRe == 0 {
+		if !halted && belowStreak >= floorGraceTicks && cfg.Replanner != nil &&
+			replans < maxReplans && s.pendingRe == 0 {
 			batches, err := s.replan(smp.Floor)
 			if err != nil {
 				return nil, fmt.Errorf("simwindow: replan at tick %d: %w", t, err)
@@ -385,7 +379,7 @@ func (s *Simulator) Run() (*Outcome, error) {
 		evBuf = events[:0] // keep any growth for the next tick
 		out.Series = append(out.Series, Tick{
 			Tick:            t,
-			HourOfDay:       math.Mod(cfg.StartHour+float64(t)*cfg.TickSeconds/3600, 24),
+			HourOfDay:       sess.hourAt(t),
 			LoadFactor:      smp.LoadFactor,
 			Utility:         smp.Utility,
 			FloorUtility:    smp.Floor,
@@ -395,13 +389,6 @@ func (s *Simulator) Run() (*Outcome, error) {
 			PushedChanges:   pushed,
 			Events:          tickEvents,
 		})
-		if cfg.RecordSectorLoads {
-			loads := make([]float64, sess.model.Net.NumSectors())
-			for b := range loads {
-				loads[b] = sess.live.Load(b)
-			}
-			out.SectorLoads = append(out.SectorLoads, loads)
-		}
 		sess.mt.tickDone()
 		if halted {
 			break
