@@ -598,17 +598,20 @@ func (o *Orchestrator) runJob(c *Campaign, j *Job) {
 	}
 	// A job cancelled by a shutdown keeps no terminal record: the
 	// restart should run it again. Any other outcome is journaled —
-	// outside the lock (appends can fsync), and before finishLocked so
-	// the campaign only reads as finished once its last result is in the
-	// log.
+	// outside the lock (appends can fsync). The job counts as
+	// unjournaled until then, so the campaign only reads as finished
+	// once every result is in the log, even when another job finishes
+	// while this append is in flight.
 	skipJournal := final == JobCancelled && o.shuttingDown.Load()
 	j.requeue = skipJournal
 	jerr := j.err
+	c.unjournaled++
 	c.mu.Unlock()
 	if !skipJournal {
 		o.journalResult(c.ID, j.ID, final, jerr)
 	}
 	c.mu.Lock()
+	c.unjournaled--
 	c.finishLocked()
 	c.mu.Unlock()
 	o.recordDuration(j.finished.Sub(j.started))
@@ -785,7 +788,10 @@ type Campaign struct {
 	mu      sync.Mutex
 	jobs    []*Job
 	pending int
-	done    chan struct{}
+	// unjournaled counts terminal jobs whose result record may still be
+	// on its way into the journal; done waits for them too.
+	unjournaled int
+	done        chan struct{}
 }
 
 // Cancel aborts the campaign: queued jobs flip to cancelled immediately,
@@ -797,14 +803,22 @@ func (c *Campaign) Cancel(reason string) {
 	c.mu.Lock()
 	flipped, err := c.cancelLocked(reason)
 	c.mu.Unlock()
+	if len(flipped) == 0 {
+		return
+	}
 	for _, j := range flipped {
 		c.orch.journalResult(c.ID, j.ID, JobCancelled, err)
 	}
+	c.mu.Lock()
+	c.unjournaled -= len(flipped)
+	c.finishLocked()
+	c.mu.Unlock()
 }
 
 // cancelLocked cancels the campaign and flips queued jobs to cancelled,
 // returning the jobs whose terminal state still needs journaling (the
-// caller must do so after releasing c.mu — journal appends can fsync).
+// caller must do so after releasing c.mu — journal appends can fsync —
+// then take them off unjournaled and call finishLocked).
 func (c *Campaign) cancelLocked(reason string) ([]*Job, error) {
 	if c.ctx.Err() != nil {
 		return nil, nil
@@ -828,12 +842,13 @@ func (c *Campaign) cancelLocked(reason string) ([]*Job, error) {
 			}
 		}
 	}
+	c.unjournaled += len(flipped)
 	c.finishLocked()
 	return flipped, err
 }
 
 // finishLocked recounts unfinished jobs and closes done when none are
-// left.
+// left and every terminal result is journaled.
 func (c *Campaign) finishLocked() {
 	n := 0
 	for _, j := range c.jobs {
@@ -842,7 +857,7 @@ func (c *Campaign) finishLocked() {
 		}
 	}
 	c.pending = n
-	if n == 0 {
+	if n == 0 && c.unjournaled == 0 {
 		select {
 		case <-c.done:
 		default:

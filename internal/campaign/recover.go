@@ -131,26 +131,28 @@ func (o *Orchestrator) Drain(ctx context.Context) DrainReport {
 	o.wg.Wait()
 
 	// Workers are gone; every job state is final. Park the unfinished
-	// ones for replay.
-	requeued := 0
+	// ones for replay. The records are appended after c.mu is released:
+	// a compaction holds the journal's lock while it reads job states.
+	var parked []journal.Record
 	for _, c := range o.snapshotCampaigns() {
 		c.mu.Lock()
 		for _, j := range c.jobs {
 			if j.state == JobQueued || j.requeue {
-				requeued++
-				if jl := o.cfg.Journal; jl != nil {
-					_ = jl.Append(journal.Record{
-						Type:     journal.TypeRequeue,
-						Campaign: c.ID,
-						Job:      j.ID,
-						State:    j.state.String(),
-					})
-				}
+				parked = append(parked, journal.Record{
+					Type:     journal.TypeRequeue,
+					Campaign: c.ID,
+					Job:      j.ID,
+					State:    j.state.String(),
+				})
 			}
 		}
 		c.mu.Unlock()
 	}
+	requeued := len(parked)
 	if jl := o.cfg.Journal; jl != nil {
+		for _, rec := range parked {
+			_ = jl.Append(rec)
+		}
 		_ = jl.Sync()
 	}
 	return DrainReport{Completed: inflight - requeued, Requeued: requeued}
@@ -199,12 +201,15 @@ func (o *Orchestrator) maybeCompact() {
 		return
 	}
 	defer o.compacting.Store(false)
-	_ = j.Compact(o.pendingRecords())
+	_ = j.Compact(o.pendingRecords)
 }
 
 // CompactJournal rewrites the journal to just the submitted records of
 // jobs that are not yet terminal, regardless of size. magusd calls it
 // after a replay so recovered history does not accrete across restarts.
+// The job states are read under the journal's lock: a job that finishes
+// meanwhile has its result appended to the rewritten log, never to the
+// old one the rewrite discards.
 func (o *Orchestrator) CompactJournal() error {
 	j := o.cfg.Journal
 	if j == nil {
@@ -214,11 +219,17 @@ func (o *Orchestrator) CompactJournal() error {
 		return nil
 	}
 	defer o.compacting.Store(false)
-	return j.Compact(o.pendingRecords())
+	return j.Compact(o.pendingRecords)
 }
 
+// compactSnapshotHook, when set, runs right after a compaction's
+// snapshot of the pending jobs and before the journal is rewritten.
+var compactSnapshotHook func()
+
 // pendingRecords snapshots the submitted records of every job a replay
-// would need: queued, running, or parked for requeue.
+// would need: queued, running, or parked for requeue. Compaction calls
+// it under the journal's lock; it takes o.mu and each campaign's mu, so
+// no journal append may happen while holding either.
 func (o *Orchestrator) pendingRecords() []journal.Record {
 	var live []journal.Record
 	for _, c := range o.snapshotCampaigns() {
@@ -239,6 +250,9 @@ func (o *Orchestrator) pendingRecords() []journal.Record {
 			})
 		}
 		c.mu.Unlock()
+	}
+	if compactSnapshotHook != nil {
+		compactSnapshotHook()
 	}
 	return live
 }

@@ -3,7 +3,9 @@ package campaign
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -560,5 +562,173 @@ func waitForRunning(t *testing.T, o *Orchestrator, n int64) {
 			t.Fatalf("only %d jobs running, want %d", running, n)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestCompactionKeepsConcurrentResult pins the compaction race: a job
+// still running when the compaction snapshots the pending jobs finishes
+// and journals its result before the rewrite. The result must survive
+// in the rewritten log, or a restart would run a finished job again.
+// The snapshot hook lets the job finish and waits (briefly) for its
+// result to reach the file; a snapshot taken outside the journal's lock
+// lets that append into the old log, which the rewrite then discards.
+func TestCompactionKeepsConcurrentResult(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	jr, err := journal.Open(path, journal.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewEngineCache(1)
+	entered, release := make(chan struct{}), make(chan struct{})
+	build := func(ctx context.Context, class topology.AreaClass, seed int64) (*core.Engine, error) {
+		close(entered)
+		<-release
+		return testBuild(cache)(ctx, class, seed)
+	}
+	o, err := New(Config{Build: build, Workers: 1, Journal: jr, BreakerThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	c, err := o.Submit(sixJobs()[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+
+	compactSnapshotHook = func() {
+		compactSnapshotHook = nil
+		size0 := fileSize(t, path)
+		close(release)
+		for deadline := time.Now().Add(60 * time.Second); c.Snapshot().Jobs[0].State != JobDone.String(); {
+			if time.Now().After(deadline) {
+				t.Error("job never finished")
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); {
+			if fileSize(t, path) > size0 {
+				return // the result is on disk ahead of the rewrite
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	defer func() { compactSnapshotHook = nil }()
+	if err := o.CompactJournal(); err != nil {
+		t.Fatalf("CompactJournal: %v", err)
+	}
+	select {
+	case <-c.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("campaign never finished")
+	}
+	o.Close()
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pending, err := ReplayJournal(path)
+	if err != nil {
+		t.Fatalf("ReplayJournal: %v", err)
+	}
+	if len(pending) != 0 {
+		t.Fatalf("a job finished during compaction replays as pending (would run twice): %+v", pending)
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestDoneWaitsForJournaledResults: a campaign reads as finished only
+// once every terminal result is in the journal. A compaction whose
+// snapshot blocks holds the journal's lock while a queued job is
+// cancelled: the job turns cancelled at once, but Done must stay open
+// until its result record is appended — a caller that replays the
+// journal after Done would otherwise run the job again.
+func TestDoneWaitsForJournaledResults(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	jr, err := journal.Open(path, journal.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The single worker stays inside the first campaign's build until
+	// that campaign is cancelled, so the second campaign's job queues.
+	entered := make(chan struct{})
+	var once sync.Once
+	build := func(ctx context.Context, class topology.AreaClass, seed int64) (*core.Engine, error) {
+		once.Do(func() { close(entered) })
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	o, err := New(Config{Build: build, Workers: 1, Journal: jr, BreakerThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	busy, err := o.Submit(sixJobs()[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	c, err := o.Submit(sixJobs()[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	compacted := make(chan error, 1)
+	go func() {
+		compacted <- jr.Compact(func() []journal.Record {
+			close(held)
+			<-release
+			return o.pendingRecords()
+		})
+	}()
+	<-held
+	cancelled := make(chan struct{})
+	go func() {
+		c.Cancel("test")
+		close(cancelled)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); c.Snapshot().Jobs[0].State != JobCancelled.String(); {
+		if time.Now().After(deadline) {
+			t.Fatal("queued job never turned cancelled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-c.Done():
+		t.Fatal("campaign reads finished before its cancelled job's result is journaled")
+	default:
+	}
+	close(release)
+	if err := <-compacted; err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	<-cancelled
+	for _, cc := range []*Campaign{c, busy} {
+		cc.Cancel("test")
+		select {
+		case <-cc.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("campaign %s never finished", cc.ID)
+		}
+	}
+	o.Close()
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pending, err := ReplayJournal(path)
+	if err != nil {
+		t.Fatalf("ReplayJournal: %v", err)
+	}
+	if len(pending) != 0 {
+		t.Fatalf("cancelled jobs replay as pending: %+v", pending)
 	}
 }

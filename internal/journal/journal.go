@@ -277,12 +277,16 @@ func (j *Journal) Records() int64 {
 	return j.records
 }
 
-// Compact atomically replaces the log's contents with live (typically
-// the submitted records of still-pending jobs): the records are written
-// to a temporary file, fsynced, and renamed over the log. Sequence
-// numbering continues from the pre-compaction counter so replay order
-// stays unambiguous.
-func (j *Journal) Compact(live []Record) error {
+// Compact atomically replaces the log's contents with the records live
+// returns (typically the submitted records of still-pending jobs): they
+// are written to a temporary file, fsynced, and renamed over the log.
+// live runs under the journal's lock, so no append can fall between the
+// snapshot and the rewrite: a record appended concurrently either
+// happened before the snapshot (which then reflects it) or waits and
+// lands in the new log. live must not call back into the journal.
+// Sequence numbering continues from the pre-compaction counter so
+// replay order stays unambiguous.
+func (j *Journal) Compact(live func() []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -293,6 +297,7 @@ func (j *Journal) Compact(live []Record) error {
 	if err := j.syncLocked(); err != nil {
 		return err
 	}
+	recs := live()
 
 	tmp := j.path + ".compact"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -301,7 +306,7 @@ func (j *Journal) Compact(live []Record) error {
 	}
 	w := bufio.NewWriter(f)
 	count := int64(0)
-	for _, rec := range live {
+	for _, rec := range recs {
 		j.seq++
 		rec.Seq = j.seq
 		if rec.Time.IsZero() {

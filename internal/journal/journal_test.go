@@ -197,7 +197,7 @@ func TestCompactKeepsOnlyLiveRecords(t *testing.T) {
 		{Type: TypeSubmitted, Campaign: "c2", Job: 0, Spec: json.RawMessage(`{}`)},
 		{Type: TypeSubmitted, Campaign: "c2", Job: 1, Spec: json.RawMessage(`{}`)},
 	}
-	if err := j.Compact(live); err != nil {
+	if err := j.Compact(func() []Record { return live }); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	if got := j.Records(); got != 2 {
@@ -358,7 +358,7 @@ func TestClosedJournalRejectsAppends(t *testing.T) {
 	if err := j.Sync(); err == nil {
 		t.Fatal("Sync on closed journal succeeded")
 	}
-	if err := j.Compact(nil); err == nil {
+	if err := j.Compact(func() []Record { return nil }); err == nil {
 		t.Fatal("Compact on closed journal succeeded")
 	}
 	// Double close is fine.

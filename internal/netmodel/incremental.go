@@ -10,14 +10,19 @@
 //     form Σ over buckets with L > λ of (Σw·L − λ·Σw), where
 //     λ = log10(max(load·f, 1)) — buckets at or below λ sit on the
 //     utility's "any rate under 1 kbps is worth 0" clamp and contribute
-//     nothing. A uniform whole-market load swing therefore re-prices
-//     every sector in O(buckets) and the tick utility in O(sectors):
-//     the default LTE CQI mapper yields ≤ 15 distinct rates, so bucket
-//     lists stay tiny (a hypothetical continuous-rate mapper degrades
-//     the read toward a served-grid scan but stays correct, and resync
-//     compacts emptied buckets). Radio changes funnel through
-//     updateRate, which re-accounts exactly the touched grid (subtract
-//     the stored old contribution, add the new one).
+//     nothing. Each sector also keeps its totals Σw and Σw·L over all
+//     buckets and its smallest bucket L: while λ is below that L (the
+//     steady state — no bucket is clamped) the sector prices as
+//     ΣwL − λ·Σw without walking its buckets. λ itself is
+//     log10(load) + log10(f), the first term memoized per sector by the
+//     load value it was read at, so a uniform whole-market load swing
+//     costs one log10 per tick and a few flops per sector. The default
+//     LTE CQI mapper yields ≤ 15 distinct rates, so the bucket walk
+//     behind the clamp stays tiny (a hypothetical continuous-rate
+//     mapper degrades it toward a served-grid scan but stays correct,
+//     and resync compacts emptied buckets). Radio changes funnel
+//     through updateRate, which re-accounts exactly the touched grid
+//     (subtract the stored old contribution, add the new one).
 //   - Change log. setServing/updateRate record touched grids once per
 //     drain cycle; DrainChangedGrids hands them over sorted ascending,
 //     so a consumer summing per-grid terms over the drained set in shard
@@ -33,8 +38,11 @@
 // touched grid. Consumers bound the drift with periodic
 // ResyncKPIAggregates calls (simwindow resyncs every 64 ticks and after
 // a replan) and pin the incremental series to the full-scan reference
-// within 1e-9 relative. None of this state survives Clone (a clone
-// re-derives on enable) and RecomputeLoads switches the aggregates off.
+// within 1e-9 relative. A resync rebuilds only the sectors marked dirty
+// since the last rebuild — every other sector already holds exactly
+// what a rebuild would produce — so it is bit-identical to a full one.
+// None of this state survives Clone (a clone re-derives on enable) and
+// RecomputeLoads switches the aggregates off.
 package netmodel
 
 import (
@@ -63,6 +71,18 @@ type aggBucket struct {
 	l     float64 // log10(rmax/1000), computed once per bucket
 	sumW  float64 // Σ accounted base weight
 	sumWL float64 // Σ w·l
+}
+
+// aggSector is one sector's aggregate summary next to its buckets.
+type aggSector struct {
+	totW  float64 // Σ accounted base weight over all buckets
+	totWL float64 // Σ w·l over all buckets
+	minL  float64 // smallest bucket l (+Inf with no buckets)
+	lg    float64 // log10 of the load lgKey holds
+	lgKey float64 // the base load lg was computed from (NaN: none yet)
+	// dirty marks a sector whose served list or accounting changed since
+	// its last rebuild (it is then on State.aggDirty).
+	dirty bool
 }
 
 // kpiShards is the fixed shard count for deterministic parallel scans.
@@ -170,6 +190,10 @@ func (s *State) EnableKPIAggregates(u utility.Func, workers int) {
 		s.aggWL = make([]float64, n)
 		s.aggRmax = make([]float64, n)
 		s.aggBk = make([][]aggBucket, s.Model.Net.NumSectors())
+		s.aggSt = make([]aggSector, s.Model.Net.NumSectors())
+		for b := range s.aggSt {
+			s.aggSt[b].lgKey = math.NaN()
+		}
 	}
 	s.aggFn = u
 	switch u.Name {
@@ -181,22 +205,18 @@ func (s *State) EnableKPIAggregates(u utility.Func, workers int) {
 		s.aggMode = aggModeGeneric
 	}
 	s.aggOn = true
-	s.ResyncKPIAggregates(workers)
+	s.rebuildKPIAggregates(workers)
 }
 
 // KPIAggregatesOn reports whether the aggregate engine is live.
 func (s *State) KPIAggregatesOn() bool { return s.aggOn }
 
-// ResyncKPIAggregates rebuilds the per-sector bucket sums from scratch,
-// clearing accumulated floating-point repair drift and compacting
-// emptied buckets. The per-grid accounting is reset over fixed grid
-// shards, then each sector rebuilds its buckets from its served-grid
-// list — whole sectors per worker, so the per-sector summation order
-// (and therefore the bits) cannot depend on the workers value.
-func (s *State) ResyncKPIAggregates(workers int) {
-	if !s.aggOn {
-		return
-	}
+// rebuildKPIAggregates derives every sector's aggregates from scratch.
+// The per-grid accounting is reset over fixed grid shards, then each
+// sector rebuilds from its served-grid list — whole sectors per worker,
+// so the per-sector summation order (and therefore the bits) cannot
+// depend on the workers value.
+func (s *State) rebuildKPIAggregates(workers int) {
 	m := s.Model
 	gb := ShardBounds(m.Grid.NumCells())
 	forEachShard(len(gb), workers, func(si int) {
@@ -204,82 +224,164 @@ func (s *State) ResyncKPIAggregates(workers int) {
 			s.aggSec[g] = -1
 		}
 	})
-	perf := s.aggMode == aggModePerf
 	sb := ShardBounds(m.Net.NumSectors())
 	forEachShard(len(sb), workers, func(si int) {
 		for b := sb[si][0]; b < sb[si][1]; b++ {
-			bks := s.aggBk[b][:0]
-			for _, g32 := range s.servedList[b] {
-				g := int(g32)
-				w := m.ue[g]
-				rmax := s.rmax[g]
-				if w == 0 || rmax <= 0 {
-					continue
-				}
-				bi := -1
-				for i := range bks {
-					if bks[i].rmax == rmax {
-						bi = i
-						break
-					}
-				}
-				if bi < 0 {
-					bi = len(bks)
-					var l float64
-					if perf {
-						l = math.Log10(rmax / 1000)
-					}
-					bks = append(bks, aggBucket{rmax: rmax, l: l})
-				}
-				wl := w * bks[bi].l
-				bks[bi].sumW += w
-				bks[bi].sumWL += wl
-				s.aggSec[g] = s.bestSec[g]
-				s.aggW[g] = w
-				s.aggWL[g] = wl
-				s.aggRmax[g] = rmax
-			}
-			s.aggBk[b] = bks
+			s.rebuildSector(b)
 		}
 	})
+	s.aggDirty = s.aggDirty[:0]
+}
+
+// ResyncKPIAggregates clears accumulated floating-point repair drift and
+// compacts emptied buckets by rebuilding every sector marked dirty since
+// its last rebuild: the dirty list is sorted ascending and split into
+// fixed shards fanned out over workers. A clean sector's served list,
+// buckets and totals are untouched since it was built, so skipping it
+// leaves the same bits a full rebuild would.
+func (s *State) ResyncKPIAggregates(workers int) {
+	if !s.aggOn || len(s.aggDirty) == 0 {
+		return
+	}
+	dirty := s.aggDirty
+	slices.Sort(dirty)
+	db := ShardBounds(len(dirty))
+	forEachShard(len(db), workers, func(si int) {
+		for _, b := range dirty[db[si][0]:db[si][1]] {
+			s.rebuildSector(int(b))
+		}
+	})
+	s.aggDirty = dirty[:0]
+}
+
+// rebuildSector re-derives sector b's buckets, totals and the per-grid
+// accounting of its served grids from its served-grid list, in list
+// order. Every grid accounted under b is on that list, so the rebuild
+// touches no other sector's state.
+func (s *State) rebuildSector(b int) {
+	m := s.Model
+	perf := s.aggMode == aggModePerf
+	st := &s.aggSt[b]
+	st.totW, st.totWL, st.minL = 0, 0, math.Inf(1)
+	st.dirty = false
+	bks := s.aggBk[b][:0]
+	for _, g32 := range s.servedList[b] {
+		g := int(g32)
+		w := m.ue[g]
+		rmax := s.rmax[g]
+		if w == 0 || rmax <= 0 {
+			s.aggSec[g] = -1
+			continue
+		}
+		bi := -1
+		for i := range bks {
+			if bks[i].rmax == rmax {
+				bi = i
+				break
+			}
+		}
+		if bi < 0 {
+			bi = len(bks)
+			var l float64
+			if perf {
+				l = math.Log10(rmax / 1000)
+			}
+			bks = append(bks, aggBucket{rmax: rmax, l: l})
+			st.minL = min(st.minL, l)
+		}
+		wl := w * bks[bi].l
+		bks[bi].sumW += w
+		bks[bi].sumWL += wl
+		st.totW += w
+		st.totWL += wl
+		s.aggSec[g] = int32(b)
+		s.aggW[g] = w
+		s.aggWL[g] = wl
+		s.aggRmax[g] = rmax
+	}
+	s.aggBk[b] = bks
+}
+
+// markAggDirty queues sector b for the next resync.
+func (s *State) markAggDirty(b int32) {
+	if st := &s.aggSt[b]; !st.dirty {
+		st.dirty = true
+		s.aggDirty = append(s.aggDirty, b)
+	}
 }
 
 // KPIUtility returns the overall utility under the aggregate engine's
 // objective, recomputed in O(sectors) from the per-sector aggregates at
 // the model's current uniform load factor. EnableKPIAggregates must be
 // live. It can differ from UtilityScan by floating-point rounding only
-// (different association), bounded by the resync cadence.
+// (different association), bounded by the resync cadence. It refreshes
+// the per-sector log10(load) memo, so unlike UtilityScan it is not safe
+// for concurrent use.
+//
+// Under the log-utility a sector whose λ sits below its smallest
+// bucket L has no bucket on the 1 kbps clamp and prices from its totals
+// as ΣwL − λ·Σw; otherwise its buckets are walked.
 func (s *State) KPIUtility() float64 {
 	f := s.Model.ueFactor
 	total := 0.0
+	if s.aggMode == aggModePerf {
+		lf := math.Log10(f)
+		for b := range s.aggSt {
+			st := &s.aggSt[b]
+			if lam := st.lambda(s.load[b], lf); lam < st.minL {
+				total += (st.totWL - lam*st.totW) * f
+			} else {
+				total += s.walkBuckets(b, lam) * f
+			}
+		}
+		return total
+	}
 	for b := range s.aggBk {
 		total += s.kpiSectorUtil(b, f)
 	}
 	return total
 }
 
-// kpiSectorUtil prices one sector: the per-bucket closed form for the
-// log-utility (buckets at or below λ sit on the 1 kbps clamp and are
-// worth exactly zero), Σw for coverage, and an exact served-list scan
-// for any other objective.
+// lambda returns the sector's λ = max(0, log10(ld) + lf) at base load
+// ld and lf = log10(f), refreshing the log10(load) memo when the load
+// moved since it was computed.
+func (st *aggSector) lambda(ld, lf float64) float64 {
+	if ld != st.lgKey {
+		st.setLoad(ld)
+	}
+	return max(st.lg+lf, 0)
+}
+
+// setLoad refreshes the log10(load) memo, out of line so lambda inlines
+// into KPIUtility's loop. A load left a residue below zero by the ±
+// repair reads as empty (log10 0 = −Inf, so λ = 0).
+//
+//go:noinline
+func (st *aggSector) setLoad(ld float64) {
+	st.lgKey = ld
+	st.lg = math.Log10(max(ld, 0))
+}
+
+// walkBuckets prices sector b at λ = lam bucket by bucket, in base
+// units: buckets at or below λ sit on the clamp and are worth exactly
+// zero.
+func (s *State) walkBuckets(b int, lam float64) float64 {
+	sum := 0.0
+	for i := range s.aggBk[b] {
+		if bk := &s.aggBk[b][i]; bk.l > lam {
+			sum += bk.sumWL - lam*bk.sumW
+		}
+	}
+	return sum
+}
+
+// kpiSectorUtil prices one sector under the other objectives: Σw for
+// coverage, and an exact served-list scan for any other objective.
 func (s *State) kpiSectorUtil(b int, f float64) float64 {
-	switch s.aggMode {
-	case aggModeCov:
+	if s.aggMode == aggModeCov {
 		sum := 0.0
 		for i := range s.aggBk[b] {
 			sum += s.aggBk[b][i].sumW
-		}
-		return sum * f
-	case aggModePerf:
-		lam := 0.0
-		if n := s.load[b] * f; n > 1 {
-			lam = math.Log10(n)
-		}
-		sum := 0.0
-		for i := range s.aggBk[b] {
-			if bk := &s.aggBk[b][i]; bk.l > lam {
-				sum += bk.sumWL - lam*bk.sumW
-			}
 		}
 		return sum * f
 	}
@@ -301,8 +403,9 @@ func (s *State) kpiSectorUtil(b int, f float64) float64 {
 
 // aggReaccount re-accounts grid g after its serving sector, max rate or
 // base weight changed: the stored old contribution is subtracted from
-// its old bucket and the current one added to the new, so the repair
-// costs O(buckets) per touched grid.
+// its old bucket and sector totals and the current one added to the
+// new, so the repair costs O(buckets) per touched grid. Both sectors
+// are marked for the next resync.
 func (s *State) aggReaccount(g int) {
 	if b := s.aggSec[g]; b >= 0 {
 		old := s.aggRmax[g]
@@ -313,6 +416,10 @@ func (s *State) aggReaccount(g int) {
 				break
 			}
 		}
+		st := &s.aggSt[b]
+		st.totW -= s.aggW[g]
+		st.totWL -= s.aggWL[g]
+		s.markAggDirty(b)
 		s.aggSec[g] = -1
 	}
 	b := s.bestSec[g]
@@ -324,6 +431,7 @@ func (s *State) aggReaccount(g int) {
 	if w == 0 || rmax <= 0 {
 		return
 	}
+	st := &s.aggSt[b]
 	bks := s.aggBk[b]
 	bi := -1
 	for i := range bks {
@@ -340,6 +448,7 @@ func (s *State) aggReaccount(g int) {
 		}
 		bks = append(bks, aggBucket{rmax: rmax, l: l})
 		s.aggBk[b] = bks
+		st.minL = min(st.minL, l)
 	}
 	wl := w * bks[bi].l
 	s.aggSec[g] = b
@@ -348,6 +457,9 @@ func (s *State) aggReaccount(g int) {
 	s.aggRmax[g] = rmax
 	bks[bi].sumW += w
 	bks[bi].sumWL += wl
+	st.totW += w
+	st.totWL += wl
+	s.markAggDirty(b)
 }
 
 // NoteUsersScaledAt repairs the state's per-sector loads and KPI

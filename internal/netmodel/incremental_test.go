@@ -2,6 +2,8 @@ package netmodel
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"magus/internal/config"
@@ -293,5 +295,175 @@ func TestShardBounds(t *testing.T) {
 		if n > 0 && len(bounds) == 0 {
 			t.Fatalf("n=%d: no shards", n)
 		}
+	}
+}
+
+// TestKPIAggregatesClampBranches drives the log-utility read through
+// both of its branches — the per-sector totals while no bucket sits on
+// the 1 kbps clamp, the bucket walk once λ reaches a sector's smallest
+// L — over random moves and sector-downs, load factors from 1e-3 to 1e3
+// and a surge large enough to clamp the surged sectors alone, pinning
+// every read to the full-scan reference.
+func TestKPIAggregatesClampBranches(t *testing.T) {
+	m := testModel(t)
+	s := baseline(t, m)
+	s.EnableKPIAggregates(utility.Performance, 1)
+	rng := rand.New(rand.NewSource(19))
+	n := m.Net.NumSectors()
+
+	var totals, walked, mixed int
+	read := func(where string) {
+		t.Helper()
+		checkAgg(t, s, utility.Performance, where)
+		tot, walk := s.kpiBranches()
+		totals += tot
+		walked += walk
+		if tot > 0 && walk > 0 {
+			mixed++
+		}
+	}
+	factor := 1.0
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 5; i++ {
+			s.MustApply(randomBatchChange(rng, n))
+		}
+		s.MustApply(config.Change{Sector: rng.Intn(n), TurnOff: true})
+		for _, f := range []float64{1e-3, 1e-2, 0.3, 1, 3, 30, 1e3} {
+			m.ScaleUsers(f / factor)
+			factor = f
+			read("round " + itoa(round) + " factor")
+		}
+		m.ScaleUsers(1 / factor)
+		factor = 1
+
+		// Surge one sector's grids hard enough to clamp it while the rest
+		// of the market stays on the totals branch.
+		grids := servedGridsOf(s, rng.Intn(n))
+		m.ScaleUsersAt(grids, 1e4)
+		s.NoteUsersScaledAt(grids, 1e4)
+		read("round " + itoa(round) + " surge")
+		m.ScaleUsersAt(grids, 1e-4)
+		s.NoteUsersScaledAt(grids, 1e-4)
+		read("round " + itoa(round) + " surge expiry")
+		s.ResyncKPIAggregates(2)
+	}
+	if totals == 0 || walked == 0 || mixed == 0 {
+		t.Fatalf("branches not all exercised: %d sector reads on totals, %d walked, %d mixed reads",
+			totals, walked, mixed)
+	}
+}
+
+// TestKPIAggregatesDirtyResyncBitIdentical: twin states run the same
+// random moves, sector-downs and localized rescales; resyncing one
+// rebuilds only its dirty sectors, the other rebuilds every sector.
+// Buckets, per-sector totals, per-grid accounting and the read must
+// agree to the bit, while the dirty pass really skips sectors. A third
+// of the grids carry no users, so unaccounted grids change sector too.
+// Before every resync each clean sector must still hold the served list
+// and per-grid accounting its last rebuild left — the structural form
+// of "rebuilding it would change nothing".
+func TestKPIAggregatesDirtyResyncBitIdentical(t *testing.T) {
+	m := testModel(t)
+	dirty, full := baseline(t, m), baseline(t, m)
+	dirty.AssignUsersWeighted(func(g int) float64 {
+		if g%3 == 0 {
+			return 0
+		}
+		return float64(1 + g%5)
+	})
+	full.RecomputeLoads()
+	dirty.EnableKPIAggregates(utility.Performance, 1)
+	full.EnableKPIAggregates(utility.Performance, 3)
+	rng := rand.New(rand.NewSource(7))
+	n := m.Net.NumSectors()
+
+	eq := func(where, what string, i int, a, b float64) {
+		t.Helper()
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("%s: %s[%d] = %v after the dirty resync, %v after the full rebuild", where, what, i, a, b)
+		}
+	}
+	var snapServed [][]int32
+	var snapSec []int32
+	var snapW, snapRmax []float64
+	snapshot := func() {
+		snapServed = make([][]int32, n)
+		for b := range snapServed {
+			snapServed[b] = slices.Clone(dirty.servedList[b])
+		}
+		snapSec = slices.Clone(dirty.aggSec)
+		snapW = slices.Clone(dirty.aggW)
+		snapRmax = slices.Clone(dirty.aggRmax)
+	}
+	snapshot()
+	skipped := 0
+	for round := 0; round < 60; round++ {
+		where := "round " + itoa(round)
+		for i := rng.Intn(2); i >= 0; i-- {
+			ch := randomBatchChange(rng, n)
+			dirty.MustApply(ch)
+			full.MustApply(ch)
+		}
+		if rng.Intn(4) == 0 {
+			ch := config.Change{Sector: rng.Intn(n), TurnOff: true}
+			dirty.MustApply(ch)
+			full.MustApply(ch)
+		}
+		if rng.Intn(3) == 0 {
+			grids := servedGridsOf(dirty, rng.Intn(n))
+			f := 0.5 + 2*rng.Float64()
+			m.ScaleUsersAt(grids, f)
+			dirty.NoteUsersScaledAt(grids, f)
+			full.NoteUsersScaledAt(grids, f)
+		}
+		m.ScaleUsers(0.5 + rng.Float64())
+
+		for b := 0; b < n; b++ {
+			if dirty.aggSt[b].dirty {
+				continue
+			}
+			skipped++
+			if !slices.Equal(dirty.servedList[b], snapServed[b]) {
+				t.Fatalf("%s: sector %d's served list changed but it is not marked dirty", where, b)
+			}
+			for _, g := range dirty.servedList[b] {
+				if dirty.aggSec[g] != snapSec[g] || dirty.aggW[g] != snapW[g] || dirty.aggRmax[g] != snapRmax[g] {
+					t.Fatalf("%s: grid %d of clean sector %d was re-accounted", where, g, b)
+				}
+			}
+		}
+		dirty.ResyncKPIAggregates(1 + round%3)
+		full.rebuildKPIAggregates(2)
+		snapshot()
+
+		for b := 0; b < n; b++ {
+			db, fb := dirty.aggBk[b], full.aggBk[b]
+			if len(db) != len(fb) {
+				t.Fatalf("%s: sector %d has %d buckets after the dirty resync, %d after the full rebuild", where, b, len(db), len(fb))
+			}
+			for i := range fb {
+				eq(where, "rmax", b, db[i].rmax, fb[i].rmax)
+				eq(where, "l", b, db[i].l, fb[i].l)
+				eq(where, "sumW", b, db[i].sumW, fb[i].sumW)
+				eq(where, "sumWL", b, db[i].sumWL, fb[i].sumWL)
+			}
+			ds, fs := dirty.aggSt[b], full.aggSt[b]
+			eq(where, "totW", b, ds.totW, fs.totW)
+			eq(where, "totWL", b, ds.totWL, fs.totWL)
+			eq(where, "minL", b, ds.minL, fs.minL)
+		}
+		for g := 0; g < m.Grid.NumCells(); g++ {
+			if dirty.aggSec[g] != full.aggSec[g] {
+				t.Fatalf("%s: grid %d accounted under %d after the dirty resync, %d after the full rebuild", where, g, dirty.aggSec[g], full.aggSec[g])
+			}
+			eq(where, "aggW", g, dirty.aggW[g], full.aggW[g])
+			eq(where, "aggWL", g, dirty.aggWL[g], full.aggWL[g])
+			eq(where, "aggRmax", g, dirty.aggRmax[g], full.aggRmax[g])
+		}
+		eq(where, "KPIUtility", 0, dirty.KPIUtility(), full.KPIUtility())
+		checkAgg(t, dirty, utility.Performance, where)
+	}
+	if skipped == 0 {
+		t.Fatal("every resync rebuilt every sector; the dirty pass skipped nothing")
 	}
 }

@@ -66,6 +66,8 @@ type State struct {
 	aggW     []float64     // per grid: accounted base weight
 	aggWL    []float64     // per grid: accounted w·L term
 	aggRmax  []float64     // per grid: accounted max rate (bucket key)
+	aggSt    []aggSector   // per sector: totals, λ memo, dirty mark
+	aggDirty []int32       // sectors marked dirty since the last rebuild
 	logOn    bool
 	logMark  []bool
 	logGrids []int32
@@ -417,7 +419,8 @@ func (s *State) rescanBest(g int) {
 }
 
 // setServing moves grid g to a new serving sector, maintaining loads,
-// served-grid counts and the served-grid index.
+// served-grid counts and the served-grid index, and marking both sectors
+// for the KPI aggregates' next resync.
 func (s *State) setServing(g int, sec int32, mw float64) {
 	old := s.bestSec[g]
 	if old >= 0 {
@@ -432,6 +435,16 @@ func (s *State) setServing(g int, sec int32, mw float64) {
 	if sec >= 0 {
 		s.load[sec] += s.Model.ue[g]
 		s.served[sec]++
+	}
+	if s.aggOn {
+		// Both lists change order, which fixes a rebuild's summation
+		// order, even when g itself is not accounted.
+		if old >= 0 {
+			s.markAggDirty(old)
+		}
+		if sec >= 0 {
+			s.markAggDirty(sec)
+		}
 	}
 	if old >= 0 {
 		list := s.servedList[old]

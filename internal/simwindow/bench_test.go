@@ -182,6 +182,31 @@ func BenchmarkWindowSetup(b *testing.B) {
 	}
 }
 
+// BenchmarkSettleDay prices a full day's window on the medium fixture:
+// 1440 one-minute ticks along the diurnal profile with load noise, the
+// runbook's pushes in the first ticks and no faults. Almost every tick is
+// settle phase, where the cost is the per-tick KPI read and the
+// 64-tick resync. Construction is untimed.
+func BenchmarkSettleDay(b *testing.B) {
+	fx := benchFixture(b, benchMedium)
+	profile := schedule.DefaultProfile()
+	cfg := simwindow.Config{Seed: 42, Ticks: 1440, Profile: &profile, LoadNoise: 0.02}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sim, err := simwindow.New(fx.eng.Before, fx.grad, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := sim.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(cfg.Ticks+1)), "ns/tick")
+}
+
 // BenchmarkGradualMigration prices one gradual migration (Figure 11's
 // schedule, the runbook's source) on the medium fixture's plan.
 func BenchmarkGradualMigration(b *testing.B) {

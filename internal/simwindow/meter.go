@@ -7,8 +7,8 @@ import (
 
 // meterResyncTicks bounds the incremental engine's floating-point
 // repair drift: every this many measured ticks (and after a replan) the
-// meter rebuilds the aggregate sums and its below-floor bookkeeping
-// from scratch.
+// meter rebuilds the aggregate sums of the sectors that moved and, if it
+// was repaired since, its below-floor bookkeeping.
 const meterResyncTicks = 64
 
 // meter produces the per-tick KPI series. In the default incremental
@@ -45,9 +45,13 @@ type meter struct {
 
 	// Below-floor bookkeeping in base UE units: belowBase is the base
 	// weight over grids with belowFlag set; the uniform load factor is
-	// applied at read time.
-	belowFlag []bool
-	belowBase float64
+	// applied at read time. belowRepaired records a ± repair of
+	// belowBase (a flag flip, or a flagged grid's weight rescaled) since
+	// the last rebuild; without one the sum already holds the rebuild's
+	// bits.
+	belowFlag     []bool
+	belowBase     float64
+	belowRepaired bool
 
 	sinceSync int
 }
@@ -96,6 +100,7 @@ func (mt *meter) rebuildBelow() {
 		}
 		return sum
 	})
+	mt.belowRepaired = false
 }
 
 // utilities returns the tick's f(C_live) and f(C_after).
@@ -156,6 +161,7 @@ func (mt *meter) measureChanges() (handovers, below float64) {
 		w := mt.model.UEBase(g)
 		nf := w != 0 && mt.live.SINRdB(g) < mt.sinrFloor
 		if nf != mt.belowFlag[g] {
+			mt.belowRepaired = true
 			if nf {
 				mt.belowBase += w
 			} else {
@@ -184,6 +190,7 @@ func (mt *meter) scaleAt(grids []int, factor float64) {
 	for _, g := range grids {
 		if mt.belowFlag[g] {
 			mt.belowBase -= mt.model.UEBase(g)
+			mt.belowRepaired = true
 		}
 	}
 	mt.model.ScaleUsersAt(grids, factor)
@@ -217,10 +224,11 @@ func (mt *meter) tickDone() {
 	}
 }
 
-// resync rebuilds everything the incremental path maintains by ±repair:
-// the per-sector aggregate sums of both states and the below-floor
-// bookkeeping. The serving snapshot is exact by construction and is
-// left alone.
+// resync rebuilds everything the incremental path repaired by ± since
+// the last resync: the aggregate sums of both states' dirty sectors and
+// the below-floor sum. Both skip only what a rebuild would reproduce bit
+// for bit, so the series matches one that rebuilt everything. The
+// serving snapshot is exact by construction and is left alone.
 func (mt *meter) resync() {
 	if mt.full {
 		return
@@ -228,5 +236,7 @@ func (mt *meter) resync() {
 	mt.sinceSync = 0
 	mt.live.ResyncKPIAggregates(mt.workers)
 	mt.afterRef.ResyncKPIAggregates(mt.workers)
-	mt.rebuildBelow()
+	if mt.belowRepaired {
+		mt.rebuildBelow()
+	}
 }

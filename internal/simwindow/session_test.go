@@ -219,3 +219,57 @@ func sameState(t *testing.T, where string, got, want *netmodel.State) {
 	want.EnableKPIAggregates(utility.Performance, 1)
 	eq("KPIUtility", 0, got.KPIUtility(), want.KPIUtility())
 }
+
+// TestMeterBelowRebuildSkip: a resync skips the below-floor rebuild when
+// nothing repaired the sum since the last one. Twin sessions — one
+// skipping, one forced to rebuild at every resync — take the same pushes,
+// sector-down and surge and must report the same samples bit for bit,
+// with the skip taken on some resyncs and the rebuild on others. Each
+// kind of repair gets a resync period of its own (resyncs fall on ticks
+// 63, 127, 191, ...): the pushes in the first, the sector-down's flag
+// flips alone in the second, the start and the end of a surge over the
+// downed sector's (flagged) grids in the third and fourth, and nothing
+// after.
+func TestMeterBelowRebuildSkip(t *testing.T) {
+	eng, _, grad, _ := fixture(t)
+	profile := schedule.DefaultProfile()
+	down := itoa(grad.TunedSectors[0])
+	faults, err := simwindow.ParseFaults("sector-down@90:" + down + ", surge@150+60:" + down + ":x2.5")
+	if err != nil {
+		t.Fatalf("ParseFaults: %v", err)
+	}
+	cfg := simwindow.Config{Seed: 5, Ticks: 400, Profile: &profile, LoadNoise: 0.05, Faults: faults}
+	skip, forced := mustSession(t, eng.Before, grad, cfg), mustSession(t, eng.Before, grad, cfg)
+	skips, rebuilds := 0, 0
+	for tick := 0; tick < cfg.Ticks; tick++ {
+		if i := tick / 4; tick%4 == 0 && i < len(grad.Steps) && tick < 64 {
+			for _, s := range []*simwindow.Session{skip, forced} {
+				if err := s.Push(grad.Steps[i].Changes); err != nil {
+					t.Fatalf("push %d: %v", i, err)
+				}
+			}
+		}
+		got, skipped := simwindow.AdvanceBelowProbe(skip, false)
+		want, _ := simwindow.AdvanceBelowProbe(forced, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("tick %d: skipping meter diverged from rebuilding one:\nskip:    %+v\nrebuild: %+v", tick, got, want)
+		}
+		if skipped {
+			skips++
+		} else if (tick+1)%64 == 0 { // a Session resyncs every 64 ticks
+			rebuilds++
+		}
+	}
+	if skips == 0 || rebuilds == 0 {
+		t.Fatalf("resyncs: %d skipped the below-floor rebuild, %d rebuilt; want both", skips, rebuilds)
+	}
+}
+
+func mustSession(t *testing.T, base *netmodel.State, rb *runbook.Runbook, cfg simwindow.Config) *simwindow.Session {
+	t.Helper()
+	s, err := simwindow.NewSession(base, rb, cfg)
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	return s
+}
