@@ -26,7 +26,7 @@
 // Two variants share all of the grid/serving/load/utility logic and
 // differ only in how an entry's new received power is derived:
 //
-//   - float: from the state's own linkDB/rpMw float64 columns, the same
+//   - float: from the state's link rows and rpMw column, the same
 //     arithmetic Apply performs, so per-grid rates are bit-identical to
 //     an Apply and the delta differs from the full-scan oracle only by
 //     summation order (≤1e-9 relative, pinned by
@@ -84,19 +84,22 @@ type batchScratch struct {
 
 var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 
-// ensure sizes the scratch for a model and starts a fresh epoch.
+// ensure sizes the scratch for a model. The pool hands a scratch from
+// one market to the next, so growing either side restarts the epoch
+// with BOTH mark arrays cleared: a mark kept from before the restart
+// would otherwise read as touched once the epoch counts up to it again,
+// and the move would be priced from another market's scratch rows.
 func (sc *batchScratch) ensure(numCells, numSectors int) {
-	if len(sc.gridMark) < numCells {
-		sc.gridMark = make([]uint32, numCells)
-		sc.newTotal = make([]float64, numCells)
-		sc.newBestMw = make([]float64, numCells)
-		sc.newBestSec = make([]int32, numCells)
-		sc.newRmax = make([]float64, numCells)
-		sc.epoch = 0
-	}
-	if len(sc.secMark) < numSectors {
-		sc.secMark = make([]uint32, numSectors)
-		sc.loadDelta = make([]float64, numSectors)
+	if len(sc.gridMark) < numCells || len(sc.secMark) < numSectors {
+		cells := max(numCells, len(sc.gridMark))
+		secs := max(numSectors, len(sc.secMark))
+		sc.gridMark = make([]uint32, cells)
+		sc.newTotal = make([]float64, cells)
+		sc.newBestMw = make([]float64, cells)
+		sc.newBestSec = make([]int32, cells)
+		sc.newRmax = make([]float64, cells)
+		sc.secMark = make([]uint32, secs)
+		sc.loadDelta = make([]float64, secs)
 		sc.epoch = 0
 	}
 	sc.grids = sc.grids[:0]
@@ -293,11 +296,12 @@ func (s *State) batchScaleSector(sc *batchScratch, b int, factor float64) {
 // order.
 func (s *State) batchPowerSectorFloat(sc *batchScratch, b int, deltaDb float64) {
 	newPower := s.Cfg.PowerDbm(b) + deltaDb
-	for _, ref := range s.Model.core.sectorEntries[b] {
+	row := s.linkDB[b]
+	for i, ref := range s.Model.core.sectorEntries[b] {
 		if s.rpMw[ref.Pos] == 0 {
 			continue
 		}
-		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), units.DbmToMw(newPower+s.linkDB[ref.Pos]))
+		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), units.DbmToMw(newPower+row[i]))
 	}
 }
 
@@ -309,10 +313,11 @@ func (s *State) batchRecomputeSectorFloat(sc *batchScratch, applied config.Chang
 	newPower := s.Cfg.PowerDbm(b) + applied.PowerDelta
 	newTilt := m.Net.Sectors[b].Tilts.Degrees(s.Cfg.TiltIndex(b) + applied.TiltDelta)
 	retilt := applied.TiltDelta != 0
-	for _, ref := range m.core.sectorEntries[b] {
+	row := s.linkDB[b]
+	for i, ref := range m.core.sectorEntries[b] {
 		var nrp float64
 		if !newOff {
-			link := s.linkDB[ref.Pos]
+			link := row[i]
 			if retilt {
 				link = m.entryLinkDB(int(ref.Pos), newTilt)
 			}

@@ -555,3 +555,38 @@ func TestCloneDropsTracking(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchEpochRestartClearsMarks: the scratch pool hands one
+// market's scratch to the next, and a market that needs more grid or
+// sector slots restarts the epoch. No mark may then exceed the epoch:
+// a grid or sector marked before the restart would read as already
+// touched once the epoch counted up to its mark, and the move would be
+// priced from the previous market's scratch rows.
+func TestScratchEpochRestartClearsMarks(t *testing.T) {
+	m := testModel(t)
+	s := baseline(t, m)
+	cells, secs := m.Grid.NumCells(), m.Net.NumSectors()
+	for _, grow := range []struct {
+		name        string
+		cells, secs int
+	}{
+		{"more grids", cells + 1, secs},
+		{"more sectors", cells, secs + 1},
+	} {
+		sc := &batchScratch{}
+		sc.ensure(cells, secs)
+		for i := 0; i < 40; i++ {
+			sc.nextMove()
+			sc.touchGrid(s, int32(i))
+			sc.touchSec(int32(i % secs))
+		}
+		sc.ensure(grow.cells, grow.secs)
+		for what, marks := range map[string][]uint32{"grid": sc.gridMark, "sector": sc.secMark} {
+			for i, mark := range marks {
+				if mark > sc.epoch {
+					t.Fatalf("%s: %s %d keeps mark %d past the restarted epoch %d", grow.name, what, i, mark, sc.epoch)
+				}
+			}
+		}
+	}
+}

@@ -10,14 +10,16 @@ import (
 	"magus/internal/utility"
 )
 
-var kpiSink float64
+var (
+	kpiSink   float64
+	cloneSink *State
+)
 
-// BenchmarkKPIUtility prices one window tick's KPI read: a uniform load
-// swing, then KPIUtility on both the live state and the C_after floor
-// reference (one sector off-air, two neighbours re-powered). The market
-// is a 12 km suburban one — 156 sectors over 3600 grids at 200 m — the
-// scale of the daemon's default market.
-func BenchmarkKPIUtility(b *testing.B) {
+// benchMarket builds a 12 km suburban market — 156 sectors over 3600
+// grids at 200 m, the scale of the daemon's default market — and its
+// default-configuration state with users assigned.
+func benchMarket(b *testing.B) (*Model, *State) {
+	b.Helper()
 	net := topology.MustGenerate(topology.GenConfig{
 		Seed:   1,
 		Class:  topology.Suburban,
@@ -26,6 +28,27 @@ func BenchmarkKPIUtility(b *testing.B) {
 	m := MustNewModel(net, propagation.MustNewSPM(2.635e9, nil), net.Bounds, Params{CellSizeM: 200})
 	live := m.NewState(config.New(net))
 	live.AssignUsersUniform()
+	return m, live
+}
+
+// BenchmarkStateClone prices one State.Clone on the benchmark market:
+// the per-grid arrays, the received powers and one header per sector's
+// shared link row.
+func BenchmarkStateClone(b *testing.B) {
+	_, s := benchMarket(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cloneSink = s.Clone()
+	}
+}
+
+// BenchmarkKPIUtility prices one window tick's KPI read on the benchmark
+// market: a uniform load swing, then KPIUtility on both the live state
+// and the C_after floor reference (one sector off-air, two neighbours
+// re-powered).
+func BenchmarkKPIUtility(b *testing.B) {
+	m, live := benchMarket(b)
 	afterCfg := live.Cfg.Clone()
 	for _, ch := range []config.Change{
 		{Sector: 0, TurnOff: true},

@@ -47,6 +47,7 @@ package netmodel
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -484,26 +485,30 @@ func (s *State) NoteUsersScaledAt(grids []int, factor float64) {
 }
 
 // EnableChangeLog starts recording the grids whose radio state (serving
-// sector, SINR or max rate) is touched by subsequent changes, each grid
+// sector, SINR or max rate) is touched by subsequent changes: updateRate
+// sets grid g's bit in a one-bit-per-grid set, so each grid is recorded
 // at most once per drain cycle. Like the aggregates, the log does not
 // survive Clone.
 func (s *State) EnableChangeLog() {
-	if s.logMark == nil {
-		s.logMark = make([]bool, s.Model.Grid.NumCells())
+	if s.changed == nil {
+		s.changed = make([]uint64, (s.Model.Grid.NumCells()+63)/64)
 	}
-	s.logOn = true
 }
 
-// DrainChangedGrids appends the logged grids to buf sorted ascending,
+// DrainChangedGrids appends the logged grids to buf in ascending order,
 // clears the log, and returns the extended slice. The ascending order
 // is what lets a consumer's per-grid sum over the drained set match a
-// full ascending scan bit for bit.
+// full ascending scan bit for bit; walking the bitset word by word gives
+// it without a sort.
 func (s *State) DrainChangedGrids(buf []int32) []int32 {
-	for _, g := range s.logGrids {
-		s.logMark[g] = false
+	for w, word := range s.changed {
+		if word == 0 {
+			continue
+		}
+		s.changed[w] = 0
+		for ; word != 0; word &= word - 1 {
+			buf = append(buf, int32(w<<6+bits.TrailingZeros64(word)))
+		}
 	}
-	slices.Sort(s.logGrids)
-	buf = append(buf, s.logGrids...)
-	s.logGrids = s.logGrids[:0]
 	return buf
 }

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -42,9 +43,17 @@ func TestRandomChangeSequencesMatchFullRecompute(t *testing.T) {
 				t.Fatalf("trial %d: grid %d serving %d vs %d",
 					trial, g, st.ServingSector(g), fresh.ServingSector(g))
 			}
-			if st.MaxRateBps(g) != fresh.MaxRateBps(g) {
-				t.Fatalf("trial %d: grid %d rmax %v vs %v",
-					trial, g, st.MaxRateBps(g), fresh.MaxRateBps(g))
+			// The rate and its CQI bucket, which Apply keeps without a
+			// threshold scan while the SINR stays inside it.
+			for _, v := range [][2]float64{
+				{st.rmax[g], fresh.rmax[g]},
+				{st.sinrLo[g], fresh.sinrLo[g]},
+				{st.sinrHi[g], fresh.sinrHi[g]},
+			} {
+				if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
+					t.Fatalf("trial %d: grid %d rmax/sinrLo/sinrHi %v/%v/%v vs %v/%v/%v", trial, g,
+						st.rmax[g], st.sinrLo[g], st.sinrHi[g], fresh.rmax[g], fresh.sinrLo[g], fresh.sinrHi[g])
+				}
 			}
 		}
 		for b := 0; b < m.Net.NumSectors(); b++ {
@@ -123,4 +132,91 @@ func TestHandoverConservation(t *testing.T) {
 	if lostService < -1e-9 {
 		t.Errorf("service count grew (%v) when a sector died", -lostService)
 	}
+}
+
+// setSINR rewrites grid g's serving and total power so that its linear
+// SINR (bestMw / (noise + interference)), with no interference, is the
+// nearest to want a float64 serving power gives, then lets updateRate
+// see it. It returns the SINR updateRate saw.
+func setSINR(s *State, g int, want float64) float64 {
+	noise := s.Model.noiseMw
+	mw := want * noise
+	for i := 0; i < 8 && mw/noise != want; i++ {
+		if mw/noise < want {
+			mw = math.Nextafter(mw, math.Inf(1))
+		} else {
+			mw = math.Nextafter(mw, 0)
+		}
+	}
+	s.bestMw[g] = mw
+	s.totalMw[g] = mw
+	s.updateRate(g)
+	return mw / noise
+}
+
+// TestRateBucketBoundaries pins updateRate's same-bucket skip to the
+// threshold scan at the edges of a grid's cached CQI bucket [lo, hi): a
+// SINR of exactly hi belongs to the next bucket up, exactly lo stays,
+// and one ulp below lo drops a bucket. After each, rmax and the cached
+// bounds must equal a fresh rateBounds of the same SINR bit for bit.
+func TestRateBucketBoundaries(t *testing.T) {
+	m := testModel(t)
+	base := baseline(t, m)
+	checked := 0
+	ran := map[string]int{}
+	for g := 0; g < m.Grid.NumCells() && checked < 20; g++ {
+		lo, hi := base.sinrLo[g], base.sinrHi[g]
+		if base.bestSec[g] < 0 || lo <= 0 || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+			continue
+		}
+		s := base.Clone()
+		s.EnableKPIAggregates(utility.Performance, 1)
+		for _, tc := range []struct {
+			name   string
+			sinr   float64
+			wantLo float64
+		}{
+			{"exactly hi", hi, hi},
+			{"back inside", (lo + hi) / 2, lo},
+			{"exactly lo", lo, lo},
+			{"one ulp below lo", math.Nextafter(lo, 0), math.NaN()},
+		} {
+			sinr := setSINR(s, g, tc.sinr)
+			if sinr != tc.sinr && tc.name != "back inside" {
+				continue // no serving power lands exactly on this edge
+			}
+			ran[tc.name]++
+			rate, wantLo, wantHi := m.rateBounds(sinr)
+			if math.Float64bits(s.rmax[g]) != math.Float64bits(rate) ||
+				math.Float64bits(s.sinrLo[g]) != math.Float64bits(wantLo) ||
+				math.Float64bits(s.sinrHi[g]) != math.Float64bits(wantHi) {
+				t.Fatalf("grid %d %s: rate %v [%v, %v), rateBounds %v [%v, %v)",
+					g, tc.name, s.rmax[g], s.sinrLo[g], s.sinrHi[g], rate, wantLo, wantHi)
+			}
+			if !math.IsNaN(tc.wantLo) && s.sinrLo[g] != tc.wantLo {
+				t.Fatalf("grid %d %s: bucket floor %v, want %v", g, tc.name, s.sinrLo[g], tc.wantLo)
+			}
+			if math.IsNaN(tc.wantLo) && s.sinrHi[g] != lo {
+				t.Fatalf("grid %d %s: bucket ceiling %v, want the old floor %v", g, tc.name, s.sinrHi[g], lo)
+			}
+			// The KPI aggregates follow the rate the grid now holds: a
+			// grid with users and a rate is accounted at that rate, any
+			// other grid not at all.
+			accounted := s.aggSec[g] >= 0
+			if accounted != (s.rmax[g] > 0 && m.ue[g] > 0) || accounted && s.aggRmax[g] != s.rmax[g] {
+				t.Fatalf("grid %d %s: aggregates account rate %v (sector %d), grid holds %v",
+					g, tc.name, s.aggRmax[g], s.aggSec[g], s.rmax[g])
+			}
+		}
+		checked++
+	}
+	if checked < 10 {
+		t.Fatalf("only %d grids sit in a bounded CQI bucket", checked)
+	}
+	for _, name := range []string{"exactly hi", "exactly lo", "one ulp below lo"} {
+		if ran[name] == 0 {
+			t.Errorf("no grid reached the %q case", name)
+		}
+	}
+	t.Logf("cases run over %d grids: %v", checked, ran)
 }

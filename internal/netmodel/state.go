@@ -21,7 +21,6 @@ type State struct {
 	Cfg   *config.Config
 
 	rpMw    []float64 // per contributor entry: current received power, mW (0 when off)
-	linkDB  []float64 // per entry: base loss + vertical attenuation at current tilt, dB
 	totalMw []float64 // per grid: sum of all contributors, mW
 	bestSec []int32   // per grid: serving sector, -1 if none
 	bestMw  []float64 // per grid: serving sector received power, mW
@@ -30,6 +29,15 @@ type State struct {
 	sinrHi  []float64 // per grid: linear-SINR CQI bucket ceiling (exclusive)
 	load    []float64 // per sector: sum of UE weights over served grids
 	served  []int32   // per sector: number of served grids
+
+	// Per-sector link rows: linkDB[b][i] is the link budget (base loss
+	// plus vertical attenuation at the sector's current tilt, dB) of
+	// sector b's i-th entry in sectorEntries[b] order. A row is built
+	// whole and installed by deriveSector or RefreshSector and never
+	// written after that, so Clone and Derive share rows with their
+	// source: a copy costs one header per sector, and neither side can
+	// see a write made by the other.
+	linkDB [][]float64
 
 	// Per-grid utility memo: most grids keep their rate between two
 	// Utility calls during a search, so the per-UE utility (a log10) is
@@ -55,9 +63,10 @@ type State struct {
 	servedPos  []int32
 
 	// Incremental KPI aggregates backing KPIUtility and the radio-change
-	// grid log backing DrainChangedGrids; see incremental.go. Neither
-	// survives Clone (zero values mean "off"), and RecomputeLoads /
-	// AssignUsers* switch the aggregates off.
+	// grid bitset backing DrainChangedGrids (bit g set when grid g was
+	// touched since the last drain; nil when the log is off); see
+	// incremental.go. Neither survives Clone (zero values mean "off"),
+	// and RecomputeLoads / AssignUsers* switch the aggregates off.
 	aggOn    bool
 	aggFn    utility.Func
 	aggMode  uint8
@@ -68,9 +77,7 @@ type State struct {
 	aggRmax  []float64     // per grid: accounted max rate (bucket key)
 	aggSt    []aggSector   // per sector: totals, λ memo, dirty mark
 	aggDirty []int32       // sectors marked dirty since the last rebuild
-	logOn    bool
-	logMark  []bool
-	logGrids []int32
+	changed  []uint64
 }
 
 // NewState fully evaluates cfg against the model. The state takes
@@ -85,14 +92,13 @@ func (m *Model) NewState(cfg *config.Config) *State {
 }
 
 // allocState returns a zeroed state over m owning cfg, with an empty
-// utility memo: the per-entry and per-grid arrays await deriveSector and
-// evaluateGrids.
+// utility memo: the link rows, per-entry and per-grid arrays await
+// deriveSector and evaluateGrids.
 func (m *Model) allocState(cfg *config.Config) *State {
 	s := &State{
 		Model:   m,
 		Cfg:     cfg,
 		rpMw:    make([]float64, len(m.core.contribSector)),
-		linkDB:  make([]float64, len(m.core.contribSector)),
 		totalMw: make([]float64, m.Grid.NumCells()),
 		bestSec: make([]int32, m.Grid.NumCells()),
 		bestMw:  make([]float64, m.Grid.NumCells()),
@@ -101,6 +107,7 @@ func (m *Model) allocState(cfg *config.Config) *State {
 		sinrHi:  make([]float64, m.Grid.NumCells()),
 		load:    make([]float64, m.Net.NumSectors()),
 		served:  make([]int32, m.Net.NumSectors()),
+		linkDB:  make([][]float64, m.Net.NumSectors()),
 	}
 	s.resetUtilityMemo("")
 	return s
@@ -123,14 +130,16 @@ func (s *State) resetUtilityMemo(name string) {
 // is deep-copied too). The utility memo IS copied — it is a consistent
 // snapshot of (rate, u(rate)) pairs, so the clone's first Utility call
 // under the same objective stays incremental — and so is the served-grid
-// index. The KPI aggregates, the change log and the SINRImprovers
-// scratch are NOT copied: zero values mean "off"/"unallocated".
+// index. The link rows are shared, not copied: no state writes into an
+// installed row. The KPI aggregates, the change log and the
+// SINRImprovers scratch are NOT copied: zero values mean
+// "off"/"unallocated".
 func (s *State) Clone() *State {
 	c := &State{
 		Model:     s.Model,
 		Cfg:       s.Cfg.Clone(),
 		rpMw:      append([]float64(nil), s.rpMw...),
-		linkDB:    append([]float64(nil), s.linkDB...),
+		linkDB:    append([][]float64(nil), s.linkDB...),
 		totalMw:   append([]float64(nil), s.totalMw...),
 		bestSec:   append([]int32(nil), s.bestSec...),
 		bestMw:    append([]float64(nil), s.bestMw...),
@@ -160,10 +169,10 @@ func (s *State) Clone() *State {
 // Derive returns cfg evaluated against m: a state bit-identical to
 // m.NewState(cfg), built from s instead of from scratch. Every entry's
 // link budget and received power is a pure function of its sector's
-// power, tilt and on/off setting, so Derive copies s's entries and
-// re-derives only the sectors whose setting cfg changes (all of them
-// when m answers link budgets from other tables than s.Model), then
-// runs NewState's per-grid pass. That presumes s's entries are current:
+// power, tilt and on/off setting, so Derive copies s's received powers,
+// shares its link rows, and re-derives only the sectors whose setting
+// cfg changes (all of them when m answers link budgets from other
+// tables than s.Model), then runs NewState's per-grid pass. That presumes s's entries are current:
 // s was built or refreshed after its model's last InstallLinkTable.
 //
 // m must share s's ModelCore — s.Model itself or a ForkUsers fork —
@@ -176,7 +185,7 @@ func (s *State) Derive(m *Model, cfg *config.Config) *State {
 	}
 	d := m.allocState(cfg)
 	copy(d.rpMw, s.rpMw)
-	copy(d.linkDB, s.linkDB)
+	copy(d.linkDB, s.linkDB) // row headers: rows are never written in place
 	all := !sameLinkTables(m, s.Model)
 	for b := range m.core.sectorEntries {
 		if all || cfg.PowerDbm(b) != s.Cfg.PowerDbm(b) ||
@@ -202,22 +211,35 @@ func sameBacking[T any](x, y []T) bool {
 }
 
 // deriveSector evaluates sector b's entries from scratch under the
-// state's configuration: link budgets at the sector's tilt and received
-// powers at its transmit power (0 when off-air). It leaves the per-grid
-// aggregates to evaluateGrids.
+// state's configuration: a fresh link row at the sector's tilt and
+// received powers at its transmit power (0 when off-air). It leaves the
+// per-grid aggregates to evaluateGrids.
 func (s *State) deriveSector(b int) {
-	m := s.Model
 	off := s.Cfg.Off(b)
 	power := s.Cfg.PowerDbm(b)
-	tilt := s.Cfg.TiltDeg(b)
-	for _, ref := range m.core.sectorEntries[b] {
-		s.linkDB[ref.Pos] = m.entryLinkDB(int(ref.Pos), tilt)
+	row := s.newLinkRow(b)
+	for i, ref := range s.Model.core.sectorEntries[b] {
 		if off {
 			s.rpMw[ref.Pos] = 0
 		} else {
-			s.rpMw[ref.Pos] = units.DbmToMw(power + s.linkDB[ref.Pos])
+			s.rpMw[ref.Pos] = units.DbmToMw(power + row[i])
 		}
 	}
+}
+
+// newLinkRow builds sector b's link budgets at its current tilt into a
+// new row and installs it; the row it replaces is left as it was for
+// any state still sharing it.
+func (s *State) newLinkRow(b int) []float64 {
+	m := s.Model
+	tilt := s.Cfg.TiltDeg(b)
+	entries := m.core.sectorEntries[b]
+	row := make([]float64, len(entries))
+	for i, ref := range entries {
+		row[i] = m.entryLinkDB(int(ref.Pos), tilt)
+	}
+	s.linkDB[b] = row
+	return row
 }
 
 // evaluateGrids is the per-grid pass of a freshly allocated state whose
@@ -261,13 +283,15 @@ func (s *State) rescanGrid(g int) {
 }
 
 // updateRate refreshes rmax[g] from the cached aggregates, caching the
-// CQI bucket's linear-SINR bounds alongside — SpeculateBatch tests
-// "does this move change the grid's rate at all?" against them without
-// re-running the threshold scan.
+// CQI bucket's linear-SINR bounds alongside. While the new SINR stays in
+// the cached bucket [sinrLo, sinrHi) the rate is a step function's same
+// step, so rmax and the bounds are kept without re-running the threshold
+// scan — the same test SpeculateBatch makes ("does this move change the
+// grid's rate at all?"). An empty bucket ([0,0): no coverage, or a
+// mapper without bounds) always rescans.
 func (s *State) updateRate(g int) {
-	if s.logOn && !s.logMark[g] {
-		s.logMark[g] = true
-		s.logGrids = append(s.logGrids, int32(g))
+	if s.changed != nil {
+		s.changed[g>>6] |= 1 << (g & 63)
 	}
 	if s.bestSec[g] < 0 || s.bestMw[g] <= 0 {
 		s.rmax[g] = 0
@@ -279,11 +303,14 @@ func (s *State) updateRate(g int) {
 			interf = 0 // floating point guard
 		}
 		sinr := s.bestMw[g] / (s.Model.noiseMw + interf)
-		if sinr <= 0 {
+		switch {
+		case sinr <= 0:
 			s.rmax[g] = 0
 			s.sinrLo[g] = 0
 			s.sinrHi[g] = 0
-		} else {
+		case s.sinrLo[g] <= sinr && sinr < s.sinrHi[g]:
+			// Same CQI bucket: rmax and its bounds hold.
+		default:
 			s.rmax[g], s.sinrLo[g], s.sinrHi[g] = s.Model.rateBounds(sinr)
 		}
 	}
@@ -335,18 +362,17 @@ func (s *State) MustApply(ch config.Change) config.Change {
 // on/off changes; it is also needed after InstallLinkTable replaces the
 // sector's link-budget source beneath an existing state. Entries whose
 // received power is unchanged are left untouched, so refreshing against
-// identical data cannot perturb the state.
+// identical data cannot perturb the state. The sector gets a fresh
+// link row; states sharing the old one keep it.
 func (s *State) RefreshSector(b int) {
-	m := s.Model
 	off := s.Cfg.Off(b)
 	power := s.Cfg.PowerDbm(b)
-	tilt := s.Cfg.TiltDeg(b)
 	b32 := int32(b)
-	for _, ref := range m.core.sectorEntries[b] {
-		s.linkDB[ref.Pos] = m.entryLinkDB(int(ref.Pos), tilt)
+	row := s.newLinkRow(b)
+	for i, ref := range s.Model.core.sectorEntries[b] {
 		var rp float64
 		if !off {
-			rp = units.DbmToMw(power + s.linkDB[ref.Pos])
+			rp = units.DbmToMw(power + row[i])
 		}
 		s.updateEntry(int(ref.Grid), ref.Pos, b32, rp)
 	}
@@ -360,11 +386,12 @@ func (s *State) RefreshSector(b int) {
 func (s *State) applySectorPower(b int) {
 	power := s.Cfg.PowerDbm(b)
 	b32 := int32(b)
-	for _, ref := range s.Model.core.sectorEntries[b] {
+	row := s.linkDB[b]
+	for i, ref := range s.Model.core.sectorEntries[b] {
 		if s.rpMw[ref.Pos] == 0 {
 			continue
 		}
-		s.updateEntry(int(ref.Grid), ref.Pos, b32, units.DbmToMw(power+s.linkDB[ref.Pos]))
+		s.updateEntry(int(ref.Grid), ref.Pos, b32, units.DbmToMw(power+row[i]))
 	}
 }
 
