@@ -382,8 +382,7 @@ func BenchmarkUtilityEval(b *testing.B) {
 
 // BenchmarkSpeculate prices one candidate move per op: the
 // clone-and-full-rescore oracle versus the read-only SpeculateBatch
-// scorer evalengine.ScoreAll runs on every candidate, in its float
-// default and its fixed-point kernel.
+// scorer evalengine.ScoreAll runs on every candidate.
 func BenchmarkSpeculate(b *testing.B) {
 	_, plan := benchScenario(b)
 	moves := make([]config.Change, len(plan.Neighbors))
@@ -403,26 +402,20 @@ func BenchmarkSpeculate(b *testing.B) {
 		}
 	})
 	// The read-only scorer prices the same candidates without applying
-	// them; "batch-fixed" additionally replaces the per-entry
-	// exponentials with centi-dB table lookups.
-	for _, mode := range []struct {
-		name  string
-		fixed bool
-	}{{"batch-float", false}, {"batch-fixed", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			st := plan.Upgrade.Clone()
-			st.Utility(utility.Performance)
-			out := make([]netmodel.BatchResult, 0, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mv := i % len(moves)
-				out = st.SpeculateBatch(moves[mv:mv+1], utility.Performance, mode.fixed, out[:0])
-				if out[0].Err != nil {
-					b.Fatal(out[0].Err)
-				}
+	// them.
+	b.Run("batch-float", func(b *testing.B) {
+		st := plan.Upgrade.Clone()
+		st.Utility(utility.Performance)
+		out := make([]netmodel.BatchResult, 0, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mv := i % len(moves)
+			out = st.SpeculateBatch(moves[mv:mv+1], utility.Performance, out[:0])
+			if out[0].Err != nil {
+				b.Fatal(out[0].Err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkUtilityDelta answers "what is the utility after this power
@@ -446,26 +439,21 @@ func BenchmarkUtilityDelta(b *testing.B) {
 			delta = -delta
 		}
 	})
-	// The batch paths answer the same "utility after this change"
+	// The batch path answers the same "utility after this change"
 	// question read-only — no Apply, no revert.
-	for _, mode := range []struct {
-		name  string
-		fixed bool
-	}{{"batch-float", false}, {"batch-fixed", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			st := plan.Upgrade.Clone()
-			st.Utility(utility.Performance)
-			moves := []config.Change{{Sector: neighbor, PowerDelta: 1}}
-			out := make([]netmodel.BatchResult, 0, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out = st.SpeculateBatch(moves, utility.Performance, mode.fixed, out[:0])
-				if out[0].Err != nil {
-					b.Fatal(out[0].Err)
-				}
+	b.Run("batch-float", func(b *testing.B) {
+		st := plan.Upgrade.Clone()
+		st.Utility(utility.Performance)
+		moves := []config.Change{{Sector: neighbor, PowerDelta: 1}}
+		out := make([]netmodel.BatchResult, 0, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out = st.SpeculateBatch(moves, utility.Performance, out[:0])
+			if out[0].Err != nil {
+				b.Fatal(out[0].Err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkJointSearch runs the joint search on the four-corners

@@ -87,7 +87,6 @@ func runExecute(args []string) {
 	method := fs.String("method", "joint", "tuning method: power, tilt, joint, naive, anneal")
 	utilFlag := fs.String("utility", "performance", "objective: performance, coverage")
 	workers := fs.Int("workers", 0, "planning-phase scoring parallelism (0 = server default)")
-	fixed := fs.Bool("fixed", false, "score candidates on the batched fixed-point path")
 	chaosFlag := fs.String("chaos", "", `fault script, e.g. "push-error@2x2,push-delay@3+50,kpi-breach@4,sector-down@5:17"`)
 	simSeed := fs.Int64("sim-seed", 0, "live-session seed (load noise)")
 	diurnal := fs.Bool("diurnal", false, "evolve load along the default diurnal profile")
@@ -109,7 +108,7 @@ func runExecute(args []string) {
 	case "run":
 		body, err := json.Marshal(map[string]any{
 			"scenario": *scenarioFlag, "method": *method, "utility": *utilFlag,
-			"workers": *workers, "fixed_point": *fixed,
+			"workers": *workers,
 			"exec": execSpecBody{
 				Seed:           *simSeed,
 				Chaos:          *chaosFlag,

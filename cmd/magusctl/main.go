@@ -97,14 +97,12 @@ func main() {
 	assessFlag := flag.Bool("assess", false, "print the per-sector impact assessment of the unmitigated upgrade")
 	windowFlag := flag.Int("window", 0, "rank upgrade start times for a work window of this many hours")
 	workersFlag := flag.Int("workers", 0, "in-search candidate-scoring parallelism (0 = score on one goroutine)")
-	fixedFlag := flag.Bool("fixed", false, "score candidates with the fixed-point kernel (centi-dB inner loop)")
 	dataFlag := flag.String("data", "", "operational dataset JSON to plan from (see -export-data)")
 	dataPolicyFlag := flag.String("data-policy", "repair", "sanitizer policy for -data: strict, repair, quarantine")
 	exportFlag := flag.String("export-data", "", "write the engine's operational dataset to this file and exit")
 	modelCacheFlag := flag.String("model-cache", "", "directory for on-disk model snapshots; repeat invocations over the same market skip the model build")
 	flag.Parse()
 	experiments.SetSearchWorkers(*workersFlag)
-	experiments.SetFixedPointScoring(*fixedFlag)
 	if err := experiments.SetModelCacheDir(*modelCacheFlag); err != nil {
 		fail("model cache: %v", err)
 	}

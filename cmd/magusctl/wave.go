@@ -101,7 +101,6 @@ func runWave(args []string) {
 	method := fs.String("method", "joint", "per-wave tuning method: power, tilt, joint, naive, anneal")
 	utilFlag := fs.String("utility", "performance", "objective: performance, coverage")
 	workers := fs.Int("workers", 0, "per-wave in-search scoring parallelism (0 = server default)")
-	fixed := fs.Bool("fixed", false, "score anneal candidates on the batched fixed-point path")
 	annealSeed := fs.Int64("anneal-seed", 0, "scheduler seed; equal seeds reproduce the season bit-identically (0 = default)")
 	jobTimeout := fs.Duration("timeout", 0, "season deadline (0 uses the server default)")
 	crews := fs.Int("crews", 0, "field crews per wave = max sectors darkened together (0 = default)")
@@ -146,7 +145,7 @@ func runWave(args []string) {
 		}
 		body, err := json.Marshal(map[string]any{
 			"class": *classFlag, "seed": *seed, "method": *method, "utility": *utilFlag,
-			"workers": *workers, "fixed_point": *fixed, "anneal_seed": *annealSeed,
+			"workers": *workers, "anneal_seed": *annealSeed,
 			"timeout_ms": int64(*jobTimeout / time.Millisecond), "wave": spec,
 		})
 		if err != nil {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	magusd [-listen :8080] [-class suburban] [-seed 1] [-workers N] [-fixed]
+//	magusd [-listen :8080] [-class suburban] [-seed 1] [-workers N]
 //	       [-journal campaigns.wal] [-exec-dir runs/] [-drain-timeout 15s]
 //	       [-data market.json] [-data-policy repair] [-pprof :6060]
 //	       [-coordinator | -join http://coord:8080] [-advertise URL]
@@ -84,7 +84,6 @@ func main() {
 	classFlag := flag.String("class", "suburban", "market class: rural, suburban, urban")
 	seed := flag.Int64("seed", 1, "market seed")
 	workers := flag.Int("workers", 0, "default in-search candidate-scoring parallelism (0 = sequential; per-request ?workers= overrides)")
-	fixed := flag.Bool("fixed", false, "default candidate scoring to the batched fixed-point path (shared state, centi-dB inner loop; per-request ?fixed= overrides)")
 	campaignWorkers := flag.Int("campaign-workers", 0, "concurrent campaign jobs on this node (0 = GOMAXPROCS)")
 	journalPath := flag.String("journal", "", "campaign journal file; enables crash recovery and epoch fencing of campaign jobs (empty disables)")
 	execDir := flag.String("exec-dir", "", "directory for per-run executor journals behind /execute (default: <journal>.exec when -journal is set; empty otherwise runs /execute unjournaled)")
@@ -104,7 +103,6 @@ func main() {
 		log.Fatal("-coordinator and -join are mutually exclusive")
 	}
 	experiments.SetSearchWorkers(*workers)
-	experiments.SetFixedPointScoring(*fixed)
 	if err := experiments.SetModelCacheDir(*modelCacheDir); err != nil {
 		log.Fatalf("model cache: %v", err)
 	}

@@ -687,7 +687,6 @@ func (o *Orchestrator) execute(ctx context.Context, sp JobSpec) (*Result, error)
 		Method:     sp.Method,
 		Util:       UtilityByName[sp.Utility],
 		Workers:    workers,
-		FixedPoint: sp.FixedPoint,
 		AnnealSeed: sp.AnnealSeed,
 	})
 	if err != nil {

@@ -55,7 +55,7 @@ const (
 
 // WaveSpec configures a wave job's season. JSON tags make it the wire
 // form too; zero fields select the scheduler defaults. The job's
-// Method/Utility/Workers/FixedPoint/AnnealSeed fields apply to the
+// Method/Utility/Workers/AnnealSeed fields apply to the
 // per-wave searches and the anneal, as on plan jobs.
 type WaveSpec struct {
 	// Sectors is the upgrade set (empty = the market's whole tuning
@@ -148,10 +148,6 @@ type JobSpec struct {
 	// search (see search.Options.Workers): 0 inherits the orchestrator's
 	// SearchWorkers, 1 scores on the job's own goroutine.
 	Workers int
-	// FixedPoint scores this job's candidates with the quantized kernel
-	// (int16 centi-dB inner loop); see
-	// core.MitigateRequest.FixedPoint.
-	FixedPoint bool
 	// AnnealSeed seeds the Annealed method's random walk (0 = default).
 	AnnealSeed int64
 	// Kind selects the work: KindPlan (or "") plans; KindSimulate also
@@ -383,7 +379,6 @@ func (sp *WaveSpec) options(ctx context.Context, job JobSpec, workers int) (wave
 		Util:            UtilityByName[job.Utility],
 		Seed:            job.AnnealSeed,
 		AnnealIters:     sp.AnnealIters,
-		FixedPoint:      job.FixedPoint,
 		Workers:         workers,
 		RollingRecovery: sp.RollingRecovery,
 		Replay:          sp.Replay,

@@ -73,10 +73,6 @@ type SetupConfig struct {
 	// Equalize pass does not take this setting; its C_before would be
 	// the same at any value.
 	SearchWorkers int
-	// FixedPoint makes mitigation searches default to the quantized
-	// scoring kernel (see MitigateRequest.FixedPoint, which can also
-	// enable it per plan). Planning (Equalize) is unaffected.
-	FixedPoint bool
 	// Params optionally overrides the class planning parameters.
 	Params *topology.ClassParams
 	// ModelCache optionally supplies an on-disk snapshot cache for the
@@ -361,10 +357,8 @@ type MitigateRequest struct {
 	// candidate batch on that many goroutines over the one shared state.
 	// The plan is the same at every setting (see search.Options.Workers).
 	Workers int
-	// FixedPoint scores candidates with the quantized kernel (int16
-	// centi-dB inner loop). Candidate ranking may deviate from the float
-	// scorer by ≤0.1% utility quantization error; committed plan
-	// utilities remain exact full-scan values.
+	// Deprecated: ignored. Candidates are always scored with the one
+	// exact kernel; the field stays so existing callers still compile.
 	FixedPoint bool
 	// AnnealSeed seeds the Annealed method's private rand.Rand, so
 	// annealing runs are reproducible per request and race-free under
@@ -417,7 +411,7 @@ func (e *Engine) MitigatePlan(req MitigateRequest) (*Plan, error) {
 	// does not chase utility beyond normal operation. Before is shared by
 	// every concurrent plan on this engine, so evaluate it read-only.
 	utilityBefore := e.Before.UtilityRead(util)
-	opts := search.Options{Util: util, CapUtility: utilityBefore, Ctx: ctx, Workers: workers, FixedPoint: req.FixedPoint || e.cfg.FixedPoint}
+	opts := search.Options{Util: util, CapUtility: utilityBefore, Ctx: ctx, Workers: workers}
 	var res *search.Result
 	var err error
 	switch method {

@@ -11,9 +11,8 @@
 // New and every Commit refresh. Nothing is applied, so there is no undo,
 // and Workers goroutines share the one committed state. A move that
 // changes no grid's rate scores exactly Current(), so rounding can never
-// win an argmax or pass an epsilon test. Scores are float by default;
-// Config.FixedPoint selects the quantized kernel. The scores do not
-// depend on Workers, so neither does any search built on them.
+// win an argmax or pass an epsilon test. The scores do not depend on
+// Workers, so neither does any search built on them.
 //
 // Commit applies a winner and re-evaluates with the exact full-scan
 // Utility, so every reported step and plan utility is a full-scan value,
@@ -39,13 +38,6 @@ type Config struct {
 	// state. 0 or 1 scores on the calling goroutine. It changes
 	// wall-clock time, not the scores.
 	Workers int
-	// FixedPoint selects SpeculateBatch's quantized centi-dB kernel
-	// instead of the float one. Scores may deviate from the float path
-	// by the fixed-point quantization (≤0.1% utility relative error, see
-	// netmodel/fixedpoint.go); commits still re-evaluate exactly, so
-	// reported plan utilities are never quantized. Under the
-	// magus_nofixed build tag the kernel evaluates in float.
-	FixedPoint bool
 	// Ctx cancels long scoring runs between batches. Optional.
 	Ctx context.Context
 }
@@ -85,7 +77,6 @@ type StatsSnapshot struct {
 	FullEvaluations int64 `json:"full_evaluations"`
 	ParallelBatches int64 `json:"parallel_batches"`
 	Workers         int   `json:"workers"`
-	FixedPoint      bool  `json:"fixed_point,omitempty"`
 	// WorkerUtilization is Σ per-worker busy time divided by
 	// Σ batch wall time × pool size: 1.0 means every worker scored
 	// candidates for the full duration of every parallel batch.
@@ -106,7 +97,6 @@ func (s *StatsSnapshot) Merge(other StatsSnapshot) {
 	if other.Workers > s.Workers {
 		s.Workers = other.Workers
 	}
-	s.FixedPoint = s.FixedPoint || other.FixedPoint
 }
 
 // Engine drives one search run over one committed State.
@@ -114,7 +104,6 @@ type Engine struct {
 	main    *netmodel.State
 	util    utility.Func
 	workers int
-	fixed   bool
 	ctx     context.Context
 
 	current float64
@@ -140,7 +129,6 @@ func New(st *netmodel.State, util utility.Func, cfg Config) *Engine {
 		main:    st,
 		util:    util,
 		workers: workers,
-		fixed:   cfg.FixedPoint,
 		ctx:     ctx,
 		current: st.Utility(util),
 	}
@@ -152,9 +140,6 @@ func (e *Engine) State() *netmodel.State { return e.main }
 // Current returns the utility of the committed state. It is always an
 // exact full-scan value, never a speculative delta.
 func (e *Engine) Current() float64 { return e.current }
-
-// FixedPoint reports whether ScoreAll uses the quantized kernel.
-func (e *Engine) FixedPoint() bool { return e.fixed }
 
 // Snapshot copies the instrumentation counters.
 func (e *Engine) Snapshot() StatsSnapshot {
@@ -169,7 +154,6 @@ func (e *Engine) Snapshot() StatsSnapshot {
 	if capNs := e.stats.batchCapNs.Load(); capNs > 0 {
 		snap.WorkerUtilization = float64(e.stats.busyNs.Load()) / float64(capNs)
 	}
-	snap.FixedPoint = e.fixed
 	return snap
 }
 
@@ -234,7 +218,7 @@ func (e *Engine) ScoreAll(moves []config.Change) ([]Score, error) {
 // scoreChunk prices moves[lo:hi] into out[lo:hi], counting evaluations
 // and surfacing the first per-move error.
 func (e *Engine) scoreChunk(out []Score, moves []config.Change, lo, hi int) error {
-	res := e.main.SpeculateBatch(moves[lo:hi], e.util, e.fixed, nil)
+	res := e.main.SpeculateBatch(moves[lo:hi], e.util, nil)
 	var evals int64
 	defer func() { e.stats.deltaEvals.Add(evals) }()
 	for i, r := range res {

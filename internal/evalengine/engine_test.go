@@ -88,86 +88,46 @@ func TestSequentialScoreMatchesManualLoop(t *testing.T) {
 
 // TestParallelScoresMatchSequential: every move is priced independently
 // of how the batch is chunked, so the scores are bit-identical for every
-// worker count, in float and in fixed point alike.
+// worker count.
 func TestParallelScoresMatchSequential(t *testing.T) {
 	u := utility.Performance
-	for _, fixed := range []bool{false, true} {
-		var want []Score
-		for _, workers := range []int{1, 2, 4} {
-			st, neighbors := testState(t, 5)
-			e := New(st, u, Config{Workers: workers, FixedPoint: fixed})
-			got, err := e.ScoreAll(candidateMoves(neighbors, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap := e.Snapshot()
-			if snap.DeltaEvaluations == 0 || snap.FullEvaluations != 0 {
-				t.Errorf("fixed=%v workers=%d: scoring must be delta-only: %+v", fixed, workers, snap)
-			}
-			if workers == 1 {
-				want = got
-				if snap.ParallelBatches != 0 {
-					t.Errorf("fixed=%v: single-worker batch counted as parallel: %+v", fixed, snap)
-				}
-				continue
-			}
-			if snap.ParallelBatches != 1 {
-				t.Errorf("fixed=%v workers=%d: parallel batch not recorded: %+v", fixed, workers, snap)
-			}
-			if snap.WorkerUtilization <= 0 || snap.WorkerUtilization > 1.000001 {
-				t.Errorf("fixed=%v workers=%d: utilization out of range: %v", fixed, workers, snap.WorkerUtilization)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("fixed=%v workers=%d candidate %d: %+v, workers=1 gave %+v", fixed, workers, i, got[i], want[i])
-				}
-			}
+	var want []Score
+	for _, workers := range []int{1, 2, 4} {
+		st, neighbors := testState(t, 5)
+		e := New(st, u, Config{Workers: workers})
+		got, err := e.ScoreAll(candidateMoves(neighbors, 2))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestFixedPointScoresMatchSequential pins the fixed-point kernel to
-// the float one within the quantization budget: same applied changes,
-// utilities within 0.1%.
-func TestFixedPointScoresMatchSequential(t *testing.T) {
-	stSeq, neighbors := testState(t, 5)
-	stFix, _ := testState(t, 5)
-	u := utility.Performance
-	seq := New(stSeq, u, Config{Workers: 1})
-	fix := New(stFix, u, Config{Workers: 4, FixedPoint: true})
-	if !fix.FixedPoint() {
-		t.Fatal("FixedPoint() must report the configured mode")
-	}
-	moves := candidateMoves(neighbors, 2)
-
-	sGot, err := seq.ScoreAll(moves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fGot, err := fix.ScoreAll(moves)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sGot {
-		if sGot[i].Applied != fGot[i].Applied {
-			t.Fatalf("candidate %d: applied %v (seq) vs %v (fixed)", i, sGot[i].Applied, fGot[i].Applied)
+		snap := e.Snapshot()
+		if snap.DeltaEvaluations == 0 || snap.FullEvaluations != 0 {
+			t.Errorf("workers=%d: scoring must be delta-only: %+v", workers, snap)
 		}
-		if sGot[i].Applied.IsZero() {
+		if workers == 1 {
+			want = got
+			if snap.ParallelBatches != 0 {
+				t.Errorf("single-worker batch counted as parallel: %+v", snap)
+			}
 			continue
 		}
-		if relDiff(sGot[i].Utility, fGot[i].Utility) > 1e-3 {
-			t.Fatalf("candidate %d: utility %v (seq) vs %v (fixed) beyond 0.1%%", i, sGot[i].Utility, fGot[i].Utility)
+		if snap.ParallelBatches != 1 {
+			t.Errorf("workers=%d: parallel batch not recorded: %+v", workers, snap)
 		}
-	}
-	snap := fix.Snapshot()
-	if !snap.FixedPoint || snap.ParallelBatches != 1 || snap.DeltaEvaluations == 0 {
-		t.Errorf("fixed-point stats not recorded: %+v", snap)
+		if snap.WorkerUtilization <= 0 || snap.WorkerUtilization > 1.000001 {
+			t.Errorf("workers=%d: utilization out of range: %v", workers, snap.WorkerUtilization)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d candidate %d: %+v, workers=1 gave %+v", workers, i, got[i], want[i])
+			}
+		}
 	}
 }
 
-// TestSharedStateConcurrentScoring drives a fixed-point engine through
+// TestSharedStateConcurrentScoring drives an 8-worker engine through
 // interleaved score/commit rounds — every ScoreAll fans goroutines out
-// over the ONE committed state. Run under -race this is the proof the
+// over the ONE committed state — beside a 1-worker engine that must
+// give the same scores and commits. Run under -race this is the proof the
 // batch scoring path never writes shared state: nothing is enabled or
 // warmed before the fan-out beyond the Utility scans New and Commit run.
 func TestSharedStateConcurrentScoring(t *testing.T) {
@@ -176,7 +136,7 @@ func TestSharedStateConcurrentScoring(t *testing.T) {
 		t.Skip("not enough neighbors")
 	}
 	u := utility.Performance
-	e := New(st, u, Config{Workers: 8, FixedPoint: true})
+	e := New(st, u, Config{Workers: 8})
 	exact := New(st.Clone(), u, Config{Workers: 1})
 	deltas := []float64{-2, -1, 1, 2}
 	for round := 0; round < 6; round++ {
@@ -189,6 +149,15 @@ func TestSharedStateConcurrentScoring(t *testing.T) {
 		scores, err := e.ScoreAll(moves)
 		if err != nil {
 			t.Fatal(err)
+		}
+		seq, err := exact.ScoreAll(moves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range seq {
+			if scores[i] != seq[i] {
+				t.Fatalf("round %d candidate %d: %+v (8 workers) != %+v (1 worker)", round, i, scores[i], seq[i])
+			}
 		}
 		// Commit the best-scoring move; the next round scores against the
 		// mutated state and the memo Commit refreshed.
@@ -212,7 +181,7 @@ func TestSharedStateConcurrentScoring(t *testing.T) {
 		}
 		// Committed utilities are exact full scans in both engines.
 		if e.Current() != exact.Current() {
-			t.Fatalf("round %d: committed utility %v (fixed engine) != %v (exact engine)", round, e.Current(), exact.Current())
+			t.Fatalf("round %d: committed utility %v (8 workers) != %v (1 worker)", round, e.Current(), exact.Current())
 		}
 	}
 }
@@ -279,7 +248,7 @@ func TestNoRateChangeScoresCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := st.SpeculateBatch(moves, u, false, nil)
+	res := st.SpeculateBatch(moves, u, nil)
 	liveNoops := 0
 	for i, sc := range scores {
 		if sc.Applied.IsZero() {
@@ -304,37 +273,35 @@ func TestNoRateChangeScoresCurrent(t *testing.T) {
 	}
 }
 
-// TestScoreAllReadOnly: scoring every move shape, in float and fixed
-// point and across a worker fan-out, leaves the committed configuration
-// equal and the full-scan utility bit-equal.
+// TestScoreAllReadOnly: scoring every move shape across a worker
+// fan-out leaves the committed configuration equal and the full-scan
+// utility bit-equal.
 func TestScoreAllReadOnly(t *testing.T) {
 	u := utility.Performance
-	for _, fixed := range []bool{false, true} {
-		st, neighbors := testState(t, 9)
-		cfg := st.Cfg.Clone()
-		before := st.Utility(u)
-		var moves []config.Change
-		for _, b := range neighbors {
-			moves = append(moves,
-				config.Change{Sector: b, PowerDelta: 2},
-				config.Change{Sector: b, PowerDelta: -2},
-				config.Change{Sector: b, TiltDelta: 1},
-				config.Change{Sector: b, TiltDelta: -1},
-				config.Change{Sector: b, TurnOff: true})
-		}
-		e := New(st, u, Config{Workers: 4, FixedPoint: fixed})
-		if _, err := e.ScoreAll(moves); err != nil {
-			t.Fatal(err)
-		}
-		if !st.Cfg.Equal(cfg) {
-			t.Fatalf("fixed=%v: ScoreAll mutated the configuration", fixed)
-		}
-		if after := st.Utility(u); after != before {
-			t.Fatalf("fixed=%v: full-scan utility %v -> %v across ScoreAll", fixed, before, after)
-		}
-		if fresh := st.Clone().Utility(u); fresh != before {
-			t.Fatalf("fixed=%v: a fresh scan of the scored state gives %v, want %v", fixed, fresh, before)
-		}
+	st, neighbors := testState(t, 9)
+	cfg := st.Cfg.Clone()
+	before := st.Utility(u)
+	var moves []config.Change
+	for _, b := range neighbors {
+		moves = append(moves,
+			config.Change{Sector: b, PowerDelta: 2},
+			config.Change{Sector: b, PowerDelta: -2},
+			config.Change{Sector: b, TiltDelta: 1},
+			config.Change{Sector: b, TiltDelta: -1},
+			config.Change{Sector: b, TurnOff: true})
+	}
+	e := New(st, u, Config{Workers: 4})
+	if _, err := e.ScoreAll(moves); err != nil {
+		t.Fatal(err)
+	}
+	if !st.Cfg.Equal(cfg) {
+		t.Fatal("ScoreAll mutated the configuration")
+	}
+	if after := st.Utility(u); after != before {
+		t.Fatalf("full-scan utility %v -> %v across ScoreAll", before, after)
+	}
+	if fresh := st.Clone().Utility(u); fresh != before {
+		t.Fatalf("a fresh scan of the scored state gives %v, want %v", fresh, before)
 	}
 }
 

@@ -41,19 +41,6 @@ func SetSearchWorkers(n int) {
 // SearchWorkersDefault returns the current process-wide default.
 func SearchWorkersDefault() int { return int(searchWorkers.Load()) }
 
-// fixedPoint is the process-wide default for the batched quantized
-// candidate-scoring path (see core.SetupConfig.FixedPoint).
-var fixedPoint atomic.Bool
-
-// SetFixedPointScoring sets the process-wide fixed-point scoring
-// default for engines built by BuildEngine from now on (the
-// magusd/magusctl -fixed flags do this at start). Per-request overrides
-// still apply on engines built either way.
-func SetFixedPointScoring(on bool) { fixedPoint.Store(on) }
-
-// FixedPointDefault returns the current process-wide default.
-func FixedPointDefault() bool { return fixedPoint.Load() }
-
 // BenchTiming is one extra timing a study exports into magus-bench's
 // -json records, shaped like a Go benchmark result.
 type BenchTiming struct {
@@ -180,7 +167,7 @@ func RunParallelJoint(seed int64, workers int) (*ParallelJointStudy, error) {
 		out := make([]netmodel.BatchResult, 0, 1)
 		start := time.Now()
 		for i := range moves {
-			out = work.SpeculateBatch(moves[i:i+1], utility.Performance, false, out[:0])
+			out = work.SpeculateBatch(moves[i:i+1], utility.Performance, out[:0])
 			if out[0].Err != nil {
 				return nil, out[0].Err
 			}

@@ -100,7 +100,6 @@ func BuildEngine(seed int64, spec AreaSpec) (*core.Engine, error) {
 			// The process-wide default (see SetSearchWorkers); the planner
 			// pass is workers-invariant, so cached engines stay identical.
 			SearchWorkers: SearchWorkersDefault(),
-			FixedPoint:    FixedPointDefault(),
 			// The process-wide snapshot cache (see SetModelCacheDir); the
 			// snapshot is bit-identical to a direct build, so cached
 			// engines stay identical too.

@@ -39,10 +39,20 @@ func miniSetup(class topology.AreaClass, seed int64) core.SetupConfig {
 	return cfg
 }
 
-func miniOrch(t *testing.T, workers int) *campaign.Orchestrator {
+// miniOrch builds an orchestrator over miniature markets. Every engine
+// build first waits for gate to close (nil never waits) or for its job's
+// context to end.
+func miniOrch(t *testing.T, workers int, gate <-chan struct{}) *campaign.Orchestrator {
 	t.Helper()
 	cache := campaign.NewEngineCache(8)
-	build := func(_ context.Context, class topology.AreaClass, seed int64) (*core.Engine, error) {
+	build := func(ctx context.Context, class topology.AreaClass, seed int64) (*core.Engine, error) {
+		if gate != nil {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
 		cfg := miniSetup(class, seed)
 		key := campaign.EngineKey{Class: class, Seed: seed, SpecHash: campaign.SpecHash(cfg)}
 		return cache.GetOrBuild(key, func() (*core.Engine, error) {
@@ -75,9 +85,9 @@ func (w *testWorker) kill() {
 	w.orch.Close()
 }
 
-func startTestWorker(t *testing.T, engine *core.Engine, id, coordURL string) *testWorker {
+func startTestWorker(t *testing.T, engine *core.Engine, id, coordURL string, gate <-chan struct{}) *testWorker {
 	t.Helper()
-	orch := miniOrch(t, 2)
+	orch := miniOrch(t, 2, gate)
 	s := httpapi.New(engine, httpapi.Options{Orchestrator: orch, NodeID: id})
 	srv := httptest.NewServer(s)
 	agent, err := fleet.StartWorker(fleet.WorkerConfig{
@@ -111,6 +121,13 @@ type testFleet struct {
 
 func startTestFleet(t *testing.T, workerIDs ...string) *testFleet {
 	t.Helper()
+	return startGatedFleet(t, nil, workerIDs...)
+}
+
+// startGatedFleet starts a fleet whose workers' engine builds wait for
+// gate to close, so no worker can finish a job before the test opens it.
+func startGatedFleet(t *testing.T, gate <-chan struct{}, workerIDs ...string) *testFleet {
+	t.Helper()
 	engine, err := core.NewEngine(miniSetup(topology.Suburban, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -131,14 +148,14 @@ func startTestFleet(t *testing.T, workerIDs ...string) *testFleet {
 	})
 	t.Cleanup(coord.Close)
 	s := httpapi.New(engine, httpapi.Options{
-		Orchestrator: miniOrch(t, 1), NodeID: "coord", Coordinator: coord,
+		Orchestrator: miniOrch(t, 1, nil), NodeID: "coord", Coordinator: coord,
 	})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 
 	tf := &testFleet{coord: coord, coordSrv: srv, journalPath: jpath, workers: map[string]*testWorker{}}
 	for _, id := range workerIDs {
-		tf.workers[id] = startTestWorker(t, engine, id, srv.URL)
+		tf.workers[id] = startTestWorker(t, engine, id, srv.URL, gate)
 	}
 	return tf
 }
@@ -312,7 +329,10 @@ func TestFleetShardingAndAggregation(t *testing.T) {
 // done exactly once. The lease history lands in the coordinator
 // journal.
 func TestFleetFailover(t *testing.T) {
-	tf := startTestFleet(t, "w1", "w2")
+	// Builds wait until the victim is dead, so the victim cannot finish
+	// any market before the kill and some job must be re-placed.
+	gate := make(chan struct{})
+	tf := startGatedFleet(t, gate, "w1", "w2")
 	waitFor(t, 5*time.Second, "both workers to join", func() bool {
 		return aliveMembers(tf.status(t)) == 2
 	})
@@ -337,6 +357,7 @@ func TestFleetFailover(t *testing.T) {
 	})
 	t.Logf("killing %s", victim)
 	tf.workers[victim].kill()
+	close(gate)
 
 	waitFor(t, 10*time.Second, "victim eviction", func() bool {
 		for _, ev := range tf.status(t).Evictions {

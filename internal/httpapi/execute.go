@@ -17,7 +17,7 @@ type executeRequest struct {
 	// Workers is the in-search scoring parallelism for the planning
 	// phase (0 = sequential).
 	Workers int `json:"workers"`
-	// FixedPoint scores candidates on the batched quantized path.
+	// FixedPoint is accepted for old clients and ignored.
 	FixedPoint bool `json:"fixed_point"`
 	// Exec tunes the run (nil = executor defaults, no faults).
 	Exec *campaign.ExecSpec `json:"exec"`
@@ -40,12 +40,11 @@ func (s *Server) handleExecuteSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec := campaign.JobSpec{
-		Class:      s.engine.Net.Class,
-		Utility:    req.Utility,
-		Workers:    req.Workers,
-		FixedPoint: req.FixedPoint,
-		Kind:       campaign.KindExecute,
-		Exec:       req.Exec,
+		Class:   s.engine.Net.Class,
+		Utility: req.Utility,
+		Workers: req.Workers,
+		Kind:    campaign.KindExecute,
+		Exec:    req.Exec,
 	}
 	err := resolve(&spec, req.Scenario, req.Method)
 	if err == nil {

@@ -364,7 +364,7 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 }
 
 // jobSpec parses a request's query into a job of the given kind on the
-// server's own market — the shared scenario/method/utility/workers/fixed
+// server's own market — the shared scenario/method/utility/workers
 // parameters, plus the window parameters of a simulate job — and
 // validates it with JobSpec.Validate, the check every campaign job
 // gets. Any error is the client's.
@@ -380,10 +380,9 @@ func (s *Server) jobSpec(q url.Values, kind string) (campaign.JobSpec, error) {
 		}
 		spec.Workers = n
 	}
+	// fixed selected a retired scoring kernel; clients still send it.
 	switch v := q.Get("fixed"); v {
-	case "", "0", "false":
-	case "1", "true":
-		spec.FixedPoint = true
+	case "", "0", "false", "1", "true":
 	default:
 		return spec, fmt.Errorf("bad fixed %q", v)
 	}
@@ -462,12 +461,11 @@ func (s *Server) plan(r *http.Request) (*core.Plan, error) {
 // mitigate plans a validated job against the server's own engine.
 func (s *Server) mitigate(ctx context.Context, spec campaign.JobSpec) (*core.Plan, error) {
 	return s.engine.MitigatePlan(core.MitigateRequest{
-		Ctx:        ctx,
-		Scenario:   spec.Scenario,
-		Method:     spec.Method,
-		Util:       campaign.UtilityByName[spec.Utility],
-		Workers:    spec.Workers,
-		FixedPoint: spec.FixedPoint,
+		Ctx:      ctx,
+		Scenario: spec.Scenario,
+		Method:   spec.Method,
+		Util:     campaign.UtilityByName[spec.Utility],
+		Workers:  spec.Workers,
 	})
 }
 
@@ -672,7 +670,7 @@ type campaignJobRequest struct {
 	// Workers is the in-search scoring parallelism (0 = orchestrator
 	// default).
 	Workers int `json:"workers"`
-	// FixedPoint scores candidates with the quantized kernel.
+	// FixedPoint is accepted for old clients and ignored.
 	FixedPoint bool `json:"fixed_point"`
 	// AnnealSeed seeds the anneal method's random walk (0 = default).
 	AnnealSeed int64 `json:"anneal_seed"`
@@ -716,7 +714,6 @@ func parseCampaignSpecs(w http.ResponseWriter, r *http.Request) ([]campaign.JobS
 			Utility:    jr.Utility,
 			Timeout:    time.Duration(jr.TimeoutMS) * time.Millisecond,
 			Workers:    jr.Workers,
-			FixedPoint: jr.FixedPoint,
 			AnnealSeed: jr.AnnealSeed,
 			Kind:       jr.Kind,
 			Sim:        jr.Sim,

@@ -13,12 +13,13 @@ import (
 // the season's calendar and replay configuration (nil accepts every
 // scheduler default).
 type waveRequest struct {
-	Class      string             `json:"class"`
-	Seed       int64              `json:"seed"`
-	Method     string             `json:"method"`
-	Utility    string             `json:"utility"`
-	TimeoutMS  int64              `json:"timeout_ms"`
-	Workers    int                `json:"workers"`
+	Class     string `json:"class"`
+	Seed      int64  `json:"seed"`
+	Method    string `json:"method"`
+	Utility   string `json:"utility"`
+	TimeoutMS int64  `json:"timeout_ms"`
+	Workers   int    `json:"workers"`
+	// FixedPoint is accepted for old clients and ignored.
 	FixedPoint bool               `json:"fixed_point"`
 	AnnealSeed int64              `json:"anneal_seed"`
 	Wave       *campaign.WaveSpec `json:"wave"`
@@ -60,7 +61,6 @@ func parseWaveSpec(w http.ResponseWriter, r *http.Request) (campaign.JobSpec, bo
 		Utility:    req.Utility,
 		Timeout:    time.Duration(req.TimeoutMS) * time.Millisecond,
 		Workers:    req.Workers,
-		FixedPoint: req.FixedPoint,
 		AnnealSeed: req.AnnealSeed,
 		Kind:       campaign.KindWave,
 		Wave:       req.Wave,

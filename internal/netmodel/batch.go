@@ -6,8 +6,8 @@
 // sector, SINR and rate, per-sector load shifts — in epoch-marked
 // scratch, folds the per-grid utility deltas into a sum, and never
 // touches the state. One pass, no revert; a power-only move costs one
-// exponential (float) or one multiply (fixed) per entry, where
-// apply-and-revert pays two exponentials plus a utility scan.
+// exponential per sector and one multiply per entry, where
+// apply-and-revert pays the same twice plus a utility scan.
 //
 // A touched grid's old per-UE utility is read from the Utility memo
 // (cacheU) when the memo belongs to the same objective and still holds
@@ -23,22 +23,12 @@
 // Scratch is recycled through a package-level sync.Pool; arrays are
 // epoch-marked so per-move initialization is O(footprint), not O(grid).
 //
-// Two variants share all of the grid/serving/load/utility logic and
-// differ only in how an entry's new received power is derived:
-//
-//   - float: from the state's link rows and rpMw column, the same
-//     arithmetic Apply performs, so per-grid rates are bit-identical to
-//     an Apply and the delta differs from the full-scan oracle only by
-//     summation order (≤1e-9 relative, pinned by
-//     TestSpeculateMatchesFullEvaluation).
-//   - fixed: from the core's int16 centi-dB mirror via the decade tables
-//     (fixedpoint.go) — no math.Exp anywhere on the move path
-//     (quantization-pinned, ≤0.1% utility deviation).
-//
-// The fixed variant falls back to float for sectors with tabulated
-// link-table overrides (InstallLinkTable) — the mirror quantizes the
-// analytic pattern, not the ingested curves — and under the
-// magus_nofixed build tag.
+// An entry's new received power comes from the state's linear-gain link
+// rows with the same expression Apply uses, DbmToMw(power) * gain (a
+// retilt rebuilds the gains the way newLinkRow does), so per-grid rates
+// are bit-identical to an Apply and the delta differs from the
+// full-scan oracle only by summation order (≤1e-9 relative, pinned by
+// TestSpeculateMatchesFullEvaluation).
 package netmodel
 
 import (
@@ -145,14 +135,12 @@ func (sc *batchScratch) touchSec(b int32) {
 
 // SpeculateBatch scores each candidate move independently against the
 // current state without mutating it. Results are appended to out
-// (allocated when nil) in move order. fixed selects the quantized
-// centi-dB evaluation (tolerance-pinned); false selects the float path
-// (rounding-pinned to the full-scan Utility). The state is only read.
-func (s *State) SpeculateBatch(moves []config.Change, u utility.Func, fixed bool, out []BatchResult) []BatchResult {
+// (allocated when nil) in move order. The state is only read.
+func (s *State) SpeculateBatch(moves []config.Change, u utility.Func, out []BatchResult) []BatchResult {
 	sc := batchScratchPool.Get().(*batchScratch)
 	sc.ensure(s.Model.Grid.NumCells(), s.Model.Net.NumSectors())
 	for _, mv := range moves {
-		out = append(out, s.speculateOne(mv, u, fixed, sc))
+		out = append(out, s.speculateOne(mv, u, sc))
 	}
 	batchScratchPool.Put(sc)
 	return out
@@ -191,7 +179,7 @@ func (s *State) clampChange(ch config.Change) config.Change {
 }
 
 // speculateOne evaluates one move against the frozen state.
-func (s *State) speculateOne(mv config.Change, u utility.Func, fixed bool, sc *batchScratch) BatchResult {
+func (s *State) speculateOne(mv config.Change, u utility.Func, sc *batchScratch) BatchResult {
 	m := s.Model
 	if mv.Sector < 0 || mv.Sector >= m.Net.NumSectors() {
 		return BatchResult{Err: fmt.Errorf("netmodel: speculate: sector %d out of range", mv.Sector)}
@@ -210,21 +198,11 @@ func (s *State) speculateOne(mv config.Change, u utility.Func, fixed bool, sc *b
 	sc.nextMove()
 
 	// Entry pass: derive each entry's new received power and resolve the
-	// owning grid's new aggregates. The quantized variant is skipped for
-	// sectors answering from a tabulated link curve.
-	useFixed := fixed && fixedPointEnabled &&
-		(m.curveSettings == nil || m.curveSettings[b] == nil)
-	scale := !newOff && !wasOff && applied.TiltDelta == 0 && !applied.TurnOff && !applied.TurnOn
-	switch {
-	case scale && useFixed:
-		factor := mwFromCdb(int32(quantCenti(applied.PowerDelta)))
-		s.batchScaleSector(sc, b, factor)
-	case scale:
-		s.batchPowerSectorFloat(sc, b, applied.PowerDelta)
-	case useFixed:
-		s.batchRecomputeSectorFixed(sc, applied, newOff)
-	default:
-		s.batchRecomputeSectorFloat(sc, applied, newOff)
+	// owning grid's new aggregates.
+	if !newOff && !wasOff && applied.TiltDelta == 0 && !applied.TurnOff && !applied.TurnOn {
+		s.batchPowerSector(sc, b, applied.PowerDelta)
+	} else {
+		s.batchRecomputeSector(sc, applied, newOff)
 	}
 
 	// Load sweep: a sector whose load shifted changes the per-UE rate of
@@ -276,86 +254,43 @@ func (s *State) speculateOne(mv config.Change, u utility.Func, fixed bool, sc *b
 	return BatchResult{Applied: applied, Delta: delta}
 }
 
-// batchScaleSector handles the fixed-path power-only move on an on-air
-// sector: one linear factor (from the quantized delta) scales every live
-// entry — one multiply where the exact path pays one exponential.
-func (s *State) batchScaleSector(sc *batchScratch, b int, factor float64) {
-	for _, ref := range s.Model.core.sectorEntries[b] {
-		old := s.rpMw[ref.Pos]
-		if old == 0 {
-			continue
-		}
-		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), old*factor)
-	}
-}
-
-// batchPowerSectorFloat is the float twin of the power-only move: it
-// re-derives each entry in the dB domain with the same expression
-// applySectorPower uses, so per-grid rates are bit-identical to an
-// Apply and the delta can diverge from a full scan only by summation
-// order.
-func (s *State) batchPowerSectorFloat(sc *batchScratch, b int, deltaDb float64) {
-	newPower := s.Cfg.PowerDbm(b) + deltaDb
-	row := s.linkDB[b]
+// batchPowerSector prices a power-only move on an on-air sector:
+// each live entry's new received power is the sector's new power times
+// its row's gain, the expression applySectorPower uses, so per-grid
+// rates are bit-identical to an Apply and the delta can diverge from a
+// full scan only by summation order.
+func (s *State) batchPowerSector(sc *batchScratch, b int, deltaDb float64) {
+	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b) + deltaDb)
+	row := s.linkGain[b]
 	for i, ref := range s.Model.core.sectorEntries[b] {
 		if s.rpMw[ref.Pos] == 0 {
 			continue
 		}
-		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), units.DbmToMw(newPower+row[i]))
+		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), powerMw*row[i])
 	}
 }
 
-// batchRecomputeSectorFloat handles tilt and on/off moves by re-deriving
-// each entry's link budget exactly as RefreshSector would.
-func (s *State) batchRecomputeSectorFloat(sc *batchScratch, applied config.Change, newOff bool) {
+// batchRecomputeSector handles tilt and on/off moves by re-deriving
+// each entry's received power exactly as RefreshSector would: a retilt
+// computes each entry's gain as newLinkRow does, without installing a
+// row.
+func (s *State) batchRecomputeSector(sc *batchScratch, applied config.Change, newOff bool) {
 	m := s.Model
 	b := applied.Sector
-	newPower := s.Cfg.PowerDbm(b) + applied.PowerDelta
+	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b) + applied.PowerDelta)
 	newTilt := m.Net.Sectors[b].Tilts.Degrees(s.Cfg.TiltIndex(b) + applied.TiltDelta)
 	retilt := applied.TiltDelta != 0
-	row := s.linkDB[b]
+	row := s.linkGain[b]
 	for i, ref := range m.core.sectorEntries[b] {
 		var nrp float64
 		if !newOff {
-			link := row[i]
+			gain := row[i]
 			if retilt {
-				link = m.entryLinkDB(int(ref.Pos), newTilt)
+				gain = units.DbmToMw(m.entryLinkDB(int(ref.Pos), newTilt))
 			}
-			nrp = units.DbmToMw(newPower + link)
+			nrp = powerMw * gain
 		}
 		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), nrp)
-	}
-}
-
-// batchRecomputeSectorFixed is the quantized twin: link budgets come
-// from the int16 centi-dB mirror and powers from the decade tables, so
-// the per-entry cost is integer adds, one float multiply for the
-// vertical pattern, and two table loads — no exponentials.
-func (s *State) batchRecomputeSectorFixed(sc *batchScratch, applied config.Change, newOff bool) {
-	m := s.Model
-	b := applied.Sector
-	f := m.core.fixedMirror()
-	lo, hi := f.secStart[b], f.secStart[b+1]
-	if newOff {
-		for i := lo; i < hi; i++ {
-			s.batchEntry(sc, f.grid[i], f.pos[i], int32(b), 0)
-		}
-		return
-	}
-	powerCdb := int32(quantCenti(s.Cfg.PowerDbm(b) + applied.PowerDelta))
-	tiltCdeg := float64(quantCenti(m.Net.Sectors[b].Tilts.Degrees(s.Cfg.TiltIndex(b) + applied.TiltDelta)))
-	pat := &m.Net.Sectors[b].Pattern
-	invBw := 1 / pat.VertBeamwidthDeg
-	slaCdb := int32(quantCenti(pat.SideLobeLimitDB))
-	for i := lo; i < hi; i++ {
-		// A_v = -min(12 ((elev-tilt)/bw)^2, SLA) in centi-dB.
-		d := (float64(f.elevCdeg[i]) - tiltCdeg) * invBw
-		vatt := int32(0.12*d*d + 0.5) // 12*(d/100)^2 dB → centi-dB, rounded
-		if vatt > slaCdb {
-			vatt = slaCdb
-		}
-		nrp := mwFromCdb(powerCdb + int32(f.baseCdb[i]) - vatt)
-		s.batchEntry(sc, f.grid[i], f.pos[i], int32(b), nrp)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestSpeculateMatchesFullEvaluation(t *testing.T) {
 	nonNoop := 0
 	for i := 0; i < 400; i++ {
 		ch := randomBatchChange(rng, m.Net.NumSectors())
-		got := s.SpeculateBatch([]config.Change{ch}, u, false, nil)[0]
+		got := s.SpeculateBatch([]config.Change{ch}, u, nil)[0]
 		if got.Err != nil {
 			t.Fatalf("move %d (%v): %v", i, ch, got.Err)
 		}
@@ -110,7 +110,7 @@ func TestSpeculateTurnOffOn(t *testing.T) {
 
 	u0 := s.Utility(u)
 	off := config.Change{Sector: target, TurnOff: true}
-	res := s.SpeculateBatch([]config.Change{off}, u, false, nil)[0]
+	res := s.SpeculateBatch([]config.Change{off}, u, nil)[0]
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -131,7 +131,7 @@ func TestSpeculateTurnOffOn(t *testing.T) {
 	// restoration against the same oracle.
 	on := config.Change{Sector: target, TurnOn: true}
 	uOff := ref.Utility(u)
-	res = ref.SpeculateBatch([]config.Change{on}, u, false, nil)[0]
+	res = ref.SpeculateBatch([]config.Change{on}, u, nil)[0]
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -162,7 +162,7 @@ func TestSpeculateBatchMatchesSpeculate(t *testing.T) {
 			moves[i] = randomBatchChange(rng, m.Net.NumSectors())
 		}
 		u0 := s.Utility(u)
-		batch := s.SpeculateBatch(moves, u, false, nil)
+		batch := s.SpeculateBatch(moves, u, nil)
 		if len(batch) != len(moves) {
 			t.Fatalf("round %d: %d results for %d moves", round, len(batch), len(moves))
 		}
@@ -171,7 +171,7 @@ func TestSpeculateBatchMatchesSpeculate(t *testing.T) {
 			if got.Err != nil {
 				t.Fatalf("round %d move %d (%v): %v", round, i, ch, got.Err)
 			}
-			want := s.SpeculateBatch([]config.Change{ch}, u, false, nil)[0]
+			want := s.SpeculateBatch([]config.Change{ch}, u, nil)[0]
 			if want.Err != nil {
 				t.Fatalf("round %d move %d (%v): single: %v", round, i, ch, want.Err)
 			}
@@ -214,7 +214,7 @@ func TestSpeculateBatchManyMoves(t *testing.T) {
 	for i := range moves {
 		moves[i] = randomBatchChange(rng, m.Net.NumSectors())
 	}
-	results := s.SpeculateBatch(moves, u, false, nil)
+	results := s.SpeculateBatch(moves, u, nil)
 	if len(results) != len(moves) {
 		t.Fatalf("got %d results for %d moves", len(results), len(moves))
 	}
@@ -244,91 +244,58 @@ func TestSpeculateBatchManyMoves(t *testing.T) {
 	}
 }
 
-// TestSpeculateBatchFixedWithinTolerance certifies the fixed-point error
-// budget: the quantized centi-dB evaluation must stay within 0.1% of
-// the exact full evaluation for every move shape.
-func TestSpeculateBatchFixedWithinTolerance(t *testing.T) {
-	if !fixedPointEnabled {
-		t.Skip("built with magus_nofixed")
-	}
+// TestSpeculateBatchCurveOverride: a sector answering from a tabulated
+// link curve (InstallLinkTable) must be scored from that curve. The
+// table is the model's own samples with one tilt setting shifted by
+// 4 dB, so a scorer that fell back to the analytic pattern would miss;
+// a retilt onto and off the shifted setting must each score within
+// summation-order rounding of Apply followed by a full-scan Utility.
+func TestSpeculateBatchCurveOverride(t *testing.T) {
 	m := testModel(t)
-	s := baseline(t, m)
-	rng := rand.New(rand.NewSource(23))
-	u := utility.Performance
-	base := s.Utility(u)
-
-	moves := make([]config.Change, 200)
-	for i := range moves {
-		moves[i] = randomBatchChange(rng, m.Net.NumSectors())
-	}
-	results := s.SpeculateBatch(moves, u, true, nil)
-	worst := 0.0
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("move %d (%v): %v", i, moves[i], r.Err)
-		}
-		ref := s.Clone()
-		refApplied := ref.MustApply(moves[i])
-		if r.Applied != refApplied {
-			t.Fatalf("move %d: applied %v, reference %v", i, r.Applied, refApplied)
-		}
-		want := ref.Utility(u)
-		if refApplied.IsZero() {
-			want = base
-		}
-		if d := relDiff(base+r.Delta, want); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-3 {
-		t.Fatalf("fixed-point utility deviation %.2e exceeds the 0.1%% budget", worst)
-	}
-	t.Logf("worst fixed-point relative deviation over %d moves: %.2e", len(moves), worst)
-}
-
-// TestSpeculateBatchFixedCurveOverride: a sector answering from a
-// tabulated link curve must be scored on the float path even when the
-// caller asks for fixed — the mirror quantizes the analytic pattern,
-// not ingested curves — and therefore stay within summation-order
-// rounding of the exact oracle.
-func TestSpeculateBatchFixedCurveOverride(t *testing.T) {
-	m := testModel(t)
-	s := baseline(t, m)
 	u := utility.Performance
 
-	// Install an identity-resampled table on sector 0 (values sampled
-	// from the model itself at its own tilt settings, so exact scores
-	// are unchanged).
 	b := 0
 	tilts := m.Net.Sectors[b].Tilts
 	var settings []float64
 	for i := tilts.MinIndex(); i <= tilts.MaxIndex(); i++ {
 		settings = append(settings, tilts.Degrees(i))
 	}
-	if err := m.InstallLinkTable(b, settings, m.SectorCells(b), m.SampleLinkDB(b, settings)); err != nil {
+	table := m.SampleLinkDB(b, settings)
+	shifted := tilts.MaxIndex() - tilts.MinIndex()
+	for c := range table[shifted] {
+		table[shifted][c] -= 4
+	}
+	if err := m.InstallLinkTable(b, settings, m.SectorCells(b), table); err != nil {
 		t.Fatalf("InstallLinkTable: %v", err)
 	}
-	s = baseline(t, m)
+	s := baseline(t, m)
+	if s.Cfg.TiltIndex(b) == tilts.MaxIndex() {
+		t.Fatal("baseline already sits on the shifted setting")
+	}
 
-	ch := config.Change{Sector: b, TiltDelta: 1}
-	got := s.SpeculateBatch([]config.Change{ch}, u, true, nil)[0]
-	if got.Err != nil {
-		t.Fatal(got.Err)
-	}
-	ref := s.Clone()
-	wantApplied := ref.MustApply(ch)
-	if got.Applied != wantApplied {
-		t.Fatalf("applied %v, want %v", got.Applied, wantApplied)
-	}
-	if gotU, wantU := s.Utility(u)+got.Delta, ref.Utility(u); relDiff(gotU, wantU) > 1e-9 {
-		t.Fatalf("curve-override sector must score on the float path: batch %v, full evaluation %v", gotU, wantU)
+	for _, ch := range []config.Change{
+		{Sector: b, TiltDelta: tilts.MaxIndex()}, // onto the shifted setting (clamped)
+		{Sector: b, TiltDelta: 1},
+		{Sector: b, TiltDelta: -1},
+	} {
+		got := s.SpeculateBatch([]config.Change{ch}, u, nil)[0]
+		if got.Err != nil {
+			t.Fatal(got.Err)
+		}
+		ref := s.Clone()
+		wantApplied := ref.MustApply(ch)
+		if got.Applied != wantApplied {
+			t.Fatalf("%v: applied %v, want %v", ch, got.Applied, wantApplied)
+		}
+		if gotU, wantU := s.Utility(u)+got.Delta, ref.Utility(u); relDiff(gotU, wantU) > 1e-9 {
+			t.Fatalf("%v: curve-override sector scores %v, Apply gives %v", ch, gotU, wantU)
+		}
 	}
 }
 
 // TestSharedCoreConcurrentEngines is the shared-substrate race test: N
 // views forked from one model — one immutable core — each drive their
-// own State through interleaved fixed and float batch scoring and
-// commits.
+// own State through interleaved batch scoring and commits.
 // Under -race this proves the core is never written after construction
 // and per-engine mutation stays confined to the engine's State.
 func TestSharedCoreConcurrentEngines(t *testing.T) {
@@ -351,12 +318,7 @@ func TestSharedCoreConcurrentEngines(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + e)))
 			for i := 0; i < 40; i++ {
 				ch := randomBatchChange(rng, view.Net.NumSectors())
-				res := s.SpeculateBatch([]config.Change{ch}, u, true, nil)[0]
-				if res.Err != nil {
-					t.Errorf("engine %d move %d: %v", e, i, res.Err)
-					return
-				}
-				if res := s.SpeculateBatch([]config.Change{ch}, u, false, nil)[0]; res.Err != nil {
+				if res := s.SpeculateBatch([]config.Change{ch}, u, nil)[0]; res.Err != nil {
 					t.Errorf("engine %d move %d: %v", e, i, res.Err)
 					return
 				}
@@ -445,14 +407,14 @@ func checkSpeculateVsWarmMemo(t *testing.T, s *State, moves []config.Change, u u
 	memoRate := append([]float64(nil), s.cacheRate...)
 	memoU := append([]float64(nil), s.cacheU...)
 	memoName := s.cacheName
-	got := s.SpeculateBatch(moves, u, false, nil)
+	got := s.SpeculateBatch(moves, u, nil)
 	if s.cacheName != memoName || !slices.Equal(s.cacheRate, memoRate) || !slices.Equal(s.cacheU, memoU) {
 		t.Fatal("SpeculateBatch wrote the Utility memo")
 	}
 
 	warm := s.Clone()
 	base := warm.Utility(u)
-	want := warm.SpeculateBatch(moves, u, false, nil)
+	want := warm.SpeculateBatch(moves, u, nil)
 	effective := 0
 	for i, mv := range moves {
 		if got[i].Err != nil || want[i].Err != nil {
@@ -538,7 +500,7 @@ func TestCloneDropsTracking(t *testing.T) {
 	u := utility.Performance
 	moves := memoTestMoves(m, 23, 40)
 	parentUtility := s.Utility(u)
-	parentDeltas := s.SpeculateBatch(moves, u, false, nil)
+	parentDeltas := s.SpeculateBatch(moves, u, nil)
 
 	c := s.Clone()
 	c.MustApply(config.Change{Sector: 1, PowerDelta: 3})
@@ -548,7 +510,7 @@ func TestCloneDropsTracking(t *testing.T) {
 	if got := s.Utility(u); got != parentUtility {
 		t.Fatalf("parent utility changed by clone activity: %v vs %v", got, parentUtility)
 	}
-	for i, r := range s.SpeculateBatch(moves, u, false, nil) {
+	for i, r := range s.SpeculateBatch(moves, u, nil) {
 		if r.Applied != parentDeltas[i].Applied || r.Delta != parentDeltas[i].Delta {
 			t.Fatalf("move %d: parent scored %v/%v after clone activity, %v/%v before",
 				i, r.Applied, r.Delta, parentDeltas[i].Applied, parentDeltas[i].Delta)

@@ -1,6 +1,5 @@
 // ModelCore: the immutable, shareable half of a Model. The contributor
-// arrays, the per-sector entry index, the grid-cell center table and
-// (lazily) the fixed-point quantized mirror of the link budgets are
+// arrays, the per-sector entry index and the grid-cell center table are
 // identical for every engine, worker and simulation fork planning the
 // same market, so they live in one reference-counted ModelCore shared
 // read-only by all of them. What stays per-Model is small and mutable:
@@ -12,8 +11,7 @@
 // a single file read; see internal/modelcache): the contributor arrays
 // then alias the snapshot buffer instead of being materialized, and the
 // backing is released when the core is garbage-collected. Cores are
-// immutable after construction — only the lazily built derived tables
-// (fixed-point mirror) are added, exactly once, under a sync.Once.
+// immutable after construction.
 package netmodel
 
 import (
@@ -63,11 +61,6 @@ type ModelCore struct {
 	backingBytes int64
 	releaseOnce  sync.Once
 	release      func()
-
-	// Fixed-point mirror of the link budgets (see fixedpoint.go),
-	// built at most once on first use of the quantized fast path.
-	fixedOnce sync.Once
-	fixed     *fixedCore
 }
 
 // NewCore validates and adopts previously built contributor arrays as
@@ -205,9 +198,6 @@ func (c *ModelCore) Bytes() int64 {
 			int64(len(c.contribElev))*4 + int64(len(c.gridStart))*4
 	}
 	derived := int64(len(c.cellCenters))*16 + int64(len(c.contribSector))*8
-	if f := c.fixed; f != nil {
-		derived += f.bytes()
-	}
 	return arrays + derived
 }
 

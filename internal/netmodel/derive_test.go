@@ -65,7 +65,7 @@ func sameRadio(t *testing.T, where string, got, want *State) {
 		{"sinrLo", got.sinrLo, want.sinrLo},
 		{"sinrHi", got.sinrHi, want.sinrHi},
 		{"rpMw", got.rpMw, want.rpMw},
-		{"linkDB", slices.Concat(got.linkDB...), slices.Concat(want.linkDB...)},
+		{"linkGain", slices.Concat(got.linkGain...), slices.Concat(want.linkGain...)},
 	} {
 		if len(arr.got) != len(arr.want) {
 			t.Fatalf("%s: %s has %d entries, NewState %d", where, arr.name, len(arr.got), len(arr.want))
@@ -218,14 +218,14 @@ func TestDeriveConcurrentOnSharedState(t *testing.T) {
 
 // sectorRows is a deep copy of a state's link rows and received powers.
 type sectorRows struct {
-	linkDB [][]float64
-	rpMw   []float64
+	linkGain [][]float64
+	rpMw     []float64
 }
 
 func copyRows(s *State) sectorRows {
 	out := sectorRows{rpMw: slices.Clone(s.rpMw)}
-	for _, row := range s.linkDB {
-		out.linkDB = append(out.linkDB, slices.Clone(row))
+	for _, row := range s.linkGain {
+		out.linkGain = append(out.linkGain, slices.Clone(row))
 	}
 	return out
 }
@@ -234,13 +234,13 @@ func copyRows(s *State) sectorRows {
 // bit the ones recorded in want.
 func sameRows(t *testing.T, where string, s *State, want sectorRows) {
 	t.Helper()
-	for b, row := range want.linkDB {
-		if len(s.linkDB[b]) != len(row) {
-			t.Fatalf("%s: sector %d link row has %d entries, want %d", where, b, len(s.linkDB[b]), len(row))
+	for b, row := range want.linkGain {
+		if len(s.linkGain[b]) != len(row) {
+			t.Fatalf("%s: sector %d link row has %d entries, want %d", where, b, len(s.linkGain[b]), len(row))
 		}
 		for i, v := range row {
-			if math.Float64bits(s.linkDB[b][i]) != math.Float64bits(v) {
-				t.Fatalf("%s: linkDB[%d][%d] = %v, was %v", where, b, i, s.linkDB[b][i], v)
+			if math.Float64bits(s.linkGain[b][i]) != math.Float64bits(v) {
+				t.Fatalf("%s: linkGain[%d][%d] = %v, was %v", where, b, i, s.linkGain[b][i], v)
 			}
 		}
 	}
@@ -345,7 +345,7 @@ func TestSharedRowsConcurrentDeriveRefresh(t *testing.T) {
 			fork := m.ForkUsers()
 			for i := 0; i < 3; i++ {
 				d := src.Derive(fork, src.Cfg.Clone())
-				d.SpeculateBatch([]config.Change{{Sector: rng.Intn(n), PowerDelta: 2}}, utility.Performance, false, nil)
+				d.SpeculateBatch([]config.Change{{Sector: rng.Intn(n), PowerDelta: 2}}, utility.Performance, nil)
 				d.MustApply(config.Change{Sector: rng.Intn(n), PowerDelta: -1})
 				want := fork.NewState(d.Cfg.Clone())
 				if gu, wu := d.UtilityRead(utility.Performance), want.UtilityRead(utility.Performance); gu != wu {

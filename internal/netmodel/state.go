@@ -30,14 +30,16 @@ type State struct {
 	load    []float64 // per sector: sum of UE weights over served grids
 	served  []int32   // per sector: number of served grids
 
-	// Per-sector link rows: linkDB[b][i] is the link budget (base loss
-	// plus vertical attenuation at the sector's current tilt, dB) of
-	// sector b's i-th entry in sectorEntries[b] order. A row is built
-	// whole and installed by deriveSector or RefreshSector and never
-	// written after that, so Clone and Derive share rows with their
-	// source: a copy costs one header per sector, and neither side can
-	// see a write made by the other.
-	linkDB [][]float64
+	// Per-sector link rows: linkGain[b][i] is the linear link gain,
+	// DbmToMw of the link budget (base loss plus vertical attenuation at
+	// the sector's current tilt), of sector b's i-th entry in
+	// sectorEntries[b] order. Every received power is
+	// DbmToMw(power) * gain, one exp per sector and one multiply per
+	// entry. A row is built whole and installed by deriveSector or
+	// RefreshSector and never written after that, so Clone and Derive
+	// share rows with their source: a copy costs one header per sector,
+	// and neither side can see a write made by the other.
+	linkGain [][]float64
 
 	// Per-grid utility memo: most grids keep their rate between two
 	// Utility calls during a search, so the per-UE utility (a log10) is
@@ -96,18 +98,18 @@ func (m *Model) NewState(cfg *config.Config) *State {
 // deriveSector and evaluateGrids.
 func (m *Model) allocState(cfg *config.Config) *State {
 	s := &State{
-		Model:   m,
-		Cfg:     cfg,
-		rpMw:    make([]float64, len(m.core.contribSector)),
-		totalMw: make([]float64, m.Grid.NumCells()),
-		bestSec: make([]int32, m.Grid.NumCells()),
-		bestMw:  make([]float64, m.Grid.NumCells()),
-		rmax:    make([]float64, m.Grid.NumCells()),
-		sinrLo:  make([]float64, m.Grid.NumCells()),
-		sinrHi:  make([]float64, m.Grid.NumCells()),
-		load:    make([]float64, m.Net.NumSectors()),
-		served:  make([]int32, m.Net.NumSectors()),
-		linkDB:  make([][]float64, m.Net.NumSectors()),
+		Model:    m,
+		Cfg:      cfg,
+		rpMw:     make([]float64, len(m.core.contribSector)),
+		totalMw:  make([]float64, m.Grid.NumCells()),
+		bestSec:  make([]int32, m.Grid.NumCells()),
+		bestMw:   make([]float64, m.Grid.NumCells()),
+		rmax:     make([]float64, m.Grid.NumCells()),
+		sinrLo:   make([]float64, m.Grid.NumCells()),
+		sinrHi:   make([]float64, m.Grid.NumCells()),
+		load:     make([]float64, m.Net.NumSectors()),
+		served:   make([]int32, m.Net.NumSectors()),
+		linkGain: make([][]float64, m.Net.NumSectors()),
 	}
 	s.resetUtilityMemo("")
 	return s
@@ -139,7 +141,7 @@ func (s *State) Clone() *State {
 		Model:     s.Model,
 		Cfg:       s.Cfg.Clone(),
 		rpMw:      append([]float64(nil), s.rpMw...),
-		linkDB:    append([][]float64(nil), s.linkDB...),
+		linkGain:  append([][]float64(nil), s.linkGain...),
 		totalMw:   append([]float64(nil), s.totalMw...),
 		bestSec:   append([]int32(nil), s.bestSec...),
 		bestMw:    append([]float64(nil), s.bestMw...),
@@ -185,7 +187,7 @@ func (s *State) Derive(m *Model, cfg *config.Config) *State {
 	}
 	d := m.allocState(cfg)
 	copy(d.rpMw, s.rpMw)
-	copy(d.linkDB, s.linkDB) // row headers: rows are never written in place
+	copy(d.linkGain, s.linkGain) // row headers: rows are never written in place
 	all := !sameLinkTables(m, s.Model)
 	for b := range m.core.sectorEntries {
 		if all || cfg.PowerDbm(b) != s.Cfg.PowerDbm(b) ||
@@ -216,29 +218,29 @@ func sameBacking[T any](x, y []T) bool {
 // per-grid aggregates to evaluateGrids.
 func (s *State) deriveSector(b int) {
 	off := s.Cfg.Off(b)
-	power := s.Cfg.PowerDbm(b)
+	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b))
 	row := s.newLinkRow(b)
 	for i, ref := range s.Model.core.sectorEntries[b] {
 		if off {
 			s.rpMw[ref.Pos] = 0
 		} else {
-			s.rpMw[ref.Pos] = units.DbmToMw(power + row[i])
+			s.rpMw[ref.Pos] = powerMw * row[i]
 		}
 	}
 }
 
-// newLinkRow builds sector b's link budgets at its current tilt into a
-// new row and installs it; the row it replaces is left as it was for
-// any state still sharing it.
+// newLinkRow builds sector b's linear link gains at its current tilt
+// into a new row and installs it; the row it replaces is left as it was
+// for any state still sharing it.
 func (s *State) newLinkRow(b int) []float64 {
 	m := s.Model
 	tilt := s.Cfg.TiltDeg(b)
 	entries := m.core.sectorEntries[b]
 	row := make([]float64, len(entries))
 	for i, ref := range entries {
-		row[i] = m.entryLinkDB(int(ref.Pos), tilt)
+		row[i] = units.DbmToMw(m.entryLinkDB(int(ref.Pos), tilt))
 	}
-	s.linkDB[b] = row
+	s.linkGain[b] = row
 	return row
 }
 
@@ -366,32 +368,32 @@ func (s *State) MustApply(ch config.Change) config.Change {
 // link row; states sharing the old one keep it.
 func (s *State) RefreshSector(b int) {
 	off := s.Cfg.Off(b)
-	power := s.Cfg.PowerDbm(b)
+	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b))
 	b32 := int32(b)
 	row := s.newLinkRow(b)
 	for i, ref := range s.Model.core.sectorEntries[b] {
 		var rp float64
 		if !off {
-			rp = units.DbmToMw(power + row[i])
+			rp = powerMw * row[i]
 		}
 		s.updateEntry(int(ref.Grid), ref.Pos, b32, rp)
 	}
 }
 
 // applySectorPower applies a power-only change to an on-air sector,
-// reusing each entry's cached link budget so the antenna-pattern terms
-// are not re-derived. The dB-domain recomputation (rather than scaling
-// the linear value) keeps the result bit-identical to a full
-// re-evaluation, so incremental and fresh states can never diverge.
+// reusing each entry's cached link gain so the antenna-pattern terms
+// are not re-derived. Received power is DbmToMw(power) * gain, the
+// expression every path uses (rather than scaling the old linear
+// value), so incremental and fresh states stay bit-identical.
 func (s *State) applySectorPower(b int) {
-	power := s.Cfg.PowerDbm(b)
+	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b))
 	b32 := int32(b)
-	row := s.linkDB[b]
+	row := s.linkGain[b]
 	for i, ref := range s.Model.core.sectorEntries[b] {
 		if s.rpMw[ref.Pos] == 0 {
 			continue
 		}
-		s.updateEntry(int(ref.Grid), ref.Pos, b32, units.DbmToMw(power+row[i]))
+		s.updateEntry(int(ref.Grid), ref.Pos, b32, powerMw*row[i])
 	}
 }
 

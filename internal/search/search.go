@@ -93,12 +93,6 @@ type Options struct {
 	// number of goroutines that score one batch over the shared state
 	// (and BruteForcePower's striping). No search result depends on it.
 	Workers int
-	// FixedPoint selects the scorer's quantized kernel: the inner loop
-	// runs in int16 centi-dB with table-driven dB→linear conversion.
-	// Scores carry ≤0.1% utility quantization error; committed utilities
-	// are still exact. Combine with Workers for the fastest scoring
-	// configuration.
-	FixedPoint bool
 	// Ctx, when non-nil, lets the caller abandon a long-running search:
 	// every outer iteration checks it and the search returns Ctx's error
 	// with the state left at the last committed configuration. A nil Ctx
@@ -134,7 +128,7 @@ func (o *Options) applyDefaults() {
 
 // engine builds the evaluation engine for one search run.
 func (o *Options) engine(st *netmodel.State) *evalengine.Engine {
-	return evalengine.New(st, o.Util, evalengine.Config{Workers: o.Workers, FixedPoint: o.FixedPoint, Ctx: o.Ctx})
+	return evalengine.New(st, o.Util, evalengine.Config{Workers: o.Workers, Ctx: o.Ctx})
 }
 
 // SortByDistanceTo orders sector IDs by the distance of their sites to

@@ -43,7 +43,7 @@ func EvaluateAssignment(e *core.Engine, byWave [][]int, opts Options) (*Result, 
 	}
 	g := BuildConflictGraph(e.Model, sectors, c.OverlapThreshold, c.MarginDB)
 	c.applyDefaults(len(sectors), g.MaxDegree())
-	deltas, uBefore := offDeltas(e, sectors, opts.Util, opts.FixedPoint)
+	deltas, uBefore := offDeltas(e, sectors, opts.Util)
 
 	res := &Result{
 		Sectors:           sectors,
@@ -97,7 +97,6 @@ func EvaluateAssignment(e *core.Engine, byWave [][]int, opts Options) (*Result, 
 			Util:       opts.Util,
 			Targets:    targets,
 			Workers:    opts.Workers,
-			FixedPoint: opts.FixedPoint,
 			AnnealSeed: opts.Seed + int64(wave.Wave),
 		})
 		if err != nil {

@@ -88,10 +88,6 @@ type Options struct {
 	Seed int64
 	// AnnealIters bounds the annealing moves (default 3000).
 	AnnealIters int
-	// FixedPoint scores anneal candidates on the batched int16 centi-dB
-	// path (see netmodel.SpeculateBatch); exact per-wave evaluation is
-	// unaffected.
-	FixedPoint bool
 	// Workers is the per-wave mitigation search parallelism (same knob
 	// as core.MitigateRequest.Workers).
 	Workers int
@@ -216,14 +212,14 @@ func UpgradeSet(e *core.Engine) []int {
 // inner-loop estimate the anneal sums per wave. Additivity is exact
 // when co-darkened coverage does not overlap, which is what the
 // conflict constraint enforces.
-func offDeltas(e *core.Engine, sectors []int, util utility.Func, fixed bool) (map[int]float64, float64) {
+func offDeltas(e *core.Engine, sectors []int, util utility.Func) (map[int]float64, float64) {
 	base := e.Before.Clone()
 	uBefore := base.Utility(util)
 	moves := make([]config.Change, len(sectors))
 	for i, s := range sectors {
 		moves[i] = config.Change{Sector: s, TurnOff: true}
 	}
-	res := base.SpeculateBatch(moves, util, fixed, nil)
+	res := base.SpeculateBatch(moves, util, nil)
 	deltas := make(map[int]float64, len(sectors))
 	for i, r := range res {
 		if r.Err != nil {
@@ -477,7 +473,7 @@ func Plan(e *core.Engine, sectors []int, opts Options) (*Result, error) {
 	opts.Constraints = c
 	counters.conflictEdges.Add(int64(g.Edges()))
 
-	deltas, uBefore := offDeltas(e, g.Sectors, opts.Util, opts.FixedPoint)
+	deltas, uBefore := offDeltas(e, g.Sectors, opts.Util)
 	initial, err := greedy(g, c)
 	if err != nil {
 		return nil, err
