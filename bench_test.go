@@ -352,8 +352,10 @@ func BenchmarkStateApplyPower(b *testing.B) {
 	}
 }
 
-// BenchmarkStateApplyTilt measures the tilt-change path (full antenna
-// re-evaluation per entry).
+// BenchmarkStateApplyTilt measures the tilt-change path: RefreshSector
+// installs the model's cached link row for the new tilt and re-prices
+// the sector's entries (one multiply each), with no antenna pattern or
+// exp per entry once the row is cached.
 func BenchmarkStateApplyTilt(b *testing.B) {
 	engine, plan := benchScenario(b)
 	st := engine.Before.Clone()
@@ -382,12 +384,16 @@ func BenchmarkUtilityEval(b *testing.B) {
 
 // BenchmarkSpeculate prices one candidate move per op: the
 // clone-and-full-rescore oracle versus the read-only SpeculateBatch
-// scorer evalengine.ScoreAll runs on every candidate.
+// scorer evalengine.ScoreAll runs on every candidate, for power moves
+// (batch-float) and retilts (batch-tilt, which read the model's cached
+// per-tilt rows).
 func BenchmarkSpeculate(b *testing.B) {
 	_, plan := benchScenario(b)
 	moves := make([]config.Change, len(plan.Neighbors))
+	tilts := make([]config.Change, 0, 2*len(plan.Neighbors))
 	for i, n := range plan.Neighbors {
 		moves[i] = config.Change{Sector: n, PowerDelta: 1}
+		tilts = append(tilts, config.Change{Sector: n, TiltDelta: 1}, config.Change{Sector: n, TiltDelta: -1})
 	}
 	b.Run("clone-full", func(b *testing.B) {
 		st := plan.Upgrade.Clone()
@@ -411,6 +417,19 @@ func BenchmarkSpeculate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mv := i % len(moves)
 			out = st.SpeculateBatch(moves[mv:mv+1], utility.Performance, out[:0])
+			if out[0].Err != nil {
+				b.Fatal(out[0].Err)
+			}
+		}
+	})
+	b.Run("batch-tilt", func(b *testing.B) {
+		st := plan.Upgrade.Clone()
+		st.Utility(utility.Performance)
+		out := make([]netmodel.BatchResult, 0, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mv := i % len(tilts)
+			out = st.SpeculateBatch(tilts[mv:mv+1], utility.Performance, out[:0])
 			if out[0].Err != nil {
 				b.Fatal(out[0].Err)
 			}

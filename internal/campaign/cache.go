@@ -59,11 +59,14 @@ type CacheStats struct {
 // by the cached engines. Cores counts distinct substrates, Refs the
 // Models attached across all of them (a GC-lazy upper bound — see
 // ModelCore.Refs), Bytes the resident substrate size paid once per core
-// no matter how many engines, workers or forks share it.
+// no matter how many engines, workers or forks share it. LinkRowBytes
+// sums the per-tilt link-gain rows built so far, once per distinct row
+// cache (an engine's Model and the simulation forks that share it).
 type SharedCoreStats struct {
-	Cores int   `json:"cores"`
-	Refs  int64 `json:"refs"`
-	Bytes int64 `json:"bytes"`
+	Cores        int   `json:"cores"`
+	Refs         int64 `json:"refs"`
+	Bytes        int64 `json:"bytes"`
+	LinkRowBytes int64 `json:"link_row_bytes"`
 }
 
 // EngineCache is a bounded LRU of built engines with single-flight
@@ -186,6 +189,7 @@ func (c *EngineCache) Stats() CacheStats {
 	s.Capacity = c.cap
 	var cores SharedCoreStats
 	seen := make(map[*netmodel.ModelCore]bool)
+	seenRows := make(map[*netmodel.LinkRows]bool)
 	for elem := c.order.Front(); elem != nil; elem = elem.Next() {
 		e := elem.Value.(*cacheEntry)
 		select {
@@ -195,6 +199,10 @@ func (c *EngineCache) Stats() CacheStats {
 		}
 		if e.engine == nil || e.engine.Model == nil {
 			continue
+		}
+		if rows := e.engine.Model.LinkRows(); !seenRows[rows] {
+			seenRows[rows] = true
+			cores.LinkRowBytes += rows.Bytes()
 		}
 		mc := e.engine.Model.Core()
 		if mc == nil || seen[mc] {

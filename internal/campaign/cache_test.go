@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,8 @@ import (
 	"magus/internal/netmodel"
 	"magus/internal/propagation"
 	"magus/internal/topology"
+	"magus/internal/upgrade"
+	"magus/internal/utility"
 )
 
 func cacheKey(seed int64) EngineKey {
@@ -178,5 +181,43 @@ func TestSharedCoreStats(t *testing.T) {
 	}
 	if st.SharedCores.Bytes <= 0 {
 		t.Errorf("Bytes = %d, want > 0", st.SharedCores.Bytes)
+	}
+}
+
+// TestSharedCoreLinkRowBytes: after a tilt plan the cache reports the
+// per-tilt link rows its engine built, counted once for the engine and
+// a simulation-style fork that shares its row cache, and never more
+// than every entry at every tilt setting.
+func TestSharedCoreLinkRowBytes(t *testing.T) {
+	cache := NewEngineCache(4)
+	e, err := testBuild(cache)(context.Background(), topology.Suburban, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Mitigate(upgrade.SingleSector, core.TiltOnly, utility.Performance); err != nil {
+		t.Fatal(err)
+	}
+	fork := e.Model.ForkUsers()
+	if _, err := cache.GetOrBuild(cacheKey(99), func() (*core.Engine, error) {
+		return &core.Engine{Model: fork}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	st := cache.Stats()
+	if st.SharedCores == nil {
+		t.Fatal("SharedCores not reported")
+	}
+	settings := 0
+	for _, sec := range e.Net.Sectors {
+		settings = max(settings, sec.Tilts.NumSettings())
+	}
+	bound := int64(e.Model.NumContributors()) * int64(settings) * 8
+	got := st.SharedCores.LinkRowBytes
+	if got <= 0 || got > bound {
+		t.Fatalf("LinkRowBytes = %d, want in (0, %d]", got, bound)
+	}
+	if want := e.Model.LinkRowBytes(); got != want {
+		t.Fatalf("LinkRowBytes = %d, want %d (engine and fork share one row cache)", got, want)
 	}
 }

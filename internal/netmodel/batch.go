@@ -23,9 +23,10 @@
 // Scratch is recycled through a package-level sync.Pool; arrays are
 // epoch-marked so per-move initialization is O(footprint), not O(grid).
 //
-// An entry's new received power comes from the state's linear-gain link
-// rows with the same expression Apply uses, DbmToMw(power) * gain (a
-// retilt rebuilds the gains the way newLinkRow does), so per-grid rates
+// An entry's new received power comes from a linear-gain link row with
+// the same expression Apply uses, DbmToMw(power) * gain: the state's row,
+// or for a retilt the Model's cached row at the new tilt (the row Apply
+// would install), so no candidate pays an exp per entry. Per-grid rates
 // are bit-identical to an Apply and the delta differs from the
 // full-scan oracle only by summation order (≤1e-9 relative, pinned by
 // TestSpeculateMatchesFullEvaluation).
@@ -272,23 +273,20 @@ func (s *State) batchPowerSector(sc *batchScratch, b int, deltaDb float64) {
 
 // batchRecomputeSector handles tilt and on/off moves by re-deriving
 // each entry's received power exactly as RefreshSector would: a retilt
-// computes each entry's gain as newLinkRow does, without installing a
-// row.
+// reads the model's cached row at the new tilt, the row RefreshSector
+// would install.
 func (s *State) batchRecomputeSector(sc *batchScratch, applied config.Change, newOff bool) {
 	m := s.Model
 	b := applied.Sector
 	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b) + applied.PowerDelta)
-	newTilt := m.Net.Sectors[b].Tilts.Degrees(s.Cfg.TiltIndex(b) + applied.TiltDelta)
-	retilt := applied.TiltDelta != 0
 	row := s.linkGain[b]
+	if applied.TiltDelta != 0 && !newOff {
+		row = m.gainRow(b, s.Cfg.TiltIndex(b)+applied.TiltDelta)
+	}
 	for i, ref := range m.core.sectorEntries[b] {
 		var nrp float64
 		if !newOff {
-			gain := row[i]
-			if retilt {
-				gain = units.DbmToMw(m.entryLinkDB(int(ref.Pos), newTilt))
-			}
-			nrp = powerMw * gain
+			nrp = powerMw * row[i]
 		}
 		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), nrp)
 	}

@@ -13,9 +13,11 @@
 //     snapshot-loaded, zero-copy) once per market and shared read-only,
 //     reference-counted, by every engine, worker and simulation fork.
 //   - Model is a thin per-use view over a core: the grid, link model and
-//     noise floor plus the small mutable parts — the UE density and the
-//     tabulated link-table overrides. Forking a model (ForkUsers) shares
-//     the core and copies only the UE distribution.
+//     noise floor plus the small mutable parts — the UE density, the
+//     tabulated link-table overrides and the lazily built per-tilt
+//     link-gain rows (gainrows.go). Forking a model (ForkUsers) shares
+//     the core, the tables and the rows, and copies only the UE
+//     distribution.
 //   - State evaluates one configuration against a Model and supports
 //     fast incremental updates when a single sector's power, tilt, or
 //     on-air status changes — this is what lets the search algorithm
@@ -136,6 +138,11 @@ type Model struct {
 	curveSettings [][]float64
 	entryCurve    [][]float64
 
+	// rows caches the per-(sector, tilt) link-gain rows every state over
+	// this model installs; see gainrows.go. Shared by ForkUsers forks
+	// for as long as they share the link tables above.
+	rows *LinkRows
+
 	// ue is the per-grid UE count (fractional), set by AssignUsersUniform.
 	// The effective weight of grid g is ue[g] * ueFactor: the factor
 	// carries uniform whole-market load swings (the simulator's diurnal
@@ -184,6 +191,7 @@ func newModelShell(net *topology.Network, spm *propagation.SPM, region geo.Rect,
 		Grid:     grid,
 		params:   params,
 		noiseMw:  units.DbmToMw(units.ThermalNoiseDbm(params.BandwidthHz, params.NoiseFigureDB)),
+		rows:     newLinkRows(net),
 		ue:       make([]float64, grid.NumCells()),
 		ueFactor: 1,
 	}, nil
@@ -244,12 +252,14 @@ func (m *Model) ScaleUsers(factor float64) {
 }
 
 // ForkUsers returns a shallow copy of the model that shares the
-// immutable core (grid, contributor entries, link model) but owns an
-// independent UE distribution. Simulations that evolve load over time
-// fork the model first, so a cached engine shared with concurrent
-// planners never sees their mutations. States built on the fork see the
-// fork's users; states built on m keep seeing m's. The fork holds its
-// own core reference (visible in ModelCore.Refs).
+// immutable core (grid, contributor entries, link model), the link
+// tables and the per-tilt row cache, but owns an independent UE
+// distribution. Simulations that evolve load over time fork the model
+// first, so a cached engine shared with concurrent planners never sees
+// their mutations, while the rows they build warm the engine's cache.
+// States built on the fork see the fork's users; states built on m keep
+// seeing m's. The fork holds its own core reference (visible in
+// ModelCore.Refs).
 func (m *Model) ForkUsers() *Model {
 	fork := *m
 	fork.ue = append([]float64(nil), m.ue...)

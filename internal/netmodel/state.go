@@ -35,10 +35,11 @@ type State struct {
 	// the sector's current tilt), of sector b's i-th entry in
 	// sectorEntries[b] order. Every received power is
 	// DbmToMw(power) * gain, one exp per sector and one multiply per
-	// entry. A row is built whole and installed by deriveSector or
-	// RefreshSector and never written after that, so Clone and Derive
-	// share rows with their source: a copy costs one header per sector,
-	// and neither side can see a write made by the other.
+	// entry. Each row is the Model's cached row for the sector's tilt
+	// (gainRow), installed by deriveSector or RefreshSector and never
+	// written, so states, Clones, Derives and forks at one tilt share
+	// one row: a copy costs one header per sector, and a retilt costs a
+	// header once the row is cached.
 	linkGain [][]float64
 
 	// Per-grid utility memo: most grids keep their rate between two
@@ -213,13 +214,13 @@ func sameBacking[T any](x, y []T) bool {
 }
 
 // deriveSector evaluates sector b's entries from scratch under the
-// state's configuration: a fresh link row at the sector's tilt and
+// state's configuration: the model's link row at the sector's tilt and
 // received powers at its transmit power (0 when off-air). It leaves the
 // per-grid aggregates to evaluateGrids.
 func (s *State) deriveSector(b int) {
 	off := s.Cfg.Off(b)
 	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b))
-	row := s.newLinkRow(b)
+	row := s.installRow(b)
 	for i, ref := range s.Model.core.sectorEntries[b] {
 		if off {
 			s.rpMw[ref.Pos] = 0
@@ -229,17 +230,11 @@ func (s *State) deriveSector(b int) {
 	}
 }
 
-// newLinkRow builds sector b's linear link gains at its current tilt
-// into a new row and installs it; the row it replaces is left as it was
-// for any state still sharing it.
-func (s *State) newLinkRow(b int) []float64 {
-	m := s.Model
-	tilt := s.Cfg.TiltDeg(b)
-	entries := m.core.sectorEntries[b]
-	row := make([]float64, len(entries))
-	for i, ref := range entries {
-		row[i] = units.DbmToMw(m.entryLinkDB(int(ref.Pos), tilt))
-	}
+// installRow installs the model's cached link row for sector b's current
+// tilt; the row it replaces is left as it was for any state still
+// sharing it.
+func (s *State) installRow(b int) []float64 {
+	row := s.Model.gainRow(b, s.Cfg.TiltIndex(b))
 	s.linkGain[b] = row
 	return row
 }
@@ -364,13 +359,13 @@ func (s *State) MustApply(ch config.Change) config.Change {
 // on/off changes; it is also needed after InstallLinkTable replaces the
 // sector's link-budget source beneath an existing state. Entries whose
 // received power is unchanged are left untouched, so refreshing against
-// identical data cannot perturb the state. The sector gets a fresh
-// link row; states sharing the old one keep it.
+// identical data cannot perturb the state. The sector gets the model's
+// row for its tilt; states sharing the old one keep it.
 func (s *State) RefreshSector(b int) {
 	off := s.Cfg.Off(b)
 	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b))
 	b32 := int32(b)
-	row := s.newLinkRow(b)
+	row := s.installRow(b)
 	for i, ref := range s.Model.core.sectorEntries[b] {
 		var rp float64
 		if !off {

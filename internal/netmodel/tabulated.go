@@ -48,8 +48,15 @@ func (m *Model) SampleLinkDB(b int, settings []float64) [][]float64 {
 // (ascending degrees) over cells (grid indices, as from SectorCells).
 // Cells the sector's contributor entries do not cover are ignored;
 // entries absent from cells keep the analytic path. States built before
-// the install keep their cached link budgets — build (or refresh) states
+// the install keep their link rows — build (or refresh) states
 // afterwards.
+//
+// The per-tilt row cache follows the tables. The first install on a
+// model allocates its tables afresh, so it also gets a fresh row cache:
+// ForkUsers forks taken before it keep the analytic tables and the rows
+// built from them. A later install writes into tables shared with the
+// forks taken since, so it drops sector b's rows from the cache those
+// same forks share.
 func (m *Model) InstallLinkTable(b int, settings []float64, cells []int, linkDB [][]float64) error {
 	if b < 0 || b >= len(m.core.sectorEntries) {
 		return fmt.Errorf("netmodel: no sector %d", b)
@@ -79,9 +86,10 @@ func (m *Model) InstallLinkTable(b int, settings []float64, cells []int, linkDB 
 
 	if m.entryCurve == nil {
 		m.entryCurve = make([][]float64, len(m.core.contribSector))
-	}
-	if m.curveSettings == nil {
 		m.curveSettings = make([][]float64, len(m.core.sectorEntries))
+		m.rows = newLinkRows(m.Net)
+	} else {
+		m.rows.clearSector(b)
 	}
 	m.curveSettings[b] = append([]float64(nil), settings...)
 	for _, ref := range m.core.sectorEntries[b] {
