@@ -386,7 +386,7 @@ func BenchmarkUtilityEval(b *testing.B) {
 // clone-and-full-rescore oracle versus the read-only SpeculateBatch
 // scorer evalengine.ScoreAll runs on every candidate, for power moves
 // (batch-float) and retilts (batch-tilt, which read the model's cached
-// per-tilt rows).
+// per-tilt rows), and one whole power round (batch-round).
 func BenchmarkSpeculate(b *testing.B) {
 	_, plan := benchScenario(b)
 	moves := make([]config.Change, len(plan.Neighbors))
@@ -435,6 +435,54 @@ func BenchmarkSpeculate(b *testing.B) {
 			}
 		}
 	})
+	// One powerPhase round on the four-corners scenario, the largest
+	// neighbour set: every neighbour's +1 dB move priced in a single
+	// SpeculateBatch call, as evalengine.ScoreAll does with one worker.
+	b.Run("batch-round", func(b *testing.B) {
+		_, st, neighbors := roundScenario(b)
+		round := make([]config.Change, len(neighbors))
+		for i, n := range neighbors {
+			round[i] = config.Change{Sector: n, PowerDelta: 1}
+		}
+		out := make([]netmodel.BatchResult, 0, len(round))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out = st.SpeculateBatch(round, utility.Performance, out[:0])
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(round)), "ns/move")
+	})
+}
+
+// roundScenario returns the bench market's engine, a state at C_upgrade
+// of its four-corners scenario with the utility memo warm, and the
+// scenario's neighbour set.
+func roundScenario(b *testing.B) (*core.Engine, *netmodel.State, []int) {
+	b.Helper()
+	engine, err := experiments.BuildEngine(benchSeeds[0], experiments.DefaultAreaSpec(topology.Suburban))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := engine.Mitigate(upgrade.FourCorners, core.PowerOnly, utility.Performance)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := plan.Upgrade.Clone()
+	st.Utility(utility.Performance)
+	return engine, st, plan.Neighbors
+}
+
+// BenchmarkSINRImprovers measures step (i) of Algorithm 1 on the first
+// round of the four-corners scenario: the β test of every neighbour's
+// +1 dB move against the grids the upgrade degrades.
+func BenchmarkSINRImprovers(b *testing.B) {
+	engine, st, neighbors := roundScenario(b)
+	affected := st.DegradedGrids(engine.Before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(st.SINRImprovers(affected, neighbors, 1)) == 0 {
+			b.Fatal("no neighbour improves an affected grid")
+		}
+	}
 }
 
 // BenchmarkUtilityDelta answers "what is the utility after this power

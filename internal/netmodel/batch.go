@@ -5,9 +5,19 @@
 // SpeculateBatch computes what WOULD change — per-grid new serving
 // sector, SINR and rate, per-sector load shifts — in epoch-marked
 // scratch, folds the per-grid utility deltas into a sum, and never
-// touches the state. One pass, no revert; a power-only move costs one
-// exponential per sector and one multiply per entry, where
-// apply-and-revert pays the same twice plus a utility scan.
+// touches the state. One pass, no revert, where apply-and-revert pays
+// the entry pass twice plus a utility scan.
+//
+// The entry pass walks the candidate's contributor footprint but
+// resolves only the entries that can move a rate. An entry that stays
+// weak (at most 8θ mW, changing by at most θ, θ = noise/32) at a grid
+// outside the state's fragile set cannot change that grid's serving
+// sector or CQI bucket, so it is skipped without reading the grid (see
+// fragile.go): a power move costs one exponential per sector, one
+// compare and one bit test per entry, and the grid reads of batchEntry
+// only for strong entries and fragile grids. Each skip is one batchEntry
+// would have made anyway, so results are bit-identical to a pass over
+// every entry (TestWeakSkipMatchesFullScan).
 //
 // A touched grid's old per-UE utility is read from the Utility memo
 // (cacheU) when the memo belongs to the same objective and still holds
@@ -18,7 +28,9 @@
 // Because scoring is read-only, any number of goroutines may score
 // batches against the same State concurrently, provided no goroutine is
 // in Apply or Utility on that state — the evaluation engine shares one
-// State across its whole worker pool this way.
+// State across its whole worker pool this way. The one thing a scorer
+// writes is the state's cached fragile set, which is published through
+// an atomic pointer, and concurrent builders build the same set.
 //
 // Scratch is recycled through a package-level sync.Pool; arrays are
 // epoch-marked so per-move initialization is O(footprint), not O(grid).
@@ -140,8 +152,22 @@ func (sc *batchScratch) touchSec(b int32) {
 func (s *State) SpeculateBatch(moves []config.Change, u utility.Func, out []BatchResult) []BatchResult {
 	sc := batchScratchPool.Get().(*batchScratch)
 	sc.ensure(s.Model.Grid.NumCells(), s.Model.Net.NumSectors())
+	fragile := s.fragile()
 	for _, mv := range moves {
-		out = append(out, s.speculateOne(mv, u, sc))
+		res, newOff, ok := s.speculateStart(mv)
+		if ok {
+			sc.nextMove()
+			// Entry pass: derive each entry's new received power and
+			// resolve the owning grid's new aggregates.
+			ch := res.Applied
+			if !newOff && !s.Cfg.Off(ch.Sector) && ch.TiltDelta == 0 {
+				s.batchPowerSector(sc, ch.Sector, ch.PowerDelta, fragile)
+			} else {
+				s.batchRecomputeSector(sc, ch, newOff, fragile)
+			}
+			res.Delta = s.speculateDelta(sc, u)
+		}
+		out = append(out, res)
 	}
 	batchScratchPool.Put(sc)
 	return out
@@ -179,33 +205,29 @@ func (s *State) clampChange(ch config.Change) config.Change {
 	return applied
 }
 
-// speculateOne evaluates one move against the frozen state.
-func (s *State) speculateOne(mv config.Change, u utility.Func, sc *batchScratch) BatchResult {
-	m := s.Model
-	if mv.Sector < 0 || mv.Sector >= m.Net.NumSectors() {
-		return BatchResult{Err: fmt.Errorf("netmodel: speculate: sector %d out of range", mv.Sector)}
+// speculateStart clamps mv against the frozen state. It reports ok when
+// the move changes the radio state and so needs an entry pass; otherwise
+// the returned result is final (an error, a no-op, or bookkeeping on an
+// off-air sector). newOff is the sector's on/off state after the move.
+func (s *State) speculateStart(mv config.Change) (res BatchResult, newOff, ok bool) {
+	if mv.Sector < 0 || mv.Sector >= s.Model.Net.NumSectors() {
+		return BatchResult{Err: fmt.Errorf("netmodel: speculate: sector %d out of range", mv.Sector)}, false, false
 	}
 	applied := s.clampChange(mv)
 	if applied.IsZero() {
-		return BatchResult{Applied: applied}
+		return BatchResult{Applied: applied}, false, false
 	}
-	b := applied.Sector
-	wasOff := s.Cfg.Off(b)
-	newOff := wasOff && !applied.TurnOn || applied.TurnOff
-	if wasOff && newOff {
-		// Power/tilt bookkeeping on an off-air sector: no radio change.
-		return BatchResult{Applied: applied}
-	}
-	sc.nextMove()
+	wasOff := s.Cfg.Off(applied.Sector)
+	newOff = wasOff && !applied.TurnOn || applied.TurnOff
+	// Power/tilt bookkeeping on an off-air sector: no radio change.
+	return BatchResult{Applied: applied}, newOff, !(wasOff && newOff)
+}
 
-	// Entry pass: derive each entry's new received power and resolve the
-	// owning grid's new aggregates.
-	if !newOff && !wasOff && applied.TiltDelta == 0 && !applied.TurnOff && !applied.TurnOn {
-		s.batchPowerSector(sc, b, applied.PowerDelta)
-	} else {
-		s.batchRecomputeSector(sc, applied, newOff)
-	}
-
+// speculateDelta finishes a move whose entry pass has filled the
+// scratch: it adds the grids of every sector whose load shifted and sums
+// the utility delta over the touched grids.
+func (s *State) speculateDelta(sc *batchScratch, u utility.Func) float64 {
+	m := s.Model
 	// Load sweep: a sector whose load shifted changes the per-UE rate of
 	// every grid it (still) serves, so those grids join the utility delta.
 	// The served index covers exactly the grids currently on bb; grids the
@@ -252,34 +274,49 @@ func (s *State) speculateOne(mv config.Change, u utility.Func, sc *batchScratch)
 		}
 		delta += w * f * (u.U(rate) - oldU)
 	}
-	return BatchResult{Applied: applied, Delta: delta}
+	return delta
 }
 
 // batchPowerSector prices a power-only move on an on-air sector:
 // each live entry's new received power is the sector's new power times
 // its row's gain, the expression applySectorPower uses, so per-grid
 // rates are bit-identical to an Apply and the delta can diverge from a
-// full scan only by summation order.
-func (s *State) batchPowerSector(sc *batchScratch, b int, deltaDb float64) {
+// full scan only by summation order. An entry whose gain is at most the
+// move's weak-gain bound is weak, and is skipped at a robust grid (one
+// compare on the row and one bit test); a zero gain is an entry with no
+// received power.
+func (s *State) batchPowerSector(sc *batchScratch, b int, deltaDb float64, fragile gridBits) {
+	oldMw := units.DbmToMw(s.Cfg.PowerDbm(b))
 	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b) + deltaDb)
+	weak := weakGainBound(s.Model.noiseMw/weakDivisor, oldMw, powerMw)
 	row := s.linkGain[b]
 	for i, ref := range s.Model.core.sectorEntries[b] {
-		if s.rpMw[ref.Pos] == 0 {
+		gain := row[i]
+		if gain == 0 || gain <= weak && !fragile.has(ref.Grid) {
 			continue
 		}
-		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), powerMw*row[i])
+		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), powerMw*gain)
 	}
 }
 
 // batchRecomputeSector handles tilt and on/off moves by re-deriving
 // each entry's received power exactly as RefreshSector would: a retilt
 // reads the model's cached row at the new tilt, the row RefreshSector
-// would install.
-func (s *State) batchRecomputeSector(sc *batchScratch, applied config.Change, newOff bool) {
+// would install. Weak entries at robust grids are skipped. An entry's
+// old power is the sector's old power times its installed row's gain
+// (0 off-air), the value rpMw holds, so the weak test reads both rows in
+// order and only batchEntry gathers from rpMw.
+func (s *State) batchRecomputeSector(sc *batchScratch, applied config.Change, newOff bool, fragile gridBits) {
 	m := s.Model
 	b := applied.Sector
+	theta := m.noiseMw / weakDivisor
+	oldMw := 0.0
+	if !s.Cfg.Off(b) {
+		oldMw = units.DbmToMw(s.Cfg.PowerDbm(b))
+	}
 	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b) + applied.PowerDelta)
-	row := s.linkGain[b]
+	oldRow := s.linkGain[b]
+	row := oldRow
 	if applied.TiltDelta != 0 && !newOff {
 		row = m.gainRow(b, s.Cfg.TiltIndex(b)+applied.TiltDelta)
 	}
@@ -287,6 +324,9 @@ func (s *State) batchRecomputeSector(sc *batchScratch, applied config.Change, ne
 		var nrp float64
 		if !newOff {
 			nrp = powerMw * row[i]
+		}
+		if weakEntry(theta, oldMw*oldRow[i], nrp) && !fragile.has(ref.Grid) {
+			continue
 		}
 		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), nrp)
 	}

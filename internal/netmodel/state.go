@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"math"
+	"sync/atomic"
 
 	"magus/internal/config"
 	"magus/internal/units"
@@ -41,6 +42,16 @@ type State struct {
 	// one row: a copy costs one header per sector, and a retilt costs a
 	// header once the row is cached.
 	linkGain [][]float64
+
+	// Fragile-grid cache for SpeculateBatch's weak-entry skip (see
+	// fragile.go): radioGen counts updateRate calls, through which every
+	// radio mutation passes, and frag holds the fragile set of the
+	// generation it was built at. Clone shares the set; NewState and
+	// Derive start without one. Robustness is not kept up to date inside
+	// updateRate: the window's Apply-heavy loops would pay for it on
+	// every touched grid, while the set is only read by scorers.
+	radioGen uint64
+	frag     atomic.Pointer[fragileSet]
 
 	// Per-grid utility memo: most grids keep their rate between two
 	// Utility calls during a search, so the per-UE utility (a log10) is
@@ -133,10 +144,10 @@ func (s *State) resetUtilityMemo(name string) {
 // is deep-copied too). The utility memo IS copied — it is a consistent
 // snapshot of (rate, u(rate)) pairs, so the clone's first Utility call
 // under the same objective stays incremental — and so is the served-grid
-// index. The link rows are shared, not copied: no state writes into an
-// installed row. The KPI aggregates, the change log and the
-// SINRImprovers scratch are NOT copied: zero values mean
-// "off"/"unallocated".
+// index. The link rows and the fragile-grid set are shared, not copied:
+// no state writes into an installed row or a published set. The KPI
+// aggregates, the change log and the SINRImprovers scratch are NOT
+// copied: zero values mean "off"/"unallocated".
 func (s *State) Clone() *State {
 	c := &State{
 		Model:     s.Model,
@@ -156,6 +167,8 @@ func (s *State) Clone() *State {
 		cacheName: s.cacheName,
 		servedPos: append([]int32(nil), s.servedPos...),
 	}
+	c.radioGen = s.radioGen
+	c.frag.Store(s.frag.Load())
 	// One backing array for every sector's list, each a capacity-capped
 	// window: the first append setServing makes to a list reallocates
 	// only that list and can never write into a neighbour's range.
@@ -287,6 +300,7 @@ func (s *State) rescanGrid(g int) {
 // grid's rate at all?"). An empty bucket ([0,0): no coverage, or a
 // mapper without bounds) always rescans.
 func (s *State) updateRate(g int) {
+	s.radioGen++
 	if s.changed != nil {
 		s.changed[g>>6] |= 1 << (g & 63)
 	}
@@ -715,6 +729,13 @@ func (s *State) DegradedGrids(base *State) []int {
 // the MCS-quantized rate, so small power steps that do not yet cross a
 // CQI boundary still qualify. Off-air sectors and sectors already at
 // maximum power are skipped.
+//
+// A candidate is settled from the grids it serves first: a power-up
+// raises the SINR of every grid its sector serves, so one affected grid
+// in the (short) served list decides membership, and only the other
+// candidates pay the scan over their contributor entries. Both passes
+// apply the same per-entry test, so the set is the one the entry scan
+// alone gives.
 func (s *State) SINRImprovers(affected []int, candidates []int, deltaDb float64) []int {
 	if deltaDb <= 0 || len(affected) == 0 {
 		return nil
@@ -735,41 +756,57 @@ func (s *State) SINRImprovers(affected []int, candidates []int, deltaDb float64)
 		if s.Cfg.Off(b) || s.Cfg.AtMaxPower(b) {
 			continue
 		}
-		for _, ref := range m.core.sectorEntries[b] {
-			if !s.affectedMark[ref.Grid] {
-				continue
-			}
-			g := int(ref.Grid)
-			old := s.rpMw[ref.Pos]
-			if old <= 0 {
-				continue
-			}
-			newRp := old * factor
-			newTotal := s.totalMw[g] + newRp - old
-			newBest := s.bestMw[g]
-			if s.bestSec[g] == int32(b) || newRp > newBest {
-				newBest = newRp
-			}
-			interf := newTotal - newBest
-			if interf < 0 {
-				interf = 0
-			}
-			oldInterf := s.totalMw[g] - s.bestMw[g]
-			if oldInterf < 0 {
-				oldInterf = 0
-			}
-			newSinr := newBest / (m.noiseMw + interf)
-			oldSinr := s.bestMw[g] / (m.noiseMw + oldInterf)
-			if newSinr > oldSinr*(1+1e-12) {
-				out = append(out, b)
-				break
-			}
+		if s.servesImproved(b, factor) || s.coversImproved(b, factor) {
+			out = append(out, b)
 		}
 	}
 	for _, g := range affected {
 		s.affectedMark[g] = false
 	}
 	return out
+}
+
+// servesImproved reports whether scaling sector b's power by factor
+// raises the SINR of an affected grid b serves. The serving entry's
+// received power is the grid's bestMw.
+func (s *State) servesImproved(b int, factor float64) bool {
+	for _, g := range s.servedList[b] {
+		if s.affectedMark[g] && s.sinrRises(int(g), int32(b), s.bestMw[g], factor) {
+			return true
+		}
+	}
+	return false
+}
+
+// coversImproved reports whether scaling sector b's power by factor
+// raises the SINR of any affected grid among b's contributor entries.
+func (s *State) coversImproved(b int, factor float64) bool {
+	for _, ref := range s.Model.core.sectorEntries[b] {
+		if s.affectedMark[ref.Grid] && s.sinrRises(int(ref.Grid), int32(b), s.rpMw[ref.Pos], factor) {
+			return true
+		}
+	}
+	return false
+}
+
+// sinrRises is SINRImprovers' per-entry test: does scaling sector b's
+// received power old at grid g by factor strictly raise g's SINR?
+func (s *State) sinrRises(g int, b int32, old, factor float64) bool {
+	if old <= 0 {
+		return false
+	}
+	noise := s.Model.noiseMw
+	newRp := old * factor
+	newTotal := s.totalMw[g] + newRp - old
+	newBest := s.bestMw[g]
+	if s.bestSec[g] == b || newRp > newBest {
+		newBest = newRp
+	}
+	interf := max(newTotal-newBest, 0)
+	oldInterf := max(s.totalMw[g]-s.bestMw[g], 0)
+	newSinr := newBest / (noise + interf)
+	oldSinr := s.bestMw[g] / (noise + oldInterf)
+	return newSinr > oldSinr*(1+1e-12)
 }
 
 // HandoverUEs returns the number of UEs whose serving sector differs
