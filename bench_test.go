@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 
+	"magus/internal/campaign"
 	"magus/internal/config"
 	"magus/internal/core"
 	"magus/internal/experiments"
@@ -37,11 +38,14 @@ import (
 
 var benchSeeds = []int64{1}
 
+// benchEnv memoizes the benchmarks' markets across iterations.
+var benchEnv = &campaign.Env{Engines: campaign.NewEngineCache(0)}
+
 // BenchmarkTable1 regenerates Table 1 (recovery ratio per area class,
 // upgrade scenario and tuning method).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab, err := experiments.RunTable1(experiments.Table1Options{Seeds: benchSeeds})
+		tab, err := experiments.RunTable1(benchEnv, experiments.Table1Options{Seeds: benchSeeds})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,7 +57,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates Table 2 (cross-utility recovery matrix).
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab, err := experiments.RunTable2(benchSeeds[0])
+		tab, err := experiments.RunTable2(benchEnv, benchSeeds[0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +93,7 @@ func BenchmarkFigure2Scenario2(b *testing.B) {
 // statistics and coverage maps.
 func BenchmarkFigure8InterfererCounts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.RunFigure8(benchSeeds[0])
+		fig, err := experiments.RunFigure8(benchEnv, benchSeeds[0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,7 +107,7 @@ func BenchmarkFigure8InterfererCounts(b *testing.B) {
 // demonstration.
 func BenchmarkFigure10RuralLimit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.RunFigure10(benchSeeds[0])
+		fig, err := experiments.RunFigure10(benchEnv, benchSeeds[0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +119,7 @@ func BenchmarkFigure10RuralLimit(b *testing.B) {
 // migration comparison.
 func BenchmarkFigure11GradualTuning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.RunFigure11(benchSeeds[0])
+		fig, err := experiments.RunFigure11(benchEnv, benchSeeds[0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,7 +132,7 @@ func BenchmarkFigure11GradualTuning(b *testing.B) {
 // comparison.
 func BenchmarkFigure12Convergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.RunFigure12(benchSeeds[0])
+		fig, err := experiments.RunFigure12(benchEnv, benchSeeds[0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +145,7 @@ func BenchmarkFigure12Convergence(b *testing.B) {
 // improvement ratio distribution.
 func BenchmarkFigure13ImprovementCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.RunFigure13(experiments.Figure13Options{Seeds: benchSeeds})
+		fig, err := experiments.RunFigure13(benchEnv, experiments.Figure13Options{Seeds: benchSeeds})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +166,7 @@ func BenchmarkCalendar(b *testing.B) {
 // BenchmarkMaps regenerates the Figure 3/4/5/7 map renderings.
 func BenchmarkMaps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		maps, err := experiments.RunMaps(benchSeeds[0])
+		maps, err := experiments.RunMaps(benchEnv, benchSeeds[0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +178,7 @@ func BenchmarkMaps(b *testing.B) {
 // and micro benchmarks.
 func benchScenario(b *testing.B) (*core.Engine, *core.Plan) {
 	b.Helper()
-	engine, err := experiments.BuildEngine(benchSeeds[0], experiments.DefaultAreaSpec(topology.Suburban))
+	engine, err := benchEnv.Build(benchSeeds[0], campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -242,7 +246,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 // per-step power reduction (DESIGN.md ablation 4): finer steps trade
 // migration length for smaller handover bursts.
 func BenchmarkAblationGradualStepSize(b *testing.B) {
-	engine, err := experiments.BuildEngine(benchSeeds[0], experiments.DefaultAreaSpec(topology.Suburban))
+	engine, err := benchEnv.Build(benchSeeds[0], campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -458,7 +462,7 @@ func BenchmarkSpeculate(b *testing.B) {
 // scenario's neighbour set.
 func roundScenario(b *testing.B) (*core.Engine, *netmodel.State, []int) {
 	b.Helper()
-	engine, err := experiments.BuildEngine(benchSeeds[0], experiments.DefaultAreaSpec(topology.Suburban))
+	engine, err := benchEnv.Build(benchSeeds[0], campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -528,7 +532,7 @@ func BenchmarkUtilityDelta(b *testing.B) {
 // one per CPU. Every candidate is priced read-only by SpeculateBatch, so
 // both settings produce the same plan.
 func BenchmarkJointSearch(b *testing.B) {
-	engine, err := experiments.BuildEngine(benchSeeds[0], experiments.DefaultAreaSpec(topology.Suburban))
+	engine, err := benchEnv.Build(benchSeeds[0], campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -602,7 +606,7 @@ func BenchmarkExtensionOutagePlan(b *testing.B) {
 // BenchmarkExtensionSignaling measures the signaling-queue replay of a
 // migration plan.
 func BenchmarkExtensionSignaling(b *testing.B) {
-	engine, err := experiments.BuildEngine(benchSeeds[0], experiments.DefaultAreaSpec(topology.Suburban))
+	engine, err := benchEnv.Build(benchSeeds[0], campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -632,7 +636,7 @@ func BenchmarkExtensionSignaling(b *testing.B) {
 // BenchmarkExtensionLoadBalance measures one congestion-relief run.
 func BenchmarkExtensionLoadBalance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		study, err := experiments.RunLoadBalance(benchSeeds[0])
+		study, err := experiments.RunLoadBalance(benchEnv, benchSeeds[0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -691,7 +695,7 @@ func BenchmarkExtensionMultiCarrier(b *testing.B) {
 // simulated-annealing variant on an urban scenario — where the paper
 // speculates the heuristic "may get stuck at a local optima".
 func BenchmarkAblationAnnealVsHeuristic(b *testing.B) {
-	engine, err := experiments.BuildEngine(benchSeeds[0], experiments.DefaultAreaSpec(topology.Urban))
+	engine, err := benchEnv.Build(benchSeeds[0], campaign.DefaultAreaSpec(topology.Urban))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -714,7 +718,7 @@ func BenchmarkAblationAnnealVsHeuristic(b *testing.B) {
 // and a full mitigation search per wave. The reported metric is the
 // season-wide minimum f(C_after), the quantity the schedule optimizes.
 func BenchmarkWavePlan(b *testing.B) {
-	engine, err := experiments.BuildEngine(benchSeeds[0], experiments.DefaultAreaSpec(topology.Suburban))
+	engine, err := benchEnv.Build(benchSeeds[0], campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		b.Fatal(err)
 	}

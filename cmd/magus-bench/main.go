@@ -35,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"magus/internal/campaign"
 	"magus/internal/experiments"
 )
 
@@ -59,8 +60,8 @@ func run() int {
 	if *compareMode {
 		return runCompare(flag.Args(), *gatePattern, *regressPct)
 	}
-	experiments.SetSearchWorkers(*workers)
-	if err := experiments.SetModelCacheDir(*modelCacheDir); err != nil {
+	env, err := campaign.NewEnv(nil, *modelCacheDir, *workers)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "magus-bench:", err)
 		return 2
 	}
@@ -104,42 +105,42 @@ func run() int {
 
 	runners := map[string]func() (fmt.Stringer, error){
 		"table1": func() (fmt.Stringer, error) {
-			return experiments.RunTable1(experiments.Table1Options{Seeds: seeds})
+			return experiments.RunTable1(env, experiments.Table1Options{Seeds: seeds})
 		},
-		"table2": func() (fmt.Stringer, error) { return experiments.RunTable2(seeds[0]) },
+		"table2": func() (fmt.Stringer, error) { return experiments.RunTable2(env, seeds[0]) },
 		"fig2":   func() (fmt.Stringer, error) { return experiments.RunFigure2(seeds[0]) },
-		"fig8":   func() (fmt.Stringer, error) { return experiments.RunFigure8(seeds[0]) },
-		"fig10":  func() (fmt.Stringer, error) { return experiments.RunFigure10(seeds[0]) },
-		"fig11":  func() (fmt.Stringer, error) { return experiments.RunFigure11(seeds[0]) },
-		"fig12":  func() (fmt.Stringer, error) { return experiments.RunFigure12(seeds[0]) },
+		"fig8":   func() (fmt.Stringer, error) { return experiments.RunFigure8(env, seeds[0]) },
+		"fig10":  func() (fmt.Stringer, error) { return experiments.RunFigure10(env, seeds[0]) },
+		"fig11":  func() (fmt.Stringer, error) { return experiments.RunFigure11(env, seeds[0]) },
+		"fig12":  func() (fmt.Stringer, error) { return experiments.RunFigure12(env, seeds[0]) },
 		"fig13": func() (fmt.Stringer, error) {
-			return experiments.RunFigure13(experiments.Figure13Options{Seeds: seeds})
+			return experiments.RunFigure13(env, experiments.Figure13Options{Seeds: seeds})
 		},
-		"maps":     func() (fmt.Stringer, error) { return experiments.RunMaps(seeds[0]) },
+		"maps":     func() (fmt.Stringer, error) { return experiments.RunMaps(env, seeds[0]) },
 		"calendar": func() (fmt.Stringer, error) { return experiments.RunCalendar(seeds[0]), nil },
 		// Extensions beyond the paper's evaluation (its Sections 2 and 8
 		// roadmap); see DESIGN.md section 8.
 		"ext-hybrid":    func() (fmt.Stringer, error) { return experiments.RunHybridSweep(seeds[0]) },
-		"ext-signaling": func() (fmt.Stringer, error) { return experiments.RunSignaling(seeds[0]) },
-		"ext-outage":    func() (fmt.Stringer, error) { return experiments.RunOutageStudy(seeds[0]) },
-		"ext-loadbal":   func() (fmt.Stringer, error) { return experiments.RunLoadBalance(seeds[0]) },
+		"ext-signaling": func() (fmt.Stringer, error) { return experiments.RunSignaling(env, seeds[0]) },
+		"ext-outage":    func() (fmt.Stringer, error) { return experiments.RunOutageStudy(env, seeds[0]) },
+		"ext-loadbal":   func() (fmt.Stringer, error) { return experiments.RunLoadBalance(env, seeds[0]) },
 		"ext-uedist":    func() (fmt.Stringer, error) { return experiments.RunUEDistribution(seeds[0]) },
 		"ext-carriers":  func() (fmt.Stringer, error) { return experiments.RunMultiCarrier(seeds[0]) },
-		"ops-week":      func() (fmt.Stringer, error) { return experiments.RunOpsWeek(seeds[0], 2) },
-		"sim-window":    func() (fmt.Stringer, error) { return experiments.RunSimWindow(seeds[0]) },
+		"ops-week":      func() (fmt.Stringer, error) { return experiments.RunOpsWeek(env, seeds[0], 2) },
+		"sim-window":    func() (fmt.Stringer, error) { return experiments.RunSimWindow(env, seeds[0]) },
 		// wave-season is the upgrade-season scheduler study: annealed
 		// wave assignment vs naive round-robin on season-min f(C_after).
-		"wave-season": func() (fmt.Stringer, error) { return experiments.RunWaveSeason(seeds[0]) },
+		"wave-season": func() (fmt.Stringer, error) { return experiments.RunWaveSeason(env, seeds[0]) },
 		// executor-chaos is the guarded runbook executor's robustness
 		// study: the same gradual upgrade executed end to end at
 		// increasing injected fault rates, measuring retries spent and
 		// utility-floor exposure.
-		"executor-chaos": func() (fmt.Stringer, error) { return experiments.RunExecutorChaos(seeds[0]) },
+		"executor-chaos": func() (fmt.Stringer, error) { return experiments.RunExecutorChaos(env, seeds[0]) },
 		// parallel-joint is this reproduction's own throughput study
 		// (sequential vs parallel joint search, speculate vs rescore);
 		// run on demand, not part of "all".
 		"parallel-joint": func() (fmt.Stringer, error) {
-			return experiments.RunParallelJoint(seeds[0], *workers)
+			return experiments.RunParallelJoint(env, seeds[0], *workers)
 		},
 	}
 	order := []string{"calendar", "fig2", "maps", "fig8", "fig10", "table1", "fig11", "fig12", "table2", "fig13",

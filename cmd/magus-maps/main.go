@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"magus/internal/campaign"
 	"magus/internal/experiments"
 	"magus/internal/export"
 	"magus/internal/render"
@@ -28,12 +29,13 @@ func main() {
 	geojson := flag.Bool("geojson", false, "also write topology.geojson and coverage.geojson into -out")
 	modelCacheDir := flag.String("model-cache", "", "directory for on-disk model snapshots; repeat invocations over the same market skip the model build")
 	flag.Parse()
-	if err := experiments.SetModelCacheDir(*modelCacheDir); err != nil {
+	env, err := campaign.NewEnv(nil, *modelCacheDir, 0)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "magus-maps:", err)
 		os.Exit(2)
 	}
 
-	maps, err := experiments.RunMaps(*seed)
+	maps, err := experiments.RunMaps(env, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "magus-maps:", err)
 		os.Exit(1)

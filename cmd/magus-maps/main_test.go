@@ -7,13 +7,17 @@ import (
 	"strings"
 	"testing"
 
+	"magus/internal/campaign"
 	"magus/internal/experiments"
 )
+
+// testEnv is the maps tests' environment: no model snapshots.
+var testEnv = &campaign.Env{Engines: campaign.NewEngineCache(0)}
 
 // TestWriteArtifactsSmoke renders a miniature market and checks every
 // artifact lands on disk, non-empty and with the right magic bytes.
 func TestWriteArtifactsSmoke(t *testing.T) {
-	maps, err := experiments.RunMapsSized(1, 3000, 300)
+	maps, err := experiments.RunMapsSized(testEnv, 1, 3000, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +66,7 @@ func TestWriteArtifactsSmoke(t *testing.T) {
 
 // TestWriteArtifactsNoGeoJSON: the default path writes only the images.
 func TestWriteArtifactsNoGeoJSON(t *testing.T) {
-	maps, err := experiments.RunMapsSized(1, 3000, 300)
+	maps, err := experiments.RunMapsSized(testEnv, 1, 3000, 300)
 	if err != nil {
 		t.Fatal(err)
 	}

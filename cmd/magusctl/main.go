@@ -59,7 +59,7 @@ import (
 	"os"
 
 	"magus"
-	"magus/internal/experiments"
+	"magus/internal/campaign"
 	"magus/internal/impact"
 	"magus/internal/runbook"
 	"magus/internal/schedule"
@@ -102,8 +102,8 @@ func main() {
 	exportFlag := flag.String("export-data", "", "write the engine's operational dataset to this file and exit")
 	modelCacheFlag := flag.String("model-cache", "", "directory for on-disk model snapshots; repeat invocations over the same market skip the model build")
 	flag.Parse()
-	experiments.SetSearchWorkers(*workersFlag)
-	if err := experiments.SetModelCacheDir(*modelCacheFlag); err != nil {
+	env, err := campaign.NewEnv(nil, *modelCacheFlag, *workersFlag)
+	if err != nil {
 		fail("model cache: %v", err)
 	}
 
@@ -135,7 +135,7 @@ func main() {
 	}
 
 	fmt.Printf("building %s market (seed %d)...\n", class, *seed)
-	engine, err := experiments.BuildEngine(*seed, experiments.DefaultAreaSpec(class))
+	engine, err := env.Build(*seed, campaign.DefaultAreaSpec(class))
 	if err != nil {
 		fail("build engine: %v", err)
 	}

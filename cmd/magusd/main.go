@@ -72,11 +72,9 @@ import (
 
 	"magus"
 	"magus/internal/campaign"
-	"magus/internal/experiments"
 	"magus/internal/fleet"
 	"magus/internal/httpapi"
 	"magus/internal/journal"
-	"magus/internal/topology"
 )
 
 func main() {
@@ -102,8 +100,12 @@ func main() {
 	if *coordinator && *joinURL != "" {
 		log.Fatal("-coordinator and -join are mutually exclusive")
 	}
-	experiments.SetSearchWorkers(*workers)
-	if err := experiments.SetModelCacheDir(*modelCacheDir); err != nil {
+	spec := campaign.DefaultAreaSpec
+	if *mini {
+		spec = campaign.MiniAreaSpec
+	}
+	env, err := campaign.NewEnv(spec, *modelCacheDir, *workers)
+	if err != nil {
 		log.Fatalf("model cache: %v", err)
 	}
 
@@ -115,14 +117,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	areaSpec := experiments.DefaultAreaSpec
-	if *mini {
-		areaSpec = experiments.MiniAreaSpec
-	}
-
 	log.Printf("building %s market (seed %d)...", class, *seed)
 	start := time.Now()
-	engine, err := experiments.BuildEngine(*seed, areaSpec(class))
+	engine, err := env.Engine(context.Background(), class, *seed)
 	if err != nil {
 		log.Fatalf("build engine: %v", err)
 	}
@@ -192,10 +189,8 @@ func main() {
 		orchJournal = nil // the coordinator's journal records leases, not local jobs
 	}
 	orch, err := campaign.New(campaign.Config{
-		Build: func(_ context.Context, class topology.AreaClass, seed int64) (*magus.Engine, error) {
-			return experiments.BuildEngine(seed, areaSpec(class))
-		},
-		Cache:   experiments.SharedEngineCache(),
+		Build:   env.Engine,
+		Cache:   env.Engines,
 		Workers: *campaignWorkers,
 		Journal: orchJournal,
 		Epoch:   epoch,

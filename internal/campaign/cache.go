@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"magus/internal/core"
 	"magus/internal/modelcache"
@@ -47,8 +46,8 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 	Size      int   `json:"size"`
 	Capacity  int   `json:"capacity"`
-	// Snapshot reports the attached on-disk model snapshot cache (see
-	// AttachSnapshots); nil when engines build their models directly.
+	// Snapshot reports the on-disk model snapshot cache the engines draw
+	// from (see NewEnv); nil when they build their models directly.
 	Snapshot *modelcache.Stats `json:"snapshot,omitempty"`
 	// SharedCores reports the immutable model substrate behind the cached
 	// engines; nil when no cached engine carries a model.
@@ -83,10 +82,10 @@ type EngineCache struct {
 	stats   CacheStats
 
 	// snapshots is the model snapshot cache the engines built through
-	// this cache draw from, attached so Stats can report both layers
-	// together (an engine-cache miss that hits a snapshot still skips the
-	// expensive model build).
-	snapshots atomic.Pointer[modelcache.Cache]
+	// this cache draw from, set once by NewEnv so Stats can report both
+	// layers together (an engine-cache miss that hits a snapshot still
+	// skips the expensive model build).
+	snapshots *modelcache.Cache
 }
 
 type cacheEntry struct {
@@ -169,18 +168,6 @@ func (c *EngineCache) evictLocked() {
 	}
 }
 
-// AttachSnapshots associates the model snapshot cache used by this
-// cache's engine builds, so Stats reports both caching layers. A nil
-// argument detaches.
-func (c *EngineCache) AttachSnapshots(mc *modelcache.Cache) {
-	c.snapshots.Store(mc)
-}
-
-// Snapshots returns the attached model snapshot cache (nil when none).
-func (c *EngineCache) Snapshots() *modelcache.Cache {
-	return c.snapshots.Load()
-}
-
 // Stats snapshots the cache counters.
 func (c *EngineCache) Stats() CacheStats {
 	c.mu.Lock()
@@ -217,8 +204,8 @@ func (c *EngineCache) Stats() CacheStats {
 		s.SharedCores = &cores
 	}
 	c.mu.Unlock()
-	if mc := c.snapshots.Load(); mc != nil {
-		snap := mc.Stats()
+	if c.snapshots != nil {
+		snap := c.snapshots.Stats()
 		s.Snapshot = &snap
 	}
 	return s

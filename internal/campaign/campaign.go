@@ -139,9 +139,9 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t)
 }
 
-// BuildFunc builds (or fetches) the engine for a market. The default
-// used by the HTTP server delegates to experiments.BuildEngine, which
-// shares the process-wide EngineCache.
+// BuildFunc builds (or fetches) the engine for a market. Env.Engine is
+// one: magusd and the HTTP server's default orchestrator build through
+// their Env's EngineCache.
 type BuildFunc func(ctx context.Context, class topology.AreaClass, seed int64) (*core.Engine, error)
 
 // Config tunes an Orchestrator. The zero value of every field selects a
@@ -163,9 +163,6 @@ type Config struct {
 	// RetryBackoff is the initial delay before a retry, doubling per
 	// attempt (default 50ms).
 	RetryBackoff time.Duration
-	// JobTimeout is the per-job deadline when a spec sets none
-	// (default 5m).
-	JobTimeout time.Duration
 	// SkipMigration skips the gradual-migration pass after each plan,
 	// leaving the handover fields of Result zero. Plans are what
 	// throughput benchmarks meter; migration is bookkeeping on top.
@@ -217,9 +214,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 50 * time.Millisecond
-	}
-	if c.JobTimeout <= 0 {
-		c.JobTimeout = 5 * time.Minute
 	}
 	if c.SearchWorkers <= 0 {
 		c.SearchWorkers = 1
@@ -277,6 +271,9 @@ type queued struct {
 }
 
 const maxDurations = 4096
+
+// defaultJobTimeout is the per-job deadline when a spec sets none.
+const defaultJobTimeout = 5 * time.Minute
 
 // New starts an orchestrator and its workers.
 func New(cfg Config) (*Orchestrator, error) {
@@ -564,7 +561,7 @@ func (o *Orchestrator) runJob(c *Campaign, j *Job) {
 
 	timeout := j.Spec.Timeout
 	if timeout <= 0 {
-		timeout = o.cfg.JobTimeout
+		timeout = defaultJobTimeout
 	}
 	ctx, cancel := context.WithTimeout(c.ctx, timeout)
 	res, attempts, err := o.attempt(ctx, c.ID, j.ID, j.Spec)

@@ -1,0 +1,71 @@
+package campaign
+
+import (
+	"context"
+	"math"
+	"reflect"
+	"testing"
+
+	"magus/internal/core"
+	"magus/internal/topology"
+	"magus/internal/upgrade"
+)
+
+// TestEnvsIsolated: two Envs in one process share nothing. A has a
+// snapshot directory and two search workers, B neither; building one
+// market in each counts one build per cache, only A reports snapshot
+// stats, each engine's default workers follow its own Env, and the
+// plans are bit-identical.
+func TestEnvsIsolated(t *testing.T) {
+	a, err := NewEnv(MiniAreaSpec, t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewEnv(MiniAreaSpec, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := make([]*core.Plan, 0, 2)
+	for _, env := range []*Env{a, b} {
+		var engine *core.Engine
+		for i := 0; i < 2; i++ {
+			e, err := env.Engine(context.Background(), topology.Suburban, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if engine != nil && e != engine {
+				t.Fatal("second lookup returned a different engine")
+			}
+			engine = e
+		}
+		if st := env.Engines.Stats(); st.Builds != 1 || st.Hits != 1 {
+			t.Errorf("engine cache: %d builds, %d hits; want 1 and 1", st.Builds, st.Hits)
+		}
+		plan, err := engine.MitigatePlan(core.MitigateRequest{Scenario: upgrade.FourCorners, Method: core.Joint})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, plan)
+	}
+	if a.Engines == b.Engines {
+		t.Fatal("the Envs share an engine cache")
+	}
+	if snap := a.Engines.Stats().Snapshot; snap == nil || snap.Builds != 1 {
+		t.Errorf("A's snapshot stats = %+v, want one model build", snap)
+	}
+	if snap := b.Engines.Stats().Snapshot; snap != nil {
+		t.Errorf("B reports snapshot stats %+v without a snapshot cache", snap)
+	}
+	if got := plans[0].Search.Stats.Workers; got != 2 {
+		t.Errorf("A's plan scored on %d workers, want 2", got)
+	}
+	if got := plans[1].Search.Stats.Workers; got != 1 {
+		t.Errorf("B's plan scored on %d workers, want 1", got)
+	}
+	pa, pb := plans[0], plans[1]
+	if math.Float64bits(pa.UtilityAfter) != math.Float64bits(pb.UtilityAfter) ||
+		!reflect.DeepEqual(pa.Search.Steps, pb.Search.Steps) {
+		t.Errorf("plans differ: A %v after %d steps, B %v after %d steps",
+			pa.UtilityAfter, len(pa.Search.Steps), pb.UtilityAfter, len(pb.Search.Steps))
+	}
+}

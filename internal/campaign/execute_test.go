@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,5 +101,20 @@ func TestCampaignExecuteValidation(t *testing.T) {
 	mismatched.Exec = &ExecSpec{}
 	if _, err := o.Submit([]JobSpec{mismatched}); err == nil {
 		t.Error("exec config on a plan job accepted")
+	}
+}
+
+// TestExecSpecRejectsPushFaults: a simwindow push fault in an execute
+// spec's chaos script fails validation with the live session's own
+// message, before any market is built or planned.
+func TestExecSpecRejectsPushFaults(t *testing.T) {
+	spec := JobSpec{Class: topology.Suburban, Seed: 1, Kind: KindExecute, Exec: &ExecSpec{Chaos: "push-fail@2"}}
+	err := spec.Validate()
+	if err == nil || !strings.Contains(err.Error(), "only sector-down and surge faults run in a session") {
+		t.Fatalf("Validate = %v, want the session's push-fault error", err)
+	}
+	spec.Exec.Chaos = "push-delay@2+5,sector-down@3:1"
+	if err := spec.Validate(); err != nil {
+		t.Errorf("chaos push-delay with a timed fault: Validate = %v, want nil", err)
 	}
 }

@@ -48,6 +48,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"Class":1,"Kind":"simulate","Sim":{"faults":"push-fail@1"}}`,
 		`{"Class":2,"Kind":"execute","Exec":{"chaos":"push-error@1x2,kpi-loss@1,sector-down@1:2","diurnal":true,"start_hour":1e300}}`,
 		`{"Class":0,"Kind":"execute","Exec":{"chaos":"push-error@0"}}`,
+		`{"Class":1,"Kind":"execute","Exec":{"chaos":"push-fail@2,push-delay@1+5"}}`,
 		`{"Class":1,"Kind":"execute","Exec":{"retries":-1}}`,
 		`{"Class":1,"Kind":"wave","Wave":{"overlap_threshold":2}}`,
 		`{"Class":1,"Kind":"wave","Wave":{"sectors":[1,1]}}`,

@@ -92,7 +92,9 @@ type SimSpec struct {
 	Seed int64 `json:"seed"`
 	// Ticks is the window length (0 = one tick per push plus settle).
 	Ticks int `json:"ticks"`
-	// Faults is a fault script in simwindow.ParseFaults syntax.
+	// Faults is a fault script in simwindow.ParseFaults syntax. Its
+	// push-delay@STEP+N holds a push N ticks; ExecSpec.Chaos's
+	// push-delay counts milliseconds instead.
 	Faults string `json:"faults"`
 	// Diurnal evolves load along schedule.DefaultProfile.
 	Diurnal bool `json:"diurnal"`
@@ -112,6 +114,9 @@ type ExecSpec struct {
 	// Chaos is a combined fault script in chaos.Split syntax: delivery
 	// faults (push-error@2x2, kpi-breach@3, crash-after-commit@1, ...)
 	// plus simwindow's timed faults (sector-down@TICK:SECTOR, ...).
+	// Its push-delay@STEP+N stalls a push N milliseconds (SimSpec.Faults'
+	// counts ticks); simwindow's push-fail is rejected, since the live
+	// session runs no push faults.
 	Chaos string `json:"chaos,omitempty"`
 	// Diurnal evolves load along schedule.DefaultProfile.
 	Diurnal bool `json:"diurnal,omitempty"`
@@ -317,6 +322,9 @@ func (sp *ExecSpec) config() (chaos.Plan, simwindow.Config, error) {
 		return chaos.Plan{}, simwindow.Config{}, fmt.Errorf("negative exec parameter")
 	}
 	plan, timed, err := chaos.Split(sp.Chaos)
+	if err == nil {
+		err = simwindow.SessionFaults(timed)
+	}
 	if err != nil {
 		return chaos.Plan{}, simwindow.Config{}, err
 	}

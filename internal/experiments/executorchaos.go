@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"magus/internal/campaign"
 	"magus/internal/chaos"
 	"magus/internal/core"
 	"magus/internal/executor"
@@ -65,8 +66,8 @@ var executorChaosRates = []float64{0, 0.25, 0.5}
 // network per rate. Deterministic for a fixed seed: the market, the
 // plan, the generated faults and the executor's retry jitter all derive
 // from it.
-func RunExecutorChaos(seed int64) (*ExecutorChaos, error) {
-	engine, err := BuildEngine(seed, MiniAreaSpec(topology.Suburban))
+func RunExecutorChaos(env *campaign.Env, seed int64) (*ExecutorChaos, error) {
+	engine, err := env.Build(seed, campaign.MiniAreaSpec(topology.Suburban))
 	if err != nil {
 		return nil, fmt.Errorf("executor-chaos experiment: %w", err)
 	}

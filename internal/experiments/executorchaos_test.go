@@ -6,7 +6,7 @@ import (
 )
 
 func TestExecutorChaos(t *testing.T) {
-	res, err := RunExecutorChaos(1)
+	res, err := RunExecutorChaos(testEnv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

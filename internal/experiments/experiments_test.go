@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"magus/internal/campaign"
 	"magus/internal/core"
 	"magus/internal/topology"
 	"magus/internal/upgrade"
@@ -13,9 +14,13 @@ import (
 // share built markets, and the qualitative assertions hold per seed.
 var testSeeds = []int64{1}
 
+// testEnv is the suite's one environment: runners share its engine
+// cache, so each market builds once.
+var testEnv = &campaign.Env{Engines: campaign.NewEngineCache(0)}
+
 func runTable1(t *testing.T) *Table1 {
 	t.Helper()
-	tab, err := RunTable1(Table1Options{Seeds: testSeeds})
+	tab, err := RunTable1(testEnv, Table1Options{Seeds: testSeeds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +99,7 @@ func TestTable1String(t *testing.T) {
 }
 
 func TestTable2DiagonalDominance(t *testing.T) {
-	tab, err := RunTable2(1)
+	tab, err := RunTable2(testEnv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +121,7 @@ func TestTable2DiagonalDominance(t *testing.T) {
 }
 
 func TestFigure8DensityOrdering(t *testing.T) {
-	fig, err := RunFigure8(1)
+	fig, err := RunFigure8(testEnv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +151,7 @@ func TestFigure8DensityOrdering(t *testing.T) {
 }
 
 func TestFigure10RuralLimit(t *testing.T) {
-	fig, err := RunFigure10(1)
+	fig, err := RunFigure10(testEnv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +172,7 @@ func TestFigure10RuralLimit(t *testing.T) {
 }
 
 func TestFigure11GradualBenefits(t *testing.T) {
-	fig, err := RunFigure11(1)
+	fig, err := RunFigure11(testEnv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +203,7 @@ func TestFigure11GradualBenefits(t *testing.T) {
 }
 
 func TestFigure12ConvergenceShape(t *testing.T) {
-	fig, err := RunFigure12(1)
+	fig, err := RunFigure12(testEnv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +230,7 @@ func TestFigure12ConvergenceShape(t *testing.T) {
 }
 
 func TestFigure13ImprovementDistribution(t *testing.T) {
-	fig, err := RunFigure13(Figure13Options{Seeds: testSeeds})
+	fig, err := RunFigure13(testEnv, Figure13Options{Seeds: testSeeds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +300,7 @@ func TestCalendarMatchesPaperObservations(t *testing.T) {
 }
 
 func TestRunMaps(t *testing.T) {
-	maps, err := RunMaps(1)
+	maps, err := RunMaps(testEnv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +326,7 @@ func TestRunMaps(t *testing.T) {
 }
 
 func TestUpgradeScenarioTargetCounts(t *testing.T) {
-	e, err := BuildEngine(1, DefaultAreaSpec(topology.Suburban))
+	e, err := testEnv.Build(1, campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"magus/internal/campaign"
 	"magus/internal/config"
 	"magus/internal/core"
 	"magus/internal/geo"
@@ -70,8 +71,8 @@ type SignalingComparison struct {
 
 // RunSignaling replays the Figure 11 migration plans through the
 // signaling queue model.
-func RunSignaling(seed int64) (*SignalingComparison, error) {
-	fig, err := RunFigure11(seed)
+func RunSignaling(env *campaign.Env, seed int64) (*SignalingComparison, error) {
+	fig, err := RunFigure11(env, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -103,8 +104,8 @@ type OutageStudy struct {
 
 // RunOutageStudy precomputes responses for the tuning-area sectors and
 // replays an outage of each covered sector.
-func RunOutageStudy(seed int64) (*OutageStudy, error) {
-	engine, err := BuildEngine(seed, DefaultAreaSpec(topology.Suburban))
+func RunOutageStudy(env *campaign.Env, seed int64) (*OutageStudy, error) {
+	engine, err := env.Build(seed, campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		return nil, err
 	}
@@ -146,8 +147,8 @@ type LoadBalanceStudy struct {
 
 // RunLoadBalance overloads a suburban market (two sectors of one site
 // down) and balances the survivors.
-func RunLoadBalance(seed int64) (*LoadBalanceStudy, error) {
-	engine, err := BuildEngine(seed, DefaultAreaSpec(topology.Suburban))
+func RunLoadBalance(env *campaign.Env, seed int64) (*LoadBalanceStudy, error) {
+	engine, err := env.Build(seed, campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func TestRunHybridSweep(t *testing.T) {
 }
 
 func TestRunSignaling(t *testing.T) {
-	cmp, err := RunSignaling(1)
+	cmp, err := RunSignaling(testEnv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRunSignaling(t *testing.T) {
 }
 
 func TestRunOutageStudy(t *testing.T) {
-	study, err := RunOutageStudy(1)
+	study, err := RunOutageStudy(testEnv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRunOutageStudy(t *testing.T) {
 }
 
 func TestRunLoadBalance(t *testing.T) {
-	study, err := RunLoadBalance(1)
+	study, err := RunLoadBalance(testEnv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRunMultiCarrier(t *testing.T) {
 }
 
 func TestRunOpsWeek(t *testing.T) {
-	week, err := RunOpsWeek(1, 1)
+	week, err := RunOpsWeek(testEnv, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

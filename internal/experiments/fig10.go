@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"magus/internal/campaign"
 	"magus/internal/config"
 	"magus/internal/topology"
 	"magus/internal/upgrade"
@@ -30,8 +31,8 @@ type Figure10 struct {
 }
 
 // RunFigure10 runs the rural coverage-limit demonstration.
-func RunFigure10(seed int64) (*Figure10, error) {
-	engine, err := BuildEngine(seed, DefaultAreaSpec(topology.Rural))
+func RunFigure10(env *campaign.Env, seed int64) (*Figure10, error) {
+	engine, err := env.Build(seed, campaign.DefaultAreaSpec(topology.Rural))
 	if err != nil {
 		return nil, fmt.Errorf("figure10: %w", err)
 	}

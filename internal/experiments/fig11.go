@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"magus/internal/campaign"
 	"magus/internal/core"
 	"magus/internal/migrate"
 	"magus/internal/topology"
@@ -24,8 +25,8 @@ type Figure11 struct {
 
 // RunFigure11 plans a suburban scenario-(b) upgrade (a full site going
 // down displaces the most users) and produces both migration plans.
-func RunFigure11(seed int64) (*Figure11, error) {
-	engine, err := BuildEngine(seed, DefaultAreaSpec(topology.Suburban))
+func RunFigure11(env *campaign.Env, seed int64) (*Figure11, error) {
+	engine, err := env.Build(seed, campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		return nil, fmt.Errorf("figure11: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"magus/internal/campaign"
 	"magus/internal/core"
 	"magus/internal/feedback"
 	"magus/internal/topology"
@@ -35,8 +36,8 @@ type Figure12 struct {
 
 // RunFigure12 runs the convergence comparison on a suburban
 // scenario-(a) upgrade.
-func RunFigure12(seed int64) (*Figure12, error) {
-	engine, err := BuildEngine(seed, DefaultAreaSpec(topology.Suburban))
+func RunFigure12(env *campaign.Env, seed int64) (*Figure12, error) {
+	engine, err := env.Build(seed, campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		return nil, fmt.Errorf("figure12: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"magus/internal/campaign"
 	"magus/internal/core"
 	"magus/internal/stats"
 	"magus/internal/upgrade"
@@ -37,17 +38,17 @@ type Figure13Options struct {
 }
 
 // RunFigure13 sweeps every scenario and computes improvement ratios.
-func RunFigure13(opts Figure13Options) (*Figure13, error) {
+func RunFigure13(env *campaign.Env, opts Figure13Options) (*Figure13, error) {
 	if len(opts.Seeds) == 0 {
 		opts.Seeds = []int64{1, 2, 3}
 	}
 	out := &Figure13{}
-	if err := WarmEngines(opts.Seeds); err != nil {
+	if err := WarmEngines(env, opts.Seeds); err != nil {
 		return nil, fmt.Errorf("figure13: %w", err)
 	}
 	for _, class := range AllClasses {
 		for _, seed := range opts.Seeds {
-			engine, err := BuildEngine(seed, DefaultAreaSpec(class))
+			engine, err := env.Build(seed, campaign.DefaultAreaSpec(class))
 			if err != nil {
 				return nil, fmt.Errorf("figure13 %v seed %d: %w", class, seed, err)
 			}

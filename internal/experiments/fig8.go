@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"magus/internal/campaign"
 	"magus/internal/core"
 	"magus/internal/geo"
 	"magus/internal/render"
@@ -34,10 +35,10 @@ type Figure8 struct {
 
 // RunFigure8 generates one area per class and measures density and
 // coverage.
-func RunFigure8(seed int64) (*Figure8, error) {
+func RunFigure8(env *campaign.Env, seed int64) (*Figure8, error) {
 	out := &Figure8{}
 	for _, class := range AllClasses {
-		engine, err := BuildEngine(seed, DefaultAreaSpec(class))
+		engine, err := env.Build(seed, campaign.DefaultAreaSpec(class))
 		if err != nil {
 			return nil, fmt.Errorf("figure8 %v: %w", class, err)
 		}

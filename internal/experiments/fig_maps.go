@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"magus/internal/campaign"
 	"magus/internal/core"
 	"magus/internal/geo"
 	"magus/internal/render"
@@ -38,13 +39,15 @@ type Maps struct {
 }
 
 // RunMaps builds a terrain-corrected suburban area and renders the maps.
-func RunMaps(seed int64) (*Maps, error) {
-	return RunMapsSized(seed, 9000, 150)
+func RunMaps(env *campaign.Env, seed int64) (*Maps, error) {
+	return RunMapsSized(env, seed, 9000, 150)
 }
 
 // RunMapsSized is RunMaps with an explicit region span and cell size, so
-// tests can render a miniature market in milliseconds.
-func RunMapsSized(seed int64, spanM, cellM float64) (*Maps, error) {
+// tests can render a miniature market in milliseconds. The terrain
+// market is built outside env's engine cache (its spec is not an
+// AreaSpec) but draws on env's model snapshots and search workers.
+func RunMapsSized(env *campaign.Env, seed int64, spanM, cellM float64) (*Maps, error) {
 	engine, err := core.NewEngine(core.SetupConfig{
 		Seed:          seed,
 		Class:         topology.Suburban,
@@ -52,6 +55,8 @@ func RunMapsSized(seed int64, spanM, cellM float64) (*Maps, error) {
 		CellSizeM:     cellM,
 		WithTerrain:   true,
 		EqualizeSteps: 0, // maps illustrate raw planning defaults
+		SearchWorkers: env.SearchWorkers,
+		ModelCache:    env.Snapshots,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("maps: %w", err)

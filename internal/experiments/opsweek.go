@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"magus/internal/campaign"
 	"magus/internal/core"
 	"magus/internal/impact"
 	"magus/internal/migrate"
@@ -46,11 +47,11 @@ type OpsWeek struct {
 // Section 1 calendar, targets rotate through the tuning-area sectors.
 // days bounds the calendar slice (default 2, keeping the default run
 // at a few seconds).
-func RunOpsWeek(seed int64, days int) (*OpsWeek, error) {
+func RunOpsWeek(env *campaign.Env, seed int64, days int) (*OpsWeek, error) {
 	if days <= 0 {
 		days = 2
 	}
-	engine, err := BuildEngine(seed, DefaultAreaSpec(topology.Suburban))
+	engine, err := env.Build(seed, campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		return nil, fmt.Errorf("opsweek: %w", err)
 	}

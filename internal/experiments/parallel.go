@@ -10,9 +10,9 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"time"
 
+	"magus/internal/campaign"
 	"magus/internal/config"
 	"magus/internal/core"
 	"magus/internal/evalengine"
@@ -20,26 +20,6 @@ import (
 	"magus/internal/upgrade"
 	"magus/internal/utility"
 )
-
-// searchWorkers is the process-wide default for in-search candidate
-// scoring parallelism, applied to engines built after it is set.
-var searchWorkers atomic.Int64
-
-// SetSearchWorkers sets the default search parallelism baked into
-// engines built by BuildEngine from now on: 0 or 1 scores on the
-// calling goroutine; plans are the same at every value. Set it at
-// process start (the magusd/magusctl -workers flags do): engines
-// already in the shared cache keep the value they were built with,
-// though per-request overrides still apply.
-func SetSearchWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	searchWorkers.Store(int64(n))
-}
-
-// SearchWorkersDefault returns the current process-wide default.
-func SearchWorkersDefault() int { return int(searchWorkers.Load()) }
 
 // BenchTiming is one extra timing a study exports into magus-bench's
 // -json records, shaped like a Go benchmark result.
@@ -120,11 +100,11 @@ func (s *ParallelJointStudy) Timings() []BenchTiming {
 
 // RunParallelJoint runs the study on the suburban evaluation market.
 // workers <= 0 selects NumCPU.
-func RunParallelJoint(seed int64, workers int) (*ParallelJointStudy, error) {
+func RunParallelJoint(env *campaign.Env, seed int64, workers int) (*ParallelJointStudy, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	engine, err := BuildEngine(seed, DefaultAreaSpec(AllClasses[1]))
+	engine, err := env.Build(seed, campaign.DefaultAreaSpec(AllClasses[1]))
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"magus/internal/campaign"
 	"magus/internal/config"
 	"magus/internal/core"
 	"magus/internal/feedback"
@@ -109,8 +110,8 @@ func reactiveRunbook(plan *core.Plan, fb *feedback.Result) *runbook.Runbook {
 // RunSimWindow executes the three migration strategies for a suburban
 // scenario-(a) upgrade through the upgrade-window simulator, clean and
 // under the fault script.
-func RunSimWindow(seed int64) (*SimWindow, error) {
-	engine, err := BuildEngine(seed, DefaultAreaSpec(topology.Suburban))
+func RunSimWindow(env *campaign.Env, seed int64) (*SimWindow, error) {
+	engine, err := env.Build(seed, campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		return nil, fmt.Errorf("simwindow experiment: %w", err)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRunSimWindow(t *testing.T) {
-	res, err := RunSimWindow(1)
+	res, err := RunSimWindow(testEnv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

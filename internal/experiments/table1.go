@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"magus/internal/campaign"
 	"magus/internal/core"
 	"magus/internal/topology"
 	"magus/internal/upgrade"
@@ -46,14 +47,14 @@ type Table1 struct {
 // RunTable1 reproduces Table 1: for every class, replicate seed and
 // upgrade scenario, run each tuning method and average the recovery
 // ratios (Formula 7).
-func RunTable1(opts Table1Options) (*Table1, error) {
+func RunTable1(env *campaign.Env, opts Table1Options) (*Table1, error) {
 	opts.applyDefaults()
 	out := &Table1{
 		Recovery:  make(map[topology.AreaClass]map[upgrade.Scenario]map[core.Method]float64),
 		Scenarios: upgrade.AllScenarios,
 		Methods:   opts.Methods,
 	}
-	if err := WarmEngines(opts.Seeds); err != nil {
+	if err := WarmEngines(env, opts.Seeds); err != nil {
 		return nil, fmt.Errorf("table1: %w", err)
 	}
 	for _, class := range AllClasses {
@@ -62,7 +63,7 @@ func RunTable1(opts Table1Options) (*Table1, error) {
 			out.Recovery[class][sc] = make(map[core.Method]float64)
 		}
 		for _, seed := range opts.Seeds {
-			engine, err := BuildEngine(seed, DefaultAreaSpec(class))
+			engine, err := env.Build(seed, campaign.DefaultAreaSpec(class))
 			if err != nil {
 				return nil, fmt.Errorf("table1 %v seed %d: %w", class, seed, err)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"magus/internal/campaign"
 	"magus/internal/core"
 	"magus/internal/topology"
 	"magus/internal/upgrade"
@@ -21,8 +22,8 @@ type Table2 struct {
 }
 
 // RunTable2 reproduces Table 2 on a suburban scenario-(a) upgrade.
-func RunTable2(seed int64) (*Table2, error) {
-	engine, err := BuildEngine(seed, DefaultAreaSpec(topology.Suburban))
+func RunTable2(env *campaign.Env, seed int64) (*Table2, error) {
+	engine, err := env.Build(seed, campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		return nil, fmt.Errorf("table2: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"magus/internal/campaign"
 	"magus/internal/core"
 	"magus/internal/topology"
 	"magus/internal/waveplan"
@@ -34,8 +35,8 @@ func waveSeasonConstraints() waveplan.Constraints {
 
 // RunWaveSeason plans the season both ways on the suburban evaluation
 // market.
-func RunWaveSeason(seed int64) (*WaveSeason, error) {
-	engine, err := BuildEngine(seed, DefaultAreaSpec(topology.Suburban))
+func RunWaveSeason(env *campaign.Env, seed int64) (*WaveSeason, error) {
+	engine, err := env.Build(seed, campaign.DefaultAreaSpec(topology.Suburban))
 	if err != nil {
 		return nil, err
 	}

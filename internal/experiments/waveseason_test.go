@@ -7,7 +7,7 @@ import "testing"
 // schedule must beat naive round-robin on season-wide minimum
 // f(C_after), and both seasons must schedule the same sectors.
 func TestRunWaveSeason(t *testing.T) {
-	s, err := RunWaveSeason(1)
+	s, err := RunWaveSeason(testEnv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,6 @@ type Config struct {
 	// ReconcileInterval is the cadence of the liveness / dispatch / poll
 	// loop (default 500ms).
 	ReconcileInterval time.Duration
-	// RequestTimeout bounds each dispatch or poll HTTP call (default 10s).
-	RequestTimeout time.Duration
 	// Journal, when set, receives a TypeLease record for every lease
 	// grant and re-grant, making the epoch history durable and auditable.
 	Journal *journal.Journal
@@ -55,13 +53,13 @@ func (c *Config) applyDefaults() {
 	if c.ReconcileInterval <= 0 {
 		c.ReconcileInterval = 500 * time.Millisecond
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
 	if c.Client == nil {
 		c.Client = http.DefaultClient
 	}
 }
+
+// requestTimeout bounds each dispatch or poll HTTP call.
+const requestTimeout = 10 * time.Second
 
 // member is the coordinator's view of one joined worker.
 type member struct {
@@ -527,7 +525,7 @@ func (c *Coordinator) Cancel(id string) (CampaignView, error) {
 	view := c.viewLocked(camp)
 	c.mu.Unlock()
 
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 	defer cancel()
 	for _, t := range targets {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.url+"/campaigns/"+t.subID+"/cancel", nil)
@@ -682,7 +680,7 @@ func (c *Coordinator) postDispatch(url string, body DispatchRequest) (DispatchRe
 	if err != nil {
 		return DispatchResponse{}, 0, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/fleet/jobs", bytes.NewReader(raw))
 	if err != nil {
@@ -737,7 +735,7 @@ func (c *Coordinator) pollOnce() {
 		return true
 	})
 	c.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 	defer cancel()
 	for _, item := range items {
 		c.pollDispatch(ctx, urls[item.d], item)

@@ -503,6 +503,26 @@ func TestFleetGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestFleetLeaveStaysGone: a worker that leaves stops heartbeating, so
+// the coordinator does not answer a later beat with 404 and take the
+// worker back through a re-join.
+func TestFleetLeaveStaysGone(t *testing.T) {
+	tf := startTestFleet(t, "w1")
+	waitFor(t, 5*time.Second, "the worker to join", func() bool {
+		return aliveMembers(tf.status(t)) == 1
+	})
+	if err := tf.workers["w1"].agent.Leave(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Ten heartbeat intervals of the test worker (50ms each).
+	time.Sleep(500 * time.Millisecond)
+	for _, m := range tf.status(t).Members {
+		if m.NodeID == "w1" {
+			t.Fatalf("w1 is a member again after leaving (alive %v)", m.Alive)
+		}
+	}
+}
+
 // TestFleetRejectsInvalidSpecs: the coordinator validates every spec
 // before admitting a campaign. An invalid nested spec, alone or next to
 // a valid job, is refused with 400 and nothing is admitted — a worker

@@ -93,7 +93,8 @@ func (w *Worker) Joined() bool {
 }
 
 // Close stops the heartbeat loop without telling the coordinator
-// anything; use Leave first for a graceful exit. Safe to call twice.
+// anything; use Leave for a graceful exit. Safe to call twice, and
+// after Leave.
 func (w *Worker) Close() {
 	w.stopOnce.Do(func() { close(w.stop) })
 	w.wg.Wait()
@@ -101,8 +102,10 @@ func (w *Worker) Close() {
 
 // Leave hands the worker's leases back: called after the local drain
 // finished, so the coordinator can sweep final results and re-place
-// whatever was parked.
+// whatever was parked. It stops the heartbeat loop first (as Close
+// does): a heartbeat after the leave would get a 404 and re-join.
 func (w *Worker) Leave(ctx context.Context) error {
+	w.Close()
 	body, _ := json.Marshal(LeaveRequest{NodeID: w.cfg.NodeID})
 	resp, err := w.post(ctx, "/fleet/leave", body)
 	if err != nil {

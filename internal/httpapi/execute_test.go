@@ -1,8 +1,10 @@
 package httpapi
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -142,6 +144,24 @@ func TestExecuteValidation(t *testing.T) {
 	rec := get(t, s, "/execute/x999")
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("unknown run: status = %d, want 404", rec.Code)
+	}
+}
+
+// TestExecuteRejectsPushFaults: /execute refuses a simwindow push fault
+// in its chaos script at validation, before planning the runbook (a
+// failure after planning carries "execute:" instead of "campaign:").
+func TestExecuteRejectsPushFaults(t *testing.T) {
+	s := testServer(t)
+	rec := post(t, s, "/execute", `{"scenario":"a","method":"power","exec":{"chaos":"push-fail@2"}}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", rec.Code)
+	}
+	var body struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(body.Error, "campaign: simwindow: session fault push-fail@2") {
+		t.Errorf("error = %q, want the session's push-fault error from validation", body.Error)
 	}
 }
 

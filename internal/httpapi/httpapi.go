@@ -46,7 +46,6 @@ import (
 	"magus/internal/core"
 	"magus/internal/evalengine"
 	"magus/internal/executor"
-	"magus/internal/experiments"
 	"magus/internal/export"
 	"magus/internal/fleet"
 	"magus/internal/migrate"
@@ -111,9 +110,10 @@ type Server struct {
 
 // Options tune optional server subsystems.
 type Options struct {
-	// Orchestrator overrides the campaign orchestrator (tests inject one
-	// with miniature markets). Nil builds the default: a worker pool over
-	// the experiment areas, sharing the process-wide engine cache.
+	// Orchestrator overrides the campaign orchestrator (magusd passes one
+	// over its own Env; tests inject one with miniature markets). Nil
+	// builds the default: a worker pool over a fresh default Env (the
+	// default area specs, no model snapshots).
 	Orchestrator *campaign.Orchestrator
 	// NodeID is the process's stable fleet identity, reported by
 	// /healthz; empty generates a fresh (unpersisted) one.
@@ -148,13 +148,9 @@ func New(engine *core.Engine, opts Options) *Server {
 		s.nodeID = fleet.NewNodeID()
 	}
 	if s.orch == nil {
+		env := &campaign.Env{Engines: campaign.NewEngineCache(0)}
 		var err error
-		s.orch, err = campaign.New(campaign.Config{
-			Build: func(_ context.Context, class topology.AreaClass, seed int64) (*core.Engine, error) {
-				return experiments.BuildEngine(seed, experiments.DefaultAreaSpec(class))
-			},
-			Cache: experiments.SharedEngineCache(),
-		})
+		s.orch, err = campaign.New(campaign.Config{Build: env.Engine, Cache: env.Engines})
 		if err != nil {
 			panic(err) // only reachable on a nil Build, which we set
 		}
@@ -298,6 +294,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
+	campaigns := s.orch.Metrics()
 	resp := map[string]any{
 		"status":    status,
 		"node_id":   s.nodeID,
@@ -306,7 +303,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"sites":     len(s.engine.Net.Sites),
 		"sectors":   s.engine.Net.NumSectors(),
 		"users":     s.engine.Model.TotalUE(),
-		"campaigns": s.orch.Metrics(),
+		"campaigns": campaigns,
 	}
 	if s.coord != nil {
 		resp["role"] = "coordinator"
@@ -315,8 +312,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"active":   s.exec.Active(),
 		"counters": s.exec.Counters().Snapshot(),
 	}
-	if mc := experiments.ModelCache(); mc != nil {
-		resp["model_snapshots"] = mc.Stats()
+	if campaigns.Cache != nil && campaigns.Cache.Snapshot != nil {
+		resp["model_snapshots"] = campaigns.Cache.Snapshot
 	}
 	resp["wave_scheduler"] = waveplan.Stats()
 	if core := s.engine.Model.Core(); core != nil {

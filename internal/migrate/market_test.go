@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"testing"
 
+	"magus/internal/campaign"
 	"magus/internal/core"
-	"magus/internal/experiments"
 	"magus/internal/migrate"
 	"magus/internal/topology"
 	"magus/internal/upgrade"
 	"magus/internal/utility"
 )
+
+// testEnv builds the evaluation markets.
+var testEnv = &campaign.Env{Engines: campaign.NewEngineCache(0)}
 
 // TestMarketMigrationsMatchCloneOracle pins Gradual and OneShot to the
 // clone-per-step reference on the evaluation markets: default-spec
@@ -21,7 +24,7 @@ func TestMarketMigrationsMatchCloneOracle(t *testing.T) {
 		t.Skip("builds two evaluation markets")
 	}
 	for _, class := range []topology.AreaClass{topology.Suburban, topology.Urban} {
-		eng, err := experiments.BuildEngine(1, experiments.DefaultAreaSpec(class))
+		eng, err := testEnv.Build(1, campaign.DefaultAreaSpec(class))
 		if err != nil {
 			t.Fatal(err)
 		}

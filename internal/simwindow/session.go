@@ -83,16 +83,26 @@ type Sample struct {
 
 // NewSession prepares a live session of rb starting from base (the
 // C_before state the runbook was planned against). base and its model
-// are not mutated. Only timed faults (sector-down, surge) are accepted:
-// push faults are the executor/chaos layer's concern, and rejecting
-// them here keeps one owner per failure mode.
+// are not mutated. Only timed faults (sector-down, surge) are accepted
+// (see SessionFaults).
 func NewSession(base *netmodel.State, rb *runbook.Runbook, cfg Config) (*Session, error) {
-	for _, f := range cfg.Faults {
-		if f.Kind == FaultPushFail || f.Kind == FaultPushDelay {
-			return nil, fmt.Errorf("simwindow: session fault %v: only sector-down and surge faults run in a session", f)
-		}
+	if err := SessionFaults(cfg.Faults); err != nil {
+		return nil, err
 	}
 	return newSession(base, rb, cfg, false)
+}
+
+// SessionFaults rejects push faults, which a live session does not run:
+// push faults are the executor/chaos layer's concern, and rejecting
+// them here keeps one owner per failure mode. Spec validators call it
+// so a bad script fails before any planning.
+func SessionFaults(faults []Fault) error {
+	for _, f := range faults {
+		if f.Kind == FaultPushFail || f.Kind == FaultPushDelay {
+			return fmt.Errorf("simwindow: session fault %v: only sector-down and surge faults run in a session", f)
+		}
+	}
+	return nil
 }
 
 // newSession is the constructor shared by sessions and simulators: it
