@@ -37,3 +37,39 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(specs)), "jobs/op")
 }
+
+// BenchmarkCampaignCold meters a cold campaign end to end: one 27-job
+// campaign (3 classes x 3 scenarios x 3 methods, seed 1) over
+// default-spec markets per op, on a fresh Env so that every market is
+// built inside the op, with the orchestrator's default workers and the
+// gradual migration after each plan. Markets build while other markets'
+// jobs run (see Orchestrator.warm), so the op is bounded by CPU rather
+// than by three builds back to back.
+func BenchmarkCampaignCold(b *testing.B) {
+	specs := fullFactorial()
+	for i := 0; i < b.N; i++ {
+		env := &Env{Engines: NewEngineCache(0)}
+		o, err := New(Config{Build: env.Engine, Cache: env.Engines})
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := o.Submit(specs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+		err = c.Wait(ctx)
+		cancel()
+		if err != nil {
+			b.Fatal(err)
+		}
+		o.Close()
+		if snap := c.Snapshot(); snap.Counts["done"] != len(specs) {
+			b.Fatalf("counts = %v", snap.Counts)
+		}
+		if st := env.Engines.Stats(); st.Builds != 3 {
+			b.Fatalf("engine builds = %d, want 3", st.Builds)
+		}
+	}
+	b.ReportMetric(float64(len(specs)), "jobs/op")
+}

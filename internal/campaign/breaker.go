@@ -23,7 +23,9 @@ const (
 	defaultBreakerCooldown  = 30 * time.Second
 )
 
-type breakerKey struct {
+// market is one (Class, Seed) pair that jobs build an engine for: the
+// breaker's key and the unit warm builds go by.
+type market struct {
 	class topology.AreaClass
 	seed  int64
 }
@@ -44,7 +46,7 @@ type breaker struct {
 	now       func() time.Time // injectable for tests
 
 	mu      sync.Mutex
-	entries map[breakerKey]*breakerEntry
+	entries map[market]*breakerEntry
 	trips   int64
 }
 
@@ -59,7 +61,7 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 		threshold: threshold,
 		cooldown:  cooldown,
 		now:       time.Now,
-		entries:   make(map[breakerKey]*breakerEntry),
+		entries:   make(map[market]*breakerEntry),
 	}
 }
 
@@ -67,7 +69,7 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 // state it fails fast; once the cooldown elapses exactly one caller is
 // admitted as the half-open probe while the rest keep failing fast
 // until the probe settles the market's fate.
-func (b *breaker) allow(key breakerKey) error {
+func (b *breaker) allow(key market) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.entries[key]
@@ -86,7 +88,7 @@ func (b *breaker) allow(key breakerKey) error {
 
 // observe records a build outcome. Context cancellation is neither a
 // success nor a failure: the build did not get to prove anything.
-func (b *breaker) observe(key breakerKey, err error) {
+func (b *breaker) observe(key market, err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		b.mu.Lock()
 		if e := b.entries[key]; e != nil {
@@ -153,7 +155,7 @@ func (b *breaker) stats() BreakerStats {
 // feeds the outcome back.
 func (b *breaker) wrapBuild(build BuildFunc) BuildFunc {
 	return func(ctx context.Context, class topology.AreaClass, seed int64) (*core.Engine, error) {
-		key := breakerKey{class, seed}
+		key := market{class, seed}
 		if err := b.allow(key); err != nil {
 			return nil, err
 		}

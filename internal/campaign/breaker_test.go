@@ -17,7 +17,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	b := newBreaker(3, time.Minute)
 	now := time.Unix(1000, 0)
 	b.now = func() time.Time { return now }
-	key := breakerKey{topology.Suburban, 1}
+	key := market{topology.Suburban, 1}
 	boom := errors.New("boom")
 
 	for i := 0; i < 3; i++ {
@@ -63,7 +63,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 
 func TestBreakerIgnoresContextCancellation(t *testing.T) {
 	b := newBreaker(2, time.Minute)
-	key := breakerKey{topology.Urban, 7}
+	key := market{topology.Urban, 7}
 	for i := 0; i < 10; i++ {
 		if err := b.allow(key); err != nil {
 			t.Fatalf("cancellation %d tripped the breaker: %v", i, err)
@@ -78,8 +78,8 @@ func TestBreakerIgnoresContextCancellation(t *testing.T) {
 
 func TestBreakerIsPerMarket(t *testing.T) {
 	b := newBreaker(1, time.Minute)
-	bad := breakerKey{topology.Rural, 1}
-	good := breakerKey{topology.Rural, 2}
+	bad := market{topology.Rural, 1}
+	good := market{topology.Rural, 2}
 	b.observe(bad, errors.New("boom"))
 	if err := b.allow(bad); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("bad market: %v, want ErrCircuitOpen", err)

@@ -136,23 +136,41 @@ func (c *EngineCache) GetOrBuild(key EngineKey, build func() (*core.Engine, erro
 	c.mu.Unlock()
 
 	e.engine, e.err = build()
+	c.mu.Lock()
 	if e.err != nil {
 		// Drop the failed entry (if eviction has not already) so the next
 		// request retries instead of serving a stale error forever.
-		c.mu.Lock()
 		if cur, ok := c.entries[key]; ok && cur == e {
 			delete(c.entries, key)
 			c.order.Remove(e.elem)
 		}
-		c.mu.Unlock()
 	}
 	close(e.ready)
+	// The miss that started this build could not evict the builds still
+	// in flight beside it; trim now that one of them has finished.
+	c.evictLocked()
+	c.mu.Unlock()
 	return e.engine, e.err
+}
+
+// holds reports whether an entry for the class and seed, under any spec,
+// is cached or being built: a build for it now would be a hit.
+func (c *EngineCache) holds(class topology.AreaClass, seed int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := range c.entries {
+		if k.Class == class && k.Seed == seed {
+			return true
+		}
+	}
+	return false
 }
 
 // evictLocked trims completed entries beyond capacity, oldest first.
 // In-flight builds are skipped: their waiters hold the entry pointer and
-// evicting them would spawn duplicate builds.
+// evicting them would spawn duplicate builds. It runs on every miss and
+// after every build, so the cache is back within capacity once the
+// builds in flight have finished.
 func (c *EngineCache) evictLocked() {
 	for elem := c.order.Back(); c.order.Len() > c.cap && elem != nil; {
 		prev := elem.Prev()

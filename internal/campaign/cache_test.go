@@ -221,3 +221,35 @@ func TestSharedCoreLinkRowBytes(t *testing.T) {
 		t.Fatalf("LinkRowBytes = %d, want %d (engine and fork share one row cache)", got, want)
 	}
 }
+
+// TestCacheTrimsAfterConcurrentBuilds: builds in flight together cannot
+// be evicted by each other's misses, so the cache trims once they have
+// finished rather than staying over capacity until the next miss.
+func TestCacheTrimsAfterConcurrentBuilds(t *testing.T) {
+	cache := NewEngineCache(1)
+	var started sync.WaitGroup
+	started.Add(3)
+	var wg sync.WaitGroup
+	for seed := int64(1); seed <= 3; seed++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := cache.GetOrBuild(cacheKey(seed), func() (*core.Engine, error) {
+				started.Done()
+				started.Wait() // all three are in flight at once
+				return fakeEngine(), nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	st := cache.Stats()
+	if st.Builds != 3 || st.Size > st.Capacity {
+		t.Errorf("stats = %+v, want 3 builds and Size <= Capacity", st)
+	}
+	if st.Evictions != int64(3-st.Size) {
+		t.Errorf("evictions = %d with size %d, want every build beyond capacity evicted", st.Evictions, st.Size)
+	}
+}

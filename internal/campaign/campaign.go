@@ -149,9 +149,12 @@ type BuildFunc func(ctx context.Context, class topology.AreaClass, seed int64) (
 type Config struct {
 	// Build constructs engines for job markets (required).
 	Build BuildFunc
-	// Cache, when set, is surfaced in Metrics so operators can watch
-	// hit rates; the orchestrator itself only reads its Stats. Wire the
-	// same cache into Build to actually share engines.
+	// Cache, when set, must be the cache Build draws its engines from.
+	// It is surfaced in Metrics so operators can watch hit rates, and
+	// Submit warms a campaign's uncached markets through Build as soon
+	// as its jobs are enqueued (see warm), counting on the cache's
+	// single-flight to turn each job's own Build into a join. With Cache
+	// nil nothing is warmed and Build runs only inside jobs.
 	Cache *EngineCache
 	// Workers bounds concurrent jobs (default runtime.GOMAXPROCS(0)).
 	Workers int
@@ -252,6 +255,15 @@ type Orchestrator struct {
 	// the orchestrator's epoch went stale (see Config.Epoch).
 	fencedResults atomic.Int64
 
+	// warmSlots bounds warm builds in flight across the orchestrator to
+	// Config.Workers. warmWG counts warm goroutines apart from the
+	// workers' wg. warmStopped, set under warmMu by Close and Drain,
+	// stops warm from adding to warmWG once its Wait may have begun.
+	warmSlots   chan struct{}
+	warmMu      sync.Mutex
+	warmStopped bool
+	warmWG      sync.WaitGroup
+
 	mu        sync.Mutex
 	campaigns map[string]*Campaign
 	nextID    int
@@ -287,6 +299,7 @@ func New(cfg Config) (*Orchestrator, error) {
 		baseCtx:   ctx,
 		stop:      stop,
 		queue:     make(chan queued, cfg.QueueDepth),
+		warmSlots: make(chan struct{}, cfg.Workers),
 		campaigns: make(map[string]*Campaign),
 		jobCounts: make(map[JobState]int64),
 	}
@@ -302,23 +315,19 @@ func New(cfg Config) (*Orchestrator, error) {
 }
 
 // Close cancels every campaign and stops the workers, blocking until
-// they exit. The orchestrator accepts no work afterwards. With a
-// journal configured, jobs cut short here leave no terminal record, so
-// a restart re-runs them; use Drain first to let running jobs finish.
+// they and every running warm build exit. The orchestrator accepts no
+// work afterwards. With a journal configured, jobs cut short here leave
+// no terminal record, so a restart re-runs them; use Drain first to let
+// running jobs finish.
 func (o *Orchestrator) Close() {
 	o.shuttingDown.Store(true)
 	o.draining.Store(true)
-	o.mu.Lock()
-	cs := make([]*Campaign, 0, len(o.campaigns))
-	for _, c := range o.campaigns {
-		cs = append(cs, c)
-	}
-	o.mu.Unlock()
-	for _, c := range cs {
+	for _, c := range o.snapshotCampaigns() {
 		c.Cancel("orchestrator closed")
 	}
 	o.stop()
 	o.wg.Wait()
+	o.waitWarm()
 }
 
 // Submit validates specs, creates a campaign and enqueues its jobs.
@@ -392,7 +401,89 @@ func (o *Orchestrator) Submit(specs []JobSpec) (*Campaign, error) {
 			return nil, ErrQueueFull
 		}
 	}
+	o.warm(c)
 	return c, nil
+}
+
+// warm starts building the campaign's markets ahead of its jobs, so a
+// cold campaign's builds overlap each other and the jobs of markets
+// that are ready instead of running one after another at the head of
+// the FIFO queue. Markets go in order of first appearance, at most the
+// cache's capacity of them (more would evict each other before their
+// jobs ran), skipping those the cache already holds. Each build runs
+// through Config.Build — breaker included — under the campaign's
+// context, from a goroutine, so Submit never blocks; at most
+// Config.Workers warm builds are in flight across the orchestrator.
+// Without a Cache there is nothing to warm into.
+func (o *Orchestrator) warm(c *Campaign) {
+	if o.cfg.Cache == nil {
+		return
+	}
+	var markets []market
+	seen := make(map[market]bool)
+	for _, j := range c.jobs {
+		mk := market{j.Spec.Class, j.Spec.Seed}
+		if seen[mk] || len(seen) == o.cfg.Cache.cap {
+			continue
+		}
+		seen[mk] = true
+		if !o.cfg.Cache.holds(mk.class, mk.seed) {
+			markets = append(markets, mk)
+		}
+	}
+	if len(markets) == 0 {
+		return
+	}
+	o.warmMu.Lock()
+	defer o.warmMu.Unlock()
+	if o.warmStopped {
+		return
+	}
+	o.warmWG.Add(1)
+	go o.warmMarkets(c, markets)
+}
+
+// warmMarkets starts one build per market, each once a warm slot is
+// free, unless the cache has come to hold the market meanwhile. A
+// draining or closing orchestrator, or a cancelled campaign, starts no
+// more.
+func (o *Orchestrator) warmMarkets(c *Campaign, markets []market) {
+	defer o.warmWG.Done()
+	for _, mk := range markets {
+		select {
+		case o.warmSlots <- struct{}{}:
+		case <-c.ctx.Done():
+			return
+		}
+		if o.draining.Load() || c.ctx.Err() != nil {
+			<-o.warmSlots
+			return
+		}
+		if o.cfg.Cache.holds(mk.class, mk.seed) {
+			<-o.warmSlots
+			continue
+		}
+		// This goroutine is still counted, so the Add cannot race a Wait
+		// that has already seen zero.
+		o.warmWG.Add(1)
+		go func() {
+			defer o.warmWG.Done()
+			defer func() { <-o.warmSlots }()
+			// A failure is not cached; the breaker has counted it and the
+			// market's jobs try again under their own attempt budget.
+			_, _ = o.cfg.Build(c.ctx, mk.class, mk.seed)
+		}()
+	}
+}
+
+// waitWarm stops new warm dispatchers and blocks until every warm
+// goroutine has exited. draining must already be set, so running
+// dispatchers start no more builds.
+func (o *Orchestrator) waitWarm() {
+	o.warmMu.Lock()
+	o.warmStopped = true
+	o.warmMu.Unlock()
+	o.warmWG.Wait()
 }
 
 // Lookup returns the campaign with the given id.

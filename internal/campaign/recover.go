@@ -115,8 +115,9 @@ type DrainReport struct {
 // (Submit returns ErrDraining), queued jobs are parked for journal
 // replay, and running jobs get until ctx expires to finish. Jobs still
 // running at the deadline are cancelled without a terminal journal
-// record — a restart re-runs them. Blocks until every worker has
-// exited; the orchestrator accepts no work afterwards. Call once,
+// record — a restart re-runs them. No new warm build starts once the
+// drain begins. Blocks until every worker and every running warm build
+// has exited; the orchestrator accepts no work afterwards. Call once,
 // before Close.
 func (o *Orchestrator) Drain(ctx context.Context) DrainReport {
 	o.draining.Store(true)
@@ -129,6 +130,7 @@ func (o *Orchestrator) Drain(ctx context.Context) DrainReport {
 	o.waitIdle(ctx)
 	o.stop()
 	o.wg.Wait()
+	o.waitWarm()
 
 	// Workers are gone; every job state is final. Park the unfinished
 	// ones for replay. The records are appended after c.mu is released:

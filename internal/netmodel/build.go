@@ -119,30 +119,63 @@ type buildShard struct {
 	counts []int32 // entries per cell, indexed by (g - lo)
 }
 
+// siteGeometry is the per-site part of a cell's link budget. A site's
+// sectors share Pos and HeightM and sit at consecutive IDs, so they come
+// one after another in a cell's candidates; everything that depends on
+// the antenna position alone is computed once for the first of them and
+// reused by the rest.
+type siteGeometry struct {
+	pos      geo.Point
+	heightM  float64
+	set      bool
+	inRange  bool    // within the cutoff radius
+	pathLoss float64 // SPM.PathLossDB toward the cell
+	bearing  float64 // compass bearing toward the cell
+	elevSet  bool
+	elev     float64 // elevation toward the cell, filled on first use
+}
+
 // buildCellRange evaluates cells [lo, hi) exactly as the historical
 // sequential loop did, restricted to the index's candidate sectors.
+// Geometry that depends only on the antenna position is shared across a
+// site's sectors (see siteGeometry); each sector adds only its gain and
+// horizontal pattern, in SPM.SectorBase's operation order, so the
+// entries are bit-identical to a per-sector SectorBase loop.
 func (m *Model) buildCellRange(centers []geo.Point, idx *sectorIndex, lo, hi int, floorDbm float64) *buildShard {
 	sh := &buildShard{counts: make([]int32, hi-lo)}
 	cutoff := m.params.CutoffRadiusM
 	for g := lo; g < hi; g++ {
 		center := centers[g]
+		var site siteGeometry
 		for _, b := range idx.candidates(center) {
 			sec := &m.Net.Sectors[b]
-			if sec.Pos.DistanceTo(center) > cutoff {
+			if !site.set || sec.Pos != site.pos || sec.HeightM != site.heightM {
+				site = siteGeometry{pos: sec.Pos, heightM: sec.HeightM, set: true}
+				site.inRange = sec.Pos.DistanceTo(center) <= cutoff
+				if site.inRange {
+					site.pathLoss = m.SPM.PathLossDB(sec.Pos, sec.HeightM, center)
+					site.bearing = sec.Pos.BearingTo(center)
+				}
+			}
+			if !site.inRange {
 				continue
 			}
-			base := m.SPM.SectorBase(sec, center)
+			base := site.pathLoss + sec.Pattern.MaxGainDBi + sec.Pattern.HorizontalAttenuation(site.bearing-sec.AzimuthDeg)
 			// Best-case RP: max power, zero vertical attenuation.
 			if sec.MaxPowerDbm+base < floorDbm {
 				continue
 			}
-			elev := m.SPM.ElevationDeg(sec, center)
-			if m.params.ApproxTiltElevation {
-				elev = propagation.FlatEarthElevationDeg(sec, center)
+			if !site.elevSet {
+				if m.params.ApproxTiltElevation {
+					site.elev = propagation.FlatEarthElevationDeg(sec, center)
+				} else {
+					site.elev = m.SPM.ElevationDeg(sec, center)
+				}
+				site.elevSet = true
 			}
 			sh.sector = append(sh.sector, b)
 			sh.baseDB = append(sh.baseDB, float32(base))
-			sh.elev = append(sh.elev, float32(elev))
+			sh.elev = append(sh.elev, float32(site.elev))
 			sh.counts[g-lo]++
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 
 	"magus/internal/config"
+	"magus/internal/geo"
+	"magus/internal/propagation"
 	"magus/internal/units"
 	"magus/internal/utility"
 )
@@ -155,4 +157,35 @@ func (s *State) sinrImproversFull(affected []int, candidates []int, deltaDb floa
 		}
 	}
 	return out
+}
+
+// buildCellRangePerSector is buildCellRange without the site-shared
+// geometry: SectorBase, the cutoff test and the elevation evaluated for
+// every candidate sector, as the build stood before sharing. It is the
+// oracle the shared build is pinned to.
+func (m *Model) buildCellRangePerSector(centers []geo.Point, idx *sectorIndex, lo, hi int, floorDbm float64) *buildShard {
+	sh := &buildShard{counts: make([]int32, hi-lo)}
+	cutoff := m.params.CutoffRadiusM
+	for g := lo; g < hi; g++ {
+		center := centers[g]
+		for _, b := range idx.candidates(center) {
+			sec := &m.Net.Sectors[b]
+			if sec.Pos.DistanceTo(center) > cutoff {
+				continue
+			}
+			base := m.SPM.SectorBase(sec, center)
+			if sec.MaxPowerDbm+base < floorDbm {
+				continue
+			}
+			elev := m.SPM.ElevationDeg(sec, center)
+			if m.params.ApproxTiltElevation {
+				elev = propagation.FlatEarthElevationDeg(sec, center)
+			}
+			sh.sector = append(sh.sector, b)
+			sh.baseDB = append(sh.baseDB, float32(base))
+			sh.elev = append(sh.elev, float32(elev))
+			sh.counts[g-lo]++
+		}
+	}
+	return sh
 }

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"magus/internal/propagation"
 	"magus/internal/terrain"
 	"magus/internal/topology"
+	"magus/internal/units"
 )
 
 // buildInputs returns inputs whose model exercises both the cutoff
@@ -98,6 +100,98 @@ func TestParallelBuildApproxTilt(t *testing.T) {
 	for i := range seq.core.contribElev {
 		if math.Float32bits(par.core.contribElev[i]) != math.Float32bits(seq.core.contribElev[i]) {
 			t.Fatalf("elev[%d] bits differ: %v vs %v", i, par.core.contribElev[i], seq.core.contribElev[i])
+		}
+	}
+}
+
+// TestSiteSharedBuildMatchesPerSector pins the site-shared contributor
+// build to the per-sector SectorBase loop (buildCellRangePerSector) on
+// the evaluation markets: the three classes at their default spans and
+// cell sizes, with and without terrain and the flat-earth tilt
+// approximation. Sectors, base losses, elevations and per-cell counts
+// must match bit for bit.
+func TestSiteSharedBuildMatchesPerSector(t *testing.T) {
+	markets := []struct {
+		class        topology.AreaClass
+		span, cellSz float64
+	}{
+		{topology.Rural, 24000, 300},
+		{topology.Suburban, 10800, 200},
+		{topology.Urban, 5400, 100},
+	}
+	seeds := []int64{1, 7, 1000, 1001}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, mk := range markets {
+		for _, seed := range seeds {
+			region := geo.NewRectCentered(geo.Point{}, mk.span, mk.span)
+			net := topology.MustGenerate(topology.GenConfig{Seed: seed, Class: mk.class, Bounds: region})
+			for _, withTerrain := range []bool{false, true} {
+				var terr *terrain.Map
+				if withTerrain {
+					terr = terrain.MustGenerate(terrain.Config{
+						Seed:         seed + 1,
+						Bounds:       region.Expand(1000),
+						UrbanCenters: []geo.Point{region.Center()},
+					})
+				}
+				spm := propagation.MustNewSPM(2.635e9, terr)
+				if terr != nil {
+					spm.DiffractionWeight = 0
+				}
+				for _, approx := range []bool{false, true} {
+					name := fmt.Sprintf("%v/seed%d/terrain=%v/approx=%v", mk.class, seed, withTerrain, approx)
+					m := MustNewModel(net, spm, region, Params{CellSizeM: mk.cellSz, ApproxTiltElevation: approx})
+					checkSiteSharedBuild(t, name, m)
+				}
+			}
+		}
+	}
+}
+
+// TestSiteSharedBuildMixedHeights: sectors that share a position but
+// not a height must not share geometry. Generated sites give every
+// sector one height, so the heights are varied here by hand.
+func TestSiteSharedBuildMixedHeights(t *testing.T) {
+	net, spm, region, params := buildInputs(t)
+	mixed := *net
+	mixed.Sectors = append([]topology.Sector(nil), net.Sectors...)
+	for i := range mixed.Sectors {
+		mixed.Sectors[i].HeightM += float64(i % 3)
+	}
+	checkSiteSharedBuild(t, "mixed heights", MustNewModel(&mixed, spm, region, params))
+}
+
+func checkSiteSharedBuild(t *testing.T, name string, m *Model) {
+	t.Helper()
+	floorDbm := units.MwToDbm(m.noiseMw) - m.params.FloorBelowNoiseDB
+	idx := newSectorIndex(m.Net, m.Grid, m.params.CutoffRadiusM)
+	centers := cellCenterTable(m.Grid)
+	n := m.Grid.NumCells()
+	got := m.buildCellRange(centers, idx, 0, n, floorDbm)
+	want := m.buildCellRangePerSector(centers, idx, 0, n, floorDbm)
+	if len(got.sector) == 0 || len(got.sector) != len(want.sector) {
+		t.Fatalf("%s: %d entries, want %d (non-zero)", name, len(got.sector), len(want.sector))
+	}
+	for i := range want.sector {
+		if got.sector[i] != want.sector[i] ||
+			math.Float32bits(got.baseDB[i]) != math.Float32bits(want.baseDB[i]) ||
+			math.Float32bits(got.elev[i]) != math.Float32bits(want.elev[i]) {
+			t.Fatalf("%s: entry %d = (%d, %v, %v), want (%d, %v, %v)", name, i,
+				got.sector[i], got.baseDB[i], got.elev[i], want.sector[i], want.baseDB[i], want.elev[i])
+		}
+	}
+	for g := range want.counts {
+		if got.counts[g] != want.counts[g] {
+			t.Fatalf("%s: cell %d has %d entries, want %d", name, g, got.counts[g], want.counts[g])
+		}
+	}
+	// The model's own (sharded) build went through the shared path too.
+	for i, b := range m.core.contribSector {
+		if b != want.sector[i] || math.Float32bits(m.core.contribBaseDB[i]) != math.Float32bits(want.baseDB[i]) ||
+			math.Float32bits(m.core.contribElev[i]) != math.Float32bits(want.elev[i]) {
+			t.Fatalf("%s: model entry %d differs from the per-sector build", name, i)
 		}
 	}
 }
