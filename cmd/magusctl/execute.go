@@ -24,22 +24,9 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-)
 
-// execSpecBody mirrors campaign.ExecSpec's wire form.
-type execSpecBody struct {
-	Seed           int64   `json:"seed,omitempty"`
-	Chaos          string  `json:"chaos,omitempty"`
-	Diurnal        bool    `json:"diurnal,omitempty"`
-	StartHour      float64 `json:"start_hour,omitempty"`
-	LoadNoise      float64 `json:"load_noise,omitempty"`
-	StepDeadlineMS int64   `json:"step_deadline_ms,omitempty"`
-	Retries        int     `json:"retries,omitempty"`
-	RetryBackoffMS int64   `json:"retry_backoff_ms,omitempty"`
-	VerifySamples  int     `json:"verify_samples,omitempty"`
-	GraceSamples   int     `json:"grace_samples,omitempty"`
-	ExecSeed       int64   `json:"exec_seed,omitempty"`
-}
+	"magus/internal/campaign"
+)
 
 // execView is the subset of GET /execute/{id} the client renders.
 type execView struct {
@@ -109,7 +96,7 @@ func runExecute(args []string) {
 		body, err := json.Marshal(map[string]any{
 			"scenario": *scenarioFlag, "method": *method, "utility": *utilFlag,
 			"workers": *workers,
-			"exec": execSpecBody{
+			"exec": campaign.ExecSpec{
 				Seed:           *simSeed,
 				Chaos:          *chaosFlag,
 				Diurnal:        *diurnal,

@@ -23,22 +23,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
-)
 
-// waveSpecBody mirrors campaign.WaveSpec's wire form.
-type waveSpecBody struct {
-	CrewsPerWave     int     `json:"crews_per_wave,omitempty"`
-	MaxWaves         int     `json:"max_waves,omitempty"`
-	Blackout         []int   `json:"blackout,omitempty"`
-	OverlapThreshold float64 `json:"overlap_threshold,omitempty"`
-	MarginDB         float64 `json:"margin_db,omitempty"`
-	AnnealIters      int     `json:"anneal_iters,omitempty"`
-	RollingRecovery  float64 `json:"rolling_recovery,omitempty"`
-	Replay           bool    `json:"replay,omitempty"`
-	ReplayTicks      int     `json:"replay_ticks,omitempty"`
-	Faults           string  `json:"faults,omitempty"`
-	HaltBelowTicks   int     `json:"halt_below_ticks,omitempty"`
-}
+	"magus/internal/campaign"
+)
 
 // waveView is the subset of GET /waves/{id} the client renders.
 type waveView struct {
@@ -122,7 +109,7 @@ func runWave(args []string) {
 
 	switch verb {
 	case "plan":
-		spec := waveSpecBody{
+		spec := campaign.WaveSpec{
 			CrewsPerWave:     *crews,
 			MaxWaves:         *maxWaves,
 			OverlapThreshold: *overlap,

@@ -286,7 +286,7 @@ func (s *State) speculateDelta(sc *batchScratch, u utility.Func) float64 {
 // compare on the row and one bit test); a zero gain is an entry with no
 // received power.
 func (s *State) batchPowerSector(sc *batchScratch, b int, deltaDb float64, fragile gridBits) {
-	oldMw := units.DbmToMw(s.Cfg.PowerDbm(b))
+	oldMw := s.powerMw[b]
 	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b) + deltaDb)
 	weak := weakGainBound(s.Model.noiseMw/weakDivisor, oldMw, powerMw)
 	row := s.linkGain[b]
@@ -295,7 +295,7 @@ func (s *State) batchPowerSector(sc *batchScratch, b int, deltaDb float64, fragi
 		if gain == 0 || gain <= weak && !fragile.has(ref.Grid) {
 			continue
 		}
-		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), powerMw*gain)
+		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), oldMw*gain, powerMw*gain)
 	}
 }
 
@@ -303,17 +303,13 @@ func (s *State) batchPowerSector(sc *batchScratch, b int, deltaDb float64, fragi
 // each entry's received power exactly as RefreshSector would: a retilt
 // reads the model's cached row at the new tilt, the row RefreshSector
 // would install. Weak entries at robust grids are skipped. An entry's
-// old power is the sector's old power times its installed row's gain
-// (0 off-air), the value rpMw holds, so the weak test reads both rows in
-// order and only batchEntry gathers from rpMw.
+// old power is the sector's powerMw times its installed row's gain, so
+// both powers are read from the rows in order.
 func (s *State) batchRecomputeSector(sc *batchScratch, applied config.Change, newOff bool, fragile gridBits) {
 	m := s.Model
 	b := applied.Sector
 	theta := m.noiseMw / weakDivisor
-	oldMw := 0.0
-	if !s.Cfg.Off(b) {
-		oldMw = units.DbmToMw(s.Cfg.PowerDbm(b))
-	}
+	oldMw := s.powerMw[b]
 	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b) + applied.PowerDelta)
 	oldRow := s.linkGain[b]
 	row := oldRow
@@ -325,19 +321,19 @@ func (s *State) batchRecomputeSector(sc *batchScratch, applied config.Change, ne
 		if !newOff {
 			nrp = powerMw * row[i]
 		}
-		if weakEntry(theta, oldMw*oldRow[i], nrp) && !fragile.has(ref.Grid) {
+		old := oldMw * oldRow[i]
+		if weakEntry(theta, old, nrp) && !fragile.has(ref.Grid) {
 			continue
 		}
-		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), nrp)
+		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), old, nrp)
 	}
 }
 
-// batchEntry folds one entry's new received power into the scratch:
-// grid totals, serving resolution (same tie-breaking as the exact
-// rescan: ascending position order, strict improvement), load shifts
-// and the new max rate.
-func (s *State) batchEntry(sc *batchScratch, g, pos, b32 int32, nrp float64) {
-	old := s.rpMw[pos]
+// batchEntry folds one entry's received power moving from old to nrp
+// into the scratch: grid totals, serving resolution (same tie-breaking
+// as the exact rescan: ascending position order, strict improvement),
+// load shifts and the new max rate.
+func (s *State) batchEntry(sc *batchScratch, g, pos, b32 int32, old, nrp float64) {
 	if nrp == old {
 		return
 	}
@@ -351,18 +347,12 @@ func (s *State) batchEntry(sc *batchScratch, g, pos, b32 int32, nrp float64) {
 			nbSec, nbMw = b32, nrp
 		} else {
 			// The serving entry weakened: rescan the grid with the new
-			// value substituted in.
-			nbSec, nbMw = -1, 0
-			for p := m.core.gridStart[g]; p < m.core.gridStart[g+1]; p++ {
-				rp := s.rpMw[p]
-				if p == pos {
-					rp = nrp
-				}
-				if rp > nbMw {
-					nbMw = rp
-					nbSec = m.core.contribSector[p]
-				}
+			// value in the entry's place.
+			_, nbSec, nbMw = s.scanEntries(m.core.gridStart[g], pos, 0, -1, 0)
+			if nrp > nbMw {
+				nbSec, nbMw = b32, nrp
 			}
+			_, nbSec, nbMw = s.scanEntries(pos+1, m.core.gridStart[g+1], 0, nbSec, nbMw)
 		}
 	case nrp > s.bestMw[g] || (nrp == s.bestMw[g] && b32 < s.bestSec[g]):
 		nbSec, nbMw = b32, nrp

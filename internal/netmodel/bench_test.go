@@ -32,8 +32,8 @@ func benchMarket(b *testing.B) (*Model, *State) {
 }
 
 // BenchmarkStateClone prices one State.Clone on the benchmark market:
-// the per-grid arrays, the received powers and one header per sector's
-// shared link row.
+// the per-grid arrays, the per-sector powers and one header per
+// sector's shared link row.
 func BenchmarkStateClone(b *testing.B) {
 	_, s := benchMarket(b)
 	b.ReportAllocs()
@@ -59,7 +59,7 @@ func BenchmarkKPIUtility(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	after := live.Derive(m, afterCfg)
+	after := m.NewState(afterCfg)
 	live.EnableKPIAggregates(utility.Performance, 1)
 	after.EnableKPIAggregates(utility.Performance, 1)
 	swing := [2]float64{1.01, 1 / 1.01}

@@ -35,8 +35,11 @@ type ModelCore struct {
 	gridStart     []int32
 
 	// sectorEntries[b] lists every contributor entry owned by sector b,
-	// cell-major (ascending grid).
+	// cell-major (ascending grid); entryIdx[pos] is entry pos's index in
+	// its sector's list, so a grid-major scan reads its received power as
+	// powerMw[b] * linkGain[b][entryIdx[pos]].
 	sectorEntries [][]entryRef
+	entryIdx      []int32
 
 	// cellCenters is the flat per-cell center table, precomputed once so
 	// the build loop and the per-cell queries (GridsIn,
@@ -136,9 +139,10 @@ func cellCenterTable(grid *geo.Grid) []geo.Point {
 	return centers
 }
 
-// indexSectorEntries derives the per-sector entry lists from the merged
-// contributor arrays, in the same order the historical per-cell append
-// produced: cell-major, ascending sector ID within a cell.
+// indexSectorEntries derives the per-sector entry lists, and each
+// entry's index in its list, from the merged contributor arrays, in the
+// same order the historical per-cell append produced: cell-major,
+// ascending sector ID within a cell.
 func (c *ModelCore) indexSectorEntries() {
 	counts := make([]int32, c.numSectors)
 	for _, b := range c.contribSector {
@@ -148,9 +152,11 @@ func (c *ModelCore) indexSectorEntries() {
 	for b := range c.sectorEntries {
 		c.sectorEntries[b] = make([]entryRef, 0, counts[b])
 	}
+	c.entryIdx = make([]int32, len(c.contribSector))
 	for g := 0; g < c.numCells; g++ {
 		for pos := c.gridStart[g]; pos < c.gridStart[g+1]; pos++ {
 			b := c.contribSector[pos]
+			c.entryIdx[pos] = int32(len(c.sectorEntries[b]))
 			c.sectorEntries[b] = append(c.sectorEntries[b], entryRef{Grid: int32(g), Pos: pos})
 		}
 	}
@@ -189,15 +195,15 @@ func (c *ModelCore) Refs() int64 { return c.refs.Load() }
 
 // Bytes estimates the resident size of the shared substrate: the
 // contributor arrays (or their snapshot backing) plus the derived
-// per-sector index and cell-center table. This is the memory N engines
-// over one market pay once instead of N times.
+// per-sector index, entry indexes and cell-center table. This is the
+// memory N engines over one market pay once instead of N times.
 func (c *ModelCore) Bytes() int64 {
 	arrays := c.backingBytes
 	if arrays == 0 {
 		arrays = int64(len(c.contribSector))*4 + int64(len(c.contribBaseDB))*4 +
 			int64(len(c.contribElev))*4 + int64(len(c.gridStart))*4
 	}
-	derived := int64(len(c.cellCenters))*16 + int64(len(c.contribSector))*8
+	derived := int64(len(c.cellCenters))*16 + int64(len(c.contribSector))*8 + int64(len(c.entryIdx))*4
 	return arrays + derived
 }
 

@@ -30,11 +30,11 @@ func randomTarget(rng *rand.Rand, cfg *config.Config) *config.Config {
 
 // sameRadio fails unless got and want agree on everything an Apply
 // chain keeps bit-identical to a fresh evaluation: serving sectors, max
-// rates and their CQI buckets, per-entry received powers and link rows,
-// and served-grid counts, with loads equal to within summation-order
+// rates and their CQI buckets, sector powers and link rows, and
+// served-grid counts, with loads equal to within summation-order
 // rounding and the served-grid index consistent. Totals and SINRs may
 // differ in the last bits after Applys (totalMw is patched with
-// differences), so sameState checks those on derived states only.
+// differences), so sameState checks those on fresh states only.
 func sameRadio(t *testing.T, where string, got, want *State) {
 	t.Helper()
 	m := want.Model
@@ -64,7 +64,7 @@ func sameRadio(t *testing.T, where string, got, want *State) {
 		{"rmax", got.rmax, want.rmax},
 		{"sinrLo", got.sinrLo, want.sinrLo},
 		{"sinrHi", got.sinrHi, want.sinrHi},
-		{"rpMw", got.rpMw, want.rpMw},
+		{"powerMw", got.powerMw, want.powerMw},
 		{"linkGain", slices.Concat(got.linkGain...), slices.Concat(want.linkGain...)},
 	} {
 		if len(arr.got) != len(arr.want) {
@@ -123,39 +123,17 @@ func sameState(t *testing.T, where string, got, want *State) {
 	eq("KPIUtility", 0, got.KPIUtility(), want.KPIUtility())
 }
 
-// TestDeriveMatchesNewState is Derive's contract: from source states
-// reached by random Apply sequences, deriving random target
-// configurations onto the source model and onto a ForkUsers fork with
-// its own (rescaled) users must equal NewState of the target on that
-// model bit for bit, and must leave the source untouched.
-func TestDeriveMatchesNewState(t *testing.T) {
-	m := testModel(t)
-	src := baseline(t, m)
-	fork := m.ForkUsers()
-	fork.ScaleUsersAt(servedGridsOf(src, 2), 2.5)
-	fork.ScaleUsers(1.3)
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 30; trial++ {
-		for i := rng.Intn(12); i > 0; i-- {
-			src.MustApply(randomBatchChange(rng, m.Net.NumSectors()))
-		}
-		before := src.Clone()
-		for _, view := range []*Model{m, fork} {
-			cfg := randomTarget(rng, src.Cfg)
-			where := fmt.Sprintf("trial %d (fork %v)", trial, view != m)
-			sameState(t, where, src.Derive(view, cfg.Clone()), view.NewState(cfg))
-		}
-		sameState(t, fmt.Sprintf("trial %d source", trial), src.Clone(), before)
-	}
-}
-
-// TestDeriveRederivesOtherLinkTables derives onto a fork that installed
-// its own link tables: every sector's entries come from the fork's
-// tables, not the source's cached budgets.
+// TestDeriveRederivesOtherLinkTables: a fork that installs its own link
+// tables builds its states from them. A state built on the fork before
+// the installs and refreshed sector by sector afterwards must equal the
+// fork's NewState, while the source model, its state and its rows stay
+// on the analytic budgets.
 func TestDeriveRederivesOtherLinkTables(t *testing.T) {
 	m := testModel(t)
 	src := baseline(t, m)
+	before := copyRows(src)
 	fork := m.ForkUsers()
+	moved := fork.NewState(src.Cfg.Clone())
 	for b := range m.Net.Sectors {
 		settings := tiltDegreesOf(m, b)
 		rows := m.SampleLinkDB(b, settings)
@@ -168,70 +146,97 @@ func TestDeriveRederivesOtherLinkTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sameState(t, "fork tables", src.Derive(fork, src.Cfg.Clone()), fork.NewState(src.Cfg.Clone()))
+	for b := range m.Net.Sectors {
+		moved.RefreshSector(b)
+	}
+	want := fork.NewState(src.Cfg.Clone())
+	sameRadio(t, "fork tables", moved, want)
+	if want.linkGain[1][0] == src.linkGain[1][0] {
+		t.Fatal("fork state reads the source's link row")
+	}
+	sameRows(t, "source", src, before)
+	sameState(t, "source model", m.NewState(src.Cfg.Clone()), src)
 }
 
-func TestDerivePanicsAcrossCores(t *testing.T) {
-	src := baseline(t, testModel(t))
-	other := testModel(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Derive onto a model over another core did not panic")
-		}
-	}()
-	src.Derive(other, src.Cfg.Clone())
-}
-
-// TestDeriveConcurrentOnSharedState derives from one shared source
-// state on many goroutines at once, each onto its own fork — the
-// simulator's use of a cached engine's baseline. Under -race this
-// proves Derive only reads its source.
+// TestDeriveConcurrentOnSharedState: goroutines build states at random
+// targets near one shared source's configuration, each on its own fork
+// and filling the shared row cache, while another goroutine scores moves
+// on the source — the simulator's window set-up beside a cached engine's
+// scorer. Every state must equal the one a cold model builds alone, and
+// the source must be left as it was; under -race this proves NewState
+// and ForkUsers only read what they share.
 func TestDeriveConcurrentOnSharedState(t *testing.T) {
 	m := testModel(t)
 	src := baseline(t, m)
+	before := copyRows(src)
+	u := utility.Performance
+	moves := everyMove(m)
+	scored := src.SpeculateBatch(moves, u, nil)
+	cold := testModel(t)
+	baseline(t, cold)
 	const workers = 6
+	targets := make([][]*config.Config, workers)
+	wants := make([][]*State, workers)
+	for w := range targets {
+		rng := rand.New(rand.NewSource(int64(40 + w)))
+		for i := 0; i < 4; i++ {
+			cfg := randomTarget(rng, src.Cfg)
+			targets[w] = append(targets[w], cfg)
+			wants[w] = append(wants[w], cold.NewState(cfg.Clone()))
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range targets {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(40 + w)))
 			fork := m.ForkUsers()
-			for i := 0; i < 4; i++ {
-				cfg := randomTarget(rng, src.Cfg)
-				got := src.Derive(fork, cfg.Clone())
-				want := fork.NewState(cfg)
+			for i, cfg := range targets[w] {
+				got := fork.NewState(cfg.Clone())
+				if got.Model.LinkRows() != m.LinkRows() {
+					t.Errorf("worker %d state %d: fork does not share the row cache", w, i)
+					return
+				}
+				want := wants[w][i]
 				for g := 0; g < m.Grid.NumCells(); g++ {
 					if got.ServingSector(g) != want.ServingSector(g) || got.MaxRateBps(g) != want.MaxRateBps(g) {
-						t.Errorf("worker %d derive %d: grid %d differs from NewState", w, i, g)
+						t.Errorf("worker %d state %d: grid %d differs from a cold model", w, i, g)
 						return
 					}
 				}
-				if gu, wu := got.UtilityRead(utility.Performance), want.UtilityRead(utility.Performance); gu != wu {
-					t.Errorf("worker %d derive %d: utility %v, NewState %v", w, i, gu, wu)
+				if gu, wu := got.UtilityRead(u), want.UtilityRead(u); gu != wu {
+					t.Errorf("worker %d state %d: utility %v, cold model %v", w, i, gu, wu)
 				}
 			}
 		}(w)
 	}
+	var rescored []BatchResult
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rescored = src.SpeculateBatch(moves, u, nil)
+	}()
 	wg.Wait()
+	sameResults(t, "scorer beside the builders", moves, rescored, scored)
+	sameRows(t, "shared source", src, before)
 }
 
-// sectorRows is a deep copy of a state's link rows and received powers.
+// sectorRows is a deep copy of a state's link rows and sector powers.
 type sectorRows struct {
 	linkGain [][]float64
-	rpMw     []float64
+	powerMw  []float64
 }
 
 func copyRows(s *State) sectorRows {
-	out := sectorRows{rpMw: slices.Clone(s.rpMw)}
+	out := sectorRows{powerMw: slices.Clone(s.powerMw)}
 	for _, row := range s.linkGain {
 		out.linkGain = append(out.linkGain, slices.Clone(row))
 	}
 	return out
 }
 
-// sameRows fails unless s's link rows and received powers are bit for
-// bit the ones recorded in want.
+// sameRows fails unless s's link rows and sector powers are bit for bit
+// the ones recorded in want.
 func sameRows(t *testing.T, where string, s *State, want sectorRows) {
 	t.Helper()
 	for b, row := range want.linkGain {
@@ -244,9 +249,9 @@ func sameRows(t *testing.T, where string, s *State, want sectorRows) {
 			}
 		}
 	}
-	for i, v := range want.rpMw {
-		if math.Float64bits(s.rpMw[i]) != math.Float64bits(v) {
-			t.Fatalf("%s: rpMw[%d] = %v, was %v", where, i, s.rpMw[i], v)
+	for b, v := range want.powerMw {
+		if math.Float64bits(s.powerMw[b]) != math.Float64bits(v) {
+			t.Fatalf("%s: powerMw[%d] = %v, was %v", where, b, s.powerMw[b], v)
 		}
 	}
 }
@@ -277,11 +282,12 @@ func applyEveryShape(t *testing.T, s *State, rng *rand.Rand) {
 	}
 }
 
-// TestSharedRowsStayImmutable: Clone and Derive (also onto a ForkUsers
-// fork) share the source's link rows, so every Apply shape on either
-// side must leave the other side's rows and received powers bit for
-// bit as they were, and each side must still equal NewState of its own
-// configuration on every array an Apply keeps bit-identical.
+// TestSharedRowsStayImmutable: a Clone, and states built by NewState on
+// the source's model or on a ForkUsers fork, share the source's link
+// rows, so every Apply shape on either side must leave the other side's
+// rows and sector powers bit for bit as they were, and each side must
+// still equal NewState of its own configuration on every array an Apply
+// keeps bit-identical.
 func TestSharedRowsStayImmutable(t *testing.T) {
 	m := testModel(t)
 	fork := m.ForkUsers()
@@ -293,11 +299,11 @@ func TestSharedRowsStayImmutable(t *testing.T) {
 			src.MustApply(randomBatchChange(rng, m.Net.NumSectors()))
 		}
 		copies := map[string]*State{
-			"clone":       src.Clone(),
-			"derive":      src.Derive(m, randomTarget(rng, src.Cfg)),
-			"derive-fork": src.Derive(fork, randomTarget(rng, src.Cfg)),
+			"clone":     src.Clone(),
+			"new-state": m.NewState(randomTarget(rng, src.Cfg)),
+			"fork":      fork.NewState(randomTarget(rng, src.Cfg)),
 		}
-		names := []string{"clone", "derive", "derive-fork"}
+		names := []string{"clone", "new-state", "fork"}
 
 		// Copies move; the source must not see it.
 		before := copyRows(src)
@@ -326,11 +332,11 @@ func TestSharedRowsStayImmutable(t *testing.T) {
 	}
 }
 
-// TestSharedRowsConcurrentDeriveRefresh: goroutines derive from one
-// shared source and price power moves against the rows they share with
-// it, while other goroutines refresh and retilt clones of the same
-// source. Under -race this proves a refresh installs a new row rather
-// than writing into a shared one.
+// TestSharedRowsConcurrentDeriveRefresh: goroutines build states at one
+// shared source's configuration on their own forks and price power
+// moves against the rows they share with it, while other goroutines
+// refresh and retilt clones of the same source. Under -race this proves
+// a refresh installs a new row rather than writing into a shared one.
 func TestSharedRowsConcurrentDeriveRefresh(t *testing.T) {
 	m := testModel(t)
 	src := baseline(t, m)
@@ -344,12 +350,12 @@ func TestSharedRowsConcurrentDeriveRefresh(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(60 + w)))
 			fork := m.ForkUsers()
 			for i := 0; i < 3; i++ {
-				d := src.Derive(fork, src.Cfg.Clone())
+				d := fork.NewState(src.Cfg.Clone())
 				d.SpeculateBatch([]config.Change{{Sector: rng.Intn(n), PowerDelta: 2}}, utility.Performance, nil)
 				d.MustApply(config.Change{Sector: rng.Intn(n), PowerDelta: -1})
 				want := fork.NewState(d.Cfg.Clone())
 				if gu, wu := d.UtilityRead(utility.Performance), want.UtilityRead(utility.Performance); gu != wu {
-					t.Errorf("deriver %d pass %d: utility %v, NewState %v", w, i, gu, wu)
+					t.Errorf("builder %d pass %d: utility %v, NewState %v", w, i, gu, wu)
 				}
 			}
 		}(w)

@@ -10,6 +10,13 @@ import (
 	"magus/internal/utility"
 )
 
+// entryMw returns the received power of the contributor entry at
+// position pos: its sector's power times its installed row's gain.
+func (s *State) entryMw(pos int32) float64 {
+	b := s.Model.core.contribSector[pos]
+	return s.powerMw[b] * s.linkGain[b][s.Model.core.entryIdx[pos]]
+}
+
 // kpiBranches classifies every sector the way KPIUtility's log-utility
 // read does at the current load factor: priced from its totals (λ below
 // its smallest bucket L, nothing on the 1 kbps clamp) or by walking its
@@ -49,7 +56,8 @@ func (s *State) speculateFull(moves []config.Change, u utility.Func, touched fun
 				row = m.gainRow(b, s.Cfg.TiltIndex(b)+ch.TiltDelta)
 			}
 			for i, ref := range m.core.sectorEntries[b] {
-				if power && s.rpMw[ref.Pos] == 0 {
+				old := s.entryMw(ref.Pos)
+				if power && old == 0 {
 					continue
 				}
 				var nrp float64
@@ -57,7 +65,7 @@ func (s *State) speculateFull(moves []config.Change, u utility.Func, touched fun
 					nrp = powerMw * row[i]
 				}
 				n := len(sc.grids)
-				s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), nrp)
+				s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), old, nrp)
 				if touched != nil {
 					touched(mv, ref.Pos, len(sc.grids) != n)
 				}
@@ -130,7 +138,7 @@ func (s *State) sinrImproversFull(affected []int, candidates []int, deltaDb floa
 				continue
 			}
 			g := int(ref.Grid)
-			old := s.rpMw[ref.Pos]
+			old := s.entryMw(ref.Pos)
 			if old <= 0 {
 				continue
 			}

@@ -103,26 +103,27 @@ func TestWeakSkipMatchesFullScan(t *testing.T) {
 	}
 }
 
-// rowPowers checks the invariant the skip's weak tests read instead of
-// rpMw: every entry's received power is its sector's power times its
-// installed row's gain, and 0 off-air.
+// rowPowers checks the invariant every received power is read through:
+// each sector's powerMw is DbmToMw of its configured power, and 0
+// off-air, and its installed row is the model's row at its tilt.
 func rowPowers(t *testing.T, s *State) {
 	t.Helper()
-	for b, entries := range s.Model.core.sectorEntries {
-		powerMw := units.DbmToMw(s.Cfg.PowerDbm(b))
+	for b := range s.Model.core.sectorEntries {
+		want := units.DbmToMw(s.Cfg.PowerDbm(b))
 		if s.Cfg.Off(b) {
-			powerMw = 0
+			want = 0
 		}
-		for i, ref := range entries {
-			if want := powerMw * s.linkGain[b][i]; math.Float64bits(s.rpMw[ref.Pos]) != math.Float64bits(want) {
-				t.Fatalf("sector %d entry %d: received power %v, power times gain %v", b, i, s.rpMw[ref.Pos], want)
-			}
+		if math.Float64bits(s.powerMw[b]) != math.Float64bits(want) {
+			t.Fatalf("sector %d: powerMw %v, configured %v", b, s.powerMw[b], want)
+		}
+		if !sameRow(s.linkGain[b], s.Model.gainRow(b, s.Cfg.TiltIndex(b))) {
+			t.Fatalf("sector %d: installed row is not the model's row at its tilt", b)
 		}
 	}
 }
 
 // TestFragileSetFresh: after random Apply, RefreshSector,
-// InstallLinkTable, Clone and Derive sequences, every state's cached
+// InstallLinkTable, Clone and NewState sequences, every state's cached
 // fragile set equals a from-scratch build, and a clone taken before a
 // mutation of its source keeps a set that is right for the clone.
 func TestFragileSetFresh(t *testing.T) {
@@ -161,7 +162,7 @@ func TestFragileSetFresh(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			states = append(states, s.Derive(m, cfg))
+			states = append(states, m.NewState(cfg))
 		default:
 			s.RefreshSector(rng.Intn(n))
 		}

@@ -42,7 +42,7 @@ func sameRow(a, b []float64) bool {
 
 // TestGainRowsMatchFreshRows: every cached row is bit-identical to a
 // freshly computed one, a second request returns the same row, and
-// states at one tilt (fresh, cloned, derived, retilted) share it.
+// states at one tilt (fresh, retilted, built on a fork) share it.
 func TestGainRowsMatchFreshRows(t *testing.T) {
 	m := testModel(t)
 	var entries, settings int64
@@ -67,15 +67,15 @@ func TestGainRowsMatchFreshRows(t *testing.T) {
 	b := 1
 	moved := a.Clone()
 	moved.MustApply(config.Change{Sector: b, TiltDelta: 1})
-	derived := a.Derive(m.ForkUsers(), moved.Cfg.Clone())
+	forked := m.ForkUsers().NewState(moved.Cfg.Clone())
 	for s := range m.Net.Sectors {
 		if !sameRow(a.linkGain[s], fresh.linkGain[s]) {
 			t.Fatalf("sector %d: two states at one tilt hold different rows", s)
 		}
 	}
 	want := m.gainRow(b, moved.Cfg.TiltIndex(b))
-	if !sameRow(moved.linkGain[b], want) || !sameRow(derived.linkGain[b], want) {
-		t.Fatalf("sector %d: retilted and derived states do not share the cached row", b)
+	if !sameRow(moved.linkGain[b], want) || !sameRow(forked.linkGain[b], want) {
+		t.Fatalf("sector %d: retilted and forked states do not share the cached row", b)
 	}
 }
 
@@ -148,7 +148,6 @@ func TestGainRowsInstallLinkTable(t *testing.T) {
 			t.Fatal("first install kept the row cache the earlier fork shares")
 		}
 		sameBits(t, "early fork NewState", early.NewState(s.Cfg.Clone()).linkGain[b], analytic)
-		sameBits(t, "early fork Derive", s.Derive(early, s.Cfg.Clone()).linkGain[b], analytic)
 		sameBits(t, "source state", s.linkGain[b], analytic)
 	})
 
@@ -173,16 +172,13 @@ func TestGainRowsInstallLinkTable(t *testing.T) {
 			want := oracle.NewState(s.Cfg.Clone())
 			got := view.NewState(s.Cfg.Clone())
 			sameRadio(t, name+" NewState", got, want)
-			// Derive presumes a source built after the installs.
-			other := map[*Model]*Model{m: late, late: m}[view]
-			sameRadio(t, name+" Derive", got.Derive(other, s.Cfg.Clone()), want)
 		}
 	})
 }
 
 // TestGainRowsConcurrentFill: goroutines speculate retilts on one
-// shared state and derive retilted configurations onto their own forks
-// while the rows are first built. Every goroutine must get the results
+// shared state and build states at retilted configurations on their own
+// forks while the rows are first built. Every goroutine must get the results
 // a cold model computes alone.
 func TestGainRowsConcurrentFill(t *testing.T) {
 	u := utility.Performance
@@ -198,7 +194,7 @@ func TestGainRowsConcurrentFill(t *testing.T) {
 			r.deltas = append(r.deltas, res.Delta)
 		}
 		for _, cfg := range targets {
-			r.utilities = append(r.utilities, src.Derive(view, cfg.Clone()).UtilityRead(u))
+			r.utilities = append(r.utilities, view.NewState(cfg.Clone()).UtilityRead(u))
 		}
 		return r
 	}

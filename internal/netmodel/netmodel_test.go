@@ -77,9 +77,9 @@ func TestStateInvariants(t *testing.T) {
 			// best must be the true argmax over entries.
 			start, end := m.core.gridStart[g], m.core.gridStart[g+1]
 			for pos := start; pos < end; pos++ {
-				if s.rpMw[pos] > s.bestMw[g]+1e-18 {
+				if s.entryMw(pos) > s.bestMw[g]+1e-18 {
 					t.Fatalf("grid %d: entry %d has rp %v above recorded best %v",
-						g, pos, s.rpMw[pos], s.bestMw[g])
+						g, pos, s.entryMw(pos), s.bestMw[g])
 				}
 			}
 		} else if s.rmax[g] != 0 {

@@ -12,8 +12,7 @@ import (
 // State is the full evaluation of one configuration against a Model:
 // per-grid serving sector, SINR and maximum rate, and per-sector load.
 // Apply performs incremental re-evaluation after a single-sector change;
-// Clone snapshots the state for later comparison; Derive evaluates
-// another configuration from it.
+// Clone snapshots the state for later comparison.
 //
 // A State owns its Config: mutate the configuration only through Apply
 // so the cached radio state stays consistent.
@@ -21,7 +20,7 @@ type State struct {
 	Model *Model
 	Cfg   *config.Config
 
-	rpMw    []float64 // per contributor entry: current received power, mW (0 when off)
+	powerMw []float64 // per sector: DbmToMw of the power its row is read at, 0 off-air
 	totalMw []float64 // per grid: sum of all contributors, mW
 	bestSec []int32   // per grid: serving sector, -1 if none
 	bestMw  []float64 // per grid: serving sector received power, mW
@@ -35,19 +34,19 @@ type State struct {
 	// DbmToMw of the link budget (base loss plus vertical attenuation at
 	// the sector's current tilt), of sector b's i-th entry in
 	// sectorEntries[b] order. Every received power is
-	// DbmToMw(power) * gain, one exp per sector and one multiply per
-	// entry. Each row is the Model's cached row for the sector's tilt
-	// (gainRow), installed by deriveSector or RefreshSector and never
-	// written, so states, Clones, Derives and forks at one tilt share
-	// one row: a copy costs one header per sector, and a retilt costs a
-	// header once the row is cached.
+	// powerMw[b] * linkGain[b][i], one exp per sector and one multiply
+	// per entry, and no state keeps a per-entry copy. Each row is the
+	// Model's cached row for the sector's tilt (gainRow), installed by
+	// NewState or RefreshSector and never written, so states, Clones
+	// and forks at one tilt share one row: a copy costs one header per
+	// sector, and a retilt costs a header once the row is cached.
 	linkGain [][]float64
 
 	// Fragile-grid cache for SpeculateBatch's weak-entry skip (see
 	// fragile.go): radioGen counts updateRate calls, through which every
 	// radio mutation passes, and frag holds the fragile set of the
-	// generation it was built at. Clone shares the set; NewState and
-	// Derive start without one. Robustness is not kept up to date inside
+	// generation it was built at. Clone shares the set; NewState starts
+	// without one. Robustness is not kept up to date inside
 	// updateRate: the window's Apply-heavy loops would pay for it on
 	// every touched grid, while the set is only read by scorers.
 	radioGen uint64
@@ -71,8 +70,8 @@ type State struct {
 	// with bestSec == b, servedPos[g] the grid's slot in its list, so the
 	// "which grids does this load shift touch?" sweeps in SpeculateBatch
 	// and the KPI aggregates run over the served set instead of the (much
-	// larger) contributor entry list. Built by NewState and Derive, copied
-	// by Clone and maintained O(1) by setServing.
+	// larger) contributor entry list. Built by NewState, copied by Clone
+	// and maintained O(1) by setServing.
 	servedList [][]int32
 	servedPos  []int32
 
@@ -94,25 +93,17 @@ type State struct {
 	changed  []uint64
 }
 
-// NewState fully evaluates cfg against the model. The state takes
-// ownership of cfg (clone it first if the caller needs the original).
+// NewState fully evaluates cfg against the model: each sector gets the
+// model's link row for its tilt and its power (one exp), then one
+// ascending pass over the grids. The model's rows are shared and only
+// read, so any number of goroutines may build states over one model, or
+// over ForkUsers forks of it, at once. The state takes ownership of cfg
+// (clone it first if the caller needs the original).
 func (m *Model) NewState(cfg *config.Config) *State {
-	s := m.allocState(cfg)
-	for b := range m.core.sectorEntries {
-		s.deriveSector(b)
-	}
-	s.evaluateGrids()
-	return s
-}
-
-// allocState returns a zeroed state over m owning cfg, with an empty
-// utility memo: the link rows, per-entry and per-grid arrays await
-// deriveSector and evaluateGrids.
-func (m *Model) allocState(cfg *config.Config) *State {
 	s := &State{
 		Model:    m,
 		Cfg:      cfg,
-		rpMw:     make([]float64, len(m.core.contribSector)),
+		powerMw:  make([]float64, m.Net.NumSectors()),
 		totalMw:  make([]float64, m.Grid.NumCells()),
 		bestSec:  make([]int32, m.Grid.NumCells()),
 		bestMw:   make([]float64, m.Grid.NumCells()),
@@ -124,6 +115,10 @@ func (m *Model) allocState(cfg *config.Config) *State {
 		linkGain: make([][]float64, m.Net.NumSectors()),
 	}
 	s.resetUtilityMemo("")
+	for b := range s.linkGain {
+		s.installSector(b)
+	}
+	s.evaluateGrids()
 	return s
 }
 
@@ -152,7 +147,7 @@ func (s *State) Clone() *State {
 	c := &State{
 		Model:     s.Model,
 		Cfg:       s.Cfg.Clone(),
-		rpMw:      append([]float64(nil), s.rpMw...),
+		powerMw:   append([]float64(nil), s.powerMw...),
 		linkGain:  append([][]float64(nil), s.linkGain...),
 		totalMw:   append([]float64(nil), s.totalMw...),
 		bestSec:   append([]int32(nil), s.bestSec...),
@@ -182,79 +177,20 @@ func (s *State) Clone() *State {
 	return c
 }
 
-// Derive returns cfg evaluated against m: a state bit-identical to
-// m.NewState(cfg), built from s instead of from scratch. Every entry's
-// link budget and received power is a pure function of its sector's
-// power, tilt and on/off setting, so Derive copies s's received powers,
-// shares its link rows, and re-derives only the sectors whose setting
-// cfg changes (all of them when m answers link budgets from other
-// tables than s.Model), then runs NewState's per-grid pass. That presumes s's entries are current:
-// s was built or refreshed after its model's last InstallLinkTable.
-//
-// m must share s's ModelCore — s.Model itself or a ForkUsers fork —
-// and Derive panics otherwise. The loads come from m's UE distribution.
-// s is only read, so Derive is safe on a state shared between
-// goroutines. The new state takes ownership of cfg.
-func (s *State) Derive(m *Model, cfg *config.Config) *State {
-	if m.core != s.Model.core {
-		panic("netmodel: Derive onto a model over another core")
-	}
-	d := m.allocState(cfg)
-	copy(d.rpMw, s.rpMw)
-	copy(d.linkGain, s.linkGain) // row headers: rows are never written in place
-	all := !sameLinkTables(m, s.Model)
-	for b := range m.core.sectorEntries {
-		if all || cfg.PowerDbm(b) != s.Cfg.PowerDbm(b) ||
-			cfg.TiltIndex(b) != s.Cfg.TiltIndex(b) || cfg.Off(b) != s.Cfg.Off(b) {
-			d.deriveSector(b)
-		}
-	}
-	d.evaluateGrids()
-	return d
-}
-
-// sameLinkTables reports whether a and b answer entryLinkDB from the
-// same tabulated link budgets. A ForkUsers fork shares its parent's
-// table slices, so an install on either is seen by both.
-func sameLinkTables(a, b *Model) bool {
-	return sameBacking(a.entryCurve, b.entryCurve) && sameBacking(a.curveSettings, b.curveSettings)
-}
-
-// sameBacking reports whether x and y are the same slice (both empty
-// counts as the same).
-func sameBacking[T any](x, y []T) bool {
-	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
-}
-
-// deriveSector evaluates sector b's entries from scratch under the
-// state's configuration: the model's link row at the sector's tilt and
-// received powers at its transmit power (0 when off-air). It leaves the
-// per-grid aggregates to evaluateGrids.
-func (s *State) deriveSector(b int) {
-	off := s.Cfg.Off(b)
-	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b))
-	row := s.installRow(b)
-	for i, ref := range s.Model.core.sectorEntries[b] {
-		if off {
-			s.rpMw[ref.Pos] = 0
-		} else {
-			s.rpMw[ref.Pos] = powerMw * row[i]
-		}
+// installSector installs the model's cached link row for sector b's
+// current tilt and the power it is read at (0 off-air); the row it
+// replaces is left as it was for any state still sharing it.
+func (s *State) installSector(b int) {
+	s.linkGain[b] = s.Model.gainRow(b, s.Cfg.TiltIndex(b))
+	s.powerMw[b] = 0
+	if !s.Cfg.Off(b) {
+		s.powerMw[b] = units.DbmToMw(s.Cfg.PowerDbm(b))
 	}
 }
 
-// installRow installs the model's cached link row for sector b's current
-// tilt; the row it replaces is left as it was for any state still
-// sharing it.
-func (s *State) installRow(b int) []float64 {
-	row := s.Model.gainRow(b, s.Cfg.TiltIndex(b))
-	s.linkGain[b] = row
-	return row
-}
-
-// evaluateGrids is the per-grid pass of a freshly allocated state whose
-// entries are derived: it rescans every grid and accumulates the sector
-// loads and the served-grid index in ascending grid order.
+// evaluateGrids is the per-grid pass of a new state whose sectors are
+// installed: it rescans every grid and accumulates the sector loads and
+// the served-grid index in ascending grid order.
 func (s *State) evaluateGrids() {
 	m := s.Model
 	s.servedList = make([][]int32, m.Net.NumSectors())
@@ -271,25 +207,31 @@ func (s *State) evaluateGrids() {
 }
 
 // rescanGrid recomputes a grid's total, best contributor, and max rate
-// from the per-entry received powers. It does not touch loads.
+// from the sectors' received powers. It does not touch loads.
 func (s *State) rescanGrid(g int) {
-	m := s.Model
-	start, end := m.core.gridStart[g], m.core.gridStart[g+1]
-	total := 0.0
-	best := int32(-1)
-	bestMw := 0.0
-	for pos := start; pos < end; pos++ {
-		rp := s.rpMw[pos]
+	c := s.Model.core
+	s.totalMw[g], s.bestSec[g], s.bestMw[g] = s.scanEntries(c.gridStart[g], c.gridStart[g+1], 0, -1, 0)
+	s.updateRate(g)
+}
+
+// scanEntries folds the received powers of the contributor entries at
+// positions [lo, hi), powerMw[b] * linkGain[b][i] each, into a grid
+// scan's running sum and strongest sector, in ascending position order;
+// a scan starts from (0, -1, 0). A later entry takes the lead only when
+// strictly stronger, so ties go to the lower sector ID.
+func (s *State) scanEntries(lo, hi int32, total float64, best int32, bestMw float64) (float64, int32, float64) {
+	c := s.Model.core
+	secs, idx := c.contribSector[lo:hi], c.entryIdx[lo:hi]
+	powerMw, linkGain := s.powerMw, s.linkGain
+	for k, b := range secs {
+		rp := powerMw[b] * linkGain[b][idx[k]]
 		total += rp
 		if rp > bestMw {
 			bestMw = rp
-			best = m.core.contribSector[pos]
+			best = b
 		}
 	}
-	s.totalMw[g] = total
-	s.bestSec[g] = best
-	s.bestMw[g] = bestMw
-	s.updateRate(g)
+	return total, best, bestMw
 }
 
 // updateRate refreshes rmax[g] from the cached aggregates, caching the
@@ -337,8 +279,8 @@ func (s *State) updateRate(g int) {
 // radio state. It returns the change that actually took effect (after
 // power/tilt clamping), which is the exact inverse key for undo.
 //
-// Power-only changes take a fast path: the per-entry linear powers are
-// scaled by a single factor instead of re-deriving the antenna pattern
+// Power-only changes take a fast path: the sector's installed link row
+// is read at the new power instead of re-deriving the antenna pattern
 // terms, which is what lets the search evaluate thousands of candidate
 // configurations per second.
 func (s *State) Apply(ch config.Change) (config.Change, error) {
@@ -374,46 +316,46 @@ func (s *State) MustApply(ch config.Change) config.Change {
 // sector's link-budget source beneath an existing state. Entries whose
 // received power is unchanged are left untouched, so refreshing against
 // identical data cannot perturb the state. The sector gets the model's
-// row for its tilt; states sharing the old one keep it.
+// row for its tilt; states sharing the old one keep it, and the old
+// powers are read from it.
 func (s *State) RefreshSector(b int) {
-	off := s.Cfg.Off(b)
-	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b))
+	oldMw, oldRow := s.powerMw[b], s.linkGain[b]
+	s.installSector(b)
+	powerMw, row := s.powerMw[b], s.linkGain[b]
 	b32 := int32(b)
-	row := s.installRow(b)
 	for i, ref := range s.Model.core.sectorEntries[b] {
-		var rp float64
-		if !off {
-			rp = powerMw * row[i]
-		}
-		s.updateEntry(int(ref.Grid), ref.Pos, b32, rp)
+		s.updateEntry(int(ref.Grid), b32, oldMw*oldRow[i], powerMw*row[i])
 	}
 }
 
 // applySectorPower applies a power-only change to an on-air sector,
-// reusing each entry's cached link gain so the antenna-pattern terms
-// are not re-derived. Received power is DbmToMw(power) * gain, the
-// expression every path uses (rather than scaling the old linear
-// value), so incremental and fresh states stay bit-identical.
+// reading its installed link row at the new power so the
+// antenna-pattern terms are not re-derived. Received power is
+// DbmToMw(power) * gain, the expression every path uses (rather than
+// scaling the old linear value), so incremental and fresh states stay
+// bit-identical.
 func (s *State) applySectorPower(b int) {
+	oldMw := s.powerMw[b]
 	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b))
+	s.powerMw[b] = powerMw
 	b32 := int32(b)
 	row := s.linkGain[b]
 	for i, ref := range s.Model.core.sectorEntries[b] {
-		if s.rpMw[ref.Pos] == 0 {
+		old := oldMw * row[i]
+		if old == 0 {
 			continue
 		}
-		s.updateEntry(int(ref.Grid), ref.Pos, b32, powerMw*row[i])
+		s.updateEntry(int(ref.Grid), b32, old, powerMw*row[i])
 	}
 }
 
-// updateEntry installs a new received power for one contributor entry
-// and repairs the owning grid's aggregates, serving assignment and rate.
-func (s *State) updateEntry(g int, pos int32, b32 int32, rp float64) {
-	old := s.rpMw[pos]
+// updateEntry repairs grid g's aggregates, serving assignment and rate
+// after sector b32's received power there moved from old to rp. The
+// sector's powerMw and link row already read rp.
+func (s *State) updateEntry(g int, b32 int32, old, rp float64) {
 	if rp == old {
 		return
 	}
-	s.rpMw[pos] = rp
 	s.totalMw[g] += rp - old
 
 	switch {
@@ -439,16 +381,8 @@ func (s *State) updateEntry(g int, pos int32, b32 int32, rp float64) {
 // rescanBest re-derives the serving sector of grid g after its previous
 // server weakened, updating loads on a serving change.
 func (s *State) rescanBest(g int) {
-	m := s.Model
-	start, end := m.core.gridStart[g], m.core.gridStart[g+1]
-	best := int32(-1)
-	bestMw := 0.0
-	for pos := start; pos < end; pos++ {
-		if rp := s.rpMw[pos]; rp > bestMw {
-			bestMw = rp
-			best = m.core.contribSector[pos]
-		}
-	}
+	c := s.Model.core
+	_, best, bestMw := s.scanEntries(c.gridStart[g], c.gridStart[g+1], 0, -1, 0)
 	if best == s.bestSec[g] {
 		s.bestMw[g] = bestMw
 		return
@@ -781,8 +715,9 @@ func (s *State) servesImproved(b int, factor float64) bool {
 // coversImproved reports whether scaling sector b's power by factor
 // raises the SINR of any affected grid among b's contributor entries.
 func (s *State) coversImproved(b int, factor float64) bool {
-	for _, ref := range s.Model.core.sectorEntries[b] {
-		if s.affectedMark[ref.Grid] && s.sinrRises(int(ref.Grid), int32(b), s.rpMw[ref.Pos], factor) {
+	powerMw, row := s.powerMw[b], s.linkGain[b]
+	for i, ref := range s.Model.core.sectorEntries[b] {
+		if s.affectedMark[ref.Grid] && s.sinrRises(int(ref.Grid), int32(b), powerMw*row[i], factor) {
 			return true
 		}
 	}

@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"sync"
 
 	"magus/internal/config"
 	"magus/internal/netmodel"
@@ -12,14 +11,11 @@ import (
 // small sector set and commits the best configuration to st. levels[i]
 // lists the absolute powers (dBm) tried for sectors[i]. The search space
 // is capped at maxCombos (default 1e6) to keep it honest about why the
-// paper needs a heuristic.
-//
-// With Options.Workers > 1 the first sector's levels are striped across
-// worker-local state clones, each enumerating its share of the
-// combination space; the winner is reduced deterministically (highest
-// utility, earliest combination on ties — the same combination the
-// sequential scan keeps, up to floating-point rounding of incremental
-// state updates along the different enumeration paths).
+// paper needs a heuristic. Combinations are enumerated one after
+// another on st in odometer order (first sector fastest), and the
+// earliest of equal-utility winners is kept; it is the exhaustive
+// oracle the heuristics are checked against, so Options.Workers is not
+// used.
 func BruteForcePower(st *netmodel.State, sectors []int, levels [][]float64, opts Options, maxCombos int) (*Result, error) {
 	opts.applyDefaults()
 	if len(sectors) != len(levels) {
@@ -49,53 +45,41 @@ func BruteForcePower(st *netmodel.State, sectors []int, levels [][]float64, opts
 		original[i] = st.Cfg.PowerDbm(b)
 	}
 
-	if opts.Workers > 1 && len(sectors) > 0 && len(levels[0]) > 1 {
-		var err error
-		bestUtility, bestPowers, err = bruteForceParallel(st, sectors, levels, &opts, startUtility, res)
-		if err != nil {
-			return nil, err
+	idx := make([]int, len(sectors))
+	for {
+		// Apply current combination.
+		for i, b := range sectors {
+			delta := levels[i][idx[i]] - st.Cfg.PowerDbm(b)
+			if delta != 0 {
+				if _, err := st.Apply(config.Change{Sector: b, PowerDelta: delta}); err != nil {
+					return nil, err
+				}
+			}
 		}
-		res.Stats.ParallelBatches = 1
-		res.Stats.Workers = opts.Workers
-	} else {
-		idx := make([]int, len(sectors))
-		for {
-			// Apply current combination.
+		res.Evaluations++
+		if u := st.Utility(opts.Util); u > bestUtility {
+			bestUtility = u
+			bestPowers = make([]float64, len(sectors))
 			for i, b := range sectors {
-				delta := levels[i][idx[i]] - st.Cfg.PowerDbm(b)
-				if delta != 0 {
-					if _, err := st.Apply(config.Change{Sector: b, PowerDelta: delta}); err != nil {
-						return nil, err
-					}
-				}
+				bestPowers[i] = st.Cfg.PowerDbm(b)
 			}
-			res.Evaluations++
-			if u := st.Utility(opts.Util); u > bestUtility {
-				bestUtility = u
-				bestPowers = make([]float64, len(sectors))
-				for i, b := range sectors {
-					bestPowers[i] = st.Cfg.PowerDbm(b)
-				}
-			}
-			// Advance the odometer.
-			i := 0
-			for ; i < len(idx); i++ {
-				idx[i]++
-				if idx[i] < len(levels[i]) {
-					break
-				}
-				idx[i] = 0
-			}
-			if i == len(idx) {
+		}
+		// Advance the odometer.
+		i := 0
+		for ; i < len(idx); i++ {
+			idx[i]++
+			if idx[i] < len(levels[i]) {
 				break
 			}
+			idx[i] = 0
+		}
+		if i == len(idx) {
+			break
 		}
 	}
 	res.Stats.MovesProposed = int64(res.Evaluations)
 	res.Stats.FullEvaluations = int64(res.Evaluations)
-	if res.Stats.Workers == 0 {
-		res.Stats.Workers = 1
-	}
+	res.Stats.Workers = 1
 
 	// Commit the winner (or restore the original when nothing improved).
 	target := bestPowers
@@ -120,111 +104,4 @@ func BruteForcePower(st *netmodel.State, sectors []int, levels [][]float64, opts
 		res.Steps[len(res.Steps)-1].Utility = res.FinalUtility
 	}
 	return res, nil
-}
-
-// bruteForceParallel stripes levels[0] across worker clones. Each worker
-// walks its slice of the combination space on a private clone; the
-// reduce keeps the highest utility, breaking ties toward the earliest
-// combination in the sequential odometer order (rank).
-func bruteForceParallel(st *netmodel.State, sectors []int, levels [][]float64, opts *Options, startUtility float64, res *Result) (float64, []float64, error) {
-	type verdict struct {
-		utility float64
-		rank    int
-		powers  []float64
-		evals   int
-		err     error
-	}
-	workers := opts.Workers
-	if workers > len(levels[0]) {
-		workers = len(levels[0])
-	}
-	verdicts := make([]verdict, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			v := &verdicts[w]
-			v.utility = startUtility
-			v.rank = -1
-			work := st.Clone()
-			idx := make([]int, len(sectors))
-			idx[0] = w // stride over the first dimension
-			for {
-				if opts.Ctx != nil && opts.Ctx.Err() != nil {
-					v.err = opts.Ctx.Err()
-					return
-				}
-				for i, b := range sectors {
-					delta := levels[i][idx[i]] - work.Cfg.PowerDbm(b)
-					if delta != 0 {
-						if _, err := work.Apply(config.Change{Sector: b, PowerDelta: delta}); err != nil {
-							v.err = err
-							return
-						}
-					}
-				}
-				v.evals++
-				// The worker enumerates in increasing rank order, so
-				// keeping only strict improvements retains the earliest
-				// combination among equal-utility ones, as the sequential
-				// scan does.
-				if u := work.Utility(opts.Util); u > v.utility {
-					v.utility = u
-					v.rank = comboRank(idx, levels)
-					v.powers = make([]float64, len(sectors))
-					for i, b := range sectors {
-						v.powers[i] = work.Cfg.PowerDbm(b)
-					}
-				}
-				// Advance: first dimension by the stride, the rest as a
-				// normal odometer.
-				idx[0] += workers
-				if idx[0] < len(levels[0]) {
-					continue
-				}
-				idx[0] = w
-				i := 1
-				for ; i < len(idx); i++ {
-					idx[i]++
-					if idx[i] < len(levels[i]) {
-						break
-					}
-					idx[i] = 0
-				}
-				if i == len(idx) {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	bestUtility := startUtility
-	bestRank := -1
-	var bestPowers []float64
-	for _, v := range verdicts {
-		if v.err != nil {
-			return 0, nil, v.err
-		}
-		res.Evaluations += v.evals
-		if v.powers == nil {
-			continue
-		}
-		if v.utility > bestUtility || (v.utility == bestUtility && bestRank >= 0 && v.rank < bestRank) {
-			bestUtility = v.utility
-			bestRank = v.rank
-			bestPowers = v.powers
-		}
-	}
-	return bestUtility, bestPowers, nil
-}
-
-// comboRank is a combination's position in the sequential odometer
-// enumeration (first dimension fastest).
-func comboRank(idx []int, levels [][]float64) int {
-	rank := 0
-	for i := len(idx) - 1; i >= 0; i-- {
-		rank = rank*len(levels[i]) + idx[i]
-	}
-	return rank
 }

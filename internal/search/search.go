@@ -90,8 +90,8 @@ type Options struct {
 	// "conditionally good" pruning saves.
 	NoPruning bool
 	// Workers sets the engine's candidate-scoring parallelism: the
-	// number of goroutines that score one batch over the shared state
-	// (and BruteForcePower's striping). No search result depends on it.
+	// number of goroutines that score one batch over the shared state.
+	// No search result depends on it; BruteForcePower ignores it.
 	Workers int
 	// Ctx, when non-nil, lets the caller abandon a long-running search:
 	// every outer iteration checks it and the search returns Ctx's error

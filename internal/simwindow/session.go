@@ -106,7 +106,7 @@ func SessionFaults(faults []Fault) error {
 }
 
 // newSession is the constructor shared by sessions and simulators: it
-// forks the model, derives the live and C_after states from base,
+// forks the model, builds the live and C_after states on the fork,
 // validates every fault once and sets up the meter (full selects the
 // full-scan reference measurement).
 func newSession(base *netmodel.State, rb *runbook.Runbook, cfg Config, full bool) (*Session, error) {
@@ -126,17 +126,16 @@ func newSession(base *netmodel.State, rb *runbook.Runbook, cfg Config, full bool
 			}
 		}
 	}
-	// Both states are derived on the fork from base's entries, so each is
-	// exactly the fork's NewState of its configuration; afterRef re-derives
-	// only the sectors the runbook touches.
+	// Both states are built on the fork, which shares base's link rows;
+	// base is only read.
 	model := base.Model.ForkUsers()
-	live := base.Derive(model, base.Cfg.Clone())
+	live := model.NewState(base.Cfg.Clone())
 	s := &Session{
 		cfg:       cfg,
 		tickSec:   60,
 		model:     model,
 		live:      live,
-		afterRef:  live.Derive(model, afterCfg),
+		afterRef:  model.NewState(afterCfg),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		curFactor: 1,
 	}

@@ -160,11 +160,11 @@ func TestConstructorsValidateConfig(t *testing.T) {
 	}
 }
 
-// TestSessionStatesMatchNewState: a session derives its live state and
-// its C_after reference from the base state instead of building them,
-// and each must equal NewState of its configuration (C_before, and
-// C_before with every runbook step applied) bit for bit on every read
-// the meter and the executor take.
+// TestSessionStatesMatchNewState: a session builds its live state and
+// its C_after reference on a fork of the base state's model, and each
+// must equal NewState of its configuration on a fresh fork (C_before,
+// and C_before with every runbook step applied) bit for bit on every
+// read the meter and the executor take.
 func TestSessionStatesMatchNewState(t *testing.T) {
 	eng, _, grad, one := fixture(t)
 	for _, rb := range []*runbook.Runbook{grad, one} {
