@@ -1,6 +1,8 @@
 package modelcache
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -194,9 +196,9 @@ func TestLoadOrBuildSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotFallback flips bytes at several offsets and
-// truncates the file; every damaged variant must be rejected and
-// silently rebuilt into a fresh valid snapshot.
+// TestCorruptSnapshotFallback flips bytes at several offsets, truncates
+// the file and swaps two sectors of a cell; every damaged variant must
+// be rejected and silently rebuilt into a fresh valid snapshot.
 func TestCorruptSnapshotFallback(t *testing.T) {
 	net, spm, region, params := testInputs(t, 31)
 	dir := t.TempDir()
@@ -222,6 +224,22 @@ func TestCorruptSnapshotFallback(t *testing.T) {
 		"flip-crc":     func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b },
 		"truncate":     func(b []byte) []byte { return b[:len(b)/3] },
 		"empty":        func(b []byte) []byte { return b[:0] },
+	}
+	// A cell whose first two sectors are swapped, under a valid
+	// checksum: only NewCore's ascending-sector check can reject it.
+	_, _, _, gridStart := want.Contributors()
+	cell := 0
+	for gridStart[cell+1]-gridStart[cell] < 2 {
+		cell++
+	}
+	corruptions["unsorted-cell"] = func(b []byte) []byte {
+		const header = 8 + 4 + 32 + 8 + 8
+		at := header + 4*int(gridStart[cell])
+		first := binary.LittleEndian.Uint32(b[at:])
+		copy(b[at:at+4], b[at+4:at+8])
+		binary.LittleEndian.PutUint32(b[at+4:], first)
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+		return b
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {

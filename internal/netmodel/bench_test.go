@@ -13,6 +13,7 @@ import (
 var (
 	kpiSink   float64
 	cloneSink *State
+	stateSink *State
 )
 
 // benchMarket builds a 12 km suburban market — 156 sectors over 3600
@@ -40,6 +41,19 @@ func BenchmarkStateClone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cloneSink = s.Clone()
+	}
+}
+
+// BenchmarkNewState prices one fresh evaluation on the benchmark
+// market at its default configuration, the build a window makes twice
+// per session: every sector's cached row walked into its grids, then
+// rates, loads and the served-grid index.
+func BenchmarkNewState(b *testing.B) {
+	m, s := benchMarket(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stateSink = m.NewState(s.Cfg.Clone())
 	}
 }
 

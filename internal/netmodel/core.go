@@ -73,7 +73,9 @@ type ModelCore struct {
 // afterwards. They must have been built from the same inputs the core
 // will be used with — the snapshot cache guarantees this by keying
 // snapshots on a hash of them; handing mismatched arrays that happen to
-// pass the shape checks yields a silently wrong model.
+// pass the shape checks yields a silently wrong model. Besides the
+// shapes and sector bounds, each cell's sectors must be strictly
+// ascending, the order the build writes them in.
 func NewCore(grid *geo.Grid, numSectors int, sector []int32, baseDB, elev []float32, gridStart []int32) (*ModelCore, error) {
 	numCells := grid.NumCells()
 	if len(gridStart) != numCells+1 {
@@ -98,6 +100,17 @@ func NewCore(grid *geo.Grid, numSectors int, sector []int32, baseDB, elev []floa
 	for _, b := range sector {
 		if b < 0 || int(b) >= numSectors {
 			return nil, fmt.Errorf("netmodel: snapshot references sector %d of %d", b, numSectors)
+		}
+	}
+	// NewState's sector-major pass reproduces each grid's own scan only
+	// when a grid lists its sectors in ascending order, as the build
+	// does.
+	for g := 0; g < numCells; g++ {
+		for pos := gridStart[g] + 1; pos < gridStart[g+1]; pos++ {
+			if sector[pos] <= sector[pos-1] {
+				return nil, fmt.Errorf("netmodel: snapshot cell %d lists sector %d after %d, want strictly ascending",
+					g, sector[pos], sector[pos-1])
+			}
 		}
 	}
 	core := &ModelCore{

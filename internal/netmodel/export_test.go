@@ -17,6 +17,35 @@ func (s *State) entryMw(pos int32) float64 {
 	return s.powerMw[b] * s.linkGain[b][s.Model.core.entryIdx[pos]]
 }
 
+// newStateGridScan is NewState with the grid-major pass the
+// sector-major one replaced: each grid, in ascending order, gathers its
+// own entries through entryIdx (rescanGrid), then its rate, load and
+// served-list slot. It is the oracle the sector-major build is pinned
+// to.
+func (m *Model) newStateGridScan(cfg *config.Config) *State {
+	s := m.newStateShell(cfg)
+	s.servedList = make([][]int32, m.Net.NumSectors())
+	s.servedPos = make([]int32, m.Grid.NumCells())
+	for g := 0; g < m.Grid.NumCells(); g++ {
+		s.rescanGrid(g)
+		if b := s.bestSec[g]; b >= 0 {
+			s.load[b] += m.ue[g]
+			s.served[b]++
+			s.servedPos[g] = int32(len(s.servedList[b]))
+			s.servedList[b] = append(s.servedList[b], int32(g))
+		}
+	}
+	return s
+}
+
+// rescanGrid recomputes a grid's total, best contributor, and max rate
+// from the sectors' received powers. It does not touch loads.
+func (s *State) rescanGrid(g int) {
+	c := s.Model.core
+	s.totalMw[g], s.bestSec[g], s.bestMw[g] = s.scanEntries(c.gridStart[g], c.gridStart[g+1], 0, -1, 0)
+	s.updateRate(g)
+}
+
 // kpiBranches classifies every sector the way KPIUtility's log-utility
 // read does at the current load factor: priced from its totals (λ below
 // its smallest bucket L, nothing on the 1 kbps clamp) or by walking its

@@ -95,11 +95,21 @@ type State struct {
 
 // NewState fully evaluates cfg against the model: each sector gets the
 // model's link row for its tilt and its power (one exp), then one
-// ascending pass over the grids. The model's rows are shared and only
-// read, so any number of goroutines may build states over one model, or
-// over ForkUsers forks of it, at once. The state takes ownership of cfg
-// (clone it first if the caller needs the original).
+// sector-major pass sums every row into its grids and one ascending
+// pass over the grids sets rates, loads and the served-grid index. The
+// model's rows are shared and only read, so any number of goroutines
+// may build states over one model, or over ForkUsers forks of it, at
+// once. The state takes ownership of cfg (clone it first if the caller
+// needs the original).
 func (m *Model) NewState(cfg *config.Config) *State {
+	s := m.newStateShell(cfg)
+	s.evaluateGrids()
+	return s
+}
+
+// newStateShell allocates a state for cfg and installs every sector's
+// row and power, leaving the per-grid evaluation to the caller.
+func (m *Model) newStateShell(cfg *config.Config) *State {
 	s := &State{
 		Model:    m,
 		Cfg:      cfg,
@@ -118,7 +128,6 @@ func (m *Model) NewState(cfg *config.Config) *State {
 	for b := range s.linkGain {
 		s.installSector(b)
 	}
-	s.evaluateGrids()
 	return s
 }
 
@@ -188,30 +197,61 @@ func (s *State) installSector(b int) {
 	}
 }
 
-// evaluateGrids is the per-grid pass of a new state whose sectors are
-// installed: it rescans every grid and accumulates the sector loads and
-// the served-grid index in ascending grid order.
+// evaluateGrids evaluates every grid of a new state whose sectors are
+// installed. The first pass walks each sector's entries and row in
+// ascending sector order, adding each received power to its grid's
+// total; a sector takes a grid's lead only when strictly stronger, so
+// ties go to the lower sector ID. A grid's contributors are stored in
+// strictly ascending sector order (NewCore checks it), so every grid
+// sees the same additions and comparisons, in the same order, as a scan
+// of its own entries (scanEntries). The second pass, in ascending grid
+// order, sets the rates, sums the loads and lays the served-grid lists
+// out in one backing array, as Clone does.
 func (s *State) evaluateGrids() {
 	m := s.Model
-	s.servedList = make([][]int32, m.Net.NumSectors())
-	s.servedPos = make([]int32, m.Grid.NumCells())
-	for g := 0; g < m.Grid.NumCells(); g++ {
-		s.rescanGrid(g)
-		if b := s.bestSec[g]; b >= 0 {
-			s.load[b] += m.ue[g]
-			s.served[b]++
-			s.servedPos[g] = int32(len(s.servedList[b]))
-			s.servedList[b] = append(s.servedList[b], int32(g))
+	totalMw, bestSec, bestMw := s.totalMw, s.bestSec, s.bestMw
+	for g := range bestSec {
+		bestSec[g] = -1
+	}
+	for b, refs := range m.core.sectorEntries {
+		powerMw, row := s.powerMw[b], s.linkGain[b][:len(refs)]
+		b32 := int32(b)
+		for i, ref := range refs {
+			g := ref.Grid
+			rp := powerMw * row[i]
+			totalMw[g] += rp
+			if rp > bestMw[g] {
+				bestMw[g] = rp
+				bestSec[g] = b32
+			}
 		}
 	}
-}
 
-// rescanGrid recomputes a grid's total, best contributor, and max rate
-// from the sectors' received powers. It does not touch loads.
-func (s *State) rescanGrid(g int) {
-	c := s.Model.core
-	s.totalMw[g], s.bestSec[g], s.bestMw[g] = s.scanEntries(c.gridStart[g], c.gridStart[g+1], 0, -1, 0)
-	s.updateRate(g)
+	s.servedPos = make([]int32, len(bestSec))
+	numServed := 0
+	for g, b := range bestSec {
+		s.updateRate(g)
+		if b >= 0 {
+			s.load[b] += m.ue[g]
+			s.servedPos[g] = s.served[b]
+			s.served[b]++
+			numServed++
+		}
+	}
+	// Capacity-capped windows, as in Clone: setServing's first append
+	// to a list reallocates only that list.
+	flat := make([]int32, numServed)
+	s.servedList = make([][]int32, len(s.served))
+	off := int32(0)
+	for b, n := range s.served {
+		s.servedList[b] = flat[off : off+n : off+n]
+		off += n
+	}
+	for g, b := range bestSec {
+		if b >= 0 {
+			s.servedList[b][s.servedPos[g]] = int32(g)
+		}
+	}
 }
 
 // scanEntries folds the received powers of the contributor entries at
