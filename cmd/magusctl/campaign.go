@@ -12,44 +12,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"magus/internal/httpapi"
 )
-
-// campaignJob mirrors httpapi's campaignJobRequest wire shape.
-type campaignJob struct {
-	Class     string `json:"class"`
-	Seed      int64  `json:"seed"`
-	Scenario  string `json:"scenario"`
-	Method    string `json:"method"`
-	Utility   string `json:"utility,omitempty"`
-	TimeoutMS int64  `json:"timeout_ms,omitempty"`
-	Workers   int    `json:"workers,omitempty"`
-}
-
-// campaignView is the subset of the status response the client renders.
-type campaignView struct {
-	Campaign struct {
-		Finished     bool           `json:"finished"`
-		Cancelled    bool           `json:"cancelled"`
-		Counts       map[string]int `json:"counts"`
-		MeanRecovery float64        `json:"mean_recovery"`
-		P50MS        float64        `json:"job_latency_p50_ms"`
-		P95MS        float64        `json:"job_latency_p95_ms"`
-		Jobs         []struct {
-			ID         int     `json:"id"`
-			Class      string  `json:"class"`
-			Seed       int64   `json:"seed"`
-			Scenario   string  `json:"scenario"`
-			Method     string  `json:"method"`
-			State      string  `json:"state"`
-			Error      string  `json:"error"`
-			DurationMS float64 `json:"duration_ms"`
-			Result     *struct {
-				Recovery         float64 `json:"recovery"`
-				SeamlessFraction float64 `json:"seamless_fraction"`
-			} `json:"result"`
-		} `json:"jobs"`
-	} `json:"campaign"`
-}
 
 func runCampaign(args []string) {
 	fs := flag.NewFlagSet("magusctl campaign", flag.ExitOnError)
@@ -67,7 +32,7 @@ func runCampaign(args []string) {
 	_ = fs.Parse(args)
 	r := newRetrier(*retries, *retryBackoff)
 
-	var jobs []campaignJob
+	var req httpapi.CampaignRequest
 	for _, class := range strings.Split(*classes, ",") {
 		for _, seedStr := range strings.Split(*seeds, ",") {
 			seed, err := strconv.ParseInt(strings.TrimSpace(seedStr), 10, 64)
@@ -76,7 +41,7 @@ func runCampaign(args []string) {
 			}
 			for _, sc := range strings.Split(*scenarios, ",") {
 				for _, m := range strings.Split(*methods, ",") {
-					jobs = append(jobs, campaignJob{
+					req.Jobs = append(req.Jobs, httpapi.CampaignJobRequest{
 						Class:     strings.TrimSpace(class),
 						Seed:      seed,
 						Scenario:  strings.TrimSpace(sc),
@@ -90,7 +55,7 @@ func runCampaign(args []string) {
 		}
 	}
 
-	body, err := json.Marshal(map[string]any{"jobs": jobs})
+	body, err := json.Marshal(req)
 	if err != nil {
 		fail("encode: %v", err)
 	}
@@ -100,10 +65,7 @@ func runCampaign(args []string) {
 	if resp.StatusCode != http.StatusAccepted {
 		fail("submit rejected (%d): %s", resp.StatusCode, readAPIError(resp))
 	}
-	var accepted struct {
-		ID   string `json:"id"`
-		Jobs int    `json:"jobs"`
-	}
+	var accepted httpapi.Accepted
 	err = json.NewDecoder(resp.Body).Decode(&accepted)
 	resp.Body.Close()
 	if err != nil {
@@ -111,7 +73,7 @@ func runCampaign(args []string) {
 	}
 	fmt.Printf("campaign %s accepted: %d jobs\n", accepted.ID, accepted.Jobs)
 
-	var view campaignView
+	var view httpapi.CampaignStatus
 	for {
 		time.Sleep(*poll)
 		resp := r.do("poll", func() (*http.Response, error) {

@@ -13,16 +13,9 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-)
 
-// apiError mirrors httpapi's error body: `error` is always present,
-// `detail`, `field` and `offset` qualify malformed-body rejections.
-type apiError struct {
-	Error  string `json:"error"`
-	Detail string `json:"detail"`
-	Field  string `json:"field"`
-	Offset int64  `json:"offset"`
-}
+	"magus/internal/httpapi"
+)
 
 // readAPIError consumes a rejected response's body and renders the
 // server's structured error on one line; a body that is not the
@@ -31,7 +24,7 @@ type apiError struct {
 func readAPIError(resp *http.Response) string {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
-	var e apiError
+	var e httpapi.APIError
 	if json.Unmarshal(body, &e) != nil || e.Error == "" {
 		if s := strings.TrimSpace(string(body)); s != "" {
 			return s
@@ -39,8 +32,8 @@ func readAPIError(resp *http.Response) string {
 		return resp.Status
 	}
 	msg := e.Error
-	if e.Field != "" {
-		msg += " (field " + e.Field + ")"
+	if e.Field != nil && *e.Field != "" {
+		msg += " (field " + *e.Field + ")"
 	}
 	if e.Offset > 0 {
 		msg += " (offset " + strconv.FormatInt(e.Offset, 10) + ")"

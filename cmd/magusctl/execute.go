@@ -26,37 +26,8 @@ import (
 	"time"
 
 	"magus/internal/campaign"
+	"magus/internal/httpapi"
 )
-
-// execView is the subset of GET /execute/{id} the client renders.
-type execView struct {
-	ID       string `json:"id"`
-	Finished bool   `json:"finished"`
-	Error    string `json:"error"`
-	Status   *struct {
-		State string `json:"state"`
-		Steps []struct {
-			Index    int     `json:"index"`
-			Kind     string  `json:"kind"`
-			State    string  `json:"state"`
-			Attempts int     `json:"attempts"`
-			Utility  float64 `json:"utility"`
-			Floor    float64 `json:"floor"`
-			Error    string  `json:"error"`
-		} `json:"steps"`
-		Halted            bool    `json:"halted"`
-		HaltStep          int     `json:"halt_step"`
-		HaltReason        string  `json:"halt_reason"`
-		RolledBack        bool    `json:"rolled_back"`
-		Resumed           bool    `json:"resumed"`
-		Retries           int     `json:"retries"`
-		Samples           int     `json:"samples"`
-		SamplesLost       int     `json:"samples_lost"`
-		SamplesBelowFloor int     `json:"samples_below_floor"`
-		FinalUtility      float64 `json:"final_utility"`
-		FinalFloor        float64 `json:"final_floor"`
-	} `json:"status"`
-}
 
 func runExecute(args []string) {
 	if len(args) < 1 {
@@ -93,10 +64,10 @@ func runExecute(args []string) {
 
 	switch verb {
 	case "run":
-		body, err := json.Marshal(map[string]any{
-			"scenario": *scenarioFlag, "method": *method, "utility": *utilFlag,
-			"workers": *workers,
-			"exec": campaign.ExecSpec{
+		body, err := json.Marshal(httpapi.ExecuteRequest{
+			Scenario: *scenarioFlag, Method: *method, Utility: *utilFlag,
+			Workers: *workers,
+			Exec: &campaign.ExecSpec{
 				Seed:           *simSeed,
 				Chaos:          *chaosFlag,
 				Diurnal:        *diurnal,
@@ -119,10 +90,7 @@ func runExecute(args []string) {
 		if resp.StatusCode != http.StatusAccepted {
 			fail("execute rejected (%d): %s", resp.StatusCode, readAPIError(resp))
 		}
-		var accepted struct {
-			ID    string `json:"id"`
-			Steps int    `json:"steps"`
-		}
+		var accepted httpapi.Accepted
 		err = json.NewDecoder(resp.Body).Decode(&accepted)
 		resp.Body.Close()
 		if err != nil {
@@ -141,14 +109,14 @@ func runExecute(args []string) {
 }
 
 // executeFetch polls GET /execute/{id} once.
-func executeFetch(r *retrier, server, id string) execView {
+func executeFetch(r *retrier, server, id string) httpapi.ExecuteStatus {
 	resp := r.do("execute status", func() (*http.Response, error) {
 		return http.Get(server + "/execute/" + id)
 	})
 	if resp.StatusCode != http.StatusOK {
 		fail("execute status (%d): %s", resp.StatusCode, readAPIError(resp))
 	}
-	var view execView
+	var view httpapi.ExecuteStatus
 	err := json.NewDecoder(resp.Body).Decode(&view)
 	resp.Body.Close()
 	if err != nil {
@@ -178,7 +146,7 @@ func executeWait(r *retrier, server, id string, poll time.Duration) {
 	}
 }
 
-func countState(view execView, state string) int {
+func countState(view httpapi.ExecuteStatus, state string) int {
 	n := 0
 	for _, st := range view.Status.Steps {
 		if st.State == state {
@@ -189,7 +157,7 @@ func countState(view execView, state string) int {
 }
 
 // executeRender prints the run and exits non-zero on halt or failure.
-func executeRender(view execView) {
+func executeRender(view httpapi.ExecuteStatus) {
 	if view.Status == nil {
 		fail("run %s: no status yet", view.ID)
 	}

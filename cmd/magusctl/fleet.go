@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -17,46 +18,9 @@ import (
 	"sort"
 	"strings"
 	"time"
-)
 
-// fleetStatusView mirrors fleet.Status (the parts the CLI renders).
-type fleetStatusView struct {
-	Coordinator string  `json:"coordinator"`
-	UptimeS     float64 `json:"uptime_s"`
-	Members     []struct {
-		NodeID     string   `json:"node_id"`
-		URL        string   `json:"url"`
-		Alive      bool     `json:"alive"`
-		Draining   bool     `json:"draining"`
-		LastSeenMS float64  `json:"last_seen_ms"`
-		Capacity   int      `json:"capacity"`
-		Queued     int64    `json:"queued"`
-		InFlight   int64    `json:"in_flight"`
-		UptimeS    float64  `json:"uptime_s"`
-		Markets    []string `json:"markets"`
-		Cache      *struct {
-			Hits   int64 `json:"hits"`
-			Misses int64 `json:"misses"`
-			Builds int64 `json:"builds"`
-		} `json:"engine_cache"`
-	} `json:"members"`
-	Placements map[string]struct {
-		Node  string `json:"node"`
-		Epoch int64  `json:"epoch"`
-	} `json:"placements"`
-	Campaigns  map[string]int `json:"campaigns"`
-	CacheTotal struct {
-		Hits   int64 `json:"hits"`
-		Misses int64 `json:"misses"`
-		Builds int64 `json:"builds"`
-	} `json:"engine_cache_total"`
-	Evictions []struct {
-		Node         string    `json:"node"`
-		Time         time.Time `json:"time"`
-		Reason       string    `json:"reason"`
-		ReplacedJobs int       `json:"replaced_jobs"`
-	} `json:"evictions"`
-}
+	"magus/internal/fleet"
+)
 
 func runFleet(args []string) {
 	if len(args) < 1 {
@@ -92,7 +56,7 @@ func fleetStatus(r *retrier, server string) {
 	if resp.StatusCode != http.StatusOK {
 		fail("fleet status: %s (is %s a coordinator?)", resp.Status, server)
 	}
-	var st fleetStatusView
+	var st fleet.Status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		fail("fleet status: decode: %v", err)
 	}
@@ -144,17 +108,16 @@ func fleetStatus(r *retrier, server string) {
 }
 
 func fleetNodeOp(r *retrier, server, verb, node string) {
-	body := fmt.Sprintf(`{"node_id":%q}`, node)
+	body, err := json.Marshal(fleet.NodeRequest{NodeID: node})
+	if err != nil {
+		fail("encode: %v", err)
+	}
 	resp := r.do("fleet "+verb, func() (*http.Response, error) {
-		return http.Post(server+"/fleet/"+verb, "application/json", strings.NewReader(body))
+		return http.Post(server+"/fleet/"+verb, "application/json", bytes.NewReader(body))
 	})
-	defer resp.Body.Close()
-	var ack map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		fail("fleet %s: decode: %v", verb, err)
-	}
 	if resp.StatusCode != http.StatusOK {
-		fail("fleet %s %s: %s (%v)", verb, node, resp.Status, ack["error"])
+		fail("fleet %s %s: %s (%s)", verb, node, resp.Status, readAPIError(resp))
 	}
+	resp.Body.Close()
 	fmt.Printf("fleet %s %s: ok\n", verb, node)
 }

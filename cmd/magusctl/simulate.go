@@ -12,42 +12,9 @@ import (
 	"net/url"
 	"strconv"
 	"time"
-)
 
-// simulateView is the subset of the /simulate response the client
-// renders; summary mirrors simwindow.Summary's wire form.
-type simulateView struct {
-	Scenario string `json:"scenario"`
-	Method   string `json:"method"`
-	Steps    int    `json:"steps"`
-	Summary  struct {
-		Ticks            int     `json:"ticks"`
-		FinalUtility     float64 `json:"final_utility"`
-		FinalFloor       float64 `json:"final_floor"`
-		EndsAboveFloor   bool    `json:"ends_above_floor"`
-		MinFloorGap      float64 `json:"min_floor_gap"`
-		TicksBelowFloor  int     `json:"ticks_below_floor"`
-		MaxTickHandovers float64 `json:"max_tick_handovers"`
-		TotalHandovers   float64 `json:"total_handovers"`
-		PushesApplied    int     `json:"pushes_applied"`
-		PushesDropped    int     `json:"pushes_dropped"`
-		PushesDelayed    int     `json:"pushes_delayed"`
-		FaultsInjected   int     `json:"faults_injected"`
-		Replans          int     `json:"replans"`
-		ReplanPushes     int     `json:"replan_pushes"`
-	} `json:"summary"`
-	Series []struct {
-		Tick            int      `json:"tick"`
-		HourOfDay       float64  `json:"hour_of_day"`
-		LoadFactor      float64  `json:"load_factor"`
-		Utility         float64  `json:"utility"`
-		FloorUtility    float64  `json:"floor_utility"`
-		Handovers       float64  `json:"handovers"`
-		UsersBelowFloor float64  `json:"users_below_floor"`
-		PushedChanges   int      `json:"pushed_changes"`
-		Events          []string `json:"events"`
-	} `json:"series"`
-}
+	"magus/internal/httpapi"
+)
 
 func runSimulate(args []string) {
 	fs := flag.NewFlagSet("magusctl simulate", flag.ExitOnError)
@@ -106,7 +73,7 @@ func runSimulate(args []string) {
 	if resp.StatusCode != http.StatusOK {
 		fail("simulate rejected (%d): %s", resp.StatusCode, readAPIError(resp))
 	}
-	var view simulateView
+	var view httpapi.SimulateReply
 	err := json.NewDecoder(resp.Body).Decode(&view)
 	resp.Body.Close()
 	if err != nil {

@@ -25,51 +25,8 @@ import (
 	"time"
 
 	"magus/internal/campaign"
+	"magus/internal/httpapi"
 )
-
-// waveView is the subset of GET /waves/{id} the client renders.
-type waveView struct {
-	ID        string `json:"id"`
-	State     string `json:"state"`
-	Finished  bool   `json:"finished"`
-	Cancelled bool   `json:"cancelled"`
-	Error     string `json:"error"`
-	Season    *struct {
-		Sectors     []int `json:"sectors"`
-		Constraints struct {
-			CrewsPerWave int `json:"crews_per_wave"`
-			MaxWaves     int `json:"max_waves"`
-		} `json:"constraints"`
-		Method            string  `json:"method"`
-		Objective         string  `json:"objective"`
-		UtilityBefore     float64 `json:"utility_before"`
-		ConflictEdges     int     `json:"conflict_edges"`
-		MaxConflictDegree int     `json:"max_conflict_degree"`
-		MinWaveUtility    float64 `json:"min_wave_utility"`
-		MeanWaveUtility   float64 `json:"mean_wave_utility"`
-		TotalHandovers    float64 `json:"total_handovers"`
-		Halted            bool    `json:"halted"`
-		HaltWave          int     `json:"halt_wave"`
-		HaltReason        string  `json:"halt_reason"`
-		Waves             []struct {
-			Wave         int     `json:"wave"`
-			Slot         int     `json:"slot"`
-			Sectors      []int   `json:"sectors"`
-			Semantics    string  `json:"semantics"`
-			UtilityAfter float64 `json:"utility_after"`
-			Recovery     float64 `json:"recovery"`
-			Handovers    float64 `json:"handovers"`
-			Halted       bool    `json:"halted"`
-			Cancelled    bool    `json:"cancelled"`
-		} `json:"waves"`
-		Rollback *struct {
-			Title string `json:"title"`
-			Steps []struct {
-				Index int `json:"index"`
-			} `json:"steps"`
-		} `json:"rollback"`
-	} `json:"season"`
-}
 
 func runWave(args []string) {
 	if len(args) < 1 {
@@ -130,10 +87,10 @@ func runWave(args []string) {
 				spec.Blackout = append(spec.Blackout, slot)
 			}
 		}
-		body, err := json.Marshal(map[string]any{
-			"class": *classFlag, "seed": *seed, "method": *method, "utility": *utilFlag,
-			"workers": *workers, "anneal_seed": *annealSeed,
-			"timeout_ms": int64(*jobTimeout / time.Millisecond), "wave": spec,
+		body, err := json.Marshal(httpapi.WaveRequest{
+			Class: *classFlag, Seed: *seed, Method: *method, Utility: *utilFlag,
+			Workers: *workers, AnnealSeed: *annealSeed,
+			TimeoutMS: int64(*jobTimeout / time.Millisecond), Wave: &spec,
 		})
 		if err != nil {
 			fail("encode: %v", err)
@@ -144,9 +101,7 @@ func runWave(args []string) {
 		if resp.StatusCode != http.StatusAccepted {
 			fail("wave plan rejected (%d): %s", resp.StatusCode, readAPIError(resp))
 		}
-		var accepted struct {
-			ID string `json:"id"`
-		}
+		var accepted httpapi.Accepted
 		err = json.NewDecoder(resp.Body).Decode(&accepted)
 		resp.Body.Close()
 		if err != nil {
@@ -166,14 +121,14 @@ func runWave(args []string) {
 }
 
 // waveFetch polls GET /waves/{id} once.
-func waveFetch(r *retrier, server, id string) waveView {
+func waveFetch(r *retrier, server, id string) httpapi.WaveStatus {
 	resp := r.do("wave status", func() (*http.Response, error) {
 		return http.Get(server + "/waves/" + id)
 	})
 	if resp.StatusCode != http.StatusOK {
 		fail("wave status (%d): %s", resp.StatusCode, readAPIError(resp))
 	}
-	var view waveView
+	var view httpapi.WaveStatus
 	err := json.NewDecoder(resp.Body).Decode(&view)
 	resp.Body.Close()
 	if err != nil {
@@ -196,7 +151,7 @@ func waveWait(r *retrier, server, id string, poll time.Duration) {
 }
 
 // waveRender prints the season and exits non-zero on failure or halt.
-func waveRender(view waveView) {
+func waveRender(view httpapi.WaveStatus) {
 	if view.Error != "" {
 		fail("season %s failed: %s", view.ID, view.Error)
 	}

@@ -19,17 +19,9 @@ import (
 )
 
 // Sample is one KPI observation of the live network, compared against
-// the planned f(C_after) floor by the executor's watchdog.
-type Sample struct {
-	// Tick is the network's clock at the observation.
-	Tick int `json:"tick"`
-	// Utility is the observed f(C_live).
-	Utility float64 `json:"utility"`
-	// Floor is the predicted f(C_after) at the same load.
-	Floor float64 `json:"floor"`
-	// LoadFactor is the load multiplier in effect (diagnostic).
-	LoadFactor float64 `json:"load_factor"`
-}
+// the planned f(C_after) floor by the executor's watchdog: a live
+// session's sample, passed through unchanged.
+type Sample = simwindow.Sample
 
 // Network is the executor's view of the system being upgraded. The
 // default implementation is a live simwindow session; the chaos package
@@ -131,8 +123,7 @@ func (n *SimNetwork) Applied(step runbook.Step) (bool, error) {
 func (n *SimNetwork) Observe(step int) (Sample, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s := n.session.Advance()
-	return Sample{Tick: s.Tick, Utility: s.Utility, Floor: s.Floor, LoadFactor: s.LoadFactor}, nil
+	return n.session.Advance(), nil
 }
 
 // Pushes returns how many times the given step incarnation was pushed

@@ -822,8 +822,9 @@ func (c *Coordinator) pollDispatch(ctx context.Context, url string, item pollIte
 // --- status -------------------------------------------------------------
 
 // JobView is the fleet-level status of one job; field names mirror
-// campaign.JobSnapshot so magusctl's campaign client can poll a fleet
-// campaign unchanged.
+// campaign.JobSnapshot so magusctl's campaign client, which reads
+// httpapi.CampaignStatus, can poll a fleet campaign unchanged
+// (TestFleetCampaignReadsAsCampaignStatus).
 type JobView struct {
 	ID       int              `json:"id"`
 	Class    string           `json:"class"`

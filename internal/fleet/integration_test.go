@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -213,9 +214,7 @@ func (tf *testFleet) submit(t *testing.T, body string) string {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: got %s", resp.Status)
 	}
-	var ack struct {
-		ID string `json:"id"`
-	}
+	var ack httpapi.Accepted
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +319,66 @@ func TestFleetShardingAndAggregation(t *testing.T) {
 	}
 	if len(st.Placements) != 4 {
 		t.Errorf("placements: %d, want 4", len(st.Placements))
+	}
+}
+
+// TestFleetCampaignReadsAsCampaignStatus: magusctl decodes a
+// campaign's GET /campaigns/{id} into httpapi.CampaignStatus, and a
+// coordinator answers it with a fleet.CampaignView, whose JobView
+// copies campaign.JobSnapshot's field names for this. Every field
+// magusctl renders must read the same through both types, a failed
+// job's error included.
+func TestFleetCampaignReadsAsCampaignStatus(t *testing.T) {
+	tf := startTestFleet(t, "w1")
+	waitFor(t, 5*time.Second, "the worker to join", func() bool {
+		return aliveMembers(tf.status(t)) == 1
+	})
+	// push-fail@999 names a step beyond the runbook: the job is valid
+	// at admission and fails once its runbook is built.
+	id := tf.submit(t, `{"jobs":[
+		{"class":"suburban","seed":31,"scenario":"a","method":"naive"},
+		{"class":"urban","seed":32,"scenario":"b","method":"power"},
+		{"class":"suburban","seed":31,"scenario":"a","method":"naive","kind":"simulate","sim":{"faults":"push-fail@999"}}]}`)
+	waitFor(t, 60*time.Second, "campaign to finish", func() bool {
+		return tf.campaign(t, id).Finished
+	})
+	view := tf.campaign(t, id)
+
+	resp, err := http.Get(tf.coordSrv.URL + "/campaigns/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st httpapi.CampaignStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	c := st.Campaign
+	if c.ID != view.ID || !c.Finished || !reflect.DeepEqual(c.Counts, view.Counts) {
+		t.Errorf("campaign: id %q finished %v counts %v, coordinator says %q %v %v",
+			c.ID, c.Finished, c.Counts, view.ID, view.Finished, view.Counts)
+	}
+	if c.MeanRecovery <= 0 || c.MeanRecovery != view.MeanRecovery {
+		t.Errorf("mean_recovery %v, coordinator says %v", c.MeanRecovery, view.MeanRecovery)
+	}
+	if c.Counts["done"] != 2 || c.Counts["failed"] != 1 {
+		t.Errorf("counts %v, want 2 done and 1 failed", c.Counts)
+	}
+	if len(c.Jobs) != len(view.Jobs) {
+		t.Fatalf("%d jobs, coordinator has %d", len(c.Jobs), len(view.Jobs))
+	}
+	for i, j := range c.Jobs {
+		v := view.Jobs[i]
+		if j.ID != v.ID || j.Class != v.Class || j.Seed != v.Seed || j.Scenario != v.Scenario ||
+			j.Method != v.Method || j.State != v.State || j.Error != v.Error {
+			t.Errorf("job %d reads as %+v, coordinator has %+v", i, j, v)
+		}
+		if (j.Result == nil) != (v.Result == nil) || j.Result != nil && j.Result.Recovery != v.Result.Recovery {
+			t.Errorf("job %d result %+v, coordinator has %+v", i, j.Result, v.Result)
+		}
+		if v.State == "failed" && j.Error == "" {
+			t.Errorf("job %d failed with no error", i)
+		}
 	}
 }
 

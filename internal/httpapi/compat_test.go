@@ -2,11 +2,47 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"reflect"
 	"testing"
 	"time"
+
+	"magus/internal/campaign"
+	"magus/internal/executor"
+	"magus/internal/simwindow"
 )
+
+// TestReplyFieldsSorted: the reply types replaced map[string]any
+// literals, which encode their keys sorted, so each declares its fields
+// in that order and its bytes match the map's. Every field is set here,
+// so omitempty hides none.
+func TestReplyFieldsSorted(t *testing.T) {
+	field := "jobs.seed"
+	for _, v := range []any{
+		APIError{Detail: "d", Error: "e", Field: &field, Offset: 1},
+		Accepted{ID: "c1", Jobs: 1, Steps: 1},
+		CampaignStatus{Metrics: &campaign.Metrics{}},
+		ExecuteStatus{Error: "e", ID: "x1", Status: &executor.Status{}},
+		SimulateReply{Series: make([]simwindow.Tick, 1)},
+	} {
+		got, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(got, &m); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%T encodes as\n%s\nnot in sorted key order\n%s", v, got, want)
+		}
+	}
+}
 
 // TestRetiredFixedParamIgnored: ?fixed= selected a scoring kernel that
 // no longer exists. Clients still send it, so its old values are
@@ -56,9 +92,7 @@ func TestRetiredFixedPointBodyField(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("POST /campaigns: %d %s", rec.Code, rec.Body.String())
 	}
-	var ack struct {
-		ID string `json:"id"`
-	}
+	var ack Accepted
 	decode(t, rec, &ack)
 	jobs := pollCampaign(t, s, ack.ID, time.Minute).Campaign.Jobs
 	for _, j := range jobs {

@@ -6,23 +6,6 @@ import (
 	"magus/internal/campaign"
 )
 
-// executeRequest is the POST /execute body: the /plan vocabulary for
-// what to execute, plus the campaign ExecSpec tuning the guarded run —
-// the same nested shape an execute campaign job uses, so the two
-// surfaces cannot drift apart.
-type executeRequest struct {
-	Scenario string `json:"scenario"`
-	Method   string `json:"method"`
-	Utility  string `json:"utility"`
-	// Workers is the in-search scoring parallelism for the planning
-	// phase (0 = sequential).
-	Workers int `json:"workers"`
-	// FixedPoint is accepted for old clients and ignored.
-	FixedPoint bool `json:"fixed_point"`
-	// Exec tunes the run (nil = executor defaults, no faults).
-	Exec *campaign.ExecSpec `json:"exec"`
-}
-
 // handleExecuteSubmit plans the mitigation synchronously against the
 // server's own engine (seconds), then hands the runbook to the guarded
 // executor asynchronously: 202 with the run ID, progress via
@@ -35,7 +18,7 @@ func (s *Server) handleExecuteSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
 	}
-	var req executeRequest
+	var req ExecuteRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -69,10 +52,7 @@ func (s *Server) handleExecuteSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/execute/"+run.ID)
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":    run.ID,
-		"steps": len(rb.Steps),
-	})
+	writeJSON(w, http.StatusAccepted, Accepted{ID: run.ID, Steps: len(rb.Steps)})
 }
 
 // handleExecuteStatus reports a run's live per-step progress.
@@ -82,15 +62,11 @@ func (s *Server) handleExecuteStatus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown run %q", r.PathValue("id"))
 		return
 	}
-	resp := map[string]any{
-		"id":       run.ID,
-		"finished": run.Finished(),
-		"status":   run.Status(),
-	}
-	if run.Finished() {
+	st := ExecuteStatus{ID: run.ID, Finished: run.Finished(), Status: run.Status()}
+	if st.Finished {
 		if err := run.Err(); err != nil {
-			resp["error"] = err.Error()
+			st.Error = err.Error()
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, st)
 }

@@ -9,26 +9,8 @@ import (
 	"time"
 )
 
-// executeStatusView mirrors the GET /execute/{id} payload fields the
-// tests assert on.
-type executeStatusView struct {
-	ID       string `json:"id"`
-	Finished bool   `json:"finished"`
-	Error    string `json:"error"`
-	Status   struct {
-		State      string `json:"state"`
-		Halted     bool   `json:"halted"`
-		RolledBack bool   `json:"rolled_back"`
-		Retries    int    `json:"retries"`
-		Steps      []struct {
-			Index int    `json:"index"`
-			State string `json:"state"`
-		} `json:"steps"`
-	} `json:"status"`
-}
-
 // waitExecute polls the status endpoint until the run finishes.
-func waitExecute(t *testing.T, s *Server, id string) executeStatusView {
+func waitExecute(t *testing.T, s *Server, id string) ExecuteStatus {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -36,7 +18,7 @@ func waitExecute(t *testing.T, s *Server, id string) executeStatusView {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 		}
-		var view executeStatusView
+		var view ExecuteStatus
 		decode(t, rec, &view)
 		if view.Finished {
 			return view
@@ -57,10 +39,7 @@ func submitExecute(t *testing.T, s *Server, body string) (string, int) {
 	if loc := rec.Header().Get("Location"); loc == "" {
 		t.Error("no Location header on 202")
 	}
-	var accepted struct {
-		ID    string `json:"id"`
-		Steps int    `json:"steps"`
-	}
+	var accepted Accepted
 	decode(t, rec, &accepted)
 	if accepted.ID == "" || accepted.Steps == 0 {
 		t.Fatalf("bad accept payload: %+v", accepted)
@@ -156,7 +135,7 @@ func TestExecuteRejectsPushFaults(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", rec.Code)
 	}
-	var body struct{ Error string }
+	var body APIError
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}

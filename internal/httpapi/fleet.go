@@ -59,6 +59,14 @@ func (s *Server) handleFleetList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"campaigns": s.coord.CampaignIDs()})
 }
 
+// fleetCampaignReply is a coordinator's GET /campaigns/{id} and
+// cancel reply. Its jobs carry market, node and epoch beyond a
+// CampaignStatus's, and magusctl reads it as a CampaignStatus
+// (TestFleetCampaignReadsAsCampaignStatus in internal/fleet).
+type fleetCampaignReply struct {
+	Campaign fleet.CampaignView `json:"campaign"`
+}
+
 func (s *Server) handleFleetCampaign(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	view, ok := s.coord.Campaign(id)
@@ -66,7 +74,7 @@ func (s *Server) handleFleetCampaign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown campaign %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"campaign": view})
+	writeJSON(w, http.StatusOK, fleetCampaignReply{Campaign: view})
 }
 
 func (s *Server) handleFleetCancel(w http.ResponseWriter, r *http.Request) {
@@ -75,7 +83,7 @@ func (s *Server) handleFleetCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"campaign": view})
+	writeJSON(w, http.StatusOK, fleetCampaignReply{Campaign: view})
 }
 
 func (s *Server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {

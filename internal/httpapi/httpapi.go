@@ -240,8 +240,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec.DisallowUnknownFields()
 	err := dec.Decode(dst)
 	if err == nil && dec.More() {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error": "malformed JSON body", "detail": "trailing data after JSON value",
+		writeJSON(w, http.StatusBadRequest, APIError{
+			Error: "malformed JSON body", Detail: "trailing data after JSON value",
 		})
 		return false
 	}
@@ -249,24 +249,20 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 		return true
 	}
 	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
+		return false
+	}
+	reply := APIError{Error: "malformed JSON body", Detail: err.Error()}
 	var syntaxErr *json.SyntaxError
 	var typeErr *json.UnmarshalTypeError
 	switch {
-	case errors.As(err, &maxErr):
-		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
 	case errors.As(err, &syntaxErr):
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error": "malformed JSON body", "offset": syntaxErr.Offset, "detail": err.Error(),
-		})
+		reply.Offset = syntaxErr.Offset
 	case errors.As(err, &typeErr):
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error": "malformed JSON body", "field": typeErr.Field, "detail": err.Error(),
-		})
-	default:
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error": "malformed JSON body", "detail": err.Error(),
-		})
+		reply.Field = &typeErr.Field
 	}
+	writeJSON(w, http.StatusBadRequest, reply)
 	return false
 }
 
@@ -286,7 +282,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // httpError reports a client or server error as JSON.
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, status, APIError{Error: fmt.Sprintf(format, args...)})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -570,16 +566,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, planStatus(err), "simulate: %v", err)
 		return
 	}
-	resp := map[string]any{
-		"scenario": plan.Scenario.String(),
-		"method":   plan.Method.String(),
-		"steps":    len(rb.Steps),
-		"summary":  out.Summary,
+	reply := SimulateReply{
+		Method:   plan.Method.String(),
+		Scenario: plan.Scenario.String(),
+		Steps:    len(rb.Steps),
+		Summary:  out.Summary,
 	}
 	if q.Get("series") == "1" {
-		resp["series"] = out.Series
+		reply.Series = out.Series
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, reply)
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
@@ -654,43 +650,13 @@ func (s *Server) handleOutage(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// campaignJobRequest is the wire form of one job in a POST /campaigns
-// body. Names reuse the /plan query vocabulary (scenario a|b|c, method
-// power|tilt|joint|naive|anneal, utility performance|coverage).
-type campaignJobRequest struct {
-	Class     string `json:"class"`
-	Seed      int64  `json:"seed"`
-	Scenario  string `json:"scenario"`
-	Method    string `json:"method"`
-	Utility   string `json:"utility"`
-	TimeoutMS int64  `json:"timeout_ms"`
-	// Workers is the in-search scoring parallelism (0 = orchestrator
-	// default).
-	Workers int `json:"workers"`
-	// FixedPoint is accepted for old clients and ignored.
-	FixedPoint bool `json:"fixed_point"`
-	// AnnealSeed seeds the anneal method's random walk (0 = default).
-	AnnealSeed int64 `json:"anneal_seed"`
-	// Kind is "plan" (default), "simulate", "wave" or "execute"; Sim
-	// tunes simulate jobs, Wave tunes wave jobs, Exec tunes execute
-	// jobs.
-	Kind string             `json:"kind"`
-	Sim  *campaign.SimSpec  `json:"sim"`
-	Wave *campaign.WaveSpec `json:"wave"`
-	Exec *campaign.ExecSpec `json:"exec"`
-}
-
-type campaignRequest struct {
-	Jobs []campaignJobRequest `json:"jobs"`
-}
-
 // parseCampaignSpecs decodes a POST /campaigns body into job specs,
 // writing the error response itself on failure. It only maps wire
 // names; the local orchestrator and the fleet coordinator both judge
 // the specs with JobSpec.Validate in Submit, so the two surfaces accept
 // exactly the same campaigns.
 func parseCampaignSpecs(w http.ResponseWriter, r *http.Request) ([]campaign.JobSpec, bool) {
-	var req campaignRequest
+	var req CampaignRequest
 	if !decodeBody(w, r, &req) {
 		return nil, false
 	}
@@ -740,7 +706,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/campaigns/"+id)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "jobs": len(specs)})
+	writeJSON(w, http.StatusAccepted, Accepted{ID: id, Jobs: len(specs)})
 }
 
 // submit hands validated-on-admission specs to the fleet coordinator,
@@ -804,10 +770,9 @@ func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"campaign": c.Snapshot(),
-		"metrics":  s.orch.Metrics(),
-	})
+	snap := c.Snapshot()
+	metrics := s.orch.Metrics()
+	writeJSON(w, http.StatusOK, CampaignStatus{Campaign: snap, Metrics: &metrics})
 }
 
 func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
@@ -816,5 +781,5 @@ func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.Cancel("client request")
-	writeJSON(w, http.StatusOK, map[string]any{"campaign": c.Snapshot()})
+	writeJSON(w, http.StatusOK, CampaignStatus{Campaign: c.Snapshot()})
 }

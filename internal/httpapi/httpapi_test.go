@@ -351,14 +351,8 @@ func factorialBody() string {
 	return `{"jobs":[` + strings.Join(jobs, ",") + `]}`
 }
 
-// campaignStatus is the GET /campaigns/{id} response shape.
-type campaignStatus struct {
-	Campaign campaign.Snapshot `json:"campaign"`
-	Metrics  campaign.Metrics  `json:"metrics"`
-}
-
 // pollCampaign polls the status endpoint until the campaign finishes.
-func pollCampaign(t *testing.T, s *Server, id string, timeout time.Duration) campaignStatus {
+func pollCampaign(t *testing.T, s *Server, id string, timeout time.Duration) CampaignStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -366,7 +360,7 @@ func pollCampaign(t *testing.T, s *Server, id string, timeout time.Duration) cam
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 		}
-		var st campaignStatus
+		var st CampaignStatus
 		decode(t, rec, &st)
 		if st.Campaign.Finished {
 			return st
@@ -384,10 +378,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var accepted struct {
-		ID   string `json:"id"`
-		Jobs int    `json:"jobs"`
-	}
+	var accepted Accepted
 	decode(t, rec, &accepted)
 	if accepted.ID == "" || accepted.Jobs != 27 {
 		t.Fatalf("accepted = %+v", accepted)
@@ -414,7 +405,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 	// 27 jobs over 3 distinct markets (plus the server's own suburban
 	// engine, built through the same cache): at most 9 builds per the
 	// acceptance criterion, exactly 3 in practice.
-	if st.Metrics.Cache == nil {
+	if st.Metrics == nil || st.Metrics.Cache == nil {
 		t.Fatal("no cache stats in metrics")
 	}
 	if st.Metrics.Cache.Builds > 9 {
@@ -466,9 +457,7 @@ func TestCampaignCancelEndpoint(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var accepted struct {
-		ID string `json:"id"`
-	}
+	var accepted Accepted
 	decode(t, rec, &accepted)
 
 	rec = post(t, s, "/campaigns/"+accepted.ID+"/cancel", "")
@@ -493,9 +482,9 @@ func TestCampaignNotFound(t *testing.T) {
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("cancel status = %d, want 404", rec.Code)
 	}
-	var body map[string]string
+	var body APIError
 	decode(t, rec, &body)
-	if body["error"] == "" {
+	if body.Error == "" {
 		t.Error("404 body carries no JSON error")
 	}
 }
@@ -508,19 +497,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var body struct {
-		Scenario string `json:"scenario"`
-		Steps    int    `json:"steps"`
-		Summary  struct {
-			Ticks          int  `json:"ticks"`
-			PushesApplied  int  `json:"pushes_applied"`
-			EndsAboveFloor bool `json:"ends_above_floor"`
-		} `json:"summary"`
-		Series []struct {
-			Utility float64 `json:"utility"`
-			Floor   float64 `json:"floor_utility"`
-		} `json:"series"`
-	}
+	var body SimulateReply
 	decode(t, rec, &body)
 	if body.Steps == 0 || body.Summary.Ticks == 0 {
 		t.Fatalf("empty simulation: %+v", body)
@@ -580,9 +557,7 @@ func TestCampaignSimulateJob(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var accepted struct {
-		ID string `json:"id"`
-	}
+	var accepted Accepted
 	decode(t, rec, &accepted)
 	st := pollCampaign(t, s, accepted.ID, 2*time.Minute)
 	if st.Campaign.Counts["done"] != 1 {
@@ -619,9 +594,9 @@ func TestCampaignSimulateValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", tc.name, rec.Code)
 			continue
 		}
-		var body map[string]string
+		var body APIError
 		decode(t, rec, &body)
-		if body["error"] == "" {
+		if body.Error == "" {
 			t.Errorf("%s: no JSON error body", tc.name)
 		}
 	}
@@ -647,9 +622,9 @@ func TestCampaignSubmitValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", tc.name, rec.Code)
 			continue
 		}
-		var body map[string]string
+		var body APIError
 		decode(t, rec, &body)
-		if body["error"] == "" {
+		if body.Error == "" {
 			t.Errorf("%s: no JSON error body", tc.name)
 		}
 	}

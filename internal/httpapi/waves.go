@@ -5,42 +5,13 @@ import (
 	"time"
 
 	"magus/internal/campaign"
-	"magus/internal/waveplan"
 )
-
-// waveRequest is the body of POST /waves: one upgrade season. The
-// engine-selection and search fields mirror a campaign job; Wave holds
-// the season's calendar and replay configuration (nil accepts every
-// scheduler default).
-type waveRequest struct {
-	Class     string `json:"class"`
-	Seed      int64  `json:"seed"`
-	Method    string `json:"method"`
-	Utility   string `json:"utility"`
-	TimeoutMS int64  `json:"timeout_ms"`
-	Workers   int    `json:"workers"`
-	// FixedPoint is accepted for old clients and ignored.
-	FixedPoint bool               `json:"fixed_point"`
-	AnnealSeed int64              `json:"anneal_seed"`
-	Wave       *campaign.WaveSpec `json:"wave"`
-}
-
-// waveStatus is the response of GET /waves/{id}: the projection of the
-// underlying one-job campaign onto the season it schedules.
-type waveStatus struct {
-	ID        string           `json:"id"`
-	State     string           `json:"state"`
-	Finished  bool             `json:"finished"`
-	Cancelled bool             `json:"cancelled"`
-	Error     string           `json:"error,omitempty"`
-	Season    *waveplan.Result `json:"season,omitempty"`
-}
 
 // parseWaveSpec decodes a POST /waves body into the one-job campaign
 // spec that carries it, writing the error response itself on failure.
 // Submit validates the spec.
 func parseWaveSpec(w http.ResponseWriter, r *http.Request) (campaign.JobSpec, bool) {
-	var req waveRequest
+	var req WaveRequest
 	if !decodeBody(w, r, &req) {
 		return campaign.JobSpec{}, false
 	}
@@ -84,13 +55,13 @@ func (s *Server) handleWaveSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/waves/"+id)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": id})
+	writeJSON(w, http.StatusAccepted, Accepted{ID: id})
 }
 
-// handleWaveStatus projects the season's campaign onto waveStatus.
+// handleWaveStatus projects the season's campaign onto WaveStatus.
 func (s *Server) handleWaveStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st := waveStatus{ID: id}
+	st := WaveStatus{ID: id}
 	if s.coord != nil {
 		view, ok := s.coord.Campaign(id)
 		if !ok {

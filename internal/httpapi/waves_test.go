@@ -7,7 +7,7 @@ import (
 )
 
 // pollWave polls GET /waves/{id} until the season finishes.
-func pollWave(t *testing.T, s *Server, id string, timeout time.Duration) waveStatus {
+func pollWave(t *testing.T, s *Server, id string, timeout time.Duration) WaveStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -15,7 +15,7 @@ func pollWave(t *testing.T, s *Server, id string, timeout time.Duration) waveSta
 		if rec.Code != http.StatusOK {
 			t.Fatalf("GET /waves/%s: %d %s", id, rec.Code, rec.Body.String())
 		}
-		var st waveStatus
+		var st WaveStatus
 		decode(t, rec, &st)
 		if st.Finished {
 			return st
@@ -38,9 +38,7 @@ func TestWaveEndToEnd(t *testing.T) {
 	if loc := rec.Header().Get("Location"); loc == "" {
 		t.Error("no Location header on accepted wave")
 	}
-	var ack struct {
-		ID string `json:"id"`
-	}
+	var ack Accepted
 	decode(t, rec, &ack)
 	st := pollWave(t, s, ack.ID, 30*time.Second)
 	if st.State != "done" || st.Error != "" {
@@ -111,11 +109,9 @@ func TestWaveViaCampaigns(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("POST /campaigns: %d %s", rec.Code, rec.Body.String())
 	}
-	var ack struct {
-		ID string `json:"id"`
-	}
+	var ack Accepted
 	decode(t, rec, &ack)
-	st := pollWave(t, s, ack.ID, 30*time.Second) // waveStatus projects campaigns too
+	st := pollWave(t, s, ack.ID, 30*time.Second) // WaveStatus projects campaigns too
 	if st.State != "done" || st.Season == nil {
 		t.Fatalf("wave campaign job: state %q season %v", st.State, st.Season)
 	}

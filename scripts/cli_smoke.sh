@@ -1,0 +1,84 @@
+#!/usr/bin/env bash
+# CLI smoke test: boot one magusd (miniature market, dynamic port,
+# journaled /execute) and drive every magusctl subcommand that talks to
+# it, so the client's decoding of each reply is exercised against a
+# real daemon: simulate, execute run (clean and with an injected floor
+# breach), wave plan with replay, and campaign.
+#
+# Requires: go. Run from the repo root: scripts/cli_smoke.sh
+set -euo pipefail
+
+TMP=$(mktemp -d)
+PID=
+cleanup() {
+  if [ -n "$PID" ]; then
+    kill -9 "$PID" 2>/dev/null || true
+    wait "$PID" 2>/dev/null || true
+  fi
+  rm -rf "$TMP"
+}
+trap cleanup EXIT
+
+say() { echo "== $*"; }
+die() {
+  echo "FAIL: $*" >&2
+  tail -n 40 "$TMP/magusd.log" >&2 || true
+  exit 1
+}
+
+say "building binaries"
+go build -o "$TMP/magusd" ./cmd/magusd
+go build -o "$TMP/magusctl" ./cmd/magusctl
+
+say "starting magusd"
+"$TMP/magusd" -mini -listen 127.0.0.1:0 -port-file "$TMP/port" \
+  -exec-dir "$TMP/exec" >"$TMP/magusd.log" 2>&1 &
+PID=$!
+for _ in $(seq 1 300); do
+  [ -s "$TMP/port" ] && break
+  sleep 0.1
+done
+[ -s "$TMP/port" ] || die "magusd never wrote its port file"
+S="http://$(head -n1 "$TMP/port")"
+
+# ctl expect-exit name args...: runs magusctl, echoes its output, and
+# fails unless it exits with expect-exit. The output lands in $TMP/name.
+ctl() {
+  local want=$1 name=$2
+  shift 2
+  local rc=0
+  "$TMP/magusctl" "$@" -server "$S" >"$TMP/$name.out" 2>&1 || rc=$?
+  cat "$TMP/$name.out"
+  [ "$rc" = "$want" ] || die "magusctl $name exited $rc, want $want"
+}
+expect() { # name extended-regex
+  grep -Eq "$2" "$TMP/$1.out" || die "magusctl $1 output lacks /$2/"
+}
+
+say "magusctl simulate -series"
+ctl 0 simulate simulate -series
+expect simulate 'simulated [1-9][0-9]*-tick window: scenario .+, method [a-z]+, [1-9][0-9]* runbook steps'
+expect simulate '^[1-9][0-9]* +[0-9.]+ +[0-9.]+ +[0-9.]+ +[0-9.]+ '
+expect simulate 'window ends at or above the f\(C_after\) floor'
+
+say "magusctl execute run"
+ctl 0 execute execute run
+expect execute 'run [^ ]+: done \([1-9][0-9]* steps'
+expect execute 'run completes: final utility [1-9]'
+
+say "magusctl execute run -chaos kpi-breach@1 (must halt, exit 2)"
+ctl 2 breach execute run -chaos kpi-breach@1
+expect breach 'run halted at step 1: .*\(rollback fully applied\)'
+
+say "magusctl wave plan -replay"
+ctl 0 wave wave plan -replay
+expect wave 'season [^ ]+: [1-9][0-9]* sectors in [1-9][0-9]* waves'
+expect wave 'season completes without a halt'
+
+say "magusctl campaign"
+ctl 0 campaign campaign -scenarios a,b -methods power,joint
+expect campaign 'accepted: 4 jobs'
+expect campaign '^[0-9]+ +suburban +1 +\([ab]\) +[a-z-]+ +done +[0-9.]+%'
+expect campaign 'mean recovery [1-9][0-9.]*%'
+
+say "PASS"

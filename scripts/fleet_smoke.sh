@@ -2,7 +2,9 @@
 # Multi-node fleet smoke test: boot a coordinator and two workers as real
 # magusd processes on dynamic ports, submit a multi-market campaign
 # through the coordinator, SIGKILL one worker mid-run, and assert the
-# fleet finishes every job exactly once and reports the eviction.
+# fleet finishes every job exactly once and reports the eviction. Then
+# magusctl runs a campaign through the coordinator, renders a refused
+# drain and renders the fleet status.
 #
 # Requires: go, curl, jq. Run from the repo root: scripts/fleet_smoke.sh
 set -euo pipefail
@@ -123,6 +125,28 @@ fi
 bumped=$(curl -sf "$COORD/campaigns/$cid" |
   jq '[.campaign.jobs[] | select(.epoch > 1)] | length')
 say "$bumped jobs completed under a re-placed (epoch > 1) lease"
+
+# magusctl decodes the coordinator's campaign view as the same
+# httpapi.CampaignStatus it reads from a single magusd.
+say "magusctl campaign through the coordinator"
+"$TMP/magusctl" campaign -server "$COORD" -classes suburban,urban -scenarios a \
+  -methods power,joint >"$TMP/ctl_campaign.out" 2>&1 || {
+  cat "$TMP/ctl_campaign.out"
+  die "magusctl campaign through the coordinator failed"
+}
+cat "$TMP/ctl_campaign.out"
+grep -Eq '^[0-9]+ +urban +1 +\(a\) +joint +done +[0-9.]+%' "$TMP/ctl_campaign.out" ||
+  die "magusctl campaign rendered no done urban joint job with its recovery"
+grep -Eq 'mean recovery [1-9][0-9.]*%' "$TMP/ctl_campaign.out" ||
+  die "magusctl campaign rendered no mean recovery"
+
+say "magusctl fleet drain of an unknown node (must exit 2 with the coordinator's error)"
+rc=0
+"$TMP/magusctl" fleet drain -node n-unknown -server "$COORD" >"$TMP/ctl_drain.out" 2>&1 || rc=$?
+cat "$TMP/ctl_drain.out"
+[ "$rc" = 2 ] || die "magusctl fleet drain of an unknown node exited $rc, want 2"
+grep -q '404 Not Found (fleet: unknown node: n-unknown)' "$TMP/ctl_drain.out" ||
+  die "magusctl fleet drain did not render the coordinator's error"
 
 say "operator view (magusctl fleet status):"
 "$TMP/magusctl" fleet status -server "$COORD"
