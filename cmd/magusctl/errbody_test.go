@@ -56,9 +56,9 @@ func TestReadAPIError(t *testing.T) {
 		{"syntax error", "POST", "/campaigns", `{"jobs":[x]}`, http.StatusBadRequest,
 			"malformed JSON body (offset 10): invalid character 'x'", malformed("offset")},
 		{"type error", "POST", "/campaigns", `{"jobs":[{"seed":"one"}]}`, http.StatusBadRequest,
-			"malformed JSON body (field jobs.seed): json: cannot unmarshal string", malformed("field")},
+			"malformed JSON body (field jobs.seed): cannot unmarshal string into field jobs.seed of kind int64", malformed("field")},
 		{"top-level type error", "POST", "/execute", `[]`, http.StatusBadRequest,
-			"malformed JSON body: json: cannot unmarshal array", malformed("field")},
+			"malformed JSON body: cannot unmarshal array into the body of kind struct", malformed("field")},
 		{"body over 1 MB", "POST", "/waves", `{"class":"` + strings.Repeat("a", 1<<20) + `"}`,
 			http.StatusRequestEntityTooLarge, "request body exceeds 1048576 bytes", plain},
 		{"unknown campaign", "GET", "/campaigns/c999", "", http.StatusNotFound,

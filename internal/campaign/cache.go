@@ -54,16 +54,15 @@ type CacheStats struct {
 	SharedCores *SharedCoreStats `json:"shared_cores,omitempty"`
 }
 
-// SharedCoreStats aggregates the distinct netmodel.ModelCores referenced
-// by the cached engines. Cores counts distinct substrates, Refs the
-// Models attached across all of them (a GC-lazy upper bound — see
-// ModelCore.Refs), Bytes the resident substrate size paid once per core
-// no matter how many engines, workers or forks share it. LinkRowBytes
-// sums the per-tilt link-gain rows built so far, once per distinct row
-// cache (an engine's Model and the simulation forks that share it).
+// SharedCoreStats aggregates the distinct netmodel.ModelCores held by
+// the cached engines. A cached engine owns its market's core, shared
+// only by its own workers and simulation forks, so evicting the engine
+// frees the core at the next collection. Cores counts distinct
+// substrates and Bytes their resident size. LinkRowBytes sums the
+// per-tilt link-gain rows built so far, once per distinct row cache (an
+// engine's Model and the simulation forks that share it).
 type SharedCoreStats struct {
 	Cores        int   `json:"cores"`
-	Refs         int64 `json:"refs"`
 	Bytes        int64 `json:"bytes"`
 	LinkRowBytes int64 `json:"link_row_bytes"`
 }
@@ -215,7 +214,6 @@ func (c *EngineCache) Stats() CacheStats {
 		}
 		seen[mc] = true
 		cores.Cores++
-		cores.Refs += mc.Refs()
 		cores.Bytes += mc.Bytes()
 	}
 	if cores.Cores > 0 {

@@ -144,8 +144,8 @@ func TestSpecHashDistinguishes(t *testing.T) {
 
 // TestSharedCoreStats asserts the cache reports the substrate behind its
 // engines once per distinct core: two cached engines whose models fork
-// from one market must show one core with both models attached, and the
-// fake (model-less) engines must not panic the accounting.
+// from one market must show one core, and the fake (model-less) engines
+// must not panic the accounting.
 func TestSharedCoreStats(t *testing.T) {
 	net := topology.MustGenerate(topology.GenConfig{
 		Seed:   7,
@@ -175,9 +175,6 @@ func TestSharedCoreStats(t *testing.T) {
 	}
 	if st.SharedCores.Cores != 1 {
 		t.Errorf("Cores = %d, want 1 (fork shares its parent's core)", st.SharedCores.Cores)
-	}
-	if st.SharedCores.Refs < 2 {
-		t.Errorf("Refs = %d, want >= 2 (model + fork)", st.SharedCores.Refs)
 	}
 	if st.SharedCores.Bytes <= 0 {
 		t.Errorf("Bytes = %d, want > 0", st.SharedCores.Bytes)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"magus/internal/core"
+	"magus/internal/modelcache"
 	"magus/internal/topology"
 	"magus/internal/upgrade"
 )
@@ -67,5 +68,48 @@ func TestEnvsIsolated(t *testing.T) {
 		!reflect.DeepEqual(pa.Search.Steps, pb.Search.Steps) {
 		t.Errorf("plans differ: A %v after %d steps, B %v after %d steps",
 			pa.UtilityAfter, len(pa.Search.Steps), pb.UtilityAfter, len(pb.Search.Steps))
+	}
+}
+
+// TestEvictedMarketReloadsSnapshot: the engine cache is the only
+// in-process holder of market models, so a market evicted from it comes
+// back from its snapshot file. With room for one engine, building M, then
+// N (evicting M), then M again must run two model builds and load M's
+// snapshot once, and M's reloaded engine must plan bit-identically.
+func TestEvictedMarketReloadsSnapshot(t *testing.T) {
+	snaps, err := modelcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &Env{Spec: MiniAreaSpec, Engines: NewEngineCache(1), Snapshots: snaps}
+	req := core.MitigateRequest{Scenario: upgrade.FourCorners, Method: core.Joint}
+	var engines []*core.Engine
+	var plans []*core.Plan
+	for _, seed := range []int64{1, 2, 1} {
+		e, err := env.Engine(context.Background(), topology.Suburban, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := e.MitigatePlan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, e)
+		plans = append(plans, plan)
+	}
+	if st := env.Engines.Stats(); st.Builds != 3 || st.Evictions != 2 {
+		t.Errorf("engine cache: %d builds, %d evictions; want 3 and 2", st.Builds, st.Evictions)
+	}
+	if st := snaps.Stats(); st.Builds != 2 || st.Hits < 1 {
+		t.Errorf("snapshots: %d builds, %d hits; want 2 and >= 1", st.Builds, st.Hits)
+	}
+	if engines[2] == engines[0] || engines[2].Model.Core() == engines[0].Model.Core() {
+		t.Error("the evicted market's engine or core was reused")
+	}
+	first, again := plans[0], plans[2]
+	if math.Float64bits(first.UtilityAfter) != math.Float64bits(again.UtilityAfter) ||
+		!reflect.DeepEqual(first.Search.Steps, again.Search.Steps) {
+		t.Errorf("reloaded plan differs: %v after %d steps, first %v after %d steps",
+			again.UtilityAfter, len(again.Search.Steps), first.UtilityAfter, len(first.Search.Steps))
 	}
 }

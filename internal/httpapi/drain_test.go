@@ -3,6 +3,7 @@ package httpapi
 import (
 	"math"
 	"net/http"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -95,6 +96,31 @@ func TestCampaignMalformedBodyStructuredError(t *testing.T) {
 	rec = post(t, s, "/campaigns", `{"jobs": []} trailing`)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("trailing data: status = %d, want 400", rec.Code)
+	}
+}
+
+// TestTypeErrorDetailNamesNoGoType: a type error's detail is built from
+// the JSON value, the field path and the wanted kind, never from Go type
+// or struct names.
+func TestTypeErrorDetailNamesNoGoType(t *testing.T) {
+	s, _ := campaignServer(t)
+	goName := regexp.MustCompile(`[a-z][A-Za-z0-9]*\.[A-Z]`)
+	for body, want := range map[string]string{
+		`{"jobs": [{"seed": "one"}]}`: "cannot unmarshal string into field jobs.seed of kind int64",
+		`[]`:                          "cannot unmarshal array into the body of kind struct",
+	} {
+		rec := post(t, s, "/campaigns", body)
+		var reply APIError
+		decode(t, rec, &reply)
+		if rec.Code != http.StatusBadRequest || reply.Field == nil {
+			t.Fatalf("%s: status %d, reply %+v; want 400 with a field", body, rec.Code, reply)
+		}
+		if reply.Detail != want {
+			t.Errorf("%s: detail %q, want %q", body, reply.Detail, want)
+		}
+		if strings.Contains(reply.Detail, "Go ") || goName.MatchString(reply.Detail) {
+			t.Errorf("%s: detail %q names a Go type", body, reply.Detail)
+		}
 	}
 }
 

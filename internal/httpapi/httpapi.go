@@ -261,9 +261,22 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 		reply.Offset = syntaxErr.Offset
 	case errors.As(err, &typeErr):
 		reply.Field = &typeErr.Field
+		reply.Detail = typeErrorDetail(typeErr)
 	}
 	writeJSON(w, http.StatusBadRequest, reply)
 	return false
+}
+
+// typeErrorDetail describes a JSON type mismatch by the JSON value, the
+// field path and the kind of value the field takes. encoding/json's own
+// message names Go types, which would change the reply whenever a type
+// is renamed or a Go release rewords it.
+func typeErrorDetail(e *json.UnmarshalTypeError) string {
+	into := "the body"
+	if e.Field != "" {
+		into = "field " + e.Field
+	}
+	return fmt.Sprintf("cannot unmarshal %s into %s of kind %s", e.Value, into, e.Type.Kind())
 }
 
 // ServeHTTP dispatches to the handler tree.
@@ -313,13 +326,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	resp["wave_scheduler"] = waveplan.Stats()
 	if core := s.engine.Model.Core(); core != nil {
-		// The immutable substrate behind this node's serving engine; refs
-		// counts every Model sharing it (campaign engines appear under
-		// campaigns.engine_cache.shared_cores as well).
-		resp["shared_core"] = map[string]any{
-			"refs":  core.Refs(),
-			"bytes": core.Bytes(),
-		}
+		// The immutable substrate behind this node's serving engine
+		// (campaign engines appear under campaigns.engine_cache.shared_cores).
+		resp["shared_core"] = map[string]any{"bytes": core.Bytes()}
 	}
 	if rep := s.engine.Sanitation(); rep != nil {
 		resp["sanitation"] = map[string]any{

@@ -43,16 +43,8 @@ import (
 // full model constructions actually executed, so Builds <= Misses
 // always. Errors counts snapshots discarded as corrupt, truncated,
 // stale or version-mismatched — each such discard falls back to a
-// rebuild, never to a failure.
-//
-// CoreHits counts calls served without touching the disk at all: a
-// model view stitched over a ModelCore another engine in this process
-// already holds. SharedCores / SharedCoreBytes / CoreRefs gauge the
-// in-process core registry at snapshot time: how many immutable cores
-// are resident, the bytes they pin once (instead of once per engine),
-// and how many Models are attached across all of them (GC-lazy upper
-// bound; see netmodel.ModelCore.Refs). MmapLoads counts snapshot loads
-// whose backing is a read-only memory mapping rather than a heap read.
+// rebuild, never to a failure. MmapLoads counts snapshot loads whose
+// backing is a read-only memory mapping rather than a heap read.
 type Stats struct {
 	Hits         int64 `json:"hits"`
 	Misses       int64 `json:"misses"`
@@ -61,12 +53,7 @@ type Stats struct {
 	Errors       int64 `json:"errors"`
 	BytesRead    int64 `json:"bytes_read"`
 	BytesWritten int64 `json:"bytes_written"`
-
-	CoreHits        int64 `json:"core_hits"`
-	SharedCores     int64 `json:"shared_cores"`
-	SharedCoreBytes int64 `json:"shared_core_bytes"`
-	CoreRefs        int64 `json:"core_refs"`
-	MmapLoads       int64 `json:"mmap_loads"`
+	MmapLoads    int64 `json:"mmap_loads"`
 }
 
 // Cache is an on-disk snapshot store rooted at one directory. The zero
@@ -83,22 +70,10 @@ type Cache struct {
 	errs         atomic.Int64
 	bytesRead    atomic.Int64
 	bytesWritten atomic.Int64
-	coreHits     atomic.Int64
 	mmapLoads    atomic.Int64
 
 	mu      sync.Mutex
 	flights map[string]chan struct{} // closed when the keyed build+store finishes
-
-	// cores is the in-process shared-core registry: every model this
-	// cache has loaded or built keeps its immutable ModelCore here, so a
-	// later LoadOrBuild for the same key returns a new Model VIEW over
-	// the already-resident core instead of re-reading (or re-building)
-	// anything — N engines over one market then share one copy of the
-	// contributor arrays. Entries are swept once no attached Model
-	// remains (refcounts drop GC-lazily, so a core lingers until the
-	// collection after its last engine is evicted — at which point the
-	// sweep unpins it and its snapshot backing is released).
-	cores map[string]*netmodel.ModelCore
 }
 
 // Open returns a cache rooted at dir, creating the directory if needed.
@@ -112,7 +87,6 @@ func Open(dir string) (*Cache, error) {
 	return &Cache{
 		dir:     dir,
 		flights: make(map[string]chan struct{}),
-		cores:   make(map[string]*netmodel.ModelCore),
 	}, nil
 }
 
@@ -124,13 +98,12 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// Stats snapshots the counters and the shared-core gauges. A nil cache
-// reports zeros.
+// Stats snapshots the counters. A nil cache reports zeros.
 func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	st := Stats{
+	return Stats{
 		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),
 		Builds:       c.builds.Load(),
@@ -138,17 +111,8 @@ func (c *Cache) Stats() Stats {
 		Errors:       c.errs.Load(),
 		BytesRead:    c.bytesRead.Load(),
 		BytesWritten: c.bytesWritten.Load(),
-		CoreHits:     c.coreHits.Load(),
 		MmapLoads:    c.mmapLoads.Load(),
 	}
-	c.mu.Lock()
-	st.SharedCores = int64(len(c.cores))
-	for _, core := range c.cores {
-		st.SharedCoreBytes += core.Bytes()
-		st.CoreRefs += core.Refs()
-	}
-	c.mu.Unlock()
-	return st
 }
 
 // Key returns the content address of the model these inputs would
@@ -211,15 +175,15 @@ func Key(net *topology.Network, spm *propagation.SPM, region geo.Rect, params ne
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// LoadOrBuild returns the model for the given inputs: a fresh view over
-// an already-resident shared core when this process has one, else from
-// a valid snapshot (whose bytes the new core aliases, mmap'd where
-// possible), otherwise by building it (and storing a snapshot for next
-// time). Concurrent calls with the same key share one build; every
-// caller receives its own independent model, but models for the same
-// key share one immutable ModelCore. Snapshot failures of any kind fall
-// back to building — LoadOrBuild fails only when the build itself does.
-// A nil cache builds directly.
+// LoadOrBuild returns the model for the given inputs: from a valid
+// snapshot (whose bytes the new core aliases, mmap'd where possible),
+// otherwise by building it and storing a snapshot for next time.
+// Concurrent calls with the same key share one build; the followers
+// then load the leader's fresh snapshot, so every caller receives its
+// own independent model and core. The cache holds no model in memory:
+// keeping one engine per market is the engine cache's job. Snapshot
+// failures of any kind fall back to building — LoadOrBuild fails only
+// when the build itself does. A nil cache builds directly.
 func (c *Cache) LoadOrBuild(net *topology.Network, spm *propagation.SPM, region geo.Rect, params netmodel.Params) (*netmodel.Model, error) {
 	if c == nil {
 		return netmodel.NewModel(net, spm, region, params)
@@ -227,9 +191,6 @@ func (c *Cache) LoadOrBuild(net *topology.Network, spm *propagation.SPM, region 
 	key := Key(net, spm, region, params)
 	path := filepath.Join(c.dir, key+".snap")
 
-	if m, ok := c.fromSharedCore(key, net, spm, region, params); ok {
-		return m, nil
-	}
 	if m, ok := c.tryLoad(path, key, net, spm, region, params); ok {
 		return m, nil
 	}
@@ -239,10 +200,7 @@ func (c *Cache) LoadOrBuild(net *topology.Network, spm *propagation.SPM, region 
 	if done, inFlight := c.flights[key]; inFlight {
 		c.mu.Unlock()
 		<-done
-		// The leader registered its core (or failed; then we build).
-		if m, ok := c.fromSharedCore(key, net, spm, region, params); ok {
-			return m, nil
-		}
+		// The leader stored its snapshot (or failed; then we build).
 		if m, ok := c.tryLoad(path, key, net, spm, region, params); ok {
 			return m, nil
 		}
@@ -260,61 +218,9 @@ func (c *Cache) LoadOrBuild(net *topology.Network, spm *propagation.SPM, region 
 	return c.build(key, net, spm, region, params, path)
 }
 
-// fromSharedCore builds a model view over the registry's core for key,
-// if one is resident. No disk, no array materialization — the dominant
-// path when many engines plan the same market.
-func (c *Cache) fromSharedCore(key string, net *topology.Network, spm *propagation.SPM, region geo.Rect, params netmodel.Params) (*netmodel.Model, bool) {
-	c.mu.Lock()
-	core := c.cores[key]
-	c.mu.Unlock()
-	if core == nil {
-		return nil, false
-	}
-	m, err := netmodel.NewModelFromCore(net, spm, region, params, core)
-	if err != nil {
-		// The key recipe should make this unreachable; treat it as a
-		// registry miss rather than failing the caller.
-		c.errs.Add(1)
-		return nil, false
-	}
-	c.coreHits.Add(1)
-	return m, true
-}
-
-// canonicalCore publishes core for in-process sharing unless a live
-// core is already registered under key — the existing one then wins, so
-// one key maps to at most one resident core however many loads race.
-// The sweep drops entries no live Model references anymore (refcounts
-// drain GC-lazily; deleting the registry reference lets the next
-// collection release the core and any snapshot backing it holds).
-func (c *Cache) canonicalCore(key string, core *netmodel.ModelCore) *netmodel.ModelCore {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, old := range c.cores {
-		if k != key && old.Refs() <= 0 {
-			delete(c.cores, k)
-		}
-	}
-	if old, ok := c.cores[key]; ok && old.Refs() > 0 {
-		return old
-	}
-	c.cores[key] = core
-	return core
-}
-
-// dropSharedCores empties the in-process core registry, forcing the
-// next LoadOrBuild per key back to the snapshot (or a rebuild). Test
-// hook: simulates a fresh process over a warm disk cache.
-func (c *Cache) dropSharedCores() {
-	c.mu.Lock()
-	clear(c.cores)
-	c.mu.Unlock()
-}
-
 // tryLoad attempts to deserialize path into a model, counting a hit on
-// success and registering the loaded core for sharing. Corrupt or stale
-// files are removed and counted as errors; absence is silent. ok=false
-// means the caller should build.
+// success. Corrupt or stale files are removed and counted as errors;
+// absence is silent. ok=false means the caller should build.
 func (c *Cache) tryLoad(path, key string, net *topology.Network, spm *propagation.SPM, region geo.Rect, params netmodel.Params) (*netmodel.Model, bool) {
 	m, n, mapped, err := loadSnapshot(path, key, net, spm, region, params)
 	if err == nil {
@@ -322,13 +228,6 @@ func (c *Cache) tryLoad(path, key string, net *topology.Network, spm *propagatio
 		c.bytesRead.Add(n)
 		if mapped {
 			c.mmapLoads.Add(1)
-		}
-		if canon := c.canonicalCore(key, m.Core()); canon != m.Core() {
-			// Another loader won the registry race; re-view over its core
-			// and let this load's core (and backing) be collected.
-			if m2, err := netmodel.NewModelFromCore(net, spm, region, params, canon); err == nil {
-				m = m2
-			}
 		}
 		return m, true
 	}
@@ -340,22 +239,13 @@ func (c *Cache) tryLoad(path, key string, net *topology.Network, spm *propagatio
 }
 
 // build constructs the model and, when path is non-empty, stores a
-// snapshot of it. The fresh core is registered for sharing either way.
-// Store failures are counted but not returned: the model in hand is
-// valid regardless.
+// snapshot of it. Store failures are counted but not returned: the
+// model in hand is valid regardless.
 func (c *Cache) build(key string, net *topology.Network, spm *propagation.SPM, region geo.Rect, params netmodel.Params, path string) (*netmodel.Model, error) {
 	c.builds.Add(1)
 	m, err := netmodel.NewModel(net, spm, region, params)
-	if err != nil {
+	if err != nil || path == "" {
 		return m, err
-	}
-	if canon := c.canonicalCore(key, m.Core()); canon != m.Core() {
-		if m2, err := netmodel.NewModelFromCore(net, spm, region, params, canon); err == nil {
-			m = m2
-		}
-	}
-	if path == "" {
-		return m, nil
 	}
 	if n, err := storeSnapshot(path, key, m); err != nil {
 		c.errs.Add(1)

@@ -70,34 +70,21 @@ func TestLoadOrBuildRoundtrip(t *testing.T) {
 		t.Fatalf("after cold build: %+v", st)
 	}
 
+	// The second call loads the snapshot file into a core of its own.
 	m2, err := c.LoadOrBuild(net, spm, region, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.CoreHits != 1 || st.Builds != 1 {
-		t.Fatalf("after warm in-process load: %+v", st)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Builds != 1 {
+		t.Fatalf("after warm disk load: %+v", st)
 	}
 	if m1 == m2 {
 		t.Fatal("LoadOrBuild must return independent models")
 	}
-	if m1.Core() != m2.Core() {
-		t.Fatal("models for one key must share one core")
+	if m1.Core() == m2.Core() {
+		t.Fatal("a snapshot load must materialize a new core")
 	}
 	mustEqualModels(t, m1, m2)
-
-	// A fresh process (no resident core) loads from the snapshot file.
-	c.dropSharedCores()
-	m3, err := c.LoadOrBuild(net, spm, region, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Hits != 1 || st.Builds != 1 {
-		t.Fatalf("after warm disk load: %+v", st)
-	}
-	if m3.Core() == m1.Core() {
-		t.Fatal("snapshot load after a core drop must materialize a new core")
-	}
-	mustEqualModels(t, m1, m3)
 
 	// A loaded model must behave identically, not just store the same
 	// arrays: evaluate a baseline state on both.
@@ -178,9 +165,8 @@ func TestLoadOrBuildSingleFlight(t *testing.T) {
 	if st.Builds != 1 {
 		t.Fatalf("got %d builds, want exactly 1 (stats %+v)", st.Builds, st)
 	}
-	if st.Hits+st.CoreHits < callers-1 {
-		t.Fatalf("got %d disk + %d core hits, want >= %d (stats %+v)",
-			st.Hits, st.CoreHits, callers-1, st)
+	if st.Hits < callers-1 {
+		t.Fatalf("got %d hits, want >= %d (stats %+v)", st.Hits, callers-1, st)
 	}
 	for i := 1; i < callers; i++ {
 		if models[i] == nil {
@@ -188,9 +174,6 @@ func TestLoadOrBuildSingleFlight(t *testing.T) {
 		}
 		if models[i] == models[0] {
 			t.Fatalf("callers 0 and %d share a model", i)
-		}
-		if models[i].Core() != models[0].Core() {
-			t.Fatalf("callers 0 and %d hold different cores for one key", i)
 		}
 		mustEqualModels(t, models[0], models[i])
 	}
@@ -243,10 +226,6 @@ func TestCorruptSnapshotFallback(t *testing.T) {
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
-			// Drop the resident shared core: a live in-memory core would
-			// (correctly) serve the request without touching the damaged
-			// file; this test is about the fresh-process path.
-			c.dropSharedCores()
 			before := c.Stats()
 			damaged := corrupt(append([]byte(nil), pristine...))
 			if err := os.WriteFile(path, damaged, 0o644); err != nil {

@@ -1,11 +1,11 @@
 // ModelCore: the immutable, shareable half of a Model. The contributor
 // arrays, the per-sector entry index and the grid-cell center table are
-// identical for every engine, worker and simulation fork planning the
-// same market, so they live in one reference-counted ModelCore shared
-// read-only by all of them. What stays per-Model is small and mutable:
-// the UE density, the tabulated link-table overrides, and everything a
-// State owns. Memory for a market therefore scales with the number of
-// engines only through State, not through the radio substrate.
+// identical for an engine's search workers and simulation forks, so they
+// live in one ModelCore shared read-only by all of them. What stays
+// per-Model is small and mutable: the UE density, the tabulated
+// link-table overrides, and everything a State owns. An engine's memory
+// therefore grows with its workers and forks only through State, not
+// through the radio substrate.
 //
 // A core can be backed directly by an on-disk snapshot's bytes (mmap or
 // a single file read; see internal/modelcache): the contributor arrays
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"magus/internal/geo"
 )
@@ -49,14 +48,6 @@ type ModelCore struct {
 
 	numCells   int
 	numSectors int
-
-	// refs counts the Models currently attached (engines, forks,
-	// clones share their parent's Model and are not counted twice).
-	// Detach is GC-lazy — a finalizer on each attached Model releases
-	// its reference — so the count is an upper bound that converges
-	// after collection; it exists for observability (CacheStats,
-	// /healthz, fleet heartbeats), not for correctness.
-	refs atomic.Int64
 
 	// Snapshot backing. When non-nil the contributor arrays alias
 	// backing's bytes; release unmaps/frees them once the core is
@@ -201,11 +192,6 @@ func (c *ModelCore) NumCells() int { return c.numCells }
 // NumSectors returns the sector count the core was built for.
 func (c *ModelCore) NumSectors() int { return c.numSectors }
 
-// Refs returns the number of Models currently attached to the core.
-// Detach is GC-lazy (see the refs field), so treat this as an
-// observability upper bound, not an exact liveness count.
-func (c *ModelCore) Refs() int64 { return c.refs.Load() }
-
 // Bytes estimates the resident size of the shared substrate: the
 // contributor arrays (or their snapshot backing) plus the derived
 // per-sector index, entry indexes and cell-center table. This is the
@@ -218,11 +204,4 @@ func (c *ModelCore) Bytes() int64 {
 	}
 	derived := int64(len(c.cellCenters))*16 + int64(len(c.contribSector))*8 + int64(len(c.entryIdx))*4
 	return arrays + derived
-}
-
-// attach registers one Model with the core and arranges the GC-lazy
-// release of its reference.
-func (c *ModelCore) attach(m *Model) {
-	c.refs.Add(1)
-	runtime.SetFinalizer(m, func(*Model) { c.refs.Add(-1) })
 }

@@ -10,8 +10,8 @@
 //     substrate — the per-(grid, sector) "contributor" entries (the
 //     in-memory analogue of the paper's Atoll path-loss matrices), the
 //     per-sector entry index and the cell-center table. It is built (or
-//     snapshot-loaded, zero-copy) once per market and shared read-only,
-//     reference-counted, by every engine, worker and simulation fork.
+//     snapshot-loaded, zero-copy) once per market and shared read-only
+//     by every worker and simulation fork of that market's engine.
 //   - Model is a thin per-use view over a core: the grid, link model and
 //     noise floor plus the small mutable parts — the UE density, the
 //     tabulated link-table overrides and the lazily built per-tilt
@@ -163,13 +163,13 @@ func NewModel(net *topology.Network, spm *propagation.SPM, region geo.Rect, para
 	if err != nil {
 		return nil, err
 	}
-	m.adoptCore(m.buildContributors())
+	m.core = m.buildContributors()
 	return m, nil
 }
 
 // newModelShell constructs everything of a Model except the core —
-// shared by NewModel (which builds one) and NewModelFromCore (which
-// attaches an existing one).
+// shared by NewModel (which builds one) and NewModelFromContributors
+// (which adopts snapshot arrays).
 func newModelShell(net *topology.Network, spm *propagation.SPM, region geo.Rect, params Params) (*Model, error) {
 	params.applyDefaults()
 	grid, err := geo.NewGrid(region, params.CellSizeM)
@@ -195,12 +195,6 @@ func newModelShell(net *topology.Network, spm *propagation.SPM, region geo.Rect,
 		ue:       make([]float64, grid.NumCells()),
 		ueFactor: 1,
 	}, nil
-}
-
-// adoptCore attaches core to the model, registering the reference.
-func (m *Model) adoptCore(core *ModelCore) {
-	m.core = core
-	core.attach(m)
 }
 
 // Core returns the model's shared immutable substrate.
@@ -258,12 +252,10 @@ func (m *Model) ScaleUsers(factor float64) {
 // first, so a cached engine shared with concurrent planners never sees
 // their mutations, while the rows they build warm the engine's cache.
 // States built on the fork see the fork's users; states built on m keep
-// seeing m's. The fork holds its own core reference (visible in
-// ModelCore.Refs).
+// seeing m's.
 func (m *Model) ForkUsers() *Model {
 	fork := *m
 	fork.ue = append([]float64(nil), m.ue...)
-	fork.adoptCore(m.core)
 	return &fork
 }
 

@@ -1,15 +1,10 @@
 // Snapshot access to the model's immutable core: the contributor
 // arrays are the expensive-to-build, cheap-to-serialize part of a
 // Model, and internal/modelcache persists them to disk keyed by a hash
-// of the inputs so warm restarts skip the build entirely. A loaded core
-// can then be shared by any number of models over the same market (see
-// NewModelFromCore) — the snapshot bytes are materialized (or mapped)
-// once per process, not once per engine.
+// of the inputs so warm restarts skip the build entirely.
 package netmodel
 
 import (
-	"fmt"
-
 	"magus/internal/geo"
 	"magus/internal/propagation"
 	"magus/internal/topology"
@@ -23,26 +18,6 @@ import (
 func (m *Model) Contributors() (sector []int32, baseDB, elev []float32, gridStart []int32) {
 	c := m.core
 	return c.contribSector, c.contribBaseDB, c.contribElev, c.gridStart
-}
-
-// NewModelFromCore builds a model view over an existing shared core,
-// skipping both the O(gridCells x sectors) construction and any array
-// copying. net, spm, region and params must be the inputs the core was
-// originally built from — the snapshot cache guarantees this by keying
-// cores on a hash of them.
-func NewModelFromCore(net *topology.Network, spm *propagation.SPM, region geo.Rect, params Params, core *ModelCore) (*Model, error) {
-	m, err := newModelShell(net, spm, region, params)
-	if err != nil {
-		return nil, err
-	}
-	if core.numCells != m.Grid.NumCells() {
-		return nil, fmt.Errorf("netmodel: core has %d cells, grid has %d", core.numCells, m.Grid.NumCells())
-	}
-	if core.numSectors != net.NumSectors() {
-		return nil, fmt.Errorf("netmodel: core has %d sectors, network has %d", core.numSectors, net.NumSectors())
-	}
-	m.adoptCore(core)
-	return m, nil
 }
 
 // NewModelFromContributors reconstructs a model from previously built
@@ -63,6 +38,6 @@ func NewModelFromContributors(net *topology.Network, spm *propagation.SPM, regio
 	if err != nil {
 		return nil, err
 	}
-	m.adoptCore(core)
+	m.core = core
 	return m, nil
 }

@@ -3,9 +3,12 @@
 # journaled /execute) and drive every magusctl subcommand that talks to
 # it, so the client's decoding of each reply is exercised against a
 # real daemon: simulate, execute run (clean and with an injected floor
-# breach), wave plan with replay, and campaign.
+# breach), wave plan with replay, and campaign. Then restart the daemon
+# over the same model snapshot directory: the second boot must load its
+# market from the snapshot (hits >= 1, no build) and serve a /runbook
+# byte-identical to the first boot's.
 #
-# Requires: go. Run from the repo root: scripts/cli_smoke.sh
+# Requires: go, curl, jq. Run from the repo root: scripts/cli_smoke.sh
 set -euo pipefail
 
 TMP=$(mktemp -d)
@@ -30,16 +33,25 @@ say "building binaries"
 go build -o "$TMP/magusd" ./cmd/magusd
 go build -o "$TMP/magusctl" ./cmd/magusctl
 
+# boot: starts magusd over the snapshot directory $TMP/models and sets
+# PID and the server URL S.
+boot() {
+  rm -f "$TMP/port"
+  "$TMP/magusd" -mini -listen 127.0.0.1:0 -port-file "$TMP/port" \
+    -exec-dir "$TMP/exec" -model-cache "$TMP/models" >>"$TMP/magusd.log" 2>&1 &
+  PID=$!
+  for _ in $(seq 1 300); do
+    [ -s "$TMP/port" ] && break
+    sleep 0.1
+  done
+  [ -s "$TMP/port" ] || die "magusd never wrote its port file"
+  S="http://$(head -n1 "$TMP/port")"
+}
+RUNBOOK='runbook?scenario=a&method=power'
+
 say "starting magusd"
-"$TMP/magusd" -mini -listen 127.0.0.1:0 -port-file "$TMP/port" \
-  -exec-dir "$TMP/exec" >"$TMP/magusd.log" 2>&1 &
-PID=$!
-for _ in $(seq 1 300); do
-  [ -s "$TMP/port" ] && break
-  sleep 0.1
-done
-[ -s "$TMP/port" ] || die "magusd never wrote its port file"
-S="http://$(head -n1 "$TMP/port")"
+boot
+curl -sf "$S/$RUNBOOK" >"$TMP/runbook1.json" || die "GET /$RUNBOOK failed"
 
 # ctl expect-exit name args...: runs magusctl, echoes its output, and
 # fails unless it exits with expect-exit. The output lands in $TMP/name.
@@ -80,5 +92,16 @@ ctl 0 campaign campaign -scenarios a,b -methods power,joint
 expect campaign 'accepted: 4 jobs'
 expect campaign '^[0-9]+ +suburban +1 +\([ab]\) +[a-z-]+ +done +[0-9.]+%'
 expect campaign 'mean recovery [1-9][0-9.]*%'
+
+say "restarting magusd over the warm snapshot directory"
+kill -TERM "$PID"
+wait "$PID" || die "magusd exited non-zero on SIGTERM"
+PID=
+boot
+curl -sf "$S/healthz" >"$TMP/healthz.json" || die "GET /healthz failed"
+jq -e '.model_snapshots.hits >= 1 and .model_snapshots.builds == 0' "$TMP/healthz.json" >/dev/null ||
+  die "warm boot did not load its model from the snapshot: $(jq -c .model_snapshots "$TMP/healthz.json")"
+curl -sf "$S/$RUNBOOK" >"$TMP/runbook2.json" || die "GET /$RUNBOOK failed after restart"
+cmp "$TMP/runbook1.json" "$TMP/runbook2.json" || die "/$RUNBOOK differs after a warm restart"
 
 say "PASS"
