@@ -98,6 +98,9 @@ func (c *SetupConfig) applyDefaults() {
 	if c.EqualizeSteps < 0 {
 		c.EqualizeSteps = 0
 	}
+	if c.EqualizeUtility.U == nil {
+		c.EqualizeUtility = utility.Performance
+	}
 }
 
 // Engine is a ready-to-plan Magus instance for one area.
@@ -164,10 +167,6 @@ func NewEngine(cfg SetupConfig) (*Engine, error) {
 	before := model.NewState(config.New(net))
 	before.AssignUsersUniform()
 	if cfg.EqualizeSteps > 0 {
-		obj := cfg.EqualizeUtility
-		if obj.U == nil {
-			obj = utility.Performance
-		}
 		unit := cfg.EqualizeUnitDB
 		if unit <= 0 {
 			unit = 2
@@ -180,7 +179,7 @@ func NewEngine(cfg SetupConfig) (*Engine, error) {
 		// headroom above it is the emergency margin Magus spends.
 		if _, err := search.Equalize(before, search.Options{
 			MaxSteps:          cfg.EqualizeSteps,
-			Util:              obj,
+			Util:              cfg.EqualizeUtility,
 			PowerUnitDB:       unit,
 			TiltUnit:          int(unit + 0.5),
 			CapAtDefaultPower: true,
@@ -190,6 +189,7 @@ func NewEngine(cfg SetupConfig) (*Engine, error) {
 		// Re-derive the user distribution from the planned serving map.
 		before.AssignUsersUniform()
 	}
+	before = freshBefore(before, cfg.EqualizeUtility)
 
 	return &Engine{
 		Net:        net,
@@ -200,6 +200,19 @@ func NewEngine(cfg SetupConfig) (*Engine, error) {
 		cfg:        cfg,
 		tuningArea: geo.NewRectCentered(region.Center(), cfg.TuningSpanM, cfg.TuningSpanM),
 	}, nil
+}
+
+// freshBefore rebuilds an engine's C_before from its configuration, so
+// that it holds what NewState computes rather than what a chain of
+// incremental updates left behind. C_before is always fresh: window
+// sessions copy it instead of rebuilding it (netmodel.State.CloneOn),
+// and the copy of a fresh state is the fresh state. The utility memo is
+// warmed under obj, the Equalize objective, so plans cloned from
+// C_before skip a cold full scan under it.
+func freshBefore(before *netmodel.State, obj utility.Func) *netmodel.State {
+	fresh := before.Model.NewState(before.Cfg)
+	fresh.Utility(obj)
+	return fresh
 }
 
 // MustNewEngine is NewEngine that panics on error.

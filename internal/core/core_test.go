@@ -6,6 +6,7 @@ import (
 
 	"magus/internal/feedback"
 	"magus/internal/migrate"
+	"magus/internal/sanitize"
 	"magus/internal/topology"
 	"magus/internal/upgrade"
 	"magus/internal/utility"
@@ -269,4 +270,33 @@ func TestMitigateFullSiteLeavesNoTargetServing(t *testing.T) {
 			t.Errorf("off-air target %d still serving in C_after", tg)
 		}
 	}
+}
+
+// TestBeforeIsFresh: an engine's C_before reads, grid by grid and bit
+// for bit, what a state rebuilt from its configuration reads, after
+// NewEngine and after a dataset swaps it; window sessions copy it on
+// that promise.
+func TestBeforeIsFresh(t *testing.T) {
+	e := testEngine(t)
+	sameAsRebuilt := func(where string) {
+		t.Helper()
+		got, want := e.Before, e.Model.NewState(e.Before.Cfg.Clone())
+		for g := 0; g < e.Model.Grid.NumCells(); g++ {
+			if got.ServingSector(g) != want.ServingSector(g) ||
+				math.Float64bits(got.SINRdB(g)) != math.Float64bits(want.SINRdB(g)) ||
+				math.Float64bits(got.MaxRateBps(g)) != math.Float64bits(want.MaxRateBps(g)) {
+				t.Fatalf("%s: grid %d differs from a rebuilt state", where, g)
+			}
+		}
+		for b := 0; b < e.Net.NumSectors(); b++ {
+			if math.Float64bits(got.Load(b)) != math.Float64bits(want.Load(b)) || got.ServedGrids(b) != want.ServedGrids(b) {
+				t.Fatalf("%s: sector %d load differs from a rebuilt state", where, b)
+			}
+		}
+	}
+	sameAsRebuilt("new engine")
+	if _, err := e.UseDataset(e.ExportDataset(), sanitize.Repair); err != nil {
+		t.Fatal(err)
+	}
+	sameAsRebuilt("dataset")
 }

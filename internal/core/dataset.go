@@ -118,7 +118,7 @@ func (e *Engine) UseDataset(ds *sanitize.Dataset, policy sanitize.Policy) (*sani
 		before.RecomputeLoads()
 	}
 
-	e.Before = before
+	e.Before = freshBefore(before, e.cfg.EqualizeUtility)
 	e.sanitation = rep
 	e.quarantined = quarantined
 	return rep, nil

@@ -15,18 +15,22 @@ import (
 	"magus/internal/simwindow"
 )
 
-// CrashPoint names a place in the per-step protocol where a crash hook
-// may kill the run. The three points bracket the commit record, which
+// CrashPoint names a place in the protocol where a crash hook may kill
+// the run. The three forward points bracket the commit record, which
 // is exactly where the recovery semantics differ: before the push a
 // resume simply redoes the step; between push and commit the step is
 // in-doubt and recovery must ask the network; after the commit a resume
-// re-verifies but never re-pushes.
+// re-verifies but never re-pushes. The two rollback points follow the
+// halt record and a rollback commit, both of which ride on the next
+// sync (see checkpoint), so a kill there loses them.
 type CrashPoint string
 
 const (
-	CrashBeforePush   CrashPoint = "before-push"
-	CrashBeforeCommit CrashPoint = "before-commit"
-	CrashAfterCommit  CrashPoint = "after-commit"
+	CrashBeforePush          CrashPoint = "before-push"
+	CrashBeforeCommit        CrashPoint = "before-commit"
+	CrashAfterCommit         CrashPoint = "after-commit"
+	CrashAfterHalt           CrashPoint = "after-halt"
+	CrashAfterRollbackCommit CrashPoint = "after-rollback-commit"
 )
 
 // CrashHook is consulted at each crash point of each step. A non-nil
@@ -65,9 +69,10 @@ type Options struct {
 	// RunID namespaces this run's records in the journal (Record.
 	// Campaign). Required when Journal is set.
 	RunID string
-	// Journal, when non-nil, receives a synced checkpoint record per
-	// state transition; a crashed run resumes from it. Nil runs
-	// best-effort with no recovery (campaign jobs, benchmarks).
+	// Journal, when non-nil, receives a checkpoint record per state
+	// transition, synced before every push and at the run's outcome; a
+	// crashed run resumes from it. Nil runs best-effort with no
+	// recovery (campaign jobs, benchmarks).
 	Journal *journal.Journal
 	// StepDeadline bounds one step's push-plus-retries (default 30s).
 	StepDeadline time.Duration
@@ -304,10 +309,17 @@ func (e *Executor) replay() (*progress, error) {
 	return p, nil
 }
 
-// checkpoint journals one synced state transition. Journal failures are
+// checkpoint journals one state transition. Journal failures are
 // returned: a recovery log that cannot record is worse than stopping,
 // because continuing would silently forfeit the resume guarantee.
-func (e *Executor) checkpoint(typ string, step, attempt int, state string, spec json.RawMessage) error {
+//
+// Only the records an action depends on are synced (syncedRecord); the
+// rest ride on the next sync, which makes every record before it
+// durable too. Losing one of those in a crash costs a resume nothing
+// it cannot redo: a lost commit leaves its step in doubt (asked of the
+// network), a lost verify re-verifies, and a lost halt is decided again
+// from fresh samples.
+func (e *Executor) checkpoint(typ string, step int, state string, spec json.RawMessage) error {
 	if e.opts.Journal == nil {
 		return nil
 	}
@@ -315,19 +327,35 @@ func (e *Executor) checkpoint(typ string, step, attempt int, state string, spec 
 		Type:     typ,
 		Campaign: e.opts.RunID,
 		Job:      step,
-		Attempt:  attempt,
 		State:    state,
 		Spec:     spec,
 	}
 	err := e.opts.Journal.Append(rec)
 	if err == nil {
-		err = e.opts.Journal.Sync()
+		e.opts.Counters.JournalRecords.Add(1)
+		if syncedRecord(typ) {
+			if err = e.opts.Journal.Sync(); err == nil {
+				e.opts.Counters.JournalSyncs.Add(1)
+			}
+		}
 	}
 	if err != nil {
 		e.opts.Counters.JournalErrors.Add(1)
 		return fmt.Errorf("executor: checkpoint %s: %w", typ, err)
 	}
 	return nil
+}
+
+// syncedRecord reports whether a record must be durable before the run
+// goes on: an intent before the push it announces, and the run's
+// outcome before it is reported.
+func syncedRecord(typ string) bool {
+	switch typ {
+	case journal.TypeExecStep, journal.TypeExecRollbackStep,
+		journal.TypeExecDone, journal.TypeExecRolledBack:
+		return true
+	}
+	return false
 }
 
 // crash fires the chaos hook at a protocol point. A non-nil hook error
@@ -414,7 +442,7 @@ func (e *Executor) Run(ctx context.Context) (*Status, error) {
 	}
 
 	if halt == nil {
-		if err := e.checkpoint(journal.TypeExecDone, 0, 0, RunDone, nil); err != nil {
+		if err := e.checkpoint(journal.TypeExecDone, 0, RunDone, nil); err != nil {
 			e.finishErr(err)
 			return e.Status(), err
 		}
@@ -511,7 +539,7 @@ func (e *Executor) runStep(ctx context.Context, st runbook.Step, prog *progress)
 		if err != nil {
 			return fmt.Errorf("executor: step %d: encode changes: %w", idx, err)
 		}
-		if err := e.checkpoint(journal.TypeExecStep, idx, 0, string(st.Kind), spec); err != nil {
+		if err := e.checkpoint(journal.TypeExecStep, idx, string(st.Kind), spec); err != nil {
 			return err
 		}
 	}
@@ -533,7 +561,7 @@ func (e *Executor) runStep(ctx context.Context, st runbook.Step, prog *progress)
 	if err := e.crash(CrashBeforeCommit, idx); err != nil {
 		return err
 	}
-	if err := e.checkpoint(journal.TypeExecCommit, idx, 0, "", nil); err != nil {
+	if err := e.checkpoint(journal.TypeExecCommit, idx, "", nil); err != nil {
 		return err
 	}
 	e.opts.Counters.StepsCommitted.Add(1)
@@ -639,7 +667,7 @@ func (e *Executor) verifyStep(ctx context.Context, st runbook.Step) error {
 		below = 0
 		good++
 		if good >= e.opts.VerifySamples {
-			if err := e.checkpoint(journal.TypeExecVerify, idx, 0, "", nil); err != nil {
+			if err := e.checkpoint(journal.TypeExecVerify, idx, "", nil); err != nil {
 				return err
 			}
 			e.opts.Counters.StepsVerified.Add(1)
@@ -674,7 +702,10 @@ func inverseStep(st runbook.Step) runbook.Step {
 // network is left in a known-bad intermediate state and says so.
 func (e *Executor) rollback(ctx context.Context, prog *progress, halt *haltError) error {
 	if !prog.halted {
-		if err := e.checkpoint(journal.TypeExecHalt, halt.step, 0, halt.reason, nil); err != nil {
+		if err := e.checkpoint(journal.TypeExecHalt, halt.step, halt.reason, nil); err != nil {
+			return err
+		}
+		if err := e.crash(CrashAfterHalt, halt.step); err != nil {
 			return err
 		}
 	}
@@ -697,7 +728,7 @@ func (e *Executor) rollback(ctx context.Context, prog *progress, halt *haltError
 			}
 			needPush = !applied
 		} else {
-			if err := e.checkpoint(journal.TypeExecRollbackStep, idx, 0, "", nil); err != nil {
+			if err := e.checkpoint(journal.TypeExecRollbackStep, idx, "", nil); err != nil {
 				return err
 			}
 		}
@@ -710,10 +741,13 @@ func (e *Executor) rollback(ctx context.Context, prog *progress, halt *haltError
 				return err
 			}
 		}
-		if err := e.checkpoint(journal.TypeExecRollbackCommit, idx, 0, "", nil); err != nil {
+		if err := e.checkpoint(journal.TypeExecRollbackCommit, idx, "", nil); err != nil {
 			return err
 		}
 		e.setStep(idx, func(ss *StepStatus) { ss.State = StepRolledBack })
+		if err := e.crash(CrashAfterRollbackCommit, idx); err != nil {
+			return err
+		}
 	}
-	return e.checkpoint(journal.TypeExecRolledBack, halt.step, 0, halt.reason, nil)
+	return e.checkpoint(journal.TypeExecRolledBack, halt.step, halt.reason, nil)
 }

@@ -29,6 +29,11 @@ type Counters struct {
 	PushRetries    atomic.Int64
 	FloorBreaches  atomic.Int64
 	JournalErrors  atomic.Int64
+	// JournalRecords and JournalSyncs count checkpoint records appended
+	// and the fsyncs checkpoints forced; their ratio is records per
+	// fsync.
+	JournalRecords atomic.Int64
+	JournalSyncs   atomic.Int64
 }
 
 // CountersSnapshot is the JSON shape of Counters.
@@ -44,6 +49,8 @@ type CountersSnapshot struct {
 	PushRetries    int64 `json:"push_retries"`
 	FloorBreaches  int64 `json:"floor_breaches"`
 	JournalErrors  int64 `json:"journal_errors"`
+	JournalRecords int64 `json:"journal_records"`
+	JournalSyncs   int64 `json:"journal_syncs"`
 }
 
 // Snapshot reads every counter once.
@@ -60,6 +67,8 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		PushRetries:    c.PushRetries.Load(),
 		FloorBreaches:  c.FloorBreaches.Load(),
 		JournalErrors:  c.JournalErrors.Load(),
+		JournalRecords: c.JournalRecords.Load(),
+		JournalSyncs:   c.JournalSyncs.Load(),
 	}
 }
 

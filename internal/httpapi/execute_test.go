@@ -85,6 +85,41 @@ func TestExecuteEndpoint(t *testing.T) {
 	}
 }
 
+// TestExecuteJournalCounters runs one clean journaled /execute run and
+// reads its journal work off /healthz: a k-step run appends 3k+1
+// checkpoint records (intent, commit and verify per step, then the
+// outcome) and syncs k+1 of them (the intents and the outcome).
+func TestExecuteJournalCounters(t *testing.T) {
+	s := New(testEngine(t), Options{ExecDir: t.TempDir()})
+	t.Cleanup(s.Close)
+	type counters struct {
+		Records int64 `json:"journal_records"`
+		Syncs   int64 `json:"journal_syncs"`
+	}
+	read := func() counters {
+		var health struct {
+			Executor struct {
+				Counters counters `json:"counters"`
+			} `json:"executor"`
+		}
+		decode(t, get(t, s, "/healthz"), &health)
+		return health.Executor.Counters
+	}
+	before := read()
+	id, steps := submitExecute(t, s, `{"scenario":"a","method":"power","exec":{"retry_backoff_ms":1}}`)
+	if view := waitExecute(t, s, id); view.Error != "" || view.Status.State != "done" {
+		t.Fatalf("run: state %q, error %q", view.Status.State, view.Error)
+	}
+	after := read()
+	k := int64(steps)
+	if got := after.Syncs - before.Syncs; got != k+1 {
+		t.Errorf("journal_syncs moved by %d, want k+1 = %d", got, k+1)
+	}
+	if got := after.Records - before.Records; got != 3*k+1 {
+		t.Errorf("journal_records moved by %d, want 3k+1 = %d", got, 3*k+1)
+	}
+}
+
 // TestExecuteEndpointHaltsOnBreach injects a sustained floor breach:
 // the run must finish halted with the rollback applied, reported as a
 // domain outcome (no run error).

@@ -19,6 +19,13 @@ import (
 
 func testServer(t *testing.T) *Server {
 	t.Helper()
+	s := NewServer(testEngine(t))
+	t.Cleanup(s.Close)
+	return s
+}
+
+func testEngine(t *testing.T) *core.Engine {
+	t.Helper()
 	engine, err := core.NewEngine(core.SetupConfig{
 		Seed:          3,
 		Class:         topology.Suburban,
@@ -29,9 +36,7 @@ func testServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(engine)
-	t.Cleanup(s.Close)
-	return s
+	return engine
 }
 
 // miniSetup sizes a miniature market per class so campaign tests build

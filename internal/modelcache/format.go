@@ -166,11 +166,10 @@ func loadSnapshot(path, key string, net *topology.Network, spm *propagation.SPM,
 		return fail(err)
 	}
 	if arrays.aliased {
-		// The core's arrays alias raw: record the backing size and hand
-		// over the release (munmap) for the core's end of life. For the
-		// heap-read path release is nil — the GC frees the buffer with
-		// the core.
-		m.Core().SetBacking(int64(len(raw)), release)
+		// The core's arrays alias raw: hand over the release (munmap)
+		// for the core's end of life. For the heap-read path release is
+		// nil — the GC frees the buffer with the core.
+		m.Core().SetBacking(release)
 	} else if release != nil {
 		// Big-endian host copied the arrays out; the backing can go now.
 		release()

@@ -93,6 +93,32 @@ func TestLoadOrBuildRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCoreBytesAgree: one market's core counts the same bytes whether
+// it was built without a cache, built and stored, or loaded from the
+// stored snapshot.
+func TestCoreBytesAgree(t *testing.T) {
+	net, spm, region, params := testInputs(t, 11)
+	direct := netmodel.MustNewModel(net, spm, region, params).Core().Bytes()
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := c.LoadOrBuild(net, spm, region, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := c.LoadOrBuild(net, spm, region, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Builds != 1 || st.Stores != 1 || st.Hits != 1 {
+		t.Fatalf("want one build, one store and one load: %+v", st)
+	}
+	if b, l := built.Core().Bytes(), loaded.Core().Bytes(); direct <= 0 || b != direct || l != direct {
+		t.Errorf("core bytes: direct %d, built and stored %d, loaded %d; want all equal", direct, b, l)
+	}
+}
+
 func TestKeySensitivity(t *testing.T) {
 	net, spm, region, params := testInputs(t, 11)
 	base := Key(net, spm, region, params)

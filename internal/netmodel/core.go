@@ -49,12 +49,11 @@ type ModelCore struct {
 	numCells   int
 	numSectors int
 
-	// Snapshot backing. When non-nil the contributor arrays alias
-	// backing's bytes; release unmaps/frees them once the core is
+	// Snapshot backing. When non-nil the contributor arrays alias a
+	// snapshot's bytes; release unmaps/frees them once the core is
 	// collected.
-	backingBytes int64
-	releaseOnce  sync.Once
-	release      func()
+	releaseOnce sync.Once
+	release     func()
 }
 
 // NewCore validates and adopts previously built contributor arrays as
@@ -167,13 +166,12 @@ func (c *ModelCore) indexSectorEntries() {
 }
 
 // SetBacking records that the contributor arrays alias an external
-// buffer of the given size (an mmap'd or heap-loaded snapshot) and
-// installs the function that releases it. The release runs exactly once,
-// when the core is garbage-collected — Models hold their core strongly,
-// so no live engine can observe a released backing. Call at most once,
-// before the core is shared.
-func (c *ModelCore) SetBacking(bytes int64, release func()) {
-	c.backingBytes = bytes
+// buffer (an mmap'd or heap-loaded snapshot) and installs the function
+// that releases it. The release runs exactly once, when the core is
+// garbage-collected — Models hold their core strongly, so no live
+// engine can observe a released backing. Call at most once, before the
+// core is shared.
+func (c *ModelCore) SetBacking(release func()) {
 	c.release = release
 	if release != nil {
 		runtime.SetFinalizer(c, func(core *ModelCore) {
@@ -193,15 +191,14 @@ func (c *ModelCore) NumCells() int { return c.numCells }
 func (c *ModelCore) NumSectors() int { return c.numSectors }
 
 // Bytes estimates the resident size of the shared substrate: the
-// contributor arrays (or their snapshot backing) plus the derived
-// per-sector index, entry indexes and cell-center table. This is the
-// memory N engines over one market pay once instead of N times.
+// contributor arrays plus the derived per-sector index, entry indexes
+// and cell-center table. This is the memory N engines over one market
+// pay once instead of N times. A core built in memory and one loaded
+// from its snapshot count the same: the arrays by their lengths,
+// whatever buffer backs them.
 func (c *ModelCore) Bytes() int64 {
-	arrays := c.backingBytes
-	if arrays == 0 {
-		arrays = int64(len(c.contribSector))*4 + int64(len(c.contribBaseDB))*4 +
-			int64(len(c.contribElev))*4 + int64(len(c.gridStart))*4
-	}
+	arrays := int64(len(c.contribSector))*4 + int64(len(c.contribBaseDB))*4 +
+		int64(len(c.contribElev))*4 + int64(len(c.gridStart))*4
 	derived := int64(len(c.cellCenters))*16 + int64(len(c.contribSector))*8 + int64(len(c.entryIdx))*4
 	return arrays + derived
 }

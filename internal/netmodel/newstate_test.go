@@ -12,6 +12,7 @@ import (
 	"magus/internal/geo"
 	"magus/internal/propagation"
 	"magus/internal/topology"
+	"magus/internal/utility"
 )
 
 // classModel builds a market of the given class at the cell size the
@@ -169,4 +170,45 @@ func TestNewCoreRejectsUnsortedCells(t *testing.T) {
 			t.Errorf("%s: cell %d accepted out of order (err %v)", name, g, err)
 		}
 	}
+}
+
+// TestCloneOnMatchesNewState: a copy of a fresh state onto a ForkUsers
+// fork equals the state NewState builds on the fork from the same
+// configuration, bit for bit, utility included. The copy reads the
+// fork's users, not its source's, and a model with another core is
+// refused.
+func TestCloneOnMatchesNewState(t *testing.T) {
+	m := testModel(t)
+	baseline(t, m)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 3; i++ {
+		cfg := randomConfig(rng, m.Net)
+		base := m.NewState(cfg.Clone())
+		base.Utility(utility.Performance)
+		fork := m.ForkUsers()
+		got, want := base.CloneOn(fork), fork.NewState(cfg.Clone())
+		where := fmt.Sprintf("config %d", i)
+		sameFreshState(t, where, got, want)
+		if got.Model != fork {
+			t.Fatalf("%s: copy is not on the fork", where)
+		}
+		if u, w := got.Utility(utility.Performance), want.Utility(utility.Performance); math.Float64bits(u) != math.Float64bits(w) {
+			t.Fatalf("%s: utility %v, fresh state %v", where, u, w)
+		}
+
+		fork.ScaleUsersAt(fork.SectorCells(0), 3)
+		got.RecomputeLoads()
+		want.RecomputeLoads()
+		sameFreshState(t, where+" after a surge", got, want)
+		if fresh := m.NewState(cfg.Clone()); !slices.Equal(base.load, fresh.load) {
+			t.Fatalf("%s: a surge on the fork moved the source's loads", where)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("CloneOn onto a model with another core did not panic")
+		}
+	}()
+	baseline(t, m).CloneOn(testModel(t))
 }

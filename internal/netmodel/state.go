@@ -186,6 +186,21 @@ func (s *State) Clone() *State {
 	return c
 }
 
+// CloneOn is Clone onto fork, a ForkUsers fork of s's model: the copy
+// reads and writes fork's UE distribution instead of s's. A copy of a
+// state built by NewState equals the state NewState builds on fork from
+// the same configuration, bit for bit, so a simulation can start from
+// its baseline without rebuilding it. It panics unless fork shares s's
+// core.
+func (s *State) CloneOn(fork *Model) *State {
+	if fork.core != s.Model.core {
+		panic("netmodel: CloneOn onto a model with another core")
+	}
+	c := s.Clone()
+	c.Model = fork
+	return c
+}
+
 // installSector installs the model's cached link row for sector b's
 // current tilt and the power it is read at (0 off-air); the row it
 // replaces is left as it was for any state still sharing it.

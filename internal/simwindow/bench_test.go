@@ -164,9 +164,9 @@ var (
 
 // BenchmarkWindowSetup prices what every /simulate and /execute pays
 // before its first tick: a simulator and an executor network, each a
-// Session whose live and C_after states are built on a fork of the
-// engine's model from its shared baseline's configuration, on the
-// medium fixture.
+// Session on a fork of the engine's model whose live state is a copy of
+// the engine's fresh baseline and whose C_after state is built there,
+// on the medium fixture.
 func BenchmarkWindowSetup(b *testing.B) {
 	fx := benchFixture(b, benchMedium)
 	cfg := simwindow.Config{Seed: 42, Ticks: 360}

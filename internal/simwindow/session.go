@@ -82,8 +82,8 @@ type Sample struct {
 }
 
 // NewSession prepares a live session of rb starting from base (the
-// C_before state the runbook was planned against). base and its model
-// are not mutated. Only timed faults (sector-down, surge) are accepted
+// C_before state the runbook was planned against), on a copy of base.
+// base and its model are not mutated. Only timed faults (sector-down, surge) are accepted
 // (see SessionFaults).
 func NewSession(base *netmodel.State, rb *runbook.Runbook, cfg Config) (*Session, error) {
 	if err := SessionFaults(cfg.Faults); err != nil {
@@ -106,7 +106,8 @@ func SessionFaults(faults []Fault) error {
 }
 
 // newSession is the constructor shared by sessions and simulators: it
-// forks the model, builds the live and C_after states on the fork,
+// forks the model, copies base onto the fork as the live state, builds
+// the C_after state there,
 // validates every fault once and sets up the meter (full selects the
 // full-scan reference measurement).
 func newSession(base *netmodel.State, rb *runbook.Runbook, cfg Config, full bool) (*Session, error) {
@@ -126,10 +127,12 @@ func newSession(base *netmodel.State, rb *runbook.Runbook, cfg Config, full bool
 			}
 		}
 	}
-	// Both states are built on the fork, which shares base's link rows;
-	// base is only read.
+	// Both states live on the fork, which shares base's link rows; base
+	// is only read. The live state is a copy of base, which equals a
+	// rebuild of base's configuration because an engine's C_before is
+	// always fresh (core.NewEngine).
 	model := base.Model.ForkUsers()
-	live := model.NewState(base.Cfg.Clone())
+	live := base.CloneOn(model)
 	s := &Session{
 		cfg:       cfg,
 		tickSec:   60,
