@@ -272,11 +272,9 @@ func (sp *SimSpec) window(ctx context.Context, workers int) (simwindow.Config, e
 		Profile:   diurnal(sp.Diurnal),
 		LoadNoise: sp.LoadNoise,
 		Faults:    faults,
+		Replan:    sp.Replan,
 		Workers:   workers,
 		Ctx:       ctx,
-	}
-	if sp.Replan {
-		cfg.Replanner = &simwindow.SearchReplanner{}
 	}
 	return cfg, cfg.Validate()
 }

@@ -13,6 +13,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -152,7 +153,8 @@ func ParseFault(s string) (Fault, error) {
 			return Fault{}, fmt.Errorf("chaos: fault %q: bad step: %v", s, err)
 		}
 		ms, err := strconv.Atoi(msStr)
-		if err != nil || ms <= 0 {
+		// A delay past time.Duration's range would wrap negative.
+		if err != nil || ms <= 0 || time.Duration(ms) > math.MaxInt64/time.Millisecond {
 			return Fault{}, fmt.Errorf("chaos: fault %q: bad delay %q", s, msStr)
 		}
 		f.Step = step

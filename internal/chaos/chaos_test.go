@@ -58,6 +58,7 @@ func TestParseFaultErrors(t *testing.T) {
 		"push-delay@2",
 		"push-delay@2+0",
 		"push-delay@2+ms",
+		"push-delay@2+9223372036855", // overflows time.Duration
 		"crash-before-push@",
 	} {
 		if _, err := ParseFault(s); err == nil {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"magus/internal/config"
 	"magus/internal/journal"
 	"magus/internal/runbook"
 	"magus/internal/simwindow"
@@ -91,7 +90,8 @@ type Options struct {
 	// step (default 3).
 	VerifySamples int
 	// GraceSamples is the watchdog's grace window: more than this many
-	// consecutive below-floor samples is a breach (default 2).
+	// consecutive below-floor samples is a breach (default
+	// simwindow.FloorStreak-1).
 	GraceSamples int
 	// CrashHook, when non-nil, is the chaos layer's kill switch.
 	CrashHook CrashHook
@@ -123,7 +123,7 @@ func (o *Options) applyDefaults() {
 		o.VerifySamples = 3
 	}
 	if o.GraceSamples <= 0 {
-		o.GraceSamples = 2
+		o.GraceSamples = simwindow.FloorStreak - 1
 	}
 	if o.Counters == nil {
 		o.Counters = &Counters{}
@@ -626,10 +626,12 @@ func (e *Executor) push(ctx context.Context, st runbook.Step) error {
 // verifyStep is the KPI watchdog: sample until VerifySamples
 // observations at or above the floor clear the step, halting on a
 // sustained breach (more than GraceSamples consecutive below-floor
-// samples) or on an unverifiable step (too many lost reports).
+// samples; lost reports neither extend nor reset the streak) or on an
+// unverifiable step (too many lost reports).
 func (e *Executor) verifyStep(ctx context.Context, st runbook.Step) error {
 	idx := st.Index
-	good, below, lost := 0, 0, 0
+	wd := simwindow.Watchdog{Limit: e.opts.GraceSamples + 1}
+	good, lost := 0, 0
 	budget := e.opts.VerifySamples + e.opts.GraceSamples + maxSampleLoss
 	for taken := 0; taken < budget; taken++ {
 		if err := ctx.Err(); err != nil {
@@ -653,18 +655,16 @@ func (e *Executor) verifyStep(ctx context.Context, st runbook.Step) error {
 			ss.Utility = sample.Utility
 			ss.Floor = sample.Floor
 		})
-		if simwindow.BelowFloor(sample.Utility, sample.Floor) {
-			below++
+		if below, breached := wd.Observe(sample.Utility, sample.Floor); below {
 			e.setRun(func(s *Status) { s.SamplesBelowFloor++ })
-			if below > e.opts.GraceSamples {
+			if breached {
 				e.opts.Counters.FloorBreaches.Add(1)
 				return haltError{step: idx, reason: fmt.Sprintf(
 					"utility %.2f below floor %.2f for %d consecutive samples (grace %d)",
-					sample.Utility, sample.Floor, below, e.opts.GraceSamples)}
+					sample.Utility, sample.Floor, wd.Streak, e.opts.GraceSamples)}
 			}
 			continue
 		}
-		below = 0
 		good++
 		if good >= e.opts.VerifySamples {
 			if err := e.checkpoint(journal.TypeExecVerify, idx, "", nil); err != nil {
@@ -677,23 +677,7 @@ func (e *Executor) verifyStep(ctx context.Context, st runbook.Step) error {
 	}
 	return haltError{step: idx, reason: fmt.Sprintf(
 		"verification inconclusive after %d observations (%d good, %d below floor, %d lost)",
-		budget, good, below, lost)}
-}
-
-// inverseStep is the rollback incarnation of a committed forward step:
-// the same index, the step's changes inverted and reversed — exactly
-// the per-step grouping of runbook.BuildRollback.
-func inverseStep(st runbook.Step) runbook.Step {
-	inv := make([]config.Change, 0, len(st.Changes))
-	for i := len(st.Changes) - 1; i >= 0; i-- {
-		inv = append(inv, st.Changes[i].Inverse())
-	}
-	return runbook.Step{
-		Index:   st.Index,
-		Kind:    runbook.KindRollback,
-		Changes: inv,
-		Note:    fmt.Sprintf("rollback of step %d", st.Index),
-	}
+		budget, good, wd.Streak, lost)}
 }
 
 // rollback unwinds every committed step in reverse order, with the same
@@ -719,7 +703,14 @@ func (e *Executor) rollback(ctx context.Context, prog *progress, halt *haltError
 			e.setStep(idx, func(ss *StepStatus) { ss.State = StepRolledBack })
 			continue
 		}
-		rbStep := inverseStep(st)
+		// The rollback incarnation keeps the step's index; its changes
+		// are runbook.BuildRollback's for the same step.
+		rbStep := runbook.Step{
+			Index:   idx,
+			Kind:    runbook.KindRollback,
+			Changes: st.Inverse(),
+			Note:    fmt.Sprintf("rollback of step %d", idx),
+		}
 		needPush := true
 		if prog.rbIntent[idx] {
 			applied, err := e.net.Applied(rbStep)

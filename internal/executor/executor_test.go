@@ -369,6 +369,42 @@ func TestExecutorGraceAbsorbsTransientBreach(t *testing.T) {
 	}
 }
 
+// TestExecutorHaltsAfterGrace: under a sustained breach the watchdog
+// tolerates exactly GraceSamples below-floor samples and halts on the
+// next one, counting one floor breach.
+func TestExecutorHaltsAfterGrace(t *testing.T) {
+	_, rb := fixture(t)
+	for _, grace := range []int{1, 3} {
+		plan, err := chaos.Parse("kpi-breach@1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cnet := plan.Instrument(freshNet(t))
+		opts := fastOpts()
+		opts.GraceSamples = grace
+		opts.CrashHook = cnet.Hook()
+		opts.Counters = &executor.Counters{}
+		ex, err := executor.New(cnet, rb, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := ex.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Halted || st.HaltStep != 1 || !strings.Contains(st.HaltReason, "below floor") {
+			t.Fatalf("grace %d: halted=%v step=%d reason=%q, want a floor breach at step 1",
+				grace, st.Halted, st.HaltStep, st.HaltReason)
+		}
+		if st.SamplesBelowFloor != grace+1 {
+			t.Errorf("grace %d: %d samples below floor, want %d", grace, st.SamplesBelowFloor, grace+1)
+		}
+		if n := opts.Counters.FloorBreaches.Load(); n != 1 {
+			t.Errorf("grace %d: %d floor breaches counted, want 1", grace, n)
+		}
+	}
+}
+
 func TestExecutorValidation(t *testing.T) {
 	_, rb := fixture(t)
 	net := freshNet(t)

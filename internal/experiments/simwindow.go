@@ -189,11 +189,9 @@ func RunSimWindow(env *campaign.Env, seed int64) (*SimWindow, error) {
 			}
 			if faulted {
 				cfg.Faults = faults
-				if name == StrategyGradual {
-					// Magus's full loop: the planner also watches the window
-					// and splices corrections when the floor breaks.
-					cfg.Replanner = &simwindow.SearchReplanner{}
-				}
+				// Magus's full loop: the planner also watches the window
+				// and splices corrections when the floor breaks.
+				cfg.Replan = name == StrategyGradual
 			}
 			sim, err := simwindow.New(engine.Before, rb, cfg)
 			if err != nil {

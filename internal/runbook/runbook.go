@@ -50,6 +50,16 @@ type Step struct {
 	Note string `json:"note,omitempty"`
 }
 
+// Inverse returns the changes that undo the step: its changes inverted,
+// in reverse order.
+func (s Step) Inverse() []config.Change {
+	inv := make([]config.Change, 0, len(s.Changes))
+	for i := len(s.Changes) - 1; i >= 0; i-- {
+		inv = append(inv, s.Changes[i].Inverse())
+	}
+	return inv
+}
+
 // Runbook is a complete executable mitigation document.
 type Runbook struct {
 	Title     string `json:"title"`
@@ -126,7 +136,6 @@ func Build(plan *core.Plan, mig *migrate.Plan) (*Runbook, error) {
 		targetSet[tg] = true
 	}
 	tunedSet := map[int]bool{}
-	var applied []config.Change
 	for i, ms := range mig.Steps {
 		kind := KindMigration
 		note := ""
@@ -144,7 +153,6 @@ func Build(plan *core.Plan, mig *migrate.Plan) (*Runbook, error) {
 		}
 		rb.Steps = append(rb.Steps, step)
 		for _, ch := range ms.Changes {
-			applied = append(applied, ch)
 			if !targetSet[ch.Sector] {
 				tunedSet[ch.Sector] = true
 			}
@@ -155,9 +163,9 @@ func Build(plan *core.Plan, mig *migrate.Plan) (*Runbook, error) {
 	}
 	sort.Ints(rb.TunedSectors)
 
-	// Rollback: inverses in reverse order.
-	for i := len(applied) - 1; i >= 0; i-- {
-		rb.Rollback = append(rb.Rollback, applied[i].Inverse())
+	// Rollback: the steps' inverses, last step first.
+	for i := len(rb.Steps) - 1; i >= 0; i-- {
+		rb.Rollback = append(rb.Rollback, rb.Steps[i].Inverse()...)
 	}
 	return rb, nil
 }
@@ -188,10 +196,6 @@ func BuildRollback(rb *Runbook, reason string) *Runbook {
 	}
 	for i := len(rb.Steps) - 1; i >= 0; i-- {
 		src := rb.Steps[i]
-		inv := make([]config.Change, 0, len(src.Changes))
-		for j := len(src.Changes) - 1; j >= 0; j-- {
-			inv = append(inv, src.Changes[j].Inverse())
-		}
 		expect := rb.ExpectedBefore
 		if i > 0 {
 			expect = rb.Steps[i-1].ExpectedUtility
@@ -209,7 +213,7 @@ func BuildRollback(rb *Runbook, reason string) *Runbook {
 		out.Steps = append(out.Steps, Step{
 			Index:           len(out.Steps) + 1,
 			Kind:            KindRollback,
-			Changes:         inv,
+			Changes:         src.Inverse(),
 			ExpectedUtility: expect,
 			Note:            note,
 		})

@@ -3,6 +3,7 @@ package runbook
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -277,6 +278,15 @@ func TestBuildRollback(t *testing.T) {
 		if out.Rollback[i] != originalPushes[i] {
 			t.Fatalf("rollback-of-rollback change %d = %v, want %v", i, out.Rollback[i], originalPushes[i])
 		}
+	}
+	// The rollback document's steps, concatenated, are the flat Rollback
+	// list: both unwind the steps last first, each by Step.Inverse.
+	var unwound []config.Change
+	for _, s := range out.Steps {
+		unwound = append(unwound, s.Changes...)
+	}
+	if !slices.Equal(unwound, rb.Rollback) {
+		t.Fatalf("rollback steps push %v, flat Rollback is %v", unwound, rb.Rollback)
 	}
 }
 

@@ -40,11 +40,11 @@ func TestGoldenIncrementalVsFullScan(t *testing.T) {
 		t.Fatalf("ParseFaults: %v", err)
 	}
 	cfg := simwindow.Config{
-		Seed:      11,
-		Ticks:     faultTick + 45,
-		Faults:    faults,
-		Replanner: &simwindow.SearchReplanner{},
-		Workers:   2,
+		Seed:    11,
+		Ticks:   faultTick + 45,
+		Faults:  faults,
+		Replan:  true,
+		Workers: 2,
 	}
 
 	ref := runWith(t, simwindow.NewFullScan, grad, cfg)

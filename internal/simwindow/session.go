@@ -294,6 +294,33 @@ func (s *Session) profileFactorAt(t int) float64 {
 
 // BelowFloor reports whether utility u breaches the floor. The floor is
 // itself a model evaluation, so exact ties (within 1e-9 relative) count
-// as "at the floor". The simulator's halt and replan rules and the
-// executor's KPI watchdog all judge a breach with this predicate.
+// as "at the floor". Every Watchdog judges a breach with this predicate.
 func BelowFloor(u, floor float64) bool { return u < floor-1e-9*(1+math.Abs(floor)) }
+
+// FloorStreak is the default breach length: the consecutive
+// below-floor samples after which the simulator replans, a wave
+// replay halts its season, and the executor halts a step
+// (GraceSamples = FloorStreak-1 samples are tolerated).
+const FloorStreak = 3
+
+// Watchdog is the one floor-breach rule: it counts consecutive
+// below-floor samples and trips once the streak reaches Limit. A zero
+// Limit never trips. The simulator's halt and replan triggers and the
+// executor's step verification each run one.
+type Watchdog struct {
+	Limit int
+	// Streak is the current run of consecutive below-floor samples.
+	Streak int
+}
+
+// Observe judges one sample: below reports that u breaches the floor,
+// tripped that the streak has reached Limit. A sample at the floor
+// resets the streak.
+func (w *Watchdog) Observe(u, floor float64) (below, tripped bool) {
+	if !BelowFloor(u, floor) {
+		w.Streak = 0
+		return false, false
+	}
+	w.Streak++
+	return true, w.Limit > 0 && w.Streak >= w.Limit
+}

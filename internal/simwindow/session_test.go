@@ -129,8 +129,8 @@ func TestConstructorsValidateFaults(t *testing.T) {
 }
 
 // TestConstructorsValidateConfig: New and NewSession reject a start
-// hour or load noise that is negative or not finite, and negative ticks,
-// with an error — never a panic in the diurnal profile lookup.
+// hour or load noise that is negative or not finite, and negative ticks
+// or halt-after-below ticks, with an error — never a panic in the diurnal profile lookup.
 func TestConstructorsValidateConfig(t *testing.T) {
 	eng, _, grad, _ := fixture(t)
 	profile := schedule.DefaultProfile()
@@ -142,6 +142,7 @@ func TestConstructorsValidateConfig(t *testing.T) {
 		"noise +Inf":      {LoadNoise: math.Inf(1)},
 		"noise -0.1":      {LoadNoise: -0.1},
 		"ticks -1":        {Ticks: -1},
+		"halt ticks -1":   {HaltAfterBelowTicks: -1},
 	}
 	for name, cfg := range cases {
 		if err := cfg.Validate(); err == nil {

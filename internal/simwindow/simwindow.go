@@ -7,10 +7,10 @@
 // time series of overall utility, handover volume, sector load, and
 // out-of-service users. A scripted fault layer perturbs the window
 // (pushes lost or delayed, a compensating neighbor failing mid-window,
-// a localized load surge), and a replanner hook re-invokes the search
-// stack from the live simulated state when utility sits below the
-// f(C_after) floor for too long, splicing the corrective pushes into
-// the remaining runbook.
+// a localized load surge), and, with Config.Replan, the simulator
+// re-invokes the search stack from the live simulated state when
+// utility sits below the f(C_after) floor for too long, splicing the
+// corrective pushes into the remaining runbook.
 //
 // Determinism contract: given the same (starting state, runbook, Config
 // — including Seed, fault script, and worker count) the simulator
@@ -30,6 +30,7 @@ import (
 	"magus/internal/netmodel"
 	"magus/internal/runbook"
 	"magus/internal/schedule"
+	"magus/internal/search"
 	"magus/internal/stats"
 	"magus/internal/utility"
 )
@@ -61,9 +62,10 @@ type Config struct {
 	Util utility.Func
 	// Faults is the fault script (see ParseFaults).
 	Faults []Fault
-	// Replanner, when non-nil, is consulted after utility has sat below
-	// the floor for 3 consecutive ticks, at most twice per run.
-	Replanner Replanner
+	// Replan re-runs the search from the live state after utility has
+	// sat below the floor for FloorStreak consecutive ticks, at most
+	// twice per run.
+	Replan bool
 	// HaltAfterBelowTicks, when > 0, aborts the run once utility has sat
 	// below the floor for this many consecutive ticks: the wave
 	// scheduler's season-halt trigger (ADR-018's halt-height translated
@@ -72,33 +74,32 @@ type Config struct {
 	// via the runbook's Rollback sequence. Takes precedence over
 	// replanning.
 	HaltAfterBelowTicks int
-	// Workers is the candidate-scoring parallelism handed to the
-	// replanner's search (same knob as core.MitigateRequest.Workers).
+	// Workers is the parallelism of the meter's KPI aggregates and of
+	// the replan search's candidate scoring (same knob as
+	// core.MitigateRequest.Workers; results do not depend on it).
 	Workers int
-	// NeighborRadiusM bounds the replanner's neighbor set around the
-	// runbook targets (default 1.6 x the class inter-site distance).
-	NeighborRadiusM float64
 	// Ctx, when non-nil, aborts the simulation between ticks.
 	Ctx context.Context
 }
 
 const (
-	// floorGraceTicks is K, the consecutive below-floor ticks tolerated
-	// before replanning.
-	floorGraceTicks = 3
-	// maxReplans bounds replanner invocations per run.
+	// maxReplans bounds replans per run.
 	maxReplans = 2
 	// surgeRadiusM is the half-extent of a surge fault around its sector.
 	surgeRadiusM = 1500
 )
 
 // Validate rejects a configuration the tick loop cannot run: StartHour
-// and LoadNoise must be finite and non-negative, Ticks non-negative.
+// and LoadNoise must be finite and non-negative, Ticks and
+// HaltAfterBelowTicks non-negative.
 // New and NewSession call it; spec parsers call it to reject a request
 // before any planning work.
 func (c Config) Validate() error {
 	if c.Ticks < 0 {
 		return fmt.Errorf("simwindow: negative ticks %d", c.Ticks)
+	}
+	if c.HaltAfterBelowTicks < 0 {
+		return fmt.Errorf("simwindow: negative halt-after-below ticks %d", c.HaltAfterBelowTicks)
 	}
 	if !finiteNonNegative(c.StartHour) {
 		return fmt.Errorf("simwindow: start hour %g must be finite and non-negative", c.StartHour)
@@ -201,8 +202,8 @@ type Simulator struct {
 	sess *Session
 	rb   *runbook.Runbook
 
-	// beforeRef holds C_before for the replanner's degraded-grid set
-	// (nil without a replanner). Surges rescale base weights without
+	// beforeRef holds C_before for the replan search's degraded-grid
+	// set (nil without Config.Replan). Surges rescale base weights without
 	// refreshing its loads: nothing reads them until a replan, which
 	// refreshes them when the session's rescale count has moved past
 	// beforeRescales.
@@ -213,6 +214,7 @@ type Simulator struct {
 	pendingRe int // replan pushes still in pending
 	pushFail  map[int]bool
 	pushDelay map[int]int
+	// neighbors are the sectors a replan may tune, nearest target first.
 	neighbors []int
 }
 
@@ -254,13 +256,11 @@ func newSimulator(base *netmodel.State, rb *runbook.Runbook, cfg Config, full bo
 			s.pushDelay[f.Step] = f.DelayTicks
 		}
 	}
-	if cfg.Replanner != nil {
+	if cfg.Replan {
 		s.beforeRef = sess.live.Clone()
-		radius := cfg.NeighborRadiusM
-		if radius <= 0 {
-			radius = 1.6 * sess.model.Net.Params.InterSiteDistanceM
-		}
-		s.neighbors = sess.model.Net.NeighborSectors(rb.Targets, radius)
+		net := sess.model.Net
+		s.neighbors = search.SortByDistanceTo(sess.live,
+			net.NeighborSectors(rb.Targets, 1.6*net.Params.InterSiteDistanceM), rb.Targets)
 	}
 	return s, nil
 }
@@ -271,7 +271,10 @@ func (s *Simulator) Run() (*Outcome, error) {
 	sess := s.sess
 	cfg := &sess.cfg
 	out := &Outcome{}
-	belowStreak := 0
+	// One streak of consecutive below-floor ticks feeds both rules: a
+	// replan restarts it for both.
+	haltDog := Watchdog{Limit: cfg.HaltAfterBelowTicks}
+	replanDog := Watchdog{Limit: FloorStreak}
 	replans := 0
 	sum := &out.Summary
 	sum.MinFloorGap = math.Inf(1)
@@ -327,28 +330,25 @@ func (s *Simulator) Run() (*Outcome, error) {
 		smp := sess.measure(t)
 
 		// Floor watch: season halt, then replanning.
-		if BelowFloor(smp.Utility, smp.Floor) {
-			belowStreak++
+		below, halted := haltDog.Observe(smp.Utility, smp.Floor)
+		_, replanDue := replanDog.Observe(smp.Utility, smp.Floor)
+		if below {
 			sum.TicksBelowFloor++
-		} else {
-			belowStreak = 0
 		}
-		halted := cfg.HaltAfterBelowTicks > 0 && belowStreak >= cfg.HaltAfterBelowTicks
 		if halted {
 			sum.Halted = true
 			sum.HaltTick = t
 			events = append(events, fmt.Sprintf(
-				"HALT: utility below floor for %d consecutive ticks; abandon window and roll back", belowStreak))
+				"HALT: utility below floor for %d consecutive ticks; abandon window and roll back", haltDog.Streak))
 		}
-		if !halted && belowStreak >= floorGraceTicks && cfg.Replanner != nil &&
-			replans < maxReplans && s.pendingRe == 0 {
+		if !halted && replanDue && cfg.Replan && replans < maxReplans && s.pendingRe == 0 {
 			batches, err := s.replan(smp.Floor)
 			if err != nil {
 				return nil, fmt.Errorf("simwindow: replan at tick %d: %w", t, err)
 			}
 			sess.mt.resync()
 			replans++
-			belowStreak = 0
+			haltDog.Streak, replanDog.Streak = 0, 0
 			if len(batches) > 0 {
 				// Splice the corrections ahead of the remaining runbook.
 				spliced := make([]push, 0, len(batches)+len(s.pending))

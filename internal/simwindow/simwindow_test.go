@@ -121,7 +121,7 @@ func TestSimDeterminism(t *testing.T) {
 			Profile:   &profile,
 			LoadNoise: 0.05,
 			Faults:    faults,
-			Replanner: &simwindow.SearchReplanner{},
+			Replan:    true,
 			Workers:   2,
 		}
 	}
@@ -171,7 +171,7 @@ func TestReplanRecovery(t *testing.T) {
 	// The replanner's climbs accept only individually
 	// utility-improving steps — the property the per-tick comparison
 	// below relies on.
-	withCfg.Replanner = &simwindow.SearchReplanner{}
+	withCfg.Replan = true
 	withReplan := run(t, grad, withCfg)
 
 	if withReplan.Summary.Replans == 0 {
@@ -301,5 +301,101 @@ func TestFloorTracksLoad(t *testing.T) {
 	}
 	if first.FloorUtility == last.FloorUtility {
 		t.Fatalf("floor did not track load: %.6f at both ends", first.FloorUtility)
+	}
+}
+
+// TestWatchdog pins the one floor-breach rule: a zero limit never
+// trips, limit K trips exactly at the K-th consecutive below-floor
+// sample, and a sample at the floor (ties within BelowFloor's 1e-9
+// relative band included) resets the streak.
+func TestWatchdog(t *testing.T) {
+	const floor = 100.0
+	below, at := floor-1, floor
+	tie := floor - 0.5e-9*(1+floor) // inside the band: at the floor
+	cases := []struct {
+		name    string
+		limit   int
+		samples []float64
+		tripAt  int // index of the first tripping sample; -1 never
+		streak  int // streak after the last sample
+	}{
+		{"limit 0 never trips", 0, []float64{below, below, below, below, below}, -1, 5},
+		{"limit 1", 1, []float64{at, below}, 1, 1},
+		{"limit 3 at the third", 3, []float64{below, below, below, below}, 2, 4},
+		{"at floor resets", 3, []float64{below, below, at, below, below, below}, 5, 3},
+		{"tie resets", 3, []float64{below, below, tie, below, below}, -1, 2},
+		{"above floor resets", 2, []float64{below, floor + 1, below, below}, 3, 2},
+	}
+	for _, c := range cases {
+		w := simwindow.Watchdog{Limit: c.limit}
+		first := -1
+		for i, u := range c.samples {
+			isBelow, tripped := w.Observe(u, floor)
+			if isBelow != simwindow.BelowFloor(u, floor) {
+				t.Errorf("%s: sample %d: below = %v, BelowFloor disagrees", c.name, i, isBelow)
+			}
+			if tripped && first < 0 {
+				first = i
+			}
+			if tripped && !isBelow {
+				t.Errorf("%s: sample %d tripped while at the floor", c.name, i)
+			}
+		}
+		if first != c.tripAt {
+			t.Errorf("%s: first trip at sample %d, want %d", c.name, first, c.tripAt)
+		}
+		if w.Streak != c.streak {
+			t.Errorf("%s: streak %d, want %d", c.name, w.Streak, c.streak)
+		}
+	}
+	if simwindow.BelowFloor(tie, floor) {
+		t.Fatalf("tie %.12f counts as below floor %.1f", tie, floor)
+	}
+}
+
+// TestHaltAtThirdBelowTick: with HaltAfterBelowTicks 3 the run halts
+// on the third consecutive below-floor tick and the series ends there,
+// identical to the unhalted run up to that tick.
+func TestHaltAtThirdBelowTick(t *testing.T) {
+	_, _, grad, _ := fixture(t)
+	// Every compensating neighbor fails once the migration is done.
+	faultTick := len(grad.Steps) + 3
+	var faults []simwindow.Fault
+	for _, b := range grad.TunedSectors {
+		faults = append(faults, simwindow.Fault{Kind: simwindow.FaultSectorDown, Tick: faultTick, Sector: b})
+	}
+	base := simwindow.Config{Seed: 3, Ticks: faultTick + 20, Faults: faults}
+	free := run(t, grad, base)
+	want, streak := -1, 0
+	for i, tk := range free.Series {
+		if simwindow.BelowFloor(tk.Utility, tk.FloorUtility) {
+			streak++
+		} else {
+			streak = 0
+		}
+		if streak == 3 {
+			want = i
+			break
+		}
+	}
+	if want < 0 {
+		t.Fatalf("unhalted run never sat below the floor for 3 ticks: %+v", free.Summary)
+	}
+	halting := base
+	halting.HaltAfterBelowTicks = 3
+	out := run(t, grad, halting)
+	if !out.Summary.Halted || out.Summary.HaltTick != want {
+		t.Fatalf("halted=%v at tick %d, want halt at tick %d", out.Summary.Halted, out.Summary.HaltTick, want)
+	}
+	if len(out.Series) != want+1 || out.Summary.Ticks != want+1 {
+		t.Fatalf("series has %d ticks (summary %d), want %d", len(out.Series), out.Summary.Ticks, want+1)
+	}
+	for i, tk := range out.Series[:want] {
+		if tk.Utility != free.Series[i].Utility {
+			t.Fatalf("tick %d: halting run diverged before the halt", i)
+		}
+	}
+	if free.Summary.Halted {
+		t.Fatal("run without HaltAfterBelowTicks halted")
 	}
 }

@@ -106,7 +106,7 @@ type Options struct {
 	// halt tests).
 	ReplayFaults []simwindow.Fault
 	// HaltBelowTicks is the consecutive below-floor replay ticks that
-	// halt the season (default 3).
+	// halt the season (default simwindow.FloorStreak).
 	HaltBelowTicks int
 	// Ctx, when non-nil, aborts planning between searches and replay
 	// ticks.
@@ -127,7 +127,7 @@ func (o *Options) applyDefaults() {
 		o.RollingRecovery = 0.5
 	}
 	if o.HaltBelowTicks <= 0 {
-		o.HaltBelowTicks = 3
+		o.HaltBelowTicks = simwindow.FloorStreak
 	}
 }
 

@@ -208,7 +208,7 @@ func ParseFaults(script string) ([]SimFault, error) { return simwindow.ParseFaul
 
 // SimulateWindow executes a runbook tick by tick from the engine's
 // C_before state: scheduled pushes, diurnal load, fault injection, and
-// (when cfg.Replanner is set) corrective replanning on floor breaches.
+// (when cfg.Replan is set) corrective replanning on floor breaches.
 func SimulateWindow(engine *Engine, rb *runbook.Runbook, cfg SimWindowConfig) (*SimOutcome, error) {
 	sim, err := simwindow.New(engine.Before, rb, cfg)
 	if err != nil {
