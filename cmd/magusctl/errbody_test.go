@@ -26,7 +26,12 @@ func TestReadAPIError(t *testing.T) {
 	}
 	api := httpapi.New(engine, httpapi.Options{})
 	t.Cleanup(api.Close)
-	srv := httptest.NewServer(api)
+	// A plain-text reply, as a proxy in front of the server might send,
+	// keeps readAPIError's non-JSON path covered.
+	front := http.NewServeMux()
+	front.Handle("/", api)
+	front.Handle("GET /proxy/", http.NotFoundHandler())
+	srv := httptest.NewServer(front)
 	t.Cleanup(srv.Close)
 
 	malformed := func(keys ...string) func(e httpapi.APIError) any {
@@ -63,7 +68,8 @@ func TestReadAPIError(t *testing.T) {
 			http.StatusRequestEntityTooLarge, "request body exceeds 1048576 bytes", plain},
 		{"unknown campaign", "GET", "/campaigns/c999", "", http.StatusNotFound,
 			`unknown campaign "c999"`, plain},
-		{"non-JSON body", "GET", "/nope", "", http.StatusNotFound, "404 page not found", nil},
+		{"unrouted path", "GET", "/nope", "", http.StatusNotFound, "GET /nope: not found", plain},
+		{"non-JSON body", "GET", "/proxy/nope", "", http.StatusNotFound, "404 page not found", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))

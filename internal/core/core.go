@@ -32,6 +32,12 @@ import (
 	"magus/internal/utility"
 )
 
+// equalizeUnitDB is the planner's tuning granularity for C_before:
+// 2 dB and 2 tilt steps. Real planning works at coarser granularity
+// than Magus's 1 dB search, which is what leaves the sub-step slack the
+// paper's mitigation exploits.
+const equalizeUnitDB = 2
+
 // SetupConfig describes a synthetic evaluation area. The zero value of
 // optional fields selects defaults tuned for second-scale experiments.
 type SetupConfig struct {
@@ -40,11 +46,9 @@ type SetupConfig struct {
 	// Class selects rural, suburban or urban planning parameters.
 	Class topology.AreaClass
 	// RegionSpanM is the analysis region edge in meters (default 12000;
-	// the paper uses 30 km analysis regions around 10 km tuning areas).
+	// the paper uses 30 km analysis regions around 10 km tuning areas, so
+	// the tuning area is the region's central third).
 	RegionSpanM float64
-	// TuningSpanM is the inner tuning area edge (default RegionSpanM/3,
-	// mirroring the paper's 10-in-30 ratio).
-	TuningSpanM float64
 	// CellSizeM is the grid resolution (default 200; the paper uses
 	// 100 m grids — set 100 for full fidelity at 4x the compute).
 	CellSizeM float64
@@ -53,16 +57,9 @@ type SetupConfig struct {
 	// FrequencyHz is the carrier frequency (default 2.635 GHz, band 7).
 	FrequencyHz float64
 	// EqualizeSteps bounds the planner pass that locally optimizes
-	// C_before (default 300; 0 keeps the raw defaults).
+	// C_before under utility.Performance at equalizeUnitDB (default 300;
+	// 0 keeps the raw defaults).
 	EqualizeSteps int
-	// EqualizeUtility is the planner's objective (default
-	// utility.Performance).
-	EqualizeUtility utility.Func
-	// EqualizeUnitDB is the planner's tuning granularity (default 2 dB
-	// and 2 tilt steps: real planning works at coarser granularity than
-	// Magus's 1 dB search, which is what leaves the sub-step slack the
-	// paper's mitigation exploits).
-	EqualizeUnitDB float64
 	// NeighborRadiusM overrides the neighbor-set radius (default
 	// 2.5 x the class inter-site distance).
 	NeighborRadiusM float64
@@ -86,9 +83,6 @@ func (c *SetupConfig) applyDefaults() {
 	if c.RegionSpanM <= 0 {
 		c.RegionSpanM = 12000
 	}
-	if c.TuningSpanM <= 0 {
-		c.TuningSpanM = c.RegionSpanM / 3
-	}
 	if c.CellSizeM <= 0 {
 		c.CellSizeM = 200
 	}
@@ -97,9 +91,6 @@ func (c *SetupConfig) applyDefaults() {
 	}
 	if c.EqualizeSteps < 0 {
 		c.EqualizeSteps = 0
-	}
-	if c.EqualizeUtility.U == nil {
-		c.EqualizeUtility = utility.Performance
 	}
 }
 
@@ -167,10 +158,6 @@ func NewEngine(cfg SetupConfig) (*Engine, error) {
 	before := model.NewState(config.New(net))
 	before.AssignUsersUniform()
 	if cfg.EqualizeSteps > 0 {
-		unit := cfg.EqualizeUnitDB
-		if unit <= 0 {
-			unit = 2
-		}
 		// Rural planning is power-limited: planners already spend the
 		// hardware budget to cover large cells ("use up most of the
 		// available power", Section 6), so the planner may exceed the
@@ -179,9 +166,9 @@ func NewEngine(cfg SetupConfig) (*Engine, error) {
 		// headroom above it is the emergency margin Magus spends.
 		if _, err := search.Equalize(before, search.Options{
 			MaxSteps:          cfg.EqualizeSteps,
-			Util:              cfg.EqualizeUtility,
-			PowerUnitDB:       unit,
-			TiltUnit:          int(unit + 0.5),
+			Util:              utility.Performance,
+			PowerUnitDB:       equalizeUnitDB,
+			TiltUnit:          equalizeUnitDB,
 			CapAtDefaultPower: true,
 		}); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -189,7 +176,7 @@ func NewEngine(cfg SetupConfig) (*Engine, error) {
 		// Re-derive the user distribution from the planned serving map.
 		before.AssignUsersUniform()
 	}
-	before = freshBefore(before, cfg.EqualizeUtility)
+	before = freshBefore(before)
 
 	return &Engine{
 		Net:        net,
@@ -198,7 +185,7 @@ func NewEngine(cfg SetupConfig) (*Engine, error) {
 		Model:      model,
 		Before:     before,
 		cfg:        cfg,
-		tuningArea: geo.NewRectCentered(region.Center(), cfg.TuningSpanM, cfg.TuningSpanM),
+		tuningArea: geo.NewRectCentered(region.Center(), cfg.RegionSpanM/3, cfg.RegionSpanM/3),
 	}, nil
 }
 
@@ -207,11 +194,11 @@ func NewEngine(cfg SetupConfig) (*Engine, error) {
 // incremental updates left behind. C_before is always fresh: window
 // sessions copy it instead of rebuilding it (netmodel.State.CloneOn),
 // and the copy of a fresh state is the fresh state. The utility memo is
-// warmed under obj, the Equalize objective, so plans cloned from
-// C_before skip a cold full scan under it.
-func freshBefore(before *netmodel.State, obj utility.Func) *netmodel.State {
+// warmed under utility.Performance, the Equalize objective, so plans
+// cloned from C_before skip a cold full scan under it.
+func freshBefore(before *netmodel.State) *netmodel.State {
 	fresh := before.Model.NewState(before.Cfg)
-	fresh.Utility(obj)
+	fresh.Utility(utility.Performance)
 	return fresh
 }
 

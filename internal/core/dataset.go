@@ -118,7 +118,7 @@ func (e *Engine) UseDataset(ds *sanitize.Dataset, policy sanitize.Policy) (*sani
 		before.RecomputeLoads()
 	}
 
-	e.Before = freshBefore(before, e.cfg.EqualizeUtility)
+	e.Before = freshBefore(before)
 	e.sanitation = rep
 	e.quarantined = quarantined
 	return rep, nil

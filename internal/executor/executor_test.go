@@ -130,6 +130,49 @@ func TestExecutorCleanRun(t *testing.T) {
 	}
 }
 
+// TestExecutorCleanRunEndsAtRunbookFloor pins the chain from plan to
+// executor: a clean run on a flat network pushes each scenario's gradual
+// runbook to C_after, so its last sample reads the runbook's
+// UtilityFloor, f(C_after), within BelowFloor's tie band, for the
+// observed utility and the floor alike.
+func TestExecutorCleanRunEndsAtRunbookFloor(t *testing.T) {
+	eng, _ := fixture(t)
+	for _, sc := range []upgrade.Scenario{upgrade.SingleSector, upgrade.FullSite, upgrade.FourCorners} {
+		plan, err := eng.Mitigate(sc, core.PowerOnly, utility.Performance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mig, err := plan.GradualMigration(migrate.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := runbook.Build(plan, mig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := executor.NewSimNetwork(eng.Before, rb, simwindow.Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := executor.New(net, rb, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := ex.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != executor.RunDone {
+			t.Fatalf("%s: state = %q, want done", sc.Short(), st.State)
+		}
+		for field, got := range map[string]float64{"utility": st.FinalUtility, "floor": st.FinalFloor} {
+			if simwindow.BelowFloor(got, rb.UtilityFloor) || simwindow.BelowFloor(rb.UtilityFloor, got) {
+				t.Errorf("%s: final %s %.12g, runbook floor %.12g", sc.Short(), field, got, rb.UtilityFloor)
+			}
+		}
+	}
+}
+
 // TestExecutorChaosDeterministic is the acceptance scenario: a fixed
 // seed and a fault plan with a push failure (retried), a push delay
 // (absorbed) and a crash point. The first incarnation dies at the

@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -279,9 +280,38 @@ func typeErrorDetail(e *json.UnmarshalTypeError) string {
 	return fmt.Sprintf("cannot unmarshal %s into %s of kind %s", e.Value, into, e.Type.Kind())
 }
 
-// ServeHTTP dispatches to the handler tree.
+// ServeHTTP dispatches to the handler tree. A request no route matches
+// keeps the mux's status (404, or 405 with its Allow header) but gets
+// an APIError body in place of the mux's plain text.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if _, pattern := s.mux.Handler(r); pattern == "" {
+		w = &unrouted{ResponseWriter: w, r: r}
+	}
 	s.mux.ServeHTTP(w, r)
+}
+
+// unrouted rewrites the mux's 404 and 405 replies as JSON; any other
+// reply (a path-cleaning redirect) passes through.
+type unrouted struct {
+	http.ResponseWriter
+	r        *http.Request
+	replaced bool
+}
+
+func (u *unrouted) WriteHeader(status int) {
+	if status != http.StatusNotFound && status != http.StatusMethodNotAllowed {
+		u.ResponseWriter.WriteHeader(status)
+		return
+	}
+	u.replaced = true
+	httpError(u.ResponseWriter, status, "%s %s: %s", u.r.Method, u.r.URL.Path, strings.ToLower(http.StatusText(status)))
+}
+
+func (u *unrouted) Write(b []byte) (int, error) {
+	if u.replaced {
+		return len(b), nil
+	}
+	return u.ResponseWriter.Write(b)
 }
 
 // writeJSON emits v with the proper content type.

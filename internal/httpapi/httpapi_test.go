@@ -304,10 +304,37 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
+// TestUnknownPath: a request no route matches keeps the mux's status
+// (404, or 405 with its Allow header) and gets an APIError JSON body.
 func TestUnknownPath(t *testing.T) {
 	s := testServer(t)
-	if rec := get(t, s, "/nope"); rec.Code != http.StatusNotFound {
-		t.Errorf("unknown path status = %d, want 404", rec.Code)
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		allow        string
+	}{
+		{http.MethodGet, "/nope", http.StatusNotFound, ""},
+		{http.MethodGet, "/execute/", http.StatusNotFound, ""},
+		{http.MethodGet, "/waves/", http.StatusNotFound, ""},
+		{http.MethodDelete, "/plan", http.StatusMethodNotAllowed, "GET, HEAD"},
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		name := tc.method + " " + tc.path
+		if rec.Code != tc.status {
+			t.Errorf("%s: status = %d, want %d", name, rec.Code, tc.status)
+		}
+		if got := rec.Header().Get("Allow"); got != tc.allow {
+			t.Errorf("%s: Allow = %q, want %q", name, got, tc.allow)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type = %q, want application/json", name, ct)
+		}
+		var e APIError
+		decode(t, rec, &e)
+		if want := name + ": " + strings.ToLower(http.StatusText(tc.status)); e.Error != want {
+			t.Errorf("%s: error = %q, want %q", name, e.Error, want)
+		}
 	}
 }
 

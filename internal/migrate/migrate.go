@@ -10,8 +10,10 @@
 //  2. whenever the predicted utility would fall below f(C_after), apply
 //     the next compensation moves toward C_after (neighbor power-ups /
 //     uptilts) until the utility floor is restored;
-//  3. when the target can no longer hold UEs, or compensation is
-//     exhausted, jump to C_after and take the target off-air.
+//  3. when the target holds no more UEs, can go no lower, or compensation
+//     is exhausted, jump to C_after and take the target off-air. The jump
+//     finishes the step it interrupted, so a plan's changes, replayed
+//     from C_before, always end exactly at C_after.
 //
 // Because the model knows f(C_after) in advance (only a model-based
 // approach does), the overall utility never drops below the final value
@@ -47,7 +49,8 @@ type StepRecord struct {
 	// on-air when the UE moved.
 	Seamless float64
 	// Compensations counts the toward-C_after moves applied in this
-	// step to hold the utility floor.
+	// step to hold the utility floor; in the upgrade step it also counts
+	// every non-target change of the jump to C_after.
 	Compensations int
 	// UpgradeStep marks the step in which the target sector(s) went
 	// off-air.
@@ -67,8 +70,9 @@ type Plan struct {
 	UtilityFloor float64
 	// AfterUtility is f(C_after), the floor target.
 	AfterUtility float64
-	// JumpedToAfter reports whether compensation ran out and the plan
-	// fell back to a direct jump.
+	// JumpedToAfter reports whether the walk jumped to C_after with UEs
+	// still on the targets: compensation ran out, the targets reached
+	// minimum power, or MaxSteps cut the walk short.
 	JumpedToAfter bool
 }
 
@@ -191,6 +195,50 @@ func (hc *handoverCounter) step() (total, seamless float64) {
 	return total, seamless
 }
 
+// jump applies the remaining delta from st to after (compensations,
+// target power restoration and the off-air switch) into record, the step
+// the walk was in when it stopped, and closes it as the upgrade step: the
+// changes of every plan, replayed from C_before, end exactly at after.
+// Every non-target change of the jump counts as a compensation.
+func jump(st *netmodel.State, after *config.Config, targets map[int]bool, hc *handoverCounter, u utility.Func, record StepRecord) (StepRecord, error) {
+	diff, err := st.Cfg.Diff(after)
+	if err != nil {
+		return record, err
+	}
+	for _, ch := range diff {
+		applied, err := st.Apply(ch)
+		if err != nil {
+			return record, err
+		}
+		if applied.IsZero() {
+			continue
+		}
+		record.Changes = append(record.Changes, applied)
+		if !targets[applied.Sector] {
+			record.Compensations++
+		}
+	}
+	record.UpgradeStep = true
+	record.Utility = st.Utility(u)
+	record.Handovers, record.Seamless = hc.step()
+	return record, nil
+}
+
+// sum fills the plan's totals and utility floor from its steps.
+func (p *Plan) sum() {
+	p.UtilityFloor = math.Inf(1)
+	for _, s := range p.Steps {
+		p.TotalHandovers += s.Handovers
+		p.SeamlessHandovers += s.Seamless
+		if s.Handovers > p.MaxSimultaneousHandovers {
+			p.MaxSimultaneousHandovers = s.Handovers
+		}
+		if s.Utility < p.UtilityFloor {
+			p.UtilityFloor = s.Utility
+		}
+	}
+}
+
 // Gradual executes the gradual migration from before's configuration to
 // after (which must have the targets off-air), over the shared model.
 // Neither input state is modified.
@@ -221,41 +269,19 @@ func Gradual(before *netmodel.State, after *netmodel.State, targets []int, opts 
 	}
 	hc := newHandoverCounter(st)
 
-	plan := &Plan{AfterUtility: afterUtility, UtilityFloor: math.Inf(1)}
+	plan := &Plan{AfterUtility: afterUtility}
 	nextMove := 0
 
-	jumpToAfter := func() error {
-		// Apply the exact remaining delta to C_after (compensations,
-		// target power restoration, and the off-air switch), so the plan
-		// always terminates precisely at the after configuration.
-		record := StepRecord{UpgradeStep: true}
-		diff, err := st.Cfg.Diff(after.Cfg)
-		if err != nil {
-			return err
+	// Each pass is one step. A pass that cannot finish its step breaks out
+	// with the step's record, and the jump after the loop completes it.
+	var record StepRecord
+	for {
+		record = StepRecord{}
+		if len(plan.Steps) >= opts.MaxSteps-1 {
+			// The cap: the final jump is the MaxSteps-th step.
+			plan.JumpedToAfter = true
+			break
 		}
-		for _, ch := range diff {
-			applied, err := st.Apply(ch)
-			if err != nil {
-				return err
-			}
-			if applied.IsZero() {
-				continue
-			}
-			record.Changes = append(record.Changes, applied)
-			if !targetSet[applied.Sector] {
-				record.Compensations++
-			}
-		}
-		nextMove = len(moves)
-		record.Utility = st.Utility(opts.Util)
-		record.Handovers, record.Seamless = hc.step()
-		plan.Steps = append(plan.Steps, record)
-		return nil
-	}
-
-	// The final jump is a step too: the loop leaves room for it.
-	for len(plan.Steps) < opts.MaxSteps-1 {
-		record := StepRecord{}
 
 		// Does any target still hold UEs?
 		holding := false
@@ -266,12 +292,8 @@ func Gradual(before *netmodel.State, after *netmodel.State, targets []int, opts 
 			}
 		}
 		if !holding {
-			// Everyone has migrated: finish by jumping to C_after (the
-			// remaining compensations plus the off-air switch, which now
-			// displaces nobody attached to the targets).
-			if err := jumpToAfter(); err != nil {
-				return nil, err
-			}
+			// Everyone has migrated: the jump's off-air switch now
+			// displaces nobody attached to the targets.
 			break
 		}
 
@@ -290,9 +312,6 @@ func Gradual(before *netmodel.State, after *netmodel.State, targets []int, opts 
 		if !reduced {
 			// Targets at minimum power but still holding UEs: jump.
 			plan.JumpedToAfter = true
-			if err := jumpToAfter(); err != nil {
-				return nil, err
-			}
 			break
 		}
 
@@ -312,12 +331,9 @@ func Gradual(before *netmodel.State, after *netmodel.State, targets []int, opts 
 			utilityNow = st.Utility(opts.Util)
 		}
 		if utilityNow < afterUtility && nextMove >= len(moves) {
-			// Cannot compensate: undo nothing, jump straight to C_after
-			// as the paper prescribes.
+			// Cannot compensate: keep what this step applied and jump
+			// straight to C_after as the paper prescribes.
 			plan.JumpedToAfter = true
-			if err := jumpToAfter(); err != nil {
-				return nil, err
-			}
 			break
 		}
 
@@ -326,25 +342,12 @@ func Gradual(before *netmodel.State, after *netmodel.State, targets []int, opts 
 		plan.Steps = append(plan.Steps, record)
 	}
 
-	// If the loop used up its steps without reaching the upgrade, force
-	// the final jump (step MaxSteps) so the plan always ends at C_after.
-	if n := len(plan.Steps); n == 0 || !plan.Steps[n-1].UpgradeStep {
-		plan.JumpedToAfter = true
-		if err := jumpToAfter(); err != nil {
-			return nil, err
-		}
+	record, err = jump(st, after.Cfg, targetSet, hc, opts.Util, record)
+	if err != nil {
+		return nil, err
 	}
-
-	for _, s := range plan.Steps {
-		plan.TotalHandovers += s.Handovers
-		plan.SeamlessHandovers += s.Seamless
-		if s.Handovers > plan.MaxSimultaneousHandovers {
-			plan.MaxSimultaneousHandovers = s.Handovers
-		}
-		if s.Utility < plan.UtilityFloor {
-			plan.UtilityFloor = s.Utility
-		}
-	}
+	plan.Steps = append(plan.Steps, record)
+	plan.sum()
 	return plan, nil
 }
 
@@ -356,30 +359,16 @@ func OneShot(before *netmodel.State, after *netmodel.State, targets []int, opts 
 	if before.Model != after.Model {
 		return nil, fmt.Errorf("migrate: before and after use different models")
 	}
+	targetSet := make(map[int]bool, len(targets))
+	for _, tg := range targets {
+		targetSet[tg] = true
+	}
 	st := before.Clone()
-	diff, err := st.Cfg.Diff(after.Cfg)
+	record, err := jump(st, after.Cfg, targetSet, newHandoverCounter(st), opts.Util, StepRecord{})
 	if err != nil {
 		return nil, err
 	}
-	hc := newHandoverCounter(st)
-	record := StepRecord{UpgradeStep: true}
-	for _, ch := range diff {
-		applied, err := st.Apply(ch)
-		if err != nil {
-			return nil, err
-		}
-		if !applied.IsZero() {
-			record.Changes = append(record.Changes, applied)
-		}
-	}
-	record.Utility = st.Utility(opts.Util)
-	record.Handovers, record.Seamless = hc.step()
-	return &Plan{
-		Steps:                    []StepRecord{record},
-		MaxSimultaneousHandovers: record.Handovers,
-		TotalHandovers:           record.Handovers,
-		SeamlessHandovers:        record.Seamless,
-		UtilityFloor:             record.Utility,
-		AfterUtility:             after.Utility(opts.Util),
-	}, nil
+	plan := &Plan{Steps: []StepRecord{record}, AfterUtility: after.Utility(opts.Util)}
+	plan.sum()
+	return plan, nil
 }

@@ -79,6 +79,7 @@ func TestGradualReachesAfterConfig(t *testing.T) {
 	if count != 1 {
 		t.Errorf("plan has %d upgrade steps, want 1", count)
 	}
+	replaysToAfter(t, "seed 3", plan, fx.before.Cfg, fx.after.Cfg)
 }
 
 func TestGradualUtilityFloor(t *testing.T) {
@@ -285,7 +286,8 @@ func stepHandovers(prev, cur *netmodel.State) (total, seamless float64) {
 
 // refGradual is the clone-per-step reference for Gradual: the same
 // walk, with each step's handovers taken by stepHandovers from a clone
-// of the state at the start of the step.
+// of the state at the start of the step. A bail-out carries the step it
+// interrupted into the jump.
 func refGradual(before, after *netmodel.State, targets []int, opts Options) (*Plan, error) {
 	opts.applyDefaults()
 	targetSet := map[int]bool{}
@@ -299,8 +301,8 @@ func refGradual(before, after *netmodel.State, targets []int, opts Options) (*Pl
 	}
 	plan := &Plan{AfterUtility: after.Utility(opts.Util), UtilityFloor: math.Inf(1)}
 	nextMove := 0
-	jump := func(prev *netmodel.State) {
-		record := StepRecord{UpgradeStep: true}
+	jump := func(prev *netmodel.State, record StepRecord) {
+		record.UpgradeStep = true
 		diff, _ := st.Cfg.Diff(after.Cfg) // unitMoves already diffed the two networks
 		for _, ch := range diff {
 			if applied := st.MustApply(ch); !applied.IsZero() {
@@ -310,7 +312,6 @@ func refGradual(before, after *netmodel.State, targets []int, opts Options) (*Pl
 				}
 			}
 		}
-		nextMove = len(moves)
 		record.Utility = st.Utility(opts.Util)
 		record.Handovers, record.Seamless = stepHandovers(prev, st)
 		plan.Steps = append(plan.Steps, record)
@@ -322,7 +323,7 @@ func refGradual(before, after *netmodel.State, targets []int, opts Options) (*Pl
 			holding = holding || st.Load(tg) > 0
 		}
 		if !holding {
-			jump(prev)
+			jump(prev, StepRecord{})
 			break
 		}
 		record := StepRecord{}
@@ -333,7 +334,7 @@ func refGradual(before, after *netmodel.State, targets []int, opts Options) (*Pl
 		}
 		if len(record.Changes) == 0 {
 			plan.JumpedToAfter = true
-			jump(prev)
+			jump(prev, record)
 			break
 		}
 		u := st.Utility(opts.Util)
@@ -348,7 +349,7 @@ func refGradual(before, after *netmodel.State, targets []int, opts Options) (*Pl
 		}
 		if u < plan.AfterUtility && nextMove >= len(moves) {
 			plan.JumpedToAfter = true
-			jump(prev)
+			jump(prev, record)
 			break
 		}
 		record.Utility = u
@@ -357,7 +358,7 @@ func refGradual(before, after *netmodel.State, targets []int, opts Options) (*Pl
 	}
 	if n := len(plan.Steps); n == 0 || !plan.Steps[n-1].UpgradeStep {
 		plan.JumpedToAfter = true
-		jump(st.Clone())
+		jump(st.Clone(), StepRecord{})
 	}
 	for _, s := range plan.Steps {
 		plan.TotalHandovers += s.Handovers
@@ -368,8 +369,9 @@ func refGradual(before, after *netmodel.State, targets []int, opts Options) (*Pl
 	return plan, nil
 }
 
-// refOneShot is the clone-diff reference for OneShot.
-func refOneShot(before, after *netmodel.State, opts Options) *Plan {
+// refOneShot is the clone-diff reference for OneShot: every non-target
+// change counts as a compensation, as in a gradual plan's jump.
+func refOneShot(before, after *netmodel.State, targets []int, opts Options) *Plan {
 	opts.applyDefaults()
 	st := before.Clone()
 	diff, _ := st.Cfg.Diff(after.Cfg) // OneShot already diffed the two networks
@@ -377,6 +379,9 @@ func refOneShot(before, after *netmodel.State, opts Options) *Plan {
 	for _, ch := range diff {
 		if applied := st.MustApply(ch); !applied.IsZero() {
 			record.Changes = append(record.Changes, applied)
+			if !slices.Contains(targets, applied.Sector) {
+				record.Compensations++
+			}
 		}
 	}
 	record.Utility = st.Utility(opts.Util)
@@ -391,11 +396,34 @@ func refOneShot(before, after *netmodel.State, opts Options) *Plan {
 	}
 }
 
-// samePlan fails unless got and want agree bit for bit: every step's
-// changes, utility, handovers, seamless weight, compensation count and
-// upgrade flag, and every plan total.
-func samePlan(t testing.TB, name string, got, want *Plan) {
+// replaysToAfter fails unless the plan's changes, applied in order from
+// before, leave no difference to after.
+func replaysToAfter(t testing.TB, name string, plan *Plan, before, after *config.Config) {
 	t.Helper()
+	cfg := before.Clone()
+	for _, s := range plan.Steps {
+		for _, ch := range s.Changes {
+			if _, err := cfg.Apply(ch); err != nil {
+				t.Fatalf("%s: replaying %v: %v", name, ch, err)
+			}
+		}
+	}
+	diff, err := cfg.Diff(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diff) != 0 {
+		t.Errorf("%s: replayed changes miss C_after in %d sectors: %v", name, len(diff), diff)
+	}
+}
+
+// samePlan fails unless got and want agree bit for bit (every step's
+// changes, utility, handovers, seamless weight, compensation count and
+// upgrade flag, and every plan total) and got's changes, replayed from
+// before, end at after.
+func samePlan(t testing.TB, name string, got, want *Plan, before, after *config.Config) {
+	t.Helper()
+	replaysToAfter(t, name, got, before, after)
 	bits := func(field string, step int, g, w float64) {
 		t.Helper()
 		if math.Float64bits(g) != math.Float64bits(w) {
@@ -441,13 +469,13 @@ func checkAgainstOracle(t testing.TB, name string, before, after *netmodel.State
 		if err != nil {
 			t.Fatal(err)
 		}
-		samePlan(t, fmt.Sprintf("%s gradual %+v", name, o), got, want)
+		samePlan(t, fmt.Sprintf("%s gradual %+v", name, o), got, want, before.Cfg, after.Cfg)
 	}
 	got, err := OneShot(before, after, targets, opts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePlan(t, name+" one-shot", got, refOneShot(before, after, opts[0]))
+	samePlan(t, name+" one-shot", got, refOneShot(before, after, targets, opts[0]), before.Cfg, after.Cfg)
 }
 
 func TestMigrationMatchesCloneOracle(t *testing.T) {

@@ -19,22 +19,19 @@ type AnnealOptions struct {
 	Seed int64
 	// Iterations is the number of proposals (default 2000).
 	Iterations int
-	// StartTemp and EndTemp bound the geometric cooling schedule,
-	// expressed in utility units (defaults 2 and 0.01).
-	StartTemp float64
-	EndTemp   float64
 }
+
+// annealStartTemp and annealEndTemp bound the geometric cooling
+// schedule, expressed in utility units.
+const (
+	annealStartTemp = 2
+	annealEndTemp   = 0.01
+)
 
 func (o *AnnealOptions) applyDefaults() {
 	o.Options.applyDefaults()
 	if o.Iterations <= 0 {
 		o.Iterations = 2000
-	}
-	if o.StartTemp <= 0 {
-		o.StartTemp = 2
-	}
-	if o.EndTemp <= 0 || o.EndTemp >= o.StartTemp {
-		o.EndTemp = 0.01
 	}
 }
 
@@ -59,8 +56,8 @@ func Anneal(st *netmodel.State, neighbors []int, opts AnnealOptions) (*Result, e
 	e := opts.engine(st)
 	best := e.Current()
 	bestCfg := st.Cfg.Clone()
-	cooling := math.Pow(opts.EndTemp/opts.StartTemp, 1/float64(opts.Iterations))
-	temp := opts.StartTemp
+	cooling := math.Pow(annealEndTemp/annealStartTemp, 1/float64(opts.Iterations))
+	temp := float64(annealStartTemp)
 
 	for i := 0; i < opts.Iterations; i++ {
 		if err := opts.cancelled(); err != nil {

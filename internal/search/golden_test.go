@@ -237,8 +237,8 @@ func refAnneal(st *netmodel.State, neighbors []int, opts AnnealOptions) (*Result
 	current := st.Utility(opts.Util)
 	best := current
 	bestCfg := st.Cfg.Clone()
-	cooling := math.Pow(opts.EndTemp/opts.StartTemp, 1/float64(opts.Iterations))
-	temp := opts.StartTemp
+	cooling := math.Pow(annealEndTemp/annealStartTemp, 1/float64(opts.Iterations))
+	temp := float64(annealStartTemp)
 	for i := 0; i < opts.Iterations; i++ {
 		if opts.CapUtility > 0 && current >= opts.CapUtility {
 			break

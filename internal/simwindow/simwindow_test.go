@@ -304,6 +304,29 @@ func TestFloorTracksLoad(t *testing.T) {
 	}
 }
 
+// TestFlatRunEndsAtRunbookFloor pins the chain from plan to window:
+// under constant load with no faults or noise, the runbook's pushes end
+// at C_after, so the last tick reads the runbook's UtilityFloor,
+// f(C_after), within BelowFloor's tie band, for the live utility and
+// the floor alike.
+func TestFlatRunEndsAtRunbookFloor(t *testing.T) {
+	_, _, grad, one := fixture(t)
+	for name, rb := range map[string]*runbook.Runbook{"gradual": grad, "one-shot": one} {
+		out := run(t, rb, simwindow.Config{Seed: 1})
+		last := out.Series[len(out.Series)-1]
+		for field, got := range map[string]float64{"utility": last.Utility, "floor": last.FloorUtility} {
+			if !atFloor(got, rb.UtilityFloor) {
+				t.Errorf("%s: last tick %s %.12g, runbook floor %.12g", name, field, got, rb.UtilityFloor)
+			}
+		}
+	}
+}
+
+// atFloor reports u and floor equal within BelowFloor's tie band.
+func atFloor(u, floor float64) bool {
+	return !simwindow.BelowFloor(u, floor) && !simwindow.BelowFloor(floor, u)
+}
+
 // TestWatchdog pins the one floor-breach rule: a zero limit never
 // trips, limit K trips exactly at the K-th consecutive below-floor
 // sample, and a sample at the floor (ties within BelowFloor's 1e-9

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # CLI smoke test: boot one magusd (miniature market, dynamic port,
-# journaled /execute) and drive every magusctl subcommand that talks to
-# it, so the client's decoding of each reply is exercised against a
-# real daemon: simulate, execute run (clean and with an injected floor
-# breach), wave plan with replay, and campaign. Then restart the daemon
-# over the same model snapshot directory: the second boot must load its
-# market from the snapshot (hits >= 1, no build) and serve a /runbook
-# byte-identical to the first boot's.
+# journaled /execute), check that a flat /simulate of the a/tilt
+# runbook ends at the runbook's utility floor, and drive every magusctl
+# subcommand that talks to it, so the client's decoding of each reply
+# is exercised against a real daemon: simulate, execute run (clean and
+# with an injected floor breach), wave plan with replay, and campaign.
+# Then restart the daemon over the same model snapshot directory: the
+# second boot must load its market from the snapshot (hits >= 1, no
+# build) and serve a /runbook byte-identical to the first boot's.
 #
 # Requires: go, curl, jq. Run from the repo root: scripts/cli_smoke.sh
 set -euo pipefail
@@ -52,6 +53,19 @@ RUNBOOK='runbook?scenario=a&method=power'
 say "starting magusd"
 boot
 curl -sf "$S/$RUNBOOK" >"$TMP/runbook1.json" || die "GET /$RUNBOOK failed"
+
+# The runbook's pushes end at C_after, so a flat, fault-free window of
+# the same plan ends at the runbook's utility floor, f(C_after), within
+# the floor's 1e-9 relative tie band. a/tilt's gradual walk jumps to
+# C_after mid-step on this market.
+say "flat /simulate ends at the runbook's utility floor"
+CHAIN='scenario=a&method=tilt'
+curl -sf "$S/runbook?$CHAIN" >"$TMP/chain-runbook.json" || die "GET /runbook?$CHAIN failed"
+curl -sf "$S/simulate?$CHAIN" >"$TMP/chain-simulate.json" || die "GET /simulate?$CHAIN failed"
+jq -e --slurpfile rb "$TMP/chain-runbook.json" '$rb[0].utility_floor as $f
+  | [.summary.final_floor, .summary.final_utility]
+  | all((. - $f) | fabs <= 1e-9 * (1 + ($f | fabs)))' "$TMP/chain-simulate.json" >/dev/null ||
+  die "flat /simulate?$CHAIN misses the runbook floor $(jq .utility_floor "$TMP/chain-runbook.json"): $(jq -c '.summary | {final_floor, final_utility}' "$TMP/chain-simulate.json")"
 
 # ctl expect-exit name args...: runs magusctl, echoes its output, and
 # fails unless it exits with expect-exit. The output lands in $TMP/name.
