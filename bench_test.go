@@ -377,12 +377,11 @@ func BenchmarkStateApplyTilt(b *testing.B) {
 	}
 }
 
-// BenchmarkUtilityEval measures one overall-utility evaluation with the
-// per-grid memo warm.
+// BenchmarkUtilityEval measures one overall-utility evaluation: the
+// full-grid scan in closed form.
 func BenchmarkUtilityEval(b *testing.B) {
 	engine, _ := benchScenario(b)
 	st := engine.Before.Clone()
-	st.Utility(utility.Performance)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = st.Utility(utility.Performance)
@@ -404,7 +403,6 @@ func BenchmarkSpeculate(b *testing.B) {
 	}
 	b.Run("clone-full", func(b *testing.B) {
 		st := plan.Upgrade.Clone()
-		st.Utility(utility.Performance)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			work := st.Clone()
@@ -418,7 +416,6 @@ func BenchmarkSpeculate(b *testing.B) {
 	// them.
 	b.Run("batch-float", func(b *testing.B) {
 		st := plan.Upgrade.Clone()
-		st.Utility(utility.Performance)
 		out := make([]netmodel.BatchResult, 0, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -431,7 +428,6 @@ func BenchmarkSpeculate(b *testing.B) {
 	})
 	b.Run("batch-tilt", func(b *testing.B) {
 		st := plan.Upgrade.Clone()
-		st.Utility(utility.Performance)
 		out := make([]netmodel.BatchResult, 0, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -461,8 +457,7 @@ func BenchmarkSpeculate(b *testing.B) {
 }
 
 // roundScenario returns the bench market's engine, a state at C_upgrade
-// of its four-corners scenario with the utility memo warm, and the
-// scenario's neighbour set.
+// of its four-corners scenario, and the scenario's neighbour set.
 func roundScenario(b *testing.B) (*core.Engine, *netmodel.State, []int) {
 	b.Helper()
 	engine, err := benchEnv.Build(benchSeeds[0], campaign.DefaultAreaSpec(topology.Suburban))
@@ -473,9 +468,7 @@ func roundScenario(b *testing.B) (*core.Engine, *netmodel.State, []int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := plan.Upgrade.Clone()
-	st.Utility(utility.Performance)
-	return engine, st, plan.Neighbors
+	return engine, plan.Upgrade.Clone(), plan.Neighbors
 }
 
 // BenchmarkSINRImprovers measures step (i) of Algorithm 1 on the first
@@ -493,16 +486,13 @@ func BenchmarkSINRImprovers(b *testing.B) {
 }
 
 // BenchmarkUtilityDelta answers "what is the utility after this power
-// change?" two ways: Apply then the memoized full-grid scan (which
-// recomputes u(rate) only for grids whose rate changed), and the
-// read-only SpeculateBatch delta against the same memo, which needs no
-// Apply, no revert and no scan.
+// change?" two ways: Apply then the full-grid scan, and the read-only
+// SpeculateBatch delta, which needs no Apply, no revert and no scan.
 func BenchmarkUtilityDelta(b *testing.B) {
 	_, plan := benchScenario(b)
 	neighbor := plan.Neighbors[0]
 	b.Run("full-scan", func(b *testing.B) {
 		st := plan.Upgrade.Clone()
-		st.Utility(utility.Performance)
 		delta := 1.0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -517,7 +507,6 @@ func BenchmarkUtilityDelta(b *testing.B) {
 	// question read-only — no Apply, no revert.
 	b.Run("batch-float", func(b *testing.B) {
 		st := plan.Upgrade.Clone()
-		st.Utility(utility.Performance)
 		moves := []config.Change{{Sector: neighbor, PowerDelta: 1}}
 		out := make([]netmodel.BatchResult, 0, 1)
 		b.ResetTimer()

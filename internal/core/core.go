@@ -193,13 +193,9 @@ func NewEngine(cfg SetupConfig) (*Engine, error) {
 // that it holds what NewState computes rather than what a chain of
 // incremental updates left behind. C_before is always fresh: window
 // sessions copy it instead of rebuilding it (netmodel.State.CloneOn),
-// and the copy of a fresh state is the fresh state. The utility memo is
-// warmed under utility.Performance, the Equalize objective, so plans
-// cloned from C_before skip a cold full scan under it.
+// and the copy of a fresh state is the fresh state.
 func freshBefore(before *netmodel.State) *netmodel.State {
-	fresh := before.Model.NewState(before.Cfg)
-	fresh.Utility(utility.Performance)
-	return fresh
+	return before.Model.NewState(before.Cfg)
 }
 
 // MustNewEngine is NewEngine that panics on error.
@@ -408,9 +404,8 @@ func (e *Engine) MitigatePlan(req MitigateRequest) (*Plan, error) {
 
 	after := upgradeState.Clone()
 	// Cap the search at f(C_before): mitigation recovers the loss, it
-	// does not chase utility beyond normal operation. Before is shared by
-	// every concurrent plan on this engine, so evaluate it read-only.
-	utilityBefore := e.Before.UtilityRead(util)
+	// does not chase utility beyond normal operation.
+	utilityBefore := e.Before.Utility(util)
 	opts := search.Options{Util: util, CapUtility: utilityBefore, Ctx: ctx, Workers: workers}
 	var res *search.Result
 	var err error

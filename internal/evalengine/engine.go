@@ -7,9 +7,8 @@
 //
 // ScoreAll prices a batch of independent alternatives read-only with
 // State.SpeculateBatch: each score is Current() plus the move's utility
-// delta over the grids it touches, priced against the Utility memo that
-// New and every Commit refresh. Nothing is applied, so there is no undo,
-// and Workers goroutines share the one committed state. A move that
+// delta over the grids it touches. Nothing is applied, so there is no
+// undo, and Workers goroutines share the one committed state. A move that
 // changes no grid's rate scores exactly Current(), so rounding can never
 // win an argmax or pass an epsilon test. The scores do not depend on
 // Workers, so neither does any search built on them.

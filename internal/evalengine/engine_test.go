@@ -160,7 +160,7 @@ func TestSharedStateConcurrentScoring(t *testing.T) {
 			}
 		}
 		// Commit the best-scoring move; the next round scores against the
-		// mutated state and the memo Commit refreshed.
+		// mutated state.
 		best := -1
 		for i, sc := range scores {
 			if sc.Applied.IsZero() {
@@ -187,8 +187,8 @@ func TestSharedStateConcurrentScoring(t *testing.T) {
 }
 
 // TestScoresAfterCommitsMatchOracle: after commits move the committed
-// state (and refresh the Utility memo between batches), every score still
-// matches the exact oracle on the new configuration.
+// state between batches, every score still matches the exact oracle on
+// the new configuration.
 func TestScoresAfterCommitsMatchOracle(t *testing.T) {
 	st, neighbors := testState(t, 7)
 	if len(neighbors) < 3 {
@@ -400,6 +400,65 @@ func TestEngineStress(t *testing.T) {
 	for err := range errc {
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestSharedBeforeConcurrentReads: an engine's C_before is shared by
+// every plan on the engine, and each plan evaluates it (the search cap
+// and powerPhase's base utility) while others score candidates against
+// it. Several goroutines call Utility and SpeculateBatch on one fresh
+// C_before at once, under both objectives; every result must equal the
+// sequential one bit for bit. The sequential reference is a clone, so
+// the shared state's fragile set is built by the racing scorers. Run
+// under -race this certifies that both calls only read the state.
+func TestSharedBeforeConcurrentReads(t *testing.T) {
+	st, neighbors := testState(t, 11)
+	before := st.Model.NewState(config.New(st.Model.Net))
+	var moves []config.Change
+	for _, d := range []float64{-2, 1, 3} {
+		moves = append(moves, candidateMoves(neighbors, d)...)
+	}
+	for _, b := range neighbors[:min(4, len(neighbors))] {
+		moves = append(moves, config.Change{Sector: b, TiltDelta: 1}, config.Change{Sector: b, TurnOff: true})
+	}
+	objectives := []utility.Func{utility.Performance, utility.Coverage}
+	type reading struct {
+		utility float64
+		scores  []netmodel.BatchResult
+	}
+	read := func(s *netmodel.State) []reading {
+		out := make([]reading, len(objectives))
+		for i, u := range objectives {
+			out[i] = reading{s.Utility(u), s.SpeculateBatch(moves, u, nil)}
+		}
+		return out
+	}
+	want := read(before.Clone())
+
+	const readers = 6
+	got := make([][]reading, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			got[r] = read(before)
+		}(r)
+	}
+	wg.Wait()
+	for r := range got {
+		for i, u := range objectives {
+			g, w := got[r][i], want[i]
+			if math.Float64bits(g.utility) != math.Float64bits(w.utility) {
+				t.Fatalf("reader %d %s: utility %v, sequential %v", r, u.Name, g.utility, w.utility)
+			}
+			for j := range w.scores {
+				if g.scores[j].Applied != w.scores[j].Applied ||
+					math.Float64bits(g.scores[j].Delta) != math.Float64bits(w.scores[j].Delta) {
+					t.Fatalf("reader %d %s move %v: %+v, sequential %+v", r, u.Name, moves[j], g.scores[j], w.scores[j])
+				}
+			}
 		}
 	}
 }

@@ -142,8 +142,6 @@ func RunParallelJoint(env *campaign.Env, seed int64, workers int) (*ParallelJoin
 	}
 	study.Candidates = len(moves)
 	if len(moves) > 0 {
-		// Warm the Utility memo, as evalengine does before every batch.
-		work.Utility(utility.Performance)
 		out := make([]netmodel.BatchResult, 0, 1)
 		start := time.Now()
 		for i := range moves {

@@ -19,18 +19,21 @@
 // would have made anyway, so results are bit-identical to a pass over
 // every entry (TestWeakSkipMatchesFullScan).
 //
-// A touched grid's old per-UE utility is read from the Utility memo
-// (cacheU) when the memo belongs to the same objective and still holds
-// the grid's current rate, and recomputed as u(rate) otherwise. Both are
-// u of the same rate, so the delta does not depend on how warm or stale
-// the memo is; a warm memo only saves the recomputation.
+// Under the log utility a touched grid is priced in Utility's closed
+// form, max(L − λ, 0) before and after the move: every sector's old λ
+// is read once per call (the state is frozen while it scores), a new λ
+// once per move for each sector whose load shifted, and a new L is a
+// log10 only for a grid whose max rate the move changes; every other
+// grid keeps its logRate. Other objectives price u(new rate) − u(old
+// rate).
 //
 // Because scoring is read-only, any number of goroutines may score
-// batches against the same State concurrently, provided no goroutine is
-// in Apply or Utility on that state — the evaluation engine shares one
-// State across its whole worker pool this way. The one thing a scorer
-// writes is the state's cached fragile set, which is published through
-// an atomic pointer, and concurrent builders build the same set.
+// batches against the same State concurrently, and call Utility on it,
+// provided no goroutine is in Apply on that state — the evaluation
+// engine shares one State across its whole worker pool this way. The
+// one thing a scorer writes is the state's cached fragile set, which is
+// published through an atomic pointer, and concurrent builders build
+// the same set.
 //
 // Scratch is recycled through a package-level sync.Pool; arrays are
 // epoch-marked so per-move initialization is O(footprint), not O(grid).
@@ -46,6 +49,7 @@ package netmodel
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"magus/internal/config"
@@ -81,8 +85,10 @@ type batchScratch struct {
 	newBestSec []int32
 	newRmax    []float64
 	loadDelta  []float64
-	grids      []int32 // touched grids, insertion order
-	secs       []int32 // touched sectors, insertion order
+	grids      []int32   // touched grids, insertion order
+	secs       []int32   // touched sectors, insertion order
+	oldLam     []float64 // per sector: λ on the frozen state (lambdas)
+	newLam     []float64 // per sector: λ after the move, where the load shifted
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
@@ -103,6 +109,8 @@ func (sc *batchScratch) ensure(numCells, numSectors int) {
 		sc.newRmax = make([]float64, cells)
 		sc.secMark = make([]uint32, secs)
 		sc.loadDelta = make([]float64, secs)
+		sc.oldLam = make([]float64, secs)
+		sc.newLam = make([]float64, secs)
 		sc.epoch = 0
 	}
 	sc.grids = sc.grids[:0]
@@ -152,6 +160,7 @@ func (sc *batchScratch) touchSec(b int32) {
 func (s *State) SpeculateBatch(moves []config.Change, u utility.Func, out []BatchResult) []BatchResult {
 	sc := batchScratchPool.Get().(*batchScratch)
 	sc.ensure(s.Model.Grid.NumCells(), s.Model.Net.NumSectors())
+	lam := s.lambdas(u, sc.oldLam)
 	fragile := s.fragile()
 	for _, mv := range moves {
 		res, newOff, ok := s.speculateStart(mv)
@@ -165,7 +174,7 @@ func (s *State) SpeculateBatch(moves []config.Change, u utility.Func, out []Batc
 			} else {
 				s.batchRecomputeSector(sc, ch, newOff, fragile)
 			}
-			res.Delta = s.speculateDelta(sc, u)
+			res.Delta = s.speculateDelta(sc, u, lam)
 		}
 		out = append(out, res)
 	}
@@ -225,8 +234,9 @@ func (s *State) speculateStart(mv config.Change) (res BatchResult, newOff, ok bo
 
 // speculateDelta finishes a move whose entry pass has filled the
 // scratch: it adds the grids of every sector whose load shifted and sums
-// the utility delta over the touched grids.
-func (s *State) speculateDelta(sc *batchScratch, u utility.Func) float64 {
+// the utility delta over the touched grids. lam is lambdas(u): every
+// sector's λ on the frozen state under the log utility, nil otherwise.
+func (s *State) speculateDelta(sc *batchScratch, u utility.Func, lam []float64) float64 {
 	m := s.Model
 	// Load sweep: a sector whose load shifted changes the per-UE rate of
 	// every grid it (still) serves, so those grids join the utility delta.
@@ -238,6 +248,9 @@ func (s *State) speculateDelta(sc *batchScratch, u utility.Func) float64 {
 		if sc.loadDelta[bb] == 0 {
 			continue
 		}
+		if lam != nil {
+			sc.newLam[bb] = lambdaOf(logLoad(s.load[bb]+sc.loadDelta[bb]), math.Log10(m.ueFactor))
+		}
 		for _, g := range s.servedList[bb] {
 			sc.touchGrid(s, g)
 		}
@@ -245,14 +258,32 @@ func (s *State) speculateDelta(sc *batchScratch, u utility.Func) float64 {
 
 	// Utility delta over the touched grids, each priced against its old
 	// per-UE utility. Loads (and their per-move deltas) are in base UE
-	// units; the model's uniform factor converts to effective load at the
-	// rate division.
+	// units; the model's uniform factor converts to effective load in λ
+	// or at the rate division.
 	f := m.ueFactor
-	memo := s.cacheName == u.Name
 	delta := 0.0
 	for _, g := range sc.grids {
 		w := m.ue[g]
 		if w == 0 {
+			continue
+		}
+		if lam != nil {
+			newU, oldU := 0.0, 0.0
+			if best := sc.newBestSec[g]; best >= 0 {
+				lb := lam[best]
+				if sc.secMark[best] == sc.epoch && sc.loadDelta[best] != 0 {
+					lb = sc.newLam[best]
+				}
+				l := s.logRate[g]
+				if r := sc.newRmax[g]; r != s.rmax[g] {
+					l = math.Log10(r / 1000)
+				}
+				newU = max(l-lb, 0)
+			}
+			if best := s.bestSec[g]; best >= 0 {
+				oldU = max(s.logRate[g]-lam[best], 0)
+			}
+			delta += w * f * (newU - oldU)
 			continue
 		}
 		rate := 0.0
@@ -267,12 +298,7 @@ func (s *State) speculateDelta(sc *batchScratch, u utility.Func) float64 {
 			}
 			rate = sc.newRmax[g] / n
 		}
-		old := s.RateBps(int(g))
-		oldU := s.cacheU[g]
-		if !memo || s.cacheRate[g] != old {
-			oldU = u.U(old)
-		}
-		delta += w * f * (u.U(rate) - oldU)
+		delta += w * f * (u.U(rate) - u.U(s.RateBps(int(g))))
 	}
 	return delta
 }

@@ -2,7 +2,6 @@ package netmodel
 
 import (
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -331,14 +330,11 @@ func TestSharedCoreConcurrentEngines(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSpeculateIgnoresMemoState pins SpeculateBatch's contract with the
-// Utility memo: a touched grid's old utility comes from the memo only
-// when the memo holds that grid's current rate under the same objective,
-// so the deltas must be bit-identical to those of a freshly warmed memo
-// (and match the clone-apply oracle) whatever state the memo is in —
-// cold, stale after an Apply, stale after an undone move, owned by the
-// other objective, or stale after the UE distribution changed. Scoring
-// must also leave the memo itself untouched.
+// TestSpeculateIgnoresMemoState pins that SpeculateBatch prices from
+// the state's radio values alone, whatever was evaluated on it before:
+// never evaluated, evaluated then moved, a move undone, evaluated under
+// the other objective, or the UE distribution changed. Every delta must
+// match the clone-apply oracle.
 func TestSpeculateIgnoresMemoState(t *testing.T) {
 	m := testModel(t)
 	u := utility.Performance
@@ -387,41 +383,32 @@ func TestSpeculateIgnoresMemoState(t *testing.T) {
 			view := m.ForkUsers()
 			s := view.NewState(config.New(view.Net))
 			s.AssignUsersUniform()
-			s = s.Clone() // a fresh clone of a never-scored state: cold memo
+			s = s.Clone() // a fresh clone of a never-evaluated state
 			tc.setup(s)
-			checkSpeculateVsWarmMemo(t, s, moves, u)
+			checkSpeculateVsClone(t, s, moves, u)
 		})
 	}
 }
 
-// checkSpeculateVsWarmMemo scores moves on s under u, whatever state
-// its Utility memo is in, and requires that the call leaves the memo
-// untouched, that every delta is bit-identical to the delta priced
-// against a freshly warmed memo, and that every effective move lands
-// within 1e-9 of the clone-apply oracle.
-func checkSpeculateVsWarmMemo(t *testing.T, s *State, moves []config.Change, u utility.Func) {
+// checkSpeculateVsClone scores moves on s under u and requires that
+// every delta is bit-identical to the delta a clone of s prices, and
+// that every effective move lands within 1e-9 of the clone-apply oracle.
+func checkSpeculateVsClone(t *testing.T, s *State, moves []config.Change, u utility.Func) {
 	t.Helper()
-	memoRate := append([]float64(nil), s.cacheRate...)
-	memoU := append([]float64(nil), s.cacheU...)
-	memoName := s.cacheName
 	got := s.SpeculateBatch(moves, u, nil)
-	if s.cacheName != memoName || !slices.Equal(s.cacheRate, memoRate) || !slices.Equal(s.cacheU, memoU) {
-		t.Fatal("SpeculateBatch wrote the Utility memo")
-	}
-
-	warm := s.Clone()
-	base := warm.Utility(u)
-	want := warm.SpeculateBatch(moves, u, nil)
+	clone := s.Clone()
+	base := clone.Utility(u)
+	want := clone.SpeculateBatch(moves, u, nil)
 	effective := 0
 	for i, mv := range moves {
 		if got[i].Err != nil || want[i].Err != nil {
 			t.Fatalf("move %d (%v): %v / %v", i, mv, got[i].Err, want[i].Err)
 		}
 		if got[i].Applied != want[i].Applied {
-			t.Fatalf("move %d (%v): applied %v, warm memo %v", i, mv, got[i].Applied, want[i].Applied)
+			t.Fatalf("move %d (%v): applied %v, clone %v", i, mv, got[i].Applied, want[i].Applied)
 		}
 		if got[i].Delta != want[i].Delta {
-			t.Fatalf("move %d (%v): delta %v, warm-memo delta %v", i, mv, got[i].Delta, want[i].Delta)
+			t.Fatalf("move %d (%v): delta %v, clone delta %v", i, mv, got[i].Delta, want[i].Delta)
 		}
 		ref := s.Clone()
 		if ref.MustApply(mv).IsZero() {
@@ -437,8 +424,8 @@ func checkSpeculateVsWarmMemo(t *testing.T, s *State, moves []config.Change, u u
 	}
 }
 
-// memoTestMoves draws a seeded batch of search moves for the memo tests.
-func memoTestMoves(m *Model, seed int64, n int) []config.Change {
+// seededMoves draws a seeded batch of search moves.
+func seededMoves(m *Model, seed int64, n int) []config.Change {
 	rng := rand.New(rand.NewSource(seed))
 	moves := make([]config.Change, 0, n)
 	for len(moves) < n {
@@ -448,11 +435,11 @@ func memoTestMoves(m *Model, seed int64, n int) []config.Change {
 }
 
 // TestTrackingInvalidatedByReassignment: changing the UE distribution
-// must not leave stale per-grid utilities behind. The memo is warmed
-// after a committed move, then AssignUsersUniform rebuilds the UE
-// weights underneath it; both the full-scan Utility and the deltas
-// SpeculateBatch prices from the memo must match a state that never
-// saw the old distribution.
+// must not leave stale per-grid utilities behind. The state is
+// evaluated after a committed move, then AssignUsersUniform rebuilds the
+// UE weights underneath it; the full-scan Utility must match a state
+// that never saw the old distribution, and the deltas SpeculateBatch
+// prices must match the clone-apply oracle.
 func TestTrackingInvalidatedByReassignment(t *testing.T) {
 	m := testModel(t)
 	s := baseline(t, m)
@@ -466,24 +453,24 @@ func TestTrackingInvalidatedByReassignment(t *testing.T) {
 	if got, want := s.Utility(u), fresh.Utility(u); relDiff(got, want) > 1e-9 {
 		t.Fatalf("utility stale after reassignment: %v vs fresh state %v", got, want)
 	}
-	checkSpeculateVsWarmMemo(t, s, memoTestMoves(m, 17, 40), u)
+	checkSpeculateVsClone(t, s, seededMoves(m, 17, 40), u)
 }
 
 // TestTrackingSwitchesObjective: scoring under one utility function
-// against a memo owned by the other re-derives the per-grid utilities
-// rather than mixing objectives, in both directions.
+// after evaluating the state under the other prices the scored
+// objective alone, in both directions.
 func TestTrackingSwitchesObjective(t *testing.T) {
 	m := testModel(t)
-	moves := memoTestMoves(m, 19, 40)
+	moves := seededMoves(m, 19, 40)
 	for _, dir := range []struct{ warm, score utility.Func }{
 		{utility.Performance, utility.Coverage},
 		{utility.Coverage, utility.Performance},
 	} {
 		s := baseline(t, m)
 		s.Utility(dir.warm)
-		checkSpeculateVsWarmMemo(t, s, moves, dir.score)
+		checkSpeculateVsClone(t, s, moves, dir.score)
 		if got, want := s.Utility(dir.score), s.Clone().Utility(dir.score); got != want {
-			t.Fatalf("%s utility after a %s memo: %v, cold clone %v", dir.score.Name, dir.warm.Name, got, want)
+			t.Fatalf("%s utility after a %s evaluation: %v, clone %v", dir.score.Name, dir.warm.Name, got, want)
 		}
 	}
 }
@@ -495,13 +482,13 @@ func TestCloneDropsTracking(t *testing.T) {
 	m := testModel(t)
 	s := baseline(t, m)
 	u := utility.Performance
-	moves := memoTestMoves(m, 23, 40)
+	moves := seededMoves(m, 23, 40)
 	parentUtility := s.Utility(u)
 	parentDeltas := s.SpeculateBatch(moves, u, nil)
 
 	c := s.Clone()
 	c.MustApply(config.Change{Sector: 1, PowerDelta: 3})
-	checkSpeculateVsWarmMemo(t, c, moves, u)
+	checkSpeculateVsClone(t, c, moves, u)
 	c.Utility(u)
 
 	if got := s.Utility(u); got != parentUtility {

@@ -204,7 +204,7 @@ func TestDeriveConcurrentOnSharedState(t *testing.T) {
 						return
 					}
 				}
-				if gu, wu := got.UtilityRead(u), want.UtilityRead(u); gu != wu {
+				if gu, wu := got.Utility(u), want.Utility(u); gu != wu {
 					t.Errorf("worker %d state %d: utility %v, cold model %v", w, i, gu, wu)
 				}
 			}
@@ -354,7 +354,7 @@ func TestSharedRowsConcurrentDeriveRefresh(t *testing.T) {
 				d.SpeculateBatch([]config.Change{{Sector: rng.Intn(n), PowerDelta: 2}}, utility.Performance, nil)
 				d.MustApply(config.Change{Sector: rng.Intn(n), PowerDelta: -1})
 				want := fork.NewState(d.Cfg.Clone())
-				if gu, wu := d.UtilityRead(utility.Performance), want.UtilityRead(utility.Performance); gu != wu {
+				if gu, wu := d.Utility(utility.Performance), want.Utility(utility.Performance); gu != wu {
 					t.Errorf("builder %d pass %d: utility %v, NewState %v", w, i, gu, wu)
 				}
 			}

@@ -70,6 +70,7 @@ func (s *State) kpiBranches() (totals, walked int) {
 func (s *State) speculateFull(moves []config.Change, u utility.Func, touched func(mv config.Change, pos int32, hit bool)) []BatchResult {
 	sc := &batchScratch{}
 	sc.ensure(s.Model.Grid.NumCells(), s.Model.Net.NumSectors())
+	lam := s.lambdas(u, nil)
 	var out []BatchResult
 	for _, mv := range moves {
 		res, newOff, ok := s.speculateStart(mv)
@@ -99,7 +100,7 @@ func (s *State) speculateFull(moves []config.Change, u utility.Func, touched fun
 					touched(mv, ref.Pos, len(sc.grids) != n)
 				}
 			}
-			res.Delta = s.speculateDelta(sc, u)
+			res.Delta = s.speculateDelta(sc, u, lam)
 		}
 		out = append(out, res)
 	}

@@ -194,7 +194,7 @@ func TestGainRowsConcurrentFill(t *testing.T) {
 			r.deltas = append(r.deltas, res.Delta)
 		}
 		for _, cfg := range targets {
-			r.utilities = append(r.utilities, view.NewState(cfg.Clone()).UtilityRead(u))
+			r.utilities = append(r.utilities, view.NewState(cfg.Clone()).Utility(u))
 		}
 		return r
 	}

@@ -69,7 +69,7 @@ const (
 // of the 1 kbps clamp.
 type aggBucket struct {
 	rmax  float64 // bucket key: the quantized max rate
-	l     float64 // log10(rmax/1000), computed once per bucket
+	l     float64 // log10(rmax/1000): the logRate of every grid in it
 	sumW  float64 // Σ accounted base weight
 	sumWL float64 // Σ w·l
 }
@@ -156,21 +156,14 @@ func ShardSum(n, workers int, fn func(lo, hi int) float64) float64 {
 	return total
 }
 
-// UtilityScan evaluates the overall utility with the full-grid pass
-// sharded over fixed grid ranges and reduced in shard order. Read-only
-// (no memo), deterministic for every workers value. This is the
-// retained full-scan reference the incremental KPIUtility is pinned
-// against.
+// UtilityScan evaluates the overall utility with Utility's per-grid sum
+// sharded over fixed grid ranges and reduced in shard order. Read-only,
+// deterministic for every workers value. This is the retained full-scan
+// reference the incremental KPIUtility is pinned against.
 func (s *State) UtilityScan(u utility.Func, workers int) float64 {
-	f := s.Model.ueFactor
+	lam := s.lambdas(u, nil)
 	return ShardSum(s.Model.Grid.NumCells(), workers, func(lo, hi int) float64 {
-		sum := 0.0
-		for g := lo; g < hi; g++ {
-			if w := s.Model.ue[g]; w != 0 {
-				sum += w * f * u.U(s.RateBps(g))
-			}
-		}
-		return sum
+		return s.utilitySum(u, lam, lo, hi)
 	})
 }
 
@@ -285,7 +278,7 @@ func (s *State) rebuildSector(b int) {
 			bi = len(bks)
 			var l float64
 			if perf {
-				l = math.Log10(rmax / 1000)
+				l = s.logRate[g]
 			}
 			bks = append(bks, aggBucket{rmax: rmax, l: l})
 			st.minL = min(st.minL, l)
@@ -343,24 +336,23 @@ func (s *State) KPIUtility() float64 {
 	return total
 }
 
-// lambda returns the sector's λ = max(0, log10(ld) + lf) at base load
-// ld and lf = log10(f), refreshing the log10(load) memo when the load
-// moved since it was computed.
+// lambda returns the sector's λ (lambdaOf) at base load ld and
+// lf = log10(f), refreshing the log10(load) memo when the load moved
+// since it was computed.
 func (st *aggSector) lambda(ld, lf float64) float64 {
 	if ld != st.lgKey {
 		st.setLoad(ld)
 	}
-	return max(st.lg+lf, 0)
+	return lambdaOf(st.lg, lf)
 }
 
 // setLoad refreshes the log10(load) memo, out of line so lambda inlines
-// into KPIUtility's loop. A load left a residue below zero by the ±
-// repair reads as empty (log10 0 = −Inf, so λ = 0).
+// into KPIUtility's loop.
 //
 //go:noinline
 func (st *aggSector) setLoad(ld float64) {
 	st.lgKey = ld
-	st.lg = math.Log10(max(ld, 0))
+	st.lg = logLoad(ld)
 }
 
 // walkBuckets prices sector b at λ = lam bucket by bucket, in base
@@ -445,7 +437,7 @@ func (s *State) aggReaccount(g int) {
 		bi = len(bks)
 		var l float64
 		if s.aggMode == aggModePerf {
-			l = math.Log10(rmax / 1000)
+			l = s.logRate[g]
 		}
 		bks = append(bks, aggBucket{rmax: rmax, l: l})
 		s.aggBk[b] = bks

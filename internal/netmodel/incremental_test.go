@@ -16,7 +16,7 @@ func relClose(a, b, tol float64) bool {
 }
 
 // checkAgg asserts the aggregate engine's utility agrees with the
-// sharded full-scan reference and the memoized scan.
+// sharded full-scan reference and the in-order scan.
 func checkAgg(t *testing.T, s *State, u utility.Func, where string) {
 	t.Helper()
 	got := s.KPIUtility()
@@ -24,8 +24,8 @@ func checkAgg(t *testing.T, s *State, u utility.Func, where string) {
 	if !relClose(got, ref, 1e-9) {
 		t.Fatalf("%s: KPIUtility %.12f != UtilityScan %.12f", where, got, ref)
 	}
-	if read := s.UtilityRead(u); !relClose(ref, read, 1e-9) {
-		t.Fatalf("%s: UtilityScan %.12f != UtilityRead %.12f", where, ref, read)
+	if read := s.Utility(u); !relClose(ref, read, 1e-9) {
+		t.Fatalf("%s: UtilityScan %.12f != Utility %.12f", where, ref, read)
 	}
 }
 

@@ -381,23 +381,6 @@ func TestHandoverUEs(t *testing.T) {
 	}
 }
 
-func TestUtilityIn(t *testing.T) {
-	m := testModel(t)
-	s := baseline(t, m)
-	all := make([]int, m.Grid.NumCells())
-	for i := range all {
-		all[i] = i
-	}
-	whole := s.Utility(utility.Performance)
-	restricted := s.UtilityIn(utility.Performance, all)
-	if math.Abs(whole-restricted) > 1e-9 {
-		t.Errorf("UtilityIn(all) = %v, want Utility() = %v", restricted, whole)
-	}
-	if got := s.UtilityIn(utility.Performance, nil); got != 0 {
-		t.Errorf("UtilityIn(nil) = %v, want 0", got)
-	}
-}
-
 func TestInterferingSectorCount(t *testing.T) {
 	m := testModel(t)
 	inner := geo.NewRectCentered(geo.Point{}, 2000, 2000)

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,12 +48,14 @@ func TestRandomChangeSequencesMatchFullRecompute(t *testing.T) {
 			// threshold scan while the SINR stays inside it.
 			for _, v := range [][2]float64{
 				{st.rmax[g], fresh.rmax[g]},
+				{st.logRate[g], fresh.logRate[g]},
 				{st.sinrLo[g], fresh.sinrLo[g]},
 				{st.sinrHi[g], fresh.sinrHi[g]},
 			} {
 				if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
-					t.Fatalf("trial %d: grid %d rmax/sinrLo/sinrHi %v/%v/%v vs %v/%v/%v", trial, g,
-						st.rmax[g], st.sinrLo[g], st.sinrHi[g], fresh.rmax[g], fresh.sinrLo[g], fresh.sinrHi[g])
+					t.Fatalf("trial %d: grid %d rmax/logRate/sinrLo/sinrHi %v/%v/%v/%v vs %v/%v/%v/%v", trial, g,
+						st.rmax[g], st.logRate[g], st.sinrLo[g], st.sinrHi[g],
+						fresh.rmax[g], fresh.logRate[g], fresh.sinrLo[g], fresh.sinrHi[g])
 				}
 			}
 		}
@@ -67,9 +70,108 @@ func TestRandomChangeSequencesMatchFullRecompute(t *testing.T) {
 	}
 }
 
-// TestUtilityMemoMatchesDirectEvaluation validates the per-grid utility
-// memo against a memo-free computation across utility-function switches.
-func TestUtilityMemoMatchesDirectEvaluation(t *testing.T) {
+// TestLogUtilityClosedForm pins the log utility's one formula against
+// its reference, utility.Performance.U of RateBps, over seeded random
+// states at several uniform load factors. Each state has one sector
+// whose served weight is cut so far that it sits under the 1-UE clamp,
+// and one whose served weight is raised so far that its grids' rates
+// fall under 1 kbps. Every weighted grid's max(L − λ, 0) term must be
+// within 1e-12 of the reference, and exactly 0 wherever the reference
+// is; every KPI bucket's L must be the logRate of each grid accounted
+// in it, bit for bit.
+func TestLogUtilityClosedForm(t *testing.T) {
+	base := testModel(t)
+	u := utility.Performance
+	clamped, subKbps := 0, 0
+	for trial := 0; trial < 6; trial++ {
+		for _, f := range []float64{0.15, 0.5, 1.0, 1.2} {
+			rng := rand.New(rand.NewSource(int64(trial)))
+			m := base.ForkUsers()
+			st := m.NewState(config.New(m.Net))
+			st.AssignUsersUniform()
+			m.ScaleUsers(f)
+			randomMoves := func(n int) {
+				for i := 0; i < n; i++ {
+					ch := config.Change{Sector: rng.Intn(m.Net.NumSectors())}
+					switch rng.Intn(4) {
+					case 0:
+						ch.PowerDelta = float64(rng.Intn(13) - 6)
+					case 1:
+						ch.TiltDelta = rng.Intn(9) - 4
+					case 2:
+						ch.TurnOff = true
+					case 3:
+						ch.TurnOn = true
+					}
+					st.MustApply(ch)
+				}
+			}
+			randomMoves(20)
+			for k, factor := range []float64{0.002, 1000} {
+				b := st.ServingSector(rng.Intn(m.Grid.NumCells()))
+				for b < 0 || st.ServedGrids(b) == 0 {
+					b = st.ServingSector(rng.Intn(m.Grid.NumCells()))
+				}
+				if k == 1 && st.Load(b) < 1 {
+					continue // the cut sector itself
+				}
+				grids := servedGridsOf(st, b)
+				m.ScaleUsersAt(grids, factor)
+				st.NoteUsersScaledAt(grids, factor)
+			}
+			st.EnableKPIAggregates(u, 1)
+			randomMoves(10)
+			where := fmt.Sprintf("trial %d f=%v", trial, f)
+
+			lam := st.lambdas(u, nil)
+			for b := range lam {
+				if st.ServedGrids(b) > 0 && st.Load(b) > 0 && st.Load(b) < 1 {
+					clamped++
+				}
+			}
+			for g := 0; g < m.Grid.NumCells(); g++ {
+				if m.UE(g) == 0 {
+					continue
+				}
+				want := u.U(st.RateBps(g))
+				term := 0.0
+				if b := st.bestSec[g]; b >= 0 {
+					term = max(st.logRate[g]-lam[b], 0)
+				}
+				if r := st.RateBps(g); r > 0 && r < 1000 {
+					subKbps++
+				}
+				if math.Abs(term-want) > 1e-12 || want == 0 && term != 0 {
+					t.Fatalf("%s: grid %d term %v, Performance.U %v", where, g, term, want)
+				}
+			}
+			for g, b := range st.aggSec {
+				if b < 0 {
+					continue
+				}
+				found := false
+				for _, bk := range st.aggBk[b] {
+					if bk.rmax == st.aggRmax[g] {
+						found = true
+						if math.Float64bits(bk.l) != math.Float64bits(st.logRate[g]) {
+							t.Fatalf("%s: grid %d logRate %v, its bucket's l %v", where, g, st.logRate[g], bk.l)
+						}
+					}
+				}
+				if !found {
+					t.Fatalf("%s: grid %d accounted under sector %d without a bucket", where, g, b)
+				}
+			}
+		}
+	}
+	if clamped == 0 || subKbps == 0 {
+		t.Fatalf("degenerate draw: %d sectors under the 1-UE clamp, %d grids under 1 kbps", clamped, subKbps)
+	}
+}
+
+// TestUtilityMatchesDirectEvaluation validates Utility against a sum of
+// u(RateBps) per grid across utility-function switches.
+func TestUtilityMatchesDirectEvaluation(t *testing.T) {
 	m := testModel(t)
 	st := m.NewState(config.New(m.Net))
 	st.AssignUsersUniform()
@@ -96,7 +198,7 @@ func TestUtilityMemoMatchesDirectEvaluation(t *testing.T) {
 		got := st.Utility(u)
 		want := direct(u)
 		if d := got - want; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("step %d (%s): memoized %v != direct %v", i, u.Name, got, want)
+			t.Fatalf("step %d (%s): Utility %v != direct %v", i, u.Name, got, want)
 		}
 	}
 }

@@ -25,6 +25,7 @@ type State struct {
 	bestSec []int32   // per grid: serving sector, -1 if none
 	bestMw  []float64 // per grid: serving sector received power, mW
 	rmax    []float64 // per grid: max rate (bits/s) at current SINR
+	logRate []float64 // per grid: log10(rmax/1000), −Inf without a rate
 	sinrLo  []float64 // per grid: linear-SINR CQI bucket floor backing rmax
 	sinrHi  []float64 // per grid: linear-SINR CQI bucket ceiling (exclusive)
 	load    []float64 // per sector: sum of UE weights over served grids
@@ -51,15 +52,6 @@ type State struct {
 	// every touched grid, while the set is only read by scorers.
 	radioGen uint64
 	frag     atomic.Pointer[fragileSet]
-
-	// Per-grid utility memo: most grids keep their rate between two
-	// Utility calls during a search, so the per-UE utility (a log10) is
-	// recomputed only for grids whose rate changed. cacheName identifies
-	// the utility function the memo belongs to (function names are
-	// unique per objective).
-	cacheRate []float64
-	cacheU    []float64
-	cacheName string
 
 	// Scratch for SINRImprovers' affected-grid membership test, reused
 	// across calls (the search hot loop calls it once per step). Always
@@ -118,40 +110,25 @@ func (m *Model) newStateShell(cfg *config.Config) *State {
 		bestSec:  make([]int32, m.Grid.NumCells()),
 		bestMw:   make([]float64, m.Grid.NumCells()),
 		rmax:     make([]float64, m.Grid.NumCells()),
+		logRate:  make([]float64, m.Grid.NumCells()),
 		sinrLo:   make([]float64, m.Grid.NumCells()),
 		sinrHi:   make([]float64, m.Grid.NumCells()),
 		load:     make([]float64, m.Net.NumSectors()),
 		served:   make([]int32, m.Net.NumSectors()),
 		linkGain: make([][]float64, m.Net.NumSectors()),
 	}
-	s.resetUtilityMemo("")
 	for b := range s.linkGain {
 		s.installSector(b)
 	}
 	return s
 }
 
-// resetUtilityMemo invalidates the per-grid utility memo and tags it
-// with the owning utility function's name.
-func (s *State) resetUtilityMemo(name string) {
-	if s.cacheRate == nil {
-		s.cacheRate = make([]float64, s.Model.Grid.NumCells())
-		s.cacheU = make([]float64, s.Model.Grid.NumCells())
-	}
-	for i := range s.cacheRate {
-		s.cacheRate[i] = -1 // rates are never negative
-	}
-	s.cacheName = name
-}
-
 // Clone returns an independent snapshot of the state (the configuration
-// is deep-copied too). The utility memo IS copied — it is a consistent
-// snapshot of (rate, u(rate)) pairs, so the clone's first Utility call
-// under the same objective stays incremental — and so is the served-grid
-// index. The link rows and the fragile-grid set are shared, not copied:
-// no state writes into an installed row or a published set. The KPI
-// aggregates, the change log and the SINRImprovers scratch are NOT
-// copied: zero values mean "off"/"unallocated".
+// is deep-copied too), served-grid index included. The link rows and the
+// fragile-grid set are shared, not copied: no state writes into an
+// installed row or a published set. The KPI aggregates, the change log
+// and the SINRImprovers scratch are NOT copied: zero values mean
+// "off"/"unallocated".
 func (s *State) Clone() *State {
 	c := &State{
 		Model:     s.Model,
@@ -162,13 +139,11 @@ func (s *State) Clone() *State {
 		bestSec:   append([]int32(nil), s.bestSec...),
 		bestMw:    append([]float64(nil), s.bestMw...),
 		rmax:      append([]float64(nil), s.rmax...),
+		logRate:   append([]float64(nil), s.logRate...),
 		sinrLo:    append([]float64(nil), s.sinrLo...),
 		sinrHi:    append([]float64(nil), s.sinrHi...),
 		load:      append([]float64(nil), s.load...),
 		served:    append([]int32(nil), s.served...),
-		cacheRate: append([]float64(nil), s.cacheRate...),
-		cacheU:    append([]float64(nil), s.cacheU...),
-		cacheName: s.cacheName,
 		servedPos: append([]int32(nil), s.servedPos...),
 	}
 	c.radioGen = s.radioGen
@@ -290,10 +265,11 @@ func (s *State) scanEntries(lo, hi int32, total float64, best int32, bestMw floa
 }
 
 // updateRate refreshes rmax[g] from the cached aggregates, caching the
-// CQI bucket's linear-SINR bounds alongside. While the new SINR stays in
-// the cached bucket [sinrLo, sinrHi) the rate is a step function's same
-// step, so rmax and the bounds are kept without re-running the threshold
-// scan — the same test SpeculateBatch makes ("does this move change the
+// CQI bucket's linear-SINR bounds and the rate's log10(rmax/1000)
+// alongside. While the new SINR stays in the cached bucket
+// [sinrLo, sinrHi) the rate is a step function's same step, so rmax,
+// its log and the bounds are kept without re-running the threshold scan
+// — the same test SpeculateBatch makes ("does this move change the
 // grid's rate at all?"). An empty bucket ([0,0): no coverage, or a
 // mapper without bounds) always rescans.
 func (s *State) updateRate(g int) {
@@ -301,26 +277,25 @@ func (s *State) updateRate(g int) {
 	if s.changed != nil {
 		s.changed[g>>6] |= 1 << (g & 63)
 	}
-	if s.bestSec[g] < 0 || s.bestMw[g] <= 0 {
-		s.rmax[g] = 0
-		s.sinrLo[g] = 0
-		s.sinrHi[g] = 0
-	} else {
+	sinr := 0.0
+	if s.bestSec[g] >= 0 && s.bestMw[g] > 0 {
 		interf := s.totalMw[g] - s.bestMw[g]
 		if interf < 0 {
 			interf = 0 // floating point guard
 		}
-		sinr := s.bestMw[g] / (s.Model.noiseMw + interf)
-		switch {
-		case sinr <= 0:
-			s.rmax[g] = 0
-			s.sinrLo[g] = 0
-			s.sinrHi[g] = 0
-		case s.sinrLo[g] <= sinr && sinr < s.sinrHi[g]:
-			// Same CQI bucket: rmax and its bounds hold.
-		default:
-			s.rmax[g], s.sinrLo[g], s.sinrHi[g] = s.Model.rateBounds(sinr)
-		}
+		sinr = s.bestMw[g] / (s.Model.noiseMw + interf)
+	}
+	switch {
+	case sinr <= 0:
+		s.rmax[g] = 0
+		s.logRate[g] = math.Inf(-1)
+		s.sinrLo[g] = 0
+		s.sinrHi[g] = 0
+	case s.sinrLo[g] <= sinr && sinr < s.sinrHi[g]:
+		// Same CQI bucket: rmax, its log and its bounds hold.
+	default:
+		s.rmax[g], s.sinrLo[g], s.sinrHi[g] = s.Model.rateBounds(sinr)
+		s.logRate[g] = math.Log10(s.rmax[g] / 1000)
 	}
 	// KPI aggregate repair: only when something the accounting depends on
 	// actually changed — the skip keeps within-CQI-bucket touches free of
@@ -534,62 +509,64 @@ func (s *State) Load(b int) float64 { return s.load[b] * s.Model.ueFactor }
 func (s *State) ServedGrids(b int) int { return int(s.served[b]) }
 
 // Utility evaluates the overall network utility f(U(C)) (Section 5)
-// under per-UE utility u: the UE-weighted sum of u(rate) over all grids.
+// under per-UE utility u: the UE-weighted sum of u(rate) over all grids,
+// in ascending grid order. It only reads the state, so any number of
+// goroutines may evaluate one state at once.
 func (s *State) Utility(u utility.Func) float64 {
-	if s.cacheName != u.Name {
-		s.resetUtilityMemo(u.Name)
-	}
-	f := s.Model.ueFactor
+	return s.utilitySum(u, s.lambdas(u, nil), 0, s.Model.Grid.NumCells())
+}
+
+// utilitySum is the utility of the grids in [lo, hi), summed in
+// ascending order. Under the log utility lam holds every sector's λ
+// (lambdas), and a grid's per-UE term is max(L − λ, 0) with
+// L = logRate[g]: in reals, log10 of its rate in kbps clamped at
+// 1 kbps, Performance.U of its RateBps, without a log10 per grid. Any
+// other objective (lam nil) prices u.U(RateBps).
+func (s *State) utilitySum(u utility.Func, lam []float64, lo, hi int) float64 {
+	m := s.Model
+	f := m.ueFactor
 	total := 0.0
-	for g, w := range s.Model.ue {
+	for g := lo; g < hi; g++ {
+		w := m.ue[g]
 		if w == 0 {
 			continue
 		}
-		rate := 0.0
-		if best := s.bestSec[g]; best >= 0 && s.rmax[g] > 0 {
-			n := s.load[best] * f
-			if n < 1 {
-				n = 1
-			}
-			rate = s.rmax[g] / n
-		}
-		if rate != s.cacheRate[g] {
-			s.cacheRate[g] = rate
-			s.cacheU[g] = u.U(rate)
-		}
-		total += w * f * s.cacheU[g]
-	}
-	return total
-}
-
-// UtilityRead evaluates the overall utility without touching the
-// per-grid memo. Utility amortizes u(rate) across repeated evaluations
-// of a state a search is mutating, but its memo write makes it unsafe
-// on a state shared between goroutines; UtilityRead is the
-// concurrency-safe evaluation for shared immutable states (an engine's
-// baseline), at the cost of one full u(rate) pass per call.
-func (s *State) UtilityRead(u utility.Func) float64 {
-	f := s.Model.ueFactor
-	total := 0.0
-	for g, w := range s.Model.ue {
-		if w != 0 {
+		if lam == nil {
 			total += w * f * u.U(s.RateBps(g))
+		} else if b := s.bestSec[g]; b >= 0 {
+			total += w * f * max(s.logRate[g]-lam[b], 0)
 		}
 	}
 	return total
 }
 
-// UtilityIn is Utility restricted to the given grid cells.
-func (s *State) UtilityIn(u utility.Func, grids []int) float64 {
-	f := s.Model.ueFactor
-	total := 0.0
-	for _, g := range grids {
-		if w := s.Model.ue[g]; w != 0 {
-			total += w * f * u.U(s.RateBps(g))
-		}
+// lambdas returns every sector's λ at the state's loads, one log10 per
+// sector, when u is the log utility (nil otherwise). It writes into lam
+// when lam has room for every sector.
+func (s *State) lambdas(u utility.Func, lam []float64) []float64 {
+	if u.Name != utility.Performance.Name {
+		return nil
 	}
-	return total
+	if len(lam) < len(s.load) {
+		lam = make([]float64, len(s.load))
+	}
+	lf := math.Log10(s.Model.ueFactor)
+	for b, ld := range s.load {
+		lam[b] = lambdaOf(logLoad(ld), lf)
+	}
+	return lam
 }
+
+// logLoad is log10 of a sector's base load, the load-dependent part of
+// its λ. A load left a residue below zero by the ± repair reads as
+// empty (log10 0 = −Inf, so λ = 0).
+func logLoad(ld float64) float64 { return math.Log10(max(ld, 0)) }
+
+// lambdaOf is a sector's λ = max(lg + lf, 0) from lg = logLoad(load)
+// and lf = log10 of the model's load factor: log10 of the effective
+// load clamped at one UE, the divisor of Eq. 4 under the log. At f = 1
+// it is exactly log10(max(load, 1)).
+func lambdaOf(lg, lf float64) float64 { return max(lg+lf, 0) }
 
 // ServedUE returns the number of UEs currently in service.
 func (s *State) ServedUE() float64 {

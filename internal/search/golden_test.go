@@ -33,7 +33,7 @@ func refPower(st *netmodel.State, base *netmodel.State, neighbors []int, opts Op
 	opts.applyDefaults()
 	res := &Result{}
 	unit := opts.PowerUnitDB
-	baseUtility := base.UtilityRead(opts.Util)
+	baseUtility := base.Utility(opts.Util)
 	if opts.CapUtility > 0 && opts.CapUtility < baseUtility {
 		baseUtility = opts.CapUtility
 	}

@@ -178,10 +178,7 @@ func powerPhase(e *evalengine.Engine, base *netmodel.State, neighbors []int, opt
 	res := &Result{}
 	unit := opts.PowerUnitDB
 
-	// base is typically an engine's shared C_before: evaluate it with the
-	// read-only path so concurrent searches on one engine do not race on
-	// its utility memo.
-	baseUtility := base.UtilityRead(opts.Util)
+	baseUtility := base.Utility(opts.Util)
 	if opts.CapUtility > 0 && opts.CapUtility < baseUtility {
 		baseUtility = opts.CapUtility
 	}
