@@ -13,6 +13,7 @@ package lte
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Modulation identifies the constellation used by a CQI or MCS entry.
@@ -305,30 +306,12 @@ func (m *LinkModel) MaxRateBpsLinear(sinrLin float64) float64 {
 	return m.rateByCqi[cqi]
 }
 
-// MaxRateBpsLinearBounds returns MaxRateBpsLinear(sinrLin) together with
-// the linear-SINR interval [lo, hi) over which that rate holds — the CQI
-// bucket the SINR falls in. A caller that caches the bounds can test
-// "would this SINR shift produce a different rate?" with two compares
-// instead of re-running the threshold scan; the rate value is identical
-// to MaxRateBpsLinear's.
-func (m *LinkModel) MaxRateBpsLinearBounds(sinrLin float64) (rate, lo, hi float64) {
-	cqi := 0
-	for i := range m.cqiSinrThresholdsLin {
-		if sinrLin >= m.cqiSinrThresholdsLin[i] {
-			cqi = i + 1
-		} else {
-			break
-		}
-	}
-	lo = math.Inf(-1)
-	if cqi > 0 {
-		lo = m.cqiSinrThresholdsLin[cqi-1]
-	}
-	hi = math.Inf(1)
-	if cqi < len(m.cqiSinrThresholdsLin) {
-		hi = m.cqiSinrThresholdsLin[cqi]
-	}
-	return m.rateByCqi[cqi], lo, hi
+// RateLadder returns the CQI ladder as a rate step table: rates[i] is
+// the full-carrier rate from linear SINR thresholds[i] (the CQI i+1
+// threshold) up to the next threshold, and below thresholds[0] the link
+// is out of service. Looking a SINR up in it gives MaxRateBpsLinear.
+func (m *LinkModel) RateLadder() (thresholds, rates []float64) {
+	return slices.Clone(m.cqiSinrThresholdsLin[:]), slices.Clone(m.rateByCqi[1:])
 }
 
 // PeakRateBps returns the highest rate the carrier supports (CQI 15).

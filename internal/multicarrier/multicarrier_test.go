@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"magus/internal/geo"
+	"magus/internal/netmodel"
 	"magus/internal/topology"
 	"magus/internal/upgrade"
 	"magus/internal/utility"
@@ -56,9 +57,15 @@ func TestBuildSplitsPopulation(t *testing.T) {
 		t.Errorf("population ratio = %v, want approx 2", ratio)
 	}
 	// The wider carrier supports higher peak rates.
-	if mc.Models[0].Link.PeakRateBps() <= mc.Models[1].Link.PeakRateBps() {
+	if peakRate(mc.Models[0]) <= peakRate(mc.Models[1]) {
 		t.Error("10 MHz carrier should outrate the 5 MHz carrier")
 	}
+}
+
+// peakRate is the top step of a carrier's rate ladder.
+func peakRate(m *netmodel.Model) float64 {
+	_, rates := m.Link.RateLadder()
+	return rates[len(rates)-1]
 }
 
 func TestMitigateMultiCarrier(t *testing.T) {
@@ -174,10 +181,10 @@ func TestDualRATMitigation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The UMTS layer uses the HSDPA rate pipeline.
-	if got := mc.Models[1].Link.PeakRateBps(); got != 14.0e6 {
+	if got := peakRate(mc.Models[1]); got != 14.0e6 {
 		t.Errorf("UMTS layer peak = %v, want 14 Mb/s (HSDPA cat 10)", got)
 	}
-	if got := mc.Models[0].Link.PeakRateBps(); got != 36696*1000 {
+	if got := peakRate(mc.Models[0]); got != 36696*1000 {
 		t.Errorf("LTE layer peak = %v, want 36.696 Mb/s", got)
 	}
 	targets, err := upgrade.Targets(net, upgrade.FullSite,

@@ -12,7 +12,7 @@
 // resolves only the entries that can move a rate. An entry that stays
 // weak (at most 8θ mW, changing by at most θ, θ = noise/32) at a grid
 // outside the state's fragile set cannot change that grid's serving
-// sector or CQI bucket, so it is skipped without reading the grid (see
+// sector or rate level, so it is skipped without reading the grid (see
 // fragile.go): a power move costs one exponential per sector, one
 // compare and one bit test per entry, and the grid reads of batchEntry
 // only for strong entries and fragile grids. Each skip is one batchEntry
@@ -22,10 +22,9 @@
 // Under the log utility a touched grid is priced in Utility's closed
 // form, max(L − λ, 0) before and after the move: every sector's old λ
 // is read once per call (the state is frozen while it scores), a new λ
-// once per move for each sector whose load shifted, and a new L is a
-// log10 only for a grid whose max rate the move changes; every other
-// grid keeps its logRate. Other objectives price u(new rate) − u(old
-// rate).
+// once per move for each sector whose load shifted, and L is read from
+// the model's level table at the grid's old and new rate level. Other
+// objectives price u(new rate) − u(old rate).
 //
 // Because scoring is read-only, any number of goroutines may score
 // batches against the same State concurrently, and call Utility on it,
@@ -83,7 +82,7 @@ type batchScratch struct {
 	newTotal   []float64
 	newBestMw  []float64
 	newBestSec []int32
-	newRmax    []float64
+	newLevel   []uint8
 	loadDelta  []float64
 	grids      []int32   // touched grids, insertion order
 	secs       []int32   // touched sectors, insertion order
@@ -106,7 +105,7 @@ func (sc *batchScratch) ensure(numCells, numSectors int) {
 		sc.newTotal = make([]float64, cells)
 		sc.newBestMw = make([]float64, cells)
 		sc.newBestSec = make([]int32, cells)
-		sc.newRmax = make([]float64, cells)
+		sc.newLevel = make([]uint8, cells)
 		sc.secMark = make([]uint32, secs)
 		sc.loadDelta = make([]float64, secs)
 		sc.oldLam = make([]float64, secs)
@@ -140,7 +139,7 @@ func (sc *batchScratch) touchGrid(s *State, g int32) bool {
 	sc.newTotal[g] = s.totalMw[g]
 	sc.newBestMw[g] = s.bestMw[g]
 	sc.newBestSec[g] = s.bestSec[g]
-	sc.newRmax[g] = s.rmax[g]
+	sc.newLevel[g] = s.level[g]
 	sc.grids = append(sc.grids, g)
 	return false
 }
@@ -260,6 +259,7 @@ func (s *State) speculateDelta(sc *batchScratch, u utility.Func, lam []float64) 
 	// per-UE utility. Loads (and their per-move deltas) are in base UE
 	// units; the model's uniform factor converts to effective load in λ
 	// or at the rate division.
+	lv := m.levels
 	f := m.ueFactor
 	delta := 0.0
 	for _, g := range sc.grids {
@@ -274,20 +274,16 @@ func (s *State) speculateDelta(sc *batchScratch, u utility.Func, lam []float64) 
 				if sc.secMark[best] == sc.epoch && sc.loadDelta[best] != 0 {
 					lb = sc.newLam[best]
 				}
-				l := s.logRate[g]
-				if r := sc.newRmax[g]; r != s.rmax[g] {
-					l = math.Log10(r / 1000)
-				}
-				newU = max(l-lb, 0)
+				newU = max(lv[sc.newLevel[g]].l-lb, 0)
 			}
 			if best := s.bestSec[g]; best >= 0 {
-				oldU = max(s.logRate[g]-lam[best], 0)
+				oldU = max(lv[s.level[g]].l-lam[best], 0)
 			}
 			delta += w * f * (newU - oldU)
 			continue
 		}
 		rate := 0.0
-		if best := sc.newBestSec[g]; best >= 0 && sc.newRmax[g] > 0 {
+		if best := sc.newBestSec[g]; best >= 0 && sc.newLevel[g] != 0 {
 			n := s.load[best]
 			if sc.secMark[best] == sc.epoch {
 				n += sc.loadDelta[best]
@@ -296,7 +292,7 @@ func (s *State) speculateDelta(sc *batchScratch, u utility.Func, lam []float64) 
 			if n < 1 {
 				n = 1
 			}
-			rate = sc.newRmax[g] / n
+			rate = lv[sc.newLevel[g]].rate / n
 		}
 		delta += w * f * (u.U(rate) - u.U(s.RateBps(int(g))))
 	}
@@ -358,7 +354,7 @@ func (s *State) batchRecomputeSector(sc *batchScratch, applied config.Change, ne
 // batchEntry folds one entry's received power moving from old to nrp
 // into the scratch: grid totals, serving resolution (same tie-breaking
 // as the exact rescan: ascending position order, strict improvement),
-// load shifts and the new max rate.
+// load shifts and the new rate level.
 func (s *State) batchEntry(sc *batchScratch, g, pos, b32 int32, old, nrp float64) {
 	if nrp == old {
 		return
@@ -385,17 +381,17 @@ func (s *State) batchEntry(sc *batchScratch, g, pos, b32 int32, old, nrp float64
 	default:
 		nbSec, nbMw = s.bestSec[g], s.bestMw[g]
 	}
+	k := s.level[g]
 	if nbSec == s.bestSec[g] {
-		// Same serving sector: if the new SINR stays inside the cached
-		// CQI bucket (sinrLo/sinrHi, maintained by updateRate), the
-		// quantized max rate is unchanged and the grid's per-UE rate can
-		// only change through its serving sector's load — and the load
-		// sweep re-touches exactly those grids. Skipping here is what
-		// makes a power move cheap: interference shifts that stay inside
-		// one CQI bucket (the common case by far) cost two compares, no
-		// threshold scan and never a u.U evaluation.
+		// Same serving sector: if the new SINR stays inside the grid's
+		// level bounds [lo, hi), its rate is unchanged and the grid's
+		// per-UE rate can only change through its serving sector's load
+		// — and the load sweep re-touches exactly those grids. Skipping
+		// here is what makes a power move cheap: interference shifts
+		// that stay inside one level (the common case by far) cost two
+		// compares, no level walk and never a u.U evaluation.
 		if nbSec < 0 || nbMw <= 0 {
-			if s.rmax[g] == 0 {
+			if k == 0 {
 				return
 			}
 		} else {
@@ -406,21 +402,21 @@ func (s *State) batchEntry(sc *batchScratch, g, pos, b32 int32, old, nrp float64
 			// nbMw/den ∈ [lo, hi) tested multiplicatively: den > 0
 			// always (thermal noise), and two multiplies beat a divide.
 			den := m.noiseMw + interf
-			if nbMw >= s.sinrLo[g]*den && nbMw < s.sinrHi[g]*den {
+			if lv := &m.levels[k]; nbMw >= lv.lo*den && nbMw < lv.hi*den {
 				return
 			}
 		}
 	}
-	rmax := 0.0
+	nk := uint8(0)
 	if nbSec >= 0 && nbMw > 0 {
 		interf := newTotal - nbMw
 		if interf < 0 {
 			interf = 0
 		}
-		rmax = m.rateFromSinr(nbMw / (m.noiseMw + interf))
+		nk = stepLevel(m.levels, k, nbMw/(m.noiseMw+interf))
 	}
-	if nbSec == s.bestSec[g] && rmax == s.rmax[g] {
-		// Bucket edge crossed but the rate landed back on the same value.
+	if nbSec == s.bestSec[g] && nk == k {
+		// The products left the bounds but the quotient stays inside.
 		return
 	}
 	sc.touchGrid(s, g)
@@ -437,5 +433,5 @@ func (s *State) batchEntry(sc *batchScratch, g, pos, b32 int32, old, nrp float64
 	sc.newTotal[g] = newTotal
 	sc.newBestMw[g] = nbMw
 	sc.newBestSec[g] = nbSec
-	sc.newRmax[g] = rmax
+	sc.newLevel[g] = nk
 }

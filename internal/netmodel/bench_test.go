@@ -47,7 +47,7 @@ func BenchmarkStateClone(b *testing.B) {
 // BenchmarkNewState prices one fresh evaluation on the benchmark
 // market at its default configuration, the build a window makes twice
 // per session: every sector's cached row walked into its grids, then
-// rates, loads and the served-grid index.
+// rate levels, loads and the served-grid index.
 func BenchmarkNewState(b *testing.B) {
 	m, s := benchMarket(b)
 	b.ReportAllocs()

@@ -61,9 +61,6 @@ func sameRadio(t *testing.T, where string, got, want *State) {
 		name      string
 		got, want []float64
 	}{
-		{"rmax", got.rmax, want.rmax},
-		{"sinrLo", got.sinrLo, want.sinrLo},
-		{"sinrHi", got.sinrHi, want.sinrHi},
 		{"powerMw", got.powerMw, want.powerMw},
 		{"linkGain", slices.Concat(got.linkGain...), slices.Concat(want.linkGain...)},
 	} {
@@ -73,6 +70,9 @@ func sameRadio(t *testing.T, where string, got, want *State) {
 		for i := range arr.want {
 			eq(arr.name, i, arr.got[i], arr.want[i])
 		}
+	}
+	if !slices.Equal(got.level, want.level) {
+		t.Fatalf("%s: rate levels differ from NewState's", where)
 	}
 	checkServedIndex(t, got, where)
 }

@@ -8,19 +8,19 @@ import "math"
 //
 // θ = noiseMw/weakDivisor. An entry is weak for a move when its old and
 // new received powers are both ≤ 8θ and differ by at most θ. A grid is
-// robust when it has a serving sector with bestMw > 16θ, a non-empty
-// cached CQI bucket, and batchEntry's bucket test passes for every
-// interference in [I−θ, I+θ] (I its current interference), with a
-// relative guard of robustGuard·(noise + total + best) for rounding.
-// A weak entry at a robust grid cannot be the grid's serving entry (its
-// old power ≤ 8θ < bestMw), cannot take the grid over (its new power
+// robust when it has a serving sector with bestMw > 16θ and batchEntry's
+// level-bounds test passes for every interference in [I−θ, I+θ] (I its
+// current interference), with a relative guard of
+// robustGuard·(noise + total + best) for rounding. A weak entry at a
+// robust grid cannot be the grid's serving entry (its old power
+// ≤ 8θ < bestMw), cannot take the grid over (its new power
 // ≤ 8θ < bestMw) and moves the interference by at most θ, so the grid
-// stays in its bucket and batchEntry returns without touching the
+// stays at its level and batchEntry returns without touching the
 // scratch: skipping it changes neither the touched-grid order nor the
 // delta.
 //
 // The divisor is not a knob. θ must sit well below thermal noise so
-// that few grids lie within θ of a bucket edge (a shift of noise/32 is
+// that few grids lie within θ of a level edge (a shift of noise/32 is
 // at most 0.13 dB of SINR), and high enough that most of a sector's
 // footprint is weak under a 1 dB move: on C_before of suburban seed 1,
 // 86% of the entries are weak for a +1 dB move, 127 of 2,916 grids are
@@ -28,7 +28,7 @@ import "math"
 const weakDivisor = 32
 
 // robustGuard bounds, relative to noise + total + best, the rounding of
-// batchEntry's recomputed interference and of the bucket products.
+// batchEntry's recomputed interference and of the level-bounds products.
 const robustGuard = 1e-9
 
 // gridBits is a per-grid bitset.
@@ -64,10 +64,10 @@ func (s *State) buildFragile() gridBits {
 	bits := make(gridBits, (n+63)/64)
 	noise := s.Model.noiseMw
 	theta := noise / weakDivisor
-	sec, best, total := s.bestSec[:n], s.bestMw[:n], s.totalMw[:n]
-	lo, hi := s.sinrLo[:n], s.sinrHi[:n]
+	sec, best, total, level := s.bestSec[:n], s.bestMw[:n], s.totalMw[:n], s.level[:n]
 	for g := range n {
-		if !robust(sec[g], best[g], total[g], lo[g], hi[g], noise, theta) {
+		lv := &s.Model.levels[level[g]]
+		if !robust(sec[g], best[g], total[g], lv.lo, lv.hi, noise, theta) {
 			bits[g>>6] |= 1 << (g & 63)
 		}
 	}
@@ -75,11 +75,11 @@ func (s *State) buildFragile() gridBits {
 }
 
 // robust reports whether a grid with serving sector sec at best mW,
-// total mW and cached bucket [lo, hi) keeps its serving sector and rate
+// total mW and level bounds [lo, hi) keeps its serving sector and rate
 // under any set of weak entry changes that moves its interference by at
 // most theta.
 func robust(sec int32, best, total, lo, hi, noise, theta float64) bool {
-	if sec < 0 || !(best > 16*theta) || !(lo < hi) {
+	if sec < 0 || !(best > 16*theta) {
 		return false
 	}
 	interf := max(total-best, 0)

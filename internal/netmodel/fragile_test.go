@@ -8,17 +8,14 @@ import (
 	"testing"
 
 	"magus/internal/config"
+	"magus/internal/umts"
 	"magus/internal/units"
 	"magus/internal/utility"
 )
 
-// unboundedRate hides the link model's bucket bounds, so every grid's
-// cached bucket is empty and every grid is fragile.
-type unboundedRate struct{ RateMapper }
-
-// weakSkipModels returns the analytic test model, one with tabulated
-// link budgets on a few sectors, and one whose rate mapper has no
-// bucket bounds.
+// weakSkipModels returns the analytic test model on the LTE ladder, one
+// with tabulated link budgets on a few sectors, and one on the UMTS
+// ladder.
 func weakSkipModels(t *testing.T) map[string]*Model {
 	t.Helper()
 	tab := testModel(t)
@@ -26,8 +23,8 @@ func weakSkipModels(t *testing.T) map[string]*Model {
 		install(t, tab, b, float64(2*i-1))
 	}
 	m := testModel(t)
-	plain := MustNewModel(m.Net, m.SPM, m.Net.Bounds, Params{CellSizeM: 200, Link: unboundedRate{m.Link}})
-	return map[string]*Model{"analytic": m, "tabulated": tab, "unbounded": plain}
+	hsdpa := MustNewModel(m.Net, m.SPM, m.Net.Bounds, Params{CellSizeM: 200, Link: umts.NewLinkModel()})
+	return map[string]*Model{"analytic": m, "tabulated": tab, "umts": hsdpa}
 }
 
 // everyMove lists, for every sector, the moves the skip must price
@@ -93,10 +90,7 @@ func TestWeakSkipMatchesFullScan(t *testing.T) {
 				s.Utility(u)
 			}
 			t.Logf("%d of %d scanned entries skipped", skipped, entries)
-			switch {
-			case name == "unbounded" && skipped != 0:
-				t.Fatalf("a mapper without bucket bounds skipped %d entries", skipped)
-			case name != "unbounded" && skipped < entries/4:
+			if skipped < entries/4 {
 				t.Fatalf("only %d of %d entries skipped", skipped, entries)
 			}
 		})

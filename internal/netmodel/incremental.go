@@ -4,25 +4,25 @@
 //
 //   - KPI aggregates. Every grid accounted under its serving sector
 //     contributes (w, w·L) to the sums of the sector's bucket for its
-//     quantized max rate, L being the log-utility's rate-independent
-//     part log10(rmax/1000). All grids in a bucket share one L, so for
-//     the default log-utility the sector's utility is the exact closed
-//     form Σ over buckets with L > λ of (Σw·L − λ·Σw), where
+//     rate level, L being the level's log10(rate/1000), the
+//     log-utility's rate-independent part. All grids in a bucket share
+//     one L, so for the default log-utility the sector's utility is the
+//     exact closed form Σ over buckets with L > λ of (Σw·L − λ·Σw), where
 //     λ = log10(max(load·f, 1)) — buckets at or below λ sit on the
 //     utility's "any rate under 1 kbps is worth 0" clamp and contribute
 //     nothing. Each sector also keeps its totals Σw and Σw·L over all
-//     buckets and its smallest bucket L: while λ is below that L (the
-//     steady state — no bucket is clamped) the sector prices as
-//     ΣwL − λ·Σw without walking its buckets. λ itself is
-//     log10(load) + log10(f), the first term memoized per sector by the
-//     load value it was read at, so a uniform whole-market load swing
-//     costs one log10 per tick and a few flops per sector. The default
-//     LTE CQI mapper yields ≤ 15 distinct rates, so the bucket walk
-//     behind the clamp stays tiny (a hypothetical continuous-rate
-//     mapper degrades it toward a served-grid scan but stays correct,
-//     and resync compacts emptied buckets). Radio changes funnel
+//     buckets and the smallest L added since its last rebuild: while λ
+//     is below that L (the steady state — no bucket is clamped) the
+//     sector prices as ΣwL − λ·Σw without walking its buckets. λ itself
+//     is log10(load) + log10(f), the first term memoized per sector by
+//     the load value it was read at, so a uniform whole-market load
+//     swing costs one log10 per tick and a few flops per sector. The
+//     buckets sit in one flat array, one per (sector, level) — 14 levels
+//     per sector on LTE and 29 on UMTS — so the walk behind the clamp is
+//     short and a grid finds its bucket by index. Radio changes funnel
 //     through updateRate, which re-accounts exactly the touched grid
-//     (subtract the stored old contribution, add the new one).
+//     (subtract the old contribution, w times the L of the level it was
+//     accounted at, and add the new one).
 //   - Change log. setServing/updateRate record touched grids once per
 //     drain cycle; DrainChangedGrids hands them over sorted ascending,
 //     so a consumer summing per-grid terms over the drained set in shard
@@ -63,22 +63,20 @@ const (
 	aggModeCov
 )
 
-// aggBucket accumulates one sector's served weight at one quantized max
-// rate: every grid in the bucket shares L = log10(rmax/1000), which is
-// what makes the per-bucket log-utility closed-form exact on both sides
-// of the 1 kbps clamp.
+// aggBucket accumulates one sector's served weight at one rate level:
+// every grid in the bucket shares the level's L, which is what makes
+// the per-bucket log-utility closed-form exact on both sides of the
+// 1 kbps clamp.
 type aggBucket struct {
-	rmax  float64 // bucket key: the quantized max rate
-	l     float64 // log10(rmax/1000): the logRate of every grid in it
 	sumW  float64 // Σ accounted base weight
-	sumWL float64 // Σ w·l
+	sumWL float64 // Σ w·L
 }
 
 // aggSector is one sector's aggregate summary next to its buckets.
 type aggSector struct {
 	totW  float64 // Σ accounted base weight over all buckets
-	totWL float64 // Σ w·l over all buckets
-	minL  float64 // smallest bucket l (+Inf with no buckets)
+	totWL float64 // Σ w·L over all buckets
+	minL  float64 // L of the lowest level added since the last rebuild (+Inf: none)
 	lg    float64 // log10 of the load lgKey holds
 	lgKey float64 // the base load lg was computed from (NaN: none yet)
 	// dirty marks a sector whose served list or accounting changed since
@@ -181,9 +179,8 @@ func (s *State) EnableKPIAggregates(u utility.Func, workers int) {
 		n := s.Model.Grid.NumCells()
 		s.aggSec = make([]int32, n)
 		s.aggW = make([]float64, n)
-		s.aggWL = make([]float64, n)
-		s.aggRmax = make([]float64, n)
-		s.aggBk = make([][]aggBucket, s.Model.Net.NumSectors())
+		s.aggLvl = make([]uint8, n)
+		s.aggBk = make([]aggBucket, s.Model.Net.NumSectors()*len(s.Model.levels))
 		s.aggSt = make([]aggSector, s.Model.Net.NumSectors())
 		for b := range s.aggSt {
 			s.aggSt[b].lgKey = math.NaN()
@@ -227,12 +224,12 @@ func (s *State) rebuildKPIAggregates(workers int) {
 	s.aggDirty = s.aggDirty[:0]
 }
 
-// ResyncKPIAggregates clears accumulated floating-point repair drift and
-// compacts emptied buckets by rebuilding every sector marked dirty since
-// its last rebuild: the dirty list is sorted ascending and split into
-// fixed shards fanned out over workers. A clean sector's served list,
-// buckets and totals are untouched since it was built, so skipping it
-// leaves the same bits a full rebuild would.
+// ResyncKPIAggregates clears accumulated floating-point repair drift by
+// rebuilding every sector marked dirty since its last rebuild: the dirty
+// list is sorted ascending and split into fixed shards fanned out over
+// workers. A clean sector's served list, buckets and totals are
+// untouched since it was built, so skipping it leaves the same bits a
+// full rebuild would.
 func (s *State) ResyncKPIAggregates(workers int) {
 	if !s.aggOn || len(s.aggDirty) == 0 {
 		return
@@ -253,47 +250,41 @@ func (s *State) ResyncKPIAggregates(workers int) {
 // order. Every grid accounted under b is on that list, so the rebuild
 // touches no other sector's state.
 func (s *State) rebuildSector(b int) {
-	m := s.Model
-	perf := s.aggMode == aggModePerf
 	st := &s.aggSt[b]
 	st.totW, st.totWL, st.minL = 0, 0, math.Inf(1)
 	st.dirty = false
-	bks := s.aggBk[b][:0]
-	for _, g32 := range s.servedList[b] {
-		g := int(g32)
-		w := m.ue[g]
-		rmax := s.rmax[g]
-		if w == 0 || rmax <= 0 {
-			s.aggSec[g] = -1
-			continue
-		}
-		bi := -1
-		for i := range bks {
-			if bks[i].rmax == rmax {
-				bi = i
-				break
-			}
-		}
-		if bi < 0 {
-			bi = len(bks)
-			var l float64
-			if perf {
-				l = s.logRate[g]
-			}
-			bks = append(bks, aggBucket{rmax: rmax, l: l})
-			st.minL = min(st.minL, l)
-		}
-		wl := w * bks[bi].l
-		bks[bi].sumW += w
-		bks[bi].sumWL += wl
-		st.totW += w
-		st.totWL += wl
-		s.aggSec[g] = int32(b)
-		s.aggW[g] = w
-		s.aggWL[g] = wl
-		s.aggRmax[g] = rmax
+	clear(s.buckets(b))
+	for _, g := range s.servedList[b] {
+		s.aggAccount(int32(b), int(g))
 	}
-	s.aggBk[b] = bks
+}
+
+// buckets returns sector b's buckets, indexed by rate level.
+func (s *State) buckets(b int) []aggBucket {
+	n := len(s.Model.levels)
+	return s.aggBk[b*n : (b+1)*n]
+}
+
+// aggAccount accounts grid g under sector b at its current weight and
+// rate level, or marks it unaccounted when it has no users or no rate.
+func (s *State) aggAccount(b int32, g int) {
+	w, k := s.Model.ue[g], s.level[g]
+	if w == 0 || k == 0 {
+		s.aggSec[g] = -1
+		return
+	}
+	l := s.Model.levels[k].l
+	wl := w * l
+	bk := &s.buckets(int(b))[k]
+	bk.sumW += w
+	bk.sumWL += wl
+	st := &s.aggSt[b]
+	st.totW += w
+	st.totWL += wl
+	st.minL = min(st.minL, l)
+	s.aggSec[g] = b
+	s.aggW[g] = w
+	s.aggLvl[g] = k
 }
 
 // markAggDirty queues sector b for the next resync.
@@ -312,9 +303,10 @@ func (s *State) markAggDirty(b int32) {
 // the per-sector log10(load) memo, so unlike UtilityScan it is not safe
 // for concurrent use.
 //
-// Under the log-utility a sector whose λ sits below its smallest
-// bucket L has no bucket on the 1 kbps clamp and prices from its totals
-// as ΣwL − λ·Σw; otherwise its buckets are walked.
+// Under the log-utility a sector whose λ sits below the smallest L
+// added since its rebuild (minL) has no bucket on the 1 kbps clamp and
+// prices from its totals as ΣwL − λ·Σw; otherwise its buckets are
+// walked.
 func (s *State) KPIUtility() float64 {
 	f := s.Model.ueFactor
 	total := 0.0
@@ -330,7 +322,7 @@ func (s *State) KPIUtility() float64 {
 		}
 		return total
 	}
-	for b := range s.aggBk {
+	for b := range s.aggSt {
 		total += s.kpiSectorUtil(b, f)
 	}
 	return total
@@ -355,13 +347,13 @@ func (st *aggSector) setLoad(ld float64) {
 	st.lg = logLoad(ld)
 }
 
-// walkBuckets prices sector b at λ = lam bucket by bucket, in base
-// units: buckets at or below λ sit on the clamp and are worth exactly
-// zero.
+// walkBuckets prices sector b at λ = lam bucket by bucket, in level
+// order and base units: buckets at or below λ sit on the clamp and are
+// worth exactly zero, and a bucket nothing was added to adds +0.
 func (s *State) walkBuckets(b int, lam float64) float64 {
 	sum := 0.0
-	for i := range s.aggBk[b] {
-		if bk := &s.aggBk[b][i]; bk.l > lam {
+	for k, bk := range s.buckets(b) {
+		if s.Model.levels[k].l > lam {
 			sum += bk.sumWL - lam*bk.sumW
 		}
 	}
@@ -373,8 +365,8 @@ func (s *State) walkBuckets(b int, lam float64) float64 {
 func (s *State) kpiSectorUtil(b int, f float64) float64 {
 	if s.aggMode == aggModeCov {
 		sum := 0.0
-		for i := range s.aggBk[b] {
-			sum += s.aggBk[b][i].sumW
+		for _, bk := range s.buckets(b) {
+			sum += bk.sumW
 		}
 		return sum * f
 	}
@@ -387,72 +379,38 @@ func (s *State) kpiSectorUtil(b int, f float64) float64 {
 	u := s.aggFn.U
 	sum := 0.0
 	for _, g := range s.servedList[b] {
-		if w := s.Model.ue[g]; w != 0 && s.rmax[g] > 0 {
-			sum += w * u(s.rmax[g]/n)
+		if w := s.Model.ue[g]; w != 0 && s.level[g] != 0 {
+			sum += w * u(s.Model.levels[s.level[g]].rate/n)
 		}
 	}
 	return sum * f
 }
 
-// aggReaccount re-accounts grid g after its serving sector, max rate or
-// base weight changed: the stored old contribution is subtracted from
-// its old bucket and sector totals and the current one added to the
-// new, so the repair costs O(buckets) per touched grid. Both sectors
-// are marked for the next resync.
+// aggReaccount re-accounts grid g after its serving sector, rate level
+// or base weight changed: its old contribution, the accounted weight
+// times the accounted level's L (the product it added, bit for bit), is
+// subtracted from its old bucket and sector totals and the current one
+// added to the new, so the repair costs O(1) per touched grid. Both
+// sectors are marked for the next resync.
 func (s *State) aggReaccount(g int) {
 	if b := s.aggSec[g]; b >= 0 {
-		old := s.aggRmax[g]
-		for i := range s.aggBk[b] {
-			if s.aggBk[b][i].rmax == old {
-				s.aggBk[b][i].sumW -= s.aggW[g]
-				s.aggBk[b][i].sumWL -= s.aggWL[g]
-				break
-			}
-		}
+		w, k := s.aggW[g], s.aggLvl[g]
+		wl := w * s.Model.levels[k].l
+		bk := &s.buckets(int(b))[k]
+		bk.sumW -= w
+		bk.sumWL -= wl
 		st := &s.aggSt[b]
-		st.totW -= s.aggW[g]
-		st.totWL -= s.aggWL[g]
+		st.totW -= w
+		st.totWL -= wl
 		s.markAggDirty(b)
 		s.aggSec[g] = -1
 	}
-	b := s.bestSec[g]
-	if b < 0 {
-		return
-	}
-	w := s.Model.ue[g]
-	rmax := s.rmax[g]
-	if w == 0 || rmax <= 0 {
-		return
-	}
-	st := &s.aggSt[b]
-	bks := s.aggBk[b]
-	bi := -1
-	for i := range bks {
-		if bks[i].rmax == rmax {
-			bi = i
-			break
+	if b := s.bestSec[g]; b >= 0 {
+		s.aggAccount(b, g)
+		if s.aggSec[g] >= 0 {
+			s.markAggDirty(b)
 		}
 	}
-	if bi < 0 {
-		bi = len(bks)
-		var l float64
-		if s.aggMode == aggModePerf {
-			l = s.logRate[g]
-		}
-		bks = append(bks, aggBucket{rmax: rmax, l: l})
-		s.aggBk[b] = bks
-		st.minL = min(st.minL, l)
-	}
-	wl := w * bks[bi].l
-	s.aggSec[g] = b
-	s.aggW[g] = w
-	s.aggWL[g] = wl
-	s.aggRmax[g] = rmax
-	bks[bi].sumW += w
-	bks[bi].sumWL += wl
-	st.totW += w
-	st.totWL += wl
-	s.markAggDirty(b)
 }
 
 // NoteUsersScaledAt repairs the state's per-sector loads and KPI

@@ -385,7 +385,8 @@ func TestKPIAggregatesDirtyResyncBitIdentical(t *testing.T) {
 	}
 	var snapServed [][]int32
 	var snapSec []int32
-	var snapW, snapRmax []float64
+	var snapW []float64
+	var snapLvl []uint8
 	snapshot := func() {
 		snapServed = make([][]int32, n)
 		for b := range snapServed {
@@ -393,7 +394,7 @@ func TestKPIAggregatesDirtyResyncBitIdentical(t *testing.T) {
 		}
 		snapSec = slices.Clone(dirty.aggSec)
 		snapW = slices.Clone(dirty.aggW)
-		snapRmax = slices.Clone(dirty.aggRmax)
+		snapLvl = slices.Clone(dirty.aggLvl)
 	}
 	snapshot()
 	skipped := 0
@@ -427,7 +428,7 @@ func TestKPIAggregatesDirtyResyncBitIdentical(t *testing.T) {
 				t.Fatalf("%s: sector %d's served list changed but it is not marked dirty", where, b)
 			}
 			for _, g := range dirty.servedList[b] {
-				if dirty.aggSec[g] != snapSec[g] || dirty.aggW[g] != snapW[g] || dirty.aggRmax[g] != snapRmax[g] {
+				if dirty.aggSec[g] != snapSec[g] || dirty.aggW[g] != snapW[g] || dirty.aggLvl[g] != snapLvl[g] {
 					t.Fatalf("%s: grid %d of clean sector %d was re-accounted", where, g, b)
 				}
 			}
@@ -436,17 +437,11 @@ func TestKPIAggregatesDirtyResyncBitIdentical(t *testing.T) {
 		full.rebuildKPIAggregates(2)
 		snapshot()
 
+		for i := range full.aggBk {
+			eq(where, "sumW", i, dirty.aggBk[i].sumW, full.aggBk[i].sumW)
+			eq(where, "sumWL", i, dirty.aggBk[i].sumWL, full.aggBk[i].sumWL)
+		}
 		for b := 0; b < n; b++ {
-			db, fb := dirty.aggBk[b], full.aggBk[b]
-			if len(db) != len(fb) {
-				t.Fatalf("%s: sector %d has %d buckets after the dirty resync, %d after the full rebuild", where, b, len(db), len(fb))
-			}
-			for i := range fb {
-				eq(where, "rmax", b, db[i].rmax, fb[i].rmax)
-				eq(where, "l", b, db[i].l, fb[i].l)
-				eq(where, "sumW", b, db[i].sumW, fb[i].sumW)
-				eq(where, "sumWL", b, db[i].sumWL, fb[i].sumWL)
-			}
 			ds, fs := dirty.aggSt[b], full.aggSt[b]
 			eq(where, "totW", b, ds.totW, fs.totW)
 			eq(where, "totWL", b, ds.totWL, fs.totWL)
@@ -457,8 +452,9 @@ func TestKPIAggregatesDirtyResyncBitIdentical(t *testing.T) {
 				t.Fatalf("%s: grid %d accounted under %d after the dirty resync, %d after the full rebuild", where, g, dirty.aggSec[g], full.aggSec[g])
 			}
 			eq(where, "aggW", g, dirty.aggW[g], full.aggW[g])
-			eq(where, "aggWL", g, dirty.aggWL[g], full.aggWL[g])
-			eq(where, "aggRmax", g, dirty.aggRmax[g], full.aggRmax[g])
+			if dirty.aggLvl[g] != full.aggLvl[g] {
+				t.Fatalf("%s: grid %d accounted at level %d after the dirty resync, %d after the full rebuild", where, g, dirty.aggLvl[g], full.aggLvl[g])
+			}
 		}
 		eq(where, "KPIUtility", 0, dirty.KPIUtility(), full.KPIUtility())
 		checkAgg(t, dirty, utility.Performance, where)

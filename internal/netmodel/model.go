@@ -27,6 +27,7 @@ package netmodel
 
 import (
 	"fmt"
+	"math"
 
 	"magus/internal/geo"
 	"magus/internal/lte"
@@ -98,20 +99,72 @@ type entryRef struct {
 	Pos  int32 // index into the contributor arrays
 }
 
-// RateMapper converts link quality to achievable full-carrier downlink
-// rate. lte.LinkModel is the paper's LTE pipeline; other radio access
-// technologies (e.g. the UMTS/HSDPA model in internal/umts) plug in the
-// same way — the paper notes that planned upgrades "impact all radio
-// access technologies (such as LTE, UMTS as well as GSM)".
+// RateMapper describes a radio access technology's link adaptation as
+// a rate ladder: full-carrier downlink rate is a step function of the
+// linear SINR. lte.LinkModel is the paper's LTE pipeline (SINR -> CQI ->
+// MCS/TBS); other radio access technologies (e.g. the UMTS/HSDPA model
+// in internal/umts) plug in the same way — the paper notes that planned
+// upgrades "impact all radio access technologies (such as LTE, UMTS as
+// well as GSM)".
 type RateMapper interface {
-	// MaxRateBpsLinear returns the full-carrier rate for a linear SINR.
-	MaxRateBpsLinear(sinrLin float64) float64
-	// MaxRateBps is the dB-domain equivalent.
-	MaxRateBps(sinrDB float64) float64
-	// PeakRateBps is the technology's single-user ceiling.
-	PeakRateBps() float64
-	// MinSINRdB is the out-of-service threshold (the paper's SINR_min).
-	MinSINRdB() float64
+	// RateLadder returns strictly ascending positive linear-SINR
+	// thresholds and the rate in bits/s at each step: rates[i] holds
+	// from thresholds[i] up to thresholds[i+1] (the last rate above
+	// the last threshold), rates never fall, and below thresholds[0]
+	// the link is out of service at rate 0.
+	RateLadder() (thresholds, rates []float64)
+}
+
+// rateLevel is one level of a Model's rate ladder: the rate every
+// linear SINR in [lo, hi) gets, and its log10(rate/1000), the L of the
+// log utility (−Inf at level 0, the out-of-service level of rate 0).
+type rateLevel struct {
+	rate, l, lo, hi float64
+}
+
+// maxLevels bounds a ladder so a grid's level fits in a uint8.
+const maxLevels = 255
+
+// newLevels builds a link's level table: level 0 below the first
+// threshold, then one level per step, adjacent steps of equal rate
+// merged so that every level holds one distinct rate. The levels tile
+// the SINR axis from −Inf to +Inf.
+func newLevels(link RateMapper) ([]rateLevel, error) {
+	th, rates := link.RateLadder()
+	if len(th) != len(rates) {
+		return nil, fmt.Errorf("netmodel: rate ladder has %d thresholds and %d rates", len(th), len(rates))
+	}
+	levels := []rateLevel{{rate: 0, l: math.Inf(-1), lo: math.Inf(-1), hi: math.Inf(1)}}
+	for i, t := range th {
+		if i == 0 && !(t > 0) || i > 0 && !(t > th[i-1]) {
+			return nil, fmt.Errorf("netmodel: rate ladder threshold %d (%v) is not positive and ascending", i, t)
+		}
+		top := &levels[len(levels)-1]
+		if !(rates[i] >= top.rate) {
+			return nil, fmt.Errorf("netmodel: rate ladder rate %d (%v) falls", i, rates[i])
+		}
+		if rates[i] == top.rate {
+			continue
+		}
+		top.hi = t
+		levels = append(levels, rateLevel{rate: rates[i], l: math.Log10(rates[i] / 1000), lo: t, hi: math.Inf(1)})
+	}
+	if len(levels) > maxLevels {
+		return nil, fmt.Errorf("netmodel: rate ladder has %d levels, more than %d", len(levels), maxLevels)
+	}
+	return levels, nil
+}
+
+// stepLevel returns the level of linear SINR sinr, walking the table
+// from level k: a SINR change usually moves a grid by a level or none.
+func stepLevel(lv []rateLevel, k uint8, sinr float64) uint8 {
+	for sinr < lv[k].lo {
+		k--
+	}
+	for sinr >= lv[k].hi {
+		k++
+	}
+	return k
 }
 
 // Model is one view over a market's analysis substrate: an immutable
@@ -125,6 +178,10 @@ type Model struct {
 
 	params  Params
 	noiseMw float64
+	// levels is Link's rate ladder as a level table (newLevels); a
+	// state keeps one level per grid and reads rates, logs and SINR
+	// bounds here.
+	levels []rateLevel
 
 	// core is the shared immutable substrate; see core.go.
 	core *ModelCore
@@ -184,6 +241,10 @@ func newModelShell(net *topology.Network, spm *propagation.SPM, region geo.Rect,
 		}
 		link = lteLink
 	}
+	levels, err := newLevels(link)
+	if err != nil {
+		return nil, err
+	}
 	return &Model{
 		Net:      net,
 		SPM:      spm,
@@ -191,6 +252,7 @@ func newModelShell(net *topology.Network, spm *propagation.SPM, region geo.Rect,
 		Grid:     grid,
 		params:   params,
 		noiseMw:  units.DbmToMw(units.ThermalNoiseDbm(params.BandwidthHz, params.NoiseFigureDB)),
+		levels:   levels,
 		rows:     newLinkRows(net),
 		ue:       make([]float64, grid.NumCells()),
 		ueFactor: 1,
@@ -357,26 +419,3 @@ func (m *Model) GridsIn(dst []int, region geo.Rect) []int {
 
 // CellCenter returns the precomputed center point of grid cell g.
 func (m *Model) CellCenter(g int) geo.Point { return m.core.cellCenters[g] }
-
-// rateFromSinr converts a linear SINR to the achievable max rate.
-func (m *Model) rateFromSinr(sinrLin float64) float64 {
-	if sinrLin <= 0 {
-		return 0
-	}
-	return m.Link.MaxRateBpsLinear(sinrLin)
-}
-
-// rateBounds additionally reports the linear-SINR interval [lo, hi)
-// over which the mapper returns the same quantized rate. Mappers that
-// cannot (rate curves without a bounds method) get a degenerate empty
-// interval, which disables SpeculateBatch's same-bucket fast path but
-// changes no result. sinrLin must be > 0.
-func (m *Model) rateBounds(sinrLin float64) (rate, lo, hi float64) {
-	type boundsMapper interface {
-		MaxRateBpsLinearBounds(sinrLin float64) (rate, lo, hi float64)
-	}
-	if bm, ok := m.Link.(boundsMapper); ok {
-		return bm.MaxRateBpsLinearBounds(sinrLin)
-	}
-	return m.Link.MaxRateBpsLinear(sinrLin), 0, 0
-}

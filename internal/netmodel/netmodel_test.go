@@ -82,8 +82,8 @@ func TestStateInvariants(t *testing.T) {
 						g, pos, s.entryMw(pos), s.bestMw[g])
 				}
 			}
-		} else if s.rmax[g] != 0 {
-			t.Fatalf("grid %d: no server but rmax %v", g, s.rmax[g])
+		} else if s.level[g] != 0 {
+			t.Fatalf("grid %d: no server but rate level %d", g, s.level[g])
 		}
 	}
 	if servedGrids == 0 {
@@ -171,8 +171,8 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		if relDiff(s.bestMw[g], fresh.bestMw[g]) > 1e-9 {
 			t.Fatalf("grid %d: best %v vs %v", g, s.bestMw[g], fresh.bestMw[g])
 		}
-		if s.rmax[g] != fresh.rmax[g] {
-			t.Fatalf("grid %d: rmax %v vs %v", g, s.rmax[g], fresh.rmax[g])
+		if s.level[g] != fresh.level[g] {
+			t.Fatalf("grid %d: rate level %d vs %d", g, s.level[g], fresh.level[g])
 		}
 	}
 	for b := range m.Net.Sectors {

@@ -47,7 +47,7 @@ func randomConfig(rng *rand.Rand, net *topology.Network) *config.Config {
 
 // sameFreshState fails unless got and want agree bit for bit on every
 // array a fresh evaluation fills: totals, serving sectors and their
-// powers, rates and CQI buckets, loads, served counts, the served-grid
+// powers, rate levels, loads, served counts, the served-grid
 // lists in order and each grid's slot in its list.
 func sameFreshState(t *testing.T, where string, got, want *State) {
 	t.Helper()
@@ -57,9 +57,6 @@ func sameFreshState(t *testing.T, where string, got, want *State) {
 	}{
 		{"totalMw", got.totalMw, want.totalMw},
 		{"bestMw", got.bestMw, want.bestMw},
-		{"rmax", got.rmax, want.rmax},
-		{"sinrLo", got.sinrLo, want.sinrLo},
-		{"sinrHi", got.sinrHi, want.sinrHi},
 		{"load", got.load, want.load},
 	} {
 		if len(arr.got) != len(arr.want) {
@@ -70,6 +67,9 @@ func sameFreshState(t *testing.T, where string, got, want *State) {
 				t.Fatalf("%s: %s[%d] = %v, grid scan %v", where, arr.name, i, arr.got[i], arr.want[i])
 			}
 		}
+	}
+	if !slices.Equal(got.level, want.level) {
+		t.Fatalf("%s: level differs from the grid scan", where)
 	}
 	for _, arr := range []struct {
 		name      string

@@ -44,19 +44,10 @@ func TestRandomChangeSequencesMatchFullRecompute(t *testing.T) {
 				t.Fatalf("trial %d: grid %d serving %d vs %d",
 					trial, g, st.ServingSector(g), fresh.ServingSector(g))
 			}
-			// The rate and its CQI bucket, which Apply keeps without a
-			// threshold scan while the SINR stays inside it.
-			for _, v := range [][2]float64{
-				{st.rmax[g], fresh.rmax[g]},
-				{st.logRate[g], fresh.logRate[g]},
-				{st.sinrLo[g], fresh.sinrLo[g]},
-				{st.sinrHi[g], fresh.sinrHi[g]},
-			} {
-				if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
-					t.Fatalf("trial %d: grid %d rmax/logRate/sinrLo/sinrHi %v/%v/%v/%v vs %v/%v/%v/%v", trial, g,
-						st.rmax[g], st.logRate[g], st.sinrLo[g], st.sinrHi[g],
-						fresh.rmax[g], fresh.logRate[g], fresh.sinrLo[g], fresh.sinrHi[g])
-				}
+			// The rate level, which Apply keeps without a walk while the
+			// SINR stays inside its bounds.
+			if st.level[g] != fresh.level[g] {
+				t.Fatalf("trial %d: grid %d rate level %d vs %d", trial, g, st.level[g], fresh.level[g])
 			}
 		}
 		for b := 0; b < m.Net.NumSectors(); b++ {
@@ -77,8 +68,8 @@ func TestRandomChangeSequencesMatchFullRecompute(t *testing.T) {
 // and one whose served weight is raised so far that its grids' rates
 // fall under 1 kbps. Every weighted grid's max(L − λ, 0) term must be
 // within 1e-12 of the reference, and exactly 0 wherever the reference
-// is; every KPI bucket's L must be the logRate of each grid accounted
-// in it, bit for bit.
+// is; every grid the KPI aggregates account must be accounted under its
+// serving sector at its rate level, whose L its term read.
 func TestLogUtilityClosedForm(t *testing.T) {
 	base := testModel(t)
 	u := utility.Performance
@@ -136,7 +127,7 @@ func TestLogUtilityClosedForm(t *testing.T) {
 				want := u.U(st.RateBps(g))
 				term := 0.0
 				if b := st.bestSec[g]; b >= 0 {
-					term = max(st.logRate[g]-lam[b], 0)
+					term = max(m.levels[st.level[g]].l-lam[b], 0)
 				}
 				if r := st.RateBps(g); r > 0 && r < 1000 {
 					subKbps++
@@ -146,20 +137,9 @@ func TestLogUtilityClosedForm(t *testing.T) {
 				}
 			}
 			for g, b := range st.aggSec {
-				if b < 0 {
-					continue
-				}
-				found := false
-				for _, bk := range st.aggBk[b] {
-					if bk.rmax == st.aggRmax[g] {
-						found = true
-						if math.Float64bits(bk.l) != math.Float64bits(st.logRate[g]) {
-							t.Fatalf("%s: grid %d logRate %v, its bucket's l %v", where, g, st.logRate[g], bk.l)
-						}
-					}
-				}
-				if !found {
-					t.Fatalf("%s: grid %d accounted under sector %d without a bucket", where, g, b)
+				if b >= 0 && (b != st.bestSec[g] || st.aggLvl[g] != st.level[g]) {
+					t.Fatalf("%s: grid %d at level %d of sector %d accounted at level %d of sector %d",
+						where, g, st.level[g], st.bestSec[g], st.aggLvl[g], b)
 				}
 			}
 		}
@@ -256,64 +236,65 @@ func setSINR(s *State, g int, want float64) float64 {
 	return mw / noise
 }
 
-// TestRateBucketBoundaries pins updateRate's same-bucket skip to the
-// threshold scan at the edges of a grid's cached CQI bucket [lo, hi): a
-// SINR of exactly hi belongs to the next bucket up, exactly lo stays,
-// and one ulp below lo drops a bucket. After each, rmax and the cached
-// bounds must equal a fresh rateBounds of the same SINR bit for bit.
+// levelScan is the oracle for a SINR's rate level: the highest level
+// whose floor the SINR reaches, found by a scan from level 0.
+func levelScan(lv []rateLevel, sinr float64) uint8 {
+	k := uint8(0)
+	for int(k)+1 < len(lv) && sinr >= lv[k+1].lo {
+		k++
+	}
+	return k
+}
+
+// TestRateBucketBoundaries pins updateRate's same-level skip to a fresh
+// level scan at the edges of a grid's level bounds [lo, hi): a SINR of
+// exactly hi belongs to the next level up, exactly lo stays, and one
+// ulp below lo drops a level. After each, the grid's level must be the
+// scan's.
 func TestRateBucketBoundaries(t *testing.T) {
 	m := testModel(t)
 	base := baseline(t, m)
 	checked := 0
 	ran := map[string]int{}
 	for g := 0; g < m.Grid.NumCells() && checked < 20; g++ {
-		lo, hi := base.sinrLo[g], base.sinrHi[g]
-		if base.bestSec[g] < 0 || lo <= 0 || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		k := base.level[g]
+		lo, hi := m.levels[k].lo, m.levels[k].hi
+		if base.bestSec[g] < 0 || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
 			continue
 		}
 		s := base.Clone()
 		s.EnableKPIAggregates(utility.Performance, 1)
 		for _, tc := range []struct {
-			name   string
-			sinr   float64
-			wantLo float64
+			name string
+			sinr float64
+			want uint8
 		}{
-			{"exactly hi", hi, hi},
-			{"back inside", (lo + hi) / 2, lo},
-			{"exactly lo", lo, lo},
-			{"one ulp below lo", math.Nextafter(lo, 0), math.NaN()},
+			{"exactly hi", hi, k + 1},
+			{"back inside", (lo + hi) / 2, k},
+			{"exactly lo", lo, k},
+			{"one ulp below lo", math.Nextafter(lo, 0), k - 1},
 		} {
 			sinr := setSINR(s, g, tc.sinr)
 			if sinr != tc.sinr && tc.name != "back inside" {
 				continue // no serving power lands exactly on this edge
 			}
 			ran[tc.name]++
-			rate, wantLo, wantHi := m.rateBounds(sinr)
-			if math.Float64bits(s.rmax[g]) != math.Float64bits(rate) ||
-				math.Float64bits(s.sinrLo[g]) != math.Float64bits(wantLo) ||
-				math.Float64bits(s.sinrHi[g]) != math.Float64bits(wantHi) {
-				t.Fatalf("grid %d %s: rate %v [%v, %v), rateBounds %v [%v, %v)",
-					g, tc.name, s.rmax[g], s.sinrLo[g], s.sinrHi[g], rate, wantLo, wantHi)
+			if got, want := s.level[g], levelScan(m.levels, sinr); got != want || got != tc.want {
+				t.Fatalf("grid %d %s: level %d, scan %d, want %d", g, tc.name, got, want, tc.want)
 			}
-			if !math.IsNaN(tc.wantLo) && s.sinrLo[g] != tc.wantLo {
-				t.Fatalf("grid %d %s: bucket floor %v, want %v", g, tc.name, s.sinrLo[g], tc.wantLo)
-			}
-			if math.IsNaN(tc.wantLo) && s.sinrHi[g] != lo {
-				t.Fatalf("grid %d %s: bucket ceiling %v, want the old floor %v", g, tc.name, s.sinrHi[g], lo)
-			}
-			// The KPI aggregates follow the rate the grid now holds: a
-			// grid with users and a rate is accounted at that rate, any
+			// The KPI aggregates follow the level the grid now holds: a
+			// grid with users and a rate is accounted at that level, any
 			// other grid not at all.
 			accounted := s.aggSec[g] >= 0
-			if accounted != (s.rmax[g] > 0 && m.ue[g] > 0) || accounted && s.aggRmax[g] != s.rmax[g] {
-				t.Fatalf("grid %d %s: aggregates account rate %v (sector %d), grid holds %v",
-					g, tc.name, s.aggRmax[g], s.aggSec[g], s.rmax[g])
+			if accounted != (s.level[g] > 0 && m.ue[g] > 0) || accounted && s.aggLvl[g] != s.level[g] {
+				t.Fatalf("grid %d %s: aggregates account level %d (sector %d), grid holds %d",
+					g, tc.name, s.aggLvl[g], s.aggSec[g], s.level[g])
 			}
 		}
 		checked++
 	}
 	if checked < 10 {
-		t.Fatalf("only %d grids sit in a bounded CQI bucket", checked)
+		t.Fatalf("only %d grids sit at a bounded rate level", checked)
 	}
 	for _, name := range []string{"exactly hi", "exactly lo", "one ulp below lo"} {
 		if ran[name] == 0 {

@@ -10,7 +10,7 @@ import (
 )
 
 // State is the full evaluation of one configuration against a Model:
-// per-grid serving sector, SINR and maximum rate, and per-sector load.
+// per-grid serving sector, SINR and rate level, and per-sector load.
 // Apply performs incremental re-evaluation after a single-sector change;
 // Clone snapshots the state for later comparison.
 //
@@ -24,10 +24,7 @@ type State struct {
 	totalMw []float64 // per grid: sum of all contributors, mW
 	bestSec []int32   // per grid: serving sector, -1 if none
 	bestMw  []float64 // per grid: serving sector received power, mW
-	rmax    []float64 // per grid: max rate (bits/s) at current SINR
-	logRate []float64 // per grid: log10(rmax/1000), −Inf without a rate
-	sinrLo  []float64 // per grid: linear-SINR CQI bucket floor backing rmax
-	sinrHi  []float64 // per grid: linear-SINR CQI bucket ceiling (exclusive)
+	level   []uint8   // per grid: rate level at current SINR (Model.levels)
 	load    []float64 // per sector: sum of UE weights over served grids
 	served  []int32   // per sector: number of served grids
 
@@ -75,13 +72,12 @@ type State struct {
 	aggOn    bool
 	aggFn    utility.Func
 	aggMode  uint8
-	aggBk    [][]aggBucket // per sector: quantized-rate buckets
-	aggSec   []int32       // per grid: sector accounted under (-1 none)
-	aggW     []float64     // per grid: accounted base weight
-	aggWL    []float64     // per grid: accounted w·L term
-	aggRmax  []float64     // per grid: accounted max rate (bucket key)
-	aggSt    []aggSector   // per sector: totals, λ memo, dirty mark
-	aggDirty []int32       // sectors marked dirty since the last rebuild
+	aggBk    []aggBucket // per (sector, level): sector b's level k at b·levels + k
+	aggSec   []int32     // per grid: sector accounted under (-1 none)
+	aggW     []float64   // per grid: accounted base weight
+	aggLvl   []uint8     // per grid: accounted rate level
+	aggSt    []aggSector // per sector: totals, λ memo, dirty mark
+	aggDirty []int32     // sectors marked dirty since the last rebuild
 	changed  []uint64
 }
 
@@ -109,10 +105,7 @@ func (m *Model) newStateShell(cfg *config.Config) *State {
 		totalMw:  make([]float64, m.Grid.NumCells()),
 		bestSec:  make([]int32, m.Grid.NumCells()),
 		bestMw:   make([]float64, m.Grid.NumCells()),
-		rmax:     make([]float64, m.Grid.NumCells()),
-		logRate:  make([]float64, m.Grid.NumCells()),
-		sinrLo:   make([]float64, m.Grid.NumCells()),
-		sinrHi:   make([]float64, m.Grid.NumCells()),
+		level:    make([]uint8, m.Grid.NumCells()),
 		load:     make([]float64, m.Net.NumSectors()),
 		served:   make([]int32, m.Net.NumSectors()),
 		linkGain: make([][]float64, m.Net.NumSectors()),
@@ -138,10 +131,7 @@ func (s *State) Clone() *State {
 		totalMw:   append([]float64(nil), s.totalMw...),
 		bestSec:   append([]int32(nil), s.bestSec...),
 		bestMw:    append([]float64(nil), s.bestMw...),
-		rmax:      append([]float64(nil), s.rmax...),
-		logRate:   append([]float64(nil), s.logRate...),
-		sinrLo:    append([]float64(nil), s.sinrLo...),
-		sinrHi:    append([]float64(nil), s.sinrHi...),
+		level:     append([]uint8(nil), s.level...),
 		load:      append([]float64(nil), s.load...),
 		served:    append([]int32(nil), s.served...),
 		servedPos: append([]int32(nil), s.servedPos...),
@@ -264,43 +254,22 @@ func (s *State) scanEntries(lo, hi int32, total float64, best int32, bestMw floa
 	return total, best, bestMw
 }
 
-// updateRate refreshes rmax[g] from the cached aggregates, caching the
-// CQI bucket's linear-SINR bounds and the rate's log10(rmax/1000)
-// alongside. While the new SINR stays in the cached bucket
-// [sinrLo, sinrHi) the rate is a step function's same step, so rmax,
-// its log and the bounds are kept without re-running the threshold scan
-// — the same test SpeculateBatch makes ("does this move change the
-// grid's rate at all?"). An empty bucket ([0,0): no coverage, or a
-// mapper without bounds) always rescans.
+// updateRate refreshes level[g] from the cached aggregates. While the
+// new SINR stays inside the level's bounds [lo, hi) the grid keeps its
+// level — the same test SpeculateBatch makes ("does this move change
+// the grid's rate at all?") — and otherwise walks the level table to the
+// level that holds it. A grid without coverage (SINR 0) is at level 0.
 func (s *State) updateRate(g int) {
 	s.radioGen++
 	if s.changed != nil {
 		s.changed[g>>6] |= 1 << (g & 63)
 	}
-	sinr := 0.0
-	if s.bestSec[g] >= 0 && s.bestMw[g] > 0 {
-		interf := s.totalMw[g] - s.bestMw[g]
-		if interf < 0 {
-			interf = 0 // floating point guard
-		}
-		sinr = s.bestMw[g] / (s.Model.noiseMw + interf)
-	}
-	switch {
-	case sinr <= 0:
-		s.rmax[g] = 0
-		s.logRate[g] = math.Inf(-1)
-		s.sinrLo[g] = 0
-		s.sinrHi[g] = 0
-	case s.sinrLo[g] <= sinr && sinr < s.sinrHi[g]:
-		// Same CQI bucket: rmax, its log and its bounds hold.
-	default:
-		s.rmax[g], s.sinrLo[g], s.sinrHi[g] = s.Model.rateBounds(sinr)
-		s.logRate[g] = math.Log10(s.rmax[g] / 1000)
-	}
+	k := stepLevel(s.Model.levels, s.level[g], s.SINR(g))
+	s.level[g] = k
 	// KPI aggregate repair: only when something the accounting depends on
-	// actually changed — the skip keeps within-CQI-bucket touches free of
-	// both the log10 and the (non-bit-neutral) ±repair.
-	if s.aggOn && (s.aggSec[g] != s.bestSec[g] || s.aggRmax[g] != s.rmax[g] || s.aggW[g] != s.Model.ue[g]) {
+	// actually changed — the skip keeps within-level touches free of the
+	// (non-bit-neutral) ±repair.
+	if s.aggOn && (s.aggSec[g] != s.bestSec[g] || s.aggLvl[g] != k || s.aggW[g] != s.Model.ue[g]) {
 		s.aggReaccount(g)
 	}
 }
@@ -467,20 +436,24 @@ func (s *State) setServing(g int, sec int32, mw float64) {
 // grid is out of coverage.
 func (s *State) ServingSector(g int) int { return int(s.bestSec[g]) }
 
-// SINRdB returns the grid's SINR in dB, or -Inf when out of coverage.
-func (s *State) SINRdB(g int) float64 {
+// SINR returns grid g's linear SINR, the value its rate level holds, or
+// 0 when out of coverage.
+func (s *State) SINR(g int) float64 {
 	if s.bestSec[g] < 0 || s.bestMw[g] <= 0 {
-		return math.Inf(-1)
+		return 0
 	}
 	interf := s.totalMw[g] - s.bestMw[g]
 	if interf < 0 {
-		interf = 0
+		interf = 0 // floating point guard
 	}
-	return 10 * math.Log10(s.bestMw[g]/(s.Model.noiseMw+interf))
+	return s.bestMw[g] / (s.Model.noiseMw + interf)
 }
 
+// SINRdB returns the grid's SINR in dB, or -Inf when out of coverage.
+func (s *State) SINRdB(g int) float64 { return 10 * math.Log10(s.SINR(g)) }
+
 // MaxRateBps returns r_max(g): the rate a lone UE would get on grid g.
-func (s *State) MaxRateBps(g int) float64 { return s.rmax[g] }
+func (s *State) MaxRateBps(g int) float64 { return s.Model.levels[s.level[g]].rate }
 
 // RateBps returns the actual per-UE rate on grid g (Eq. 4): the max rate
 // divided by the serving sector's UE load (at least 1).
@@ -491,14 +464,14 @@ func (s *State) MaxRateBps(g int) float64 { return s.rmax[g] }
 // simulations, and x*1.0 == x in IEEE754).
 func (s *State) RateBps(g int) float64 {
 	best := s.bestSec[g]
-	if best < 0 || s.rmax[g] <= 0 {
+	if best < 0 || s.level[g] == 0 {
 		return 0
 	}
 	n := s.load[best] * s.Model.ueFactor
 	if n < 1 {
 		n = 1
 	}
-	return s.rmax[g] / n
+	return s.Model.levels[s.level[g]].rate / n
 }
 
 // Load returns the UE load of sector b (in effective UEs, i.e. with the
@@ -518,12 +491,13 @@ func (s *State) Utility(u utility.Func) float64 {
 
 // utilitySum is the utility of the grids in [lo, hi), summed in
 // ascending order. Under the log utility lam holds every sector's λ
-// (lambdas), and a grid's per-UE term is max(L − λ, 0) with
-// L = logRate[g]: in reals, log10 of its rate in kbps clamped at
+// (lambdas), and a grid's per-UE term is max(L − λ, 0) with L the l of
+// its rate level: in reals, log10 of its rate in kbps clamped at
 // 1 kbps, Performance.U of its RateBps, without a log10 per grid. Any
 // other objective (lam nil) prices u.U(RateBps).
 func (s *State) utilitySum(u utility.Func, lam []float64, lo, hi int) float64 {
 	m := s.Model
+	lv := m.levels
 	f := m.ueFactor
 	total := 0.0
 	for g := lo; g < hi; g++ {
@@ -534,7 +508,7 @@ func (s *State) utilitySum(u utility.Func, lam []float64, lo, hi int) float64 {
 		if lam == nil {
 			total += w * f * u.U(s.RateBps(g))
 		} else if b := s.bestSec[g]; b >= 0 {
-			total += w * f * max(s.logRate[g]-lam[b], 0)
+			total += w * f * max(lv[s.level[g]].l-lam[b], 0)
 		}
 	}
 	return total
@@ -597,7 +571,7 @@ func (s *State) AssignUsersUniform() {
 	m.totalUE = 0
 	for g := 0; g < m.Grid.NumCells(); g++ {
 		best := s.bestSec[g]
-		if best < 0 || s.rmax[g] <= 0 {
+		if best < 0 || s.level[g] == 0 {
 			continue
 		}
 		// Weight by served-grid count of the serving sector.
@@ -631,13 +605,13 @@ func (s *State) AssignUsersWeighted(weight func(g int) float64) {
 	// Per-sector weight totals over served grids.
 	weightSum := make([]float64, m.Net.NumSectors())
 	for g := 0; g < m.Grid.NumCells(); g++ {
-		if best := s.bestSec[g]; best >= 0 && s.rmax[g] > 0 {
+		if best := s.bestSec[g]; best >= 0 && s.level[g] != 0 {
 			weightSum[best] += weight(g)
 		}
 	}
 	for g := 0; g < m.Grid.NumCells(); g++ {
 		best := s.bestSec[g]
-		if best < 0 || s.rmax[g] <= 0 {
+		if best < 0 || s.level[g] == 0 {
 			continue
 		}
 		var w float64

@@ -28,10 +28,9 @@ const meterResyncTicks = 64
 // and max-load series agree within floating-point association (≤1e-9
 // relative), because the incremental path sums in a different order.
 type meter struct {
-	full      bool
-	util      utility.Func
-	workers   int
-	sinrFloor float64
+	full    bool
+	util    utility.Func
+	workers int
 
 	model    *netmodel.Model
 	live     *netmodel.State
@@ -62,7 +61,6 @@ func newMeter(m *netmodel.Model, live, afterRef *netmodel.State, cfg *Config, fu
 		full:        full,
 		util:        cfg.Util,
 		workers:     cfg.Workers,
-		sinrFloor:   m.Link.MinSINRdB(),
 		model:       m,
 		live:        live,
 		afterRef:    afterRef,
@@ -92,7 +90,7 @@ func (mt *meter) rebuildBelow() {
 		sum := 0.0
 		for g := lo; g < hi; g++ {
 			w := mt.model.UEBase(g)
-			below := w != 0 && mt.live.SINRdB(g) < mt.sinrFloor
+			below := mt.outOfService(g, w)
 			mt.belowFlag[g] = below
 			if below {
 				sum += w
@@ -101,6 +99,14 @@ func (mt *meter) rebuildBelow() {
 		return sum
 	})
 	mt.belowRepaired = false
+}
+
+// outOfService reports whether grid g, carrying weight w, counts toward
+// the below-floor weight: it has users and the live state holds it at
+// rate level 0, below the link's first SINR threshold (the paper's
+// SINR_min), where its rate is zero.
+func (mt *meter) outOfService(g int, w float64) bool {
+	return w != 0 && mt.live.MaxRateBps(g) == 0
 }
 
 // utilities returns the tick's f(C_live) and f(C_after).
@@ -131,7 +137,7 @@ func (mt *meter) measureChanges() (handovers, below float64) {
 		below = netmodel.ShardSum(mt.numGrids, mt.workers, func(lo, hi int) float64 {
 			sum := 0.0
 			for g := lo; g < hi; g++ {
-				if w := mt.model.UE(g); w != 0 && mt.live.SINRdB(g) < mt.sinrFloor {
+				if w := mt.model.UE(g); mt.outOfService(g, w) {
 					sum += w
 				}
 			}
@@ -159,7 +165,7 @@ func (mt *meter) measureChanges() (handovers, below float64) {
 			mt.prevServing[g] = cur
 		}
 		w := mt.model.UEBase(g)
-		nf := w != 0 && mt.live.SINRdB(g) < mt.sinrFloor
+		nf := mt.outOfService(g, w)
 		if nf != mt.belowFlag[g] {
 			mt.belowRepaired = true
 			if nf {

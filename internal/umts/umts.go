@@ -9,11 +9,16 @@
 // standard attenuated-Shannon approximation calibrated to HSDPA
 // category-10 hardware: R = alpha * W * log2(1 + SINR), capped at the
 // 14.0 Mb/s category peak, with an Ec/N0-style service threshold and
-// 0.5 Mb/s CQI-step quantization. It satisfies netmodel.RateMapper, so
-// a UMTS carrier drops into every Magus pipeline unchanged.
+// 0.5 Mb/s CQI-step quantization. That formula (MaxRateBpsLinear) is the
+// model's definition; NewLinkModel tabulates it once as a 29-level step
+// table (out of service, then 0.5 to 14 Mb/s), which RateLadder hands to
+// netmodel, so a UMTS carrier drops into every Magus pipeline unchanged.
 package umts
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Carrier constants for a single 5 MHz UMTS carrier with an HSDPA
 // category 10 terminal.
@@ -35,15 +40,50 @@ type LinkModel struct {
 	alpha float64
 	// minSinrLin is the out-of-service threshold in linear units.
 	minSinrLin float64
+	// thresholds[i] is the smallest linear SINR at which
+	// MaxRateBpsLinear reaches rates[i], ascending.
+	thresholds, rates []float64
 }
 
 // NewLinkModel returns the category-10 HSDPA link model: attenuated
-// Shannon with alpha = 0.55 and a -10 dB service threshold.
+// Shannon with alpha = 0.55 and a -10 dB service threshold. It finds the
+// SINR threshold of every 0.5 Mb/s step up to the peak once, by
+// bisection.
 func NewLinkModel() *LinkModel {
-	return &LinkModel{
+	m := &LinkModel{
 		alpha:      0.55,
 		minSinrLin: math.Pow(10, -10.0/10),
 	}
+	for r := quantumBps; r <= peakRateBps; r += quantumBps {
+		t := m.firstSinrAt(r)
+		m.thresholds = append(m.thresholds, t)
+		m.rates = append(m.rates, m.MaxRateBpsLinear(t))
+	}
+	return m
+}
+
+// firstSinrAt returns the smallest positive float64 SINR at which
+// MaxRateBpsLinear reaches rate. Positive float64s order like their bit
+// patterns, so the bisection runs over the bits and ends on one float:
+// the formula is below rate at lo and reaches it at hi throughout.
+func (m *LinkModel) firstSinrAt(rate float64) float64 {
+	lo, hi := uint64(0), math.Float64bits(math.MaxFloat64)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if m.MaxRateBpsLinear(math.Float64frombits(mid)) >= rate {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
+}
+
+// RateLadder returns the tabulated formula: rates[i] from linear SINR
+// thresholds[i] up to the next threshold, out of service below
+// thresholds[0].
+func (m *LinkModel) RateLadder() (thresholds, rates []float64) {
+	return slices.Clone(m.thresholds), slices.Clone(m.rates)
 }
 
 // MinSINRdB returns the service threshold (the paper's SINR_min).

@@ -2,6 +2,8 @@ package umts
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -72,5 +74,48 @@ func TestUMTSBelowLTECapacity(t *testing.T) {
 	m := NewLinkModel()
 	if m.PeakRateBps() >= 36.696e6 {
 		t.Error("HSDPA peak should be below the 10 MHz LTE peak")
+	}
+}
+
+// ladderRate looks sinr up in the model's rate ladder: the rate of the
+// highest threshold at or below it, 0 below the first.
+func ladderRate(th, rates []float64, sinr float64) float64 {
+	i := sort.Search(len(th), func(i int) bool { return th[i] > sinr })
+	if i == 0 {
+		return 0
+	}
+	return rates[i-1]
+}
+
+// TestLadderMatchesFormula pins the tabulated ladder to the formula it
+// tabulates: the same rate at a million log-uniform SINRs over
+// [1e-3, 1e4], and at every threshold and one ulp either side of it.
+func TestLadderMatchesFormula(t *testing.T) {
+	m := NewLinkModel()
+	th, rates := m.RateLadder()
+	if len(th) != 28 || len(rates) != len(th) {
+		t.Fatalf("ladder has %d thresholds and %d rates, want 28 steps above out of service", len(th), len(rates))
+	}
+	for i := range th {
+		if i > 0 && !(th[i] > th[i-1] && rates[i] > rates[i-1]) {
+			t.Fatalf("step %d: threshold %v rate %v after %v, %v", i, th[i], rates[i], th[i-1], rates[i-1])
+		}
+	}
+	if th[0] != m.minSinrLin || rates[len(rates)-1] != m.PeakRateBps() {
+		t.Fatalf("ladder runs from %v to %v b/s, want the service threshold %v and the peak", th[0], rates[len(rates)-1], m.minSinrLin)
+	}
+	check := func(sinr float64) {
+		if got, want := ladderRate(th, rates, sinr), m.MaxRateBpsLinear(sinr); got != want {
+			t.Fatalf("SINR %v (%#x): ladder %v, formula %v", sinr, math.Float64bits(sinr), got, want)
+		}
+	}
+	for _, x := range th {
+		check(math.Nextafter(x, 0))
+		check(x)
+		check(math.Nextafter(x, math.Inf(1)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Pow(10, -3+7*rng.Float64()))
 	}
 }
