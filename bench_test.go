@@ -343,6 +343,26 @@ func BenchmarkModelSnapshotLoad(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineSetup builds the suburban seed-1 market from scratch
+// as a daemon's start-up does (default area spec, 300 Equalize steps):
+// the model build, C_before and the Equalize pass that scores each
+// sector's power and tilt moves. It is the layer-level figure behind
+// the end-to-end set-up time.
+func BenchmarkEngineSetup(b *testing.B) {
+	spec := campaign.DefaultAreaSpec(topology.Suburban)
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewEngine(core.SetupConfig{
+			Seed:          benchSeeds[0],
+			Class:         spec.Class,
+			RegionSpanM:   spec.RegionSpanM,
+			CellSizeM:     spec.CellSizeM,
+			EqualizeSteps: 300,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStateApplyPower measures the incremental power-change fast
 // path, the innermost operation of every search.
 func BenchmarkStateApplyPower(b *testing.B) {

@@ -8,16 +8,23 @@
 // touches the state. One pass, no revert, where apply-and-revert pays
 // the entry pass twice plus a utility scan.
 //
-// The entry pass walks the candidate's contributor footprint but
-// resolves only the entries that can move a rate. An entry that stays
-// weak (at most 8θ mW, changing by at most θ, θ = noise/32) at a grid
+// The entry pass resolves only the entries of the candidate's
+// contributor footprint that can move a rate. An entry that stays weak
+// (at most 8θ mW, changing by at most θ, θ = noise/32) at a grid
 // outside the state's fragile set cannot change that grid's serving
 // sector or rate level, so it is skipped without reading the grid (see
-// fragile.go): a power move costs one exponential per sector, one
-// compare and one bit test per entry, and the grid reads of batchEntry
-// only for strong entries and fragile grids. Each skip is one batchEntry
-// would have made anyway, so results are bit-identical to a pass over
-// every entry (TestWeakSkipMatchesFullScan).
+// fragile.go). A power move never even visits it: the entries it prices
+// are the strong ones, read from its row's band order (gainrows.go),
+// plus the sector's entries at fragile grids, one bit each in the
+// fragile set's per-entry bits. Both are marked in a per-sector bitset
+// walked in ascending index order, so a power move costs one
+// exponential per sector, a pass over its strong entries and its
+// bitset's words, and the grid reads of batchEntry only for the entries
+// it visits. Retilts and on/off moves test each entry against the
+// per-grid bits. Each skip is one batchEntry would have made anyway,
+// and batchEntry sees the visited entries in the order a pass over
+// every entry would, so results are bit-identical to that pass
+// (TestWeakSkipMatchesFullScan).
 //
 // Under the log utility a touched grid is priced in Utility's closed
 // form, max(L − λ, 0) before and after the move: every sector's old λ
@@ -29,10 +36,10 @@
 // Because scoring is read-only, any number of goroutines may score
 // batches against the same State concurrently, and call Utility on it,
 // provided no goroutine is in Apply on that state — the evaluation
-// engine shares one State across its whole worker pool this way. The
-// one thing a scorer writes is the state's cached fragile set, which is
-// published through an atomic pointer, and concurrent builders build
-// the same set.
+// engine shares one State across its whole worker pool this way. What
+// a scorer writes is built at most once and published through atomic
+// pointers: the state's fragile set, its per-entry bits and the rows'
+// band orders. Concurrent builders build the same value.
 //
 // Scratch is recycled through a package-level sync.Pool; arrays are
 // epoch-marked so per-move initialization is O(footprint), not O(grid).
@@ -49,6 +56,7 @@ package netmodel
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"magus/internal/config"
@@ -88,6 +96,7 @@ type batchScratch struct {
 	secs       []int32   // touched sectors, insertion order
 	oldLam     []float64 // per sector: λ on the frozen state (lambdas)
 	newLam     []float64 // per sector: λ after the move, where the load shifted
+	marks      []uint64  // per entry of a power move's sector: entries to price
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return &batchScratch{} }}
@@ -161,6 +170,7 @@ func (s *State) SpeculateBatch(moves []config.Change, u utility.Func, out []Batc
 	sc.ensure(s.Model.Grid.NumCells(), s.Model.Net.NumSectors())
 	lam := s.lambdas(u, sc.oldLam)
 	fragile := s.fragile()
+	var fragileEntries []uint64 // built on the first power move
 	for _, mv := range moves {
 		res, newOff, ok := s.speculateStart(mv)
 		if ok {
@@ -169,9 +179,12 @@ func (s *State) SpeculateBatch(moves []config.Change, u utility.Func, out []Batc
 			// resolve the owning grid's new aggregates.
 			ch := res.Applied
 			if !newOff && !s.Cfg.Off(ch.Sector) && ch.TiltDelta == 0 {
-				s.batchPowerSector(sc, ch.Sector, ch.PowerDelta, fragile)
+				if fragileEntries == nil {
+					fragileEntries = fragile.entryBits(s.Model.core)
+				}
+				s.batchPowerSector(sc, ch.Sector, ch.PowerDelta, fragileEntries)
 			} else {
-				s.batchRecomputeSector(sc, ch, newOff, fragile)
+				s.batchRecomputeSector(sc, ch, newOff, fragile.bits)
 			}
 			res.Delta = s.speculateDelta(sc, u, lam)
 		}
@@ -300,25 +313,46 @@ func (s *State) speculateDelta(sc *batchScratch, u utility.Func, lam []float64) 
 }
 
 // batchPowerSector prices a power-only move on an on-air sector:
-// each live entry's new received power is the sector's new power times
+// each priced entry's new received power is the sector's new power times
 // its row's gain, the expression applySectorPower uses, so per-grid
 // rates are bit-identical to an Apply and the delta can diverge from a
 // full scan only by summation order. An entry whose gain is at most the
-// move's weak-gain bound is weak, and is skipped at a robust grid (one
-// compare on the row and one bit test); a zero gain is an entry with no
-// received power.
-func (s *State) batchPowerSector(sc *batchScratch, b int, deltaDb float64, fragile gridBits) {
+// move's weak-gain bound is weak, and is skipped at a robust grid; a
+// zero gain is an entry with no received power. The pass never tests
+// the skipped entries: it marks the strong ones from the row's band
+// order, ORs in the sector's words of the fragile entry bits, and
+// visits the marked entries in ascending index order, the order a pass
+// over every entry calls batchEntry in.
+func (s *State) batchPowerSector(sc *batchScratch, b int, deltaDb float64, fragileEntries []uint64) {
 	oldMw := s.powerMw[b]
 	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b) + deltaDb)
 	weak := weakGainBound(s.Model.noiseMw/weakDivisor, oldMw, powerMw)
-	row := s.linkGain[b]
-	for i, ref := range s.Model.core.sectorEntries[b] {
-		gain := row[i]
-		if gain == 0 || gain <= weak && !fragile.has(ref.Grid) {
-			continue
+	words := s.Model.core.entryWords
+	marks := sc.entryMarks(fragileEntries[words[b]:words[b+1]])
+	row := s.rows[b]
+	row.strongMarks(weak, marks)
+	refs := s.Model.core.sectorEntries[b]
+	gain := row.gain
+	for w, word := range marks {
+		for word != 0 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if g := gain[i]; g != 0 {
+				ref := refs[i]
+				s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), oldMw*g, powerMw*g)
+			}
 		}
-		s.batchEntry(sc, ref.Grid, ref.Pos, int32(b), oldMw*gain, powerMw*gain)
 	}
+}
+
+// entryMarks returns the scratch's entry bitset holding a copy of words.
+func (sc *batchScratch) entryMarks(words []uint64) []uint64 {
+	if cap(sc.marks) < len(words) {
+		sc.marks = make([]uint64, len(words))
+	}
+	sc.marks = sc.marks[:len(words)]
+	copy(sc.marks, words)
+	return sc.marks
 }
 
 // batchRecomputeSector handles tilt and on/off moves by re-deriving
@@ -333,10 +367,10 @@ func (s *State) batchRecomputeSector(sc *batchScratch, applied config.Change, ne
 	theta := m.noiseMw / weakDivisor
 	oldMw := s.powerMw[b]
 	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b) + applied.PowerDelta)
-	oldRow := s.linkGain[b]
+	oldRow := s.rows[b].gain
 	row := oldRow
 	if applied.TiltDelta != 0 && !newOff {
-		row = m.gainRow(b, s.Cfg.TiltIndex(b)+applied.TiltDelta)
+		row = m.gainRow(b, s.Cfg.TiltIndex(b)+applied.TiltDelta).gain
 	}
 	for i, ref := range m.core.sectorEntries[b] {
 		var nrp float64

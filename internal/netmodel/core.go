@@ -36,9 +36,12 @@ type ModelCore struct {
 	// sectorEntries[b] lists every contributor entry owned by sector b,
 	// cell-major (ascending grid); entryIdx[pos] is entry pos's index in
 	// its sector's list, so a grid-major scan reads its received power as
-	// powerMw[b] * linkGain[b][entryIdx[pos]].
+	// powerMw[b] * rows[b].gain[entryIdx[pos]]. A per-entry bitset keeps
+	// sector b's entries in words entryWords[b] .. entryWords[b+1], one
+	// bit per entry in list order (fragileSet.entryBits).
 	sectorEntries [][]entryRef
 	entryIdx      []int32
+	entryWords    []int32
 
 	// cellCenters is the flat per-cell center table, precomputed once so
 	// the build loop and the per-cell queries (GridsIn,
@@ -142,18 +145,21 @@ func cellCenterTable(grid *geo.Grid) []geo.Point {
 	return centers
 }
 
-// indexSectorEntries derives the per-sector entry lists, and each
-// entry's index in its list, from the merged contributor arrays, in the
-// same order the historical per-cell append produced: cell-major,
-// ascending sector ID within a cell.
+// indexSectorEntries derives the per-sector entry lists, each entry's
+// index in its list and each list's word range in a per-entry bitset
+// from the merged contributor arrays, the lists in the same order the
+// historical per-cell append produced: cell-major, ascending sector ID
+// within a cell.
 func (c *ModelCore) indexSectorEntries() {
 	counts := make([]int32, c.numSectors)
 	for _, b := range c.contribSector {
 		counts[b]++
 	}
 	c.sectorEntries = make([][]entryRef, c.numSectors)
+	c.entryWords = make([]int32, c.numSectors+1)
 	for b := range c.sectorEntries {
 		c.sectorEntries[b] = make([]entryRef, 0, counts[b])
+		c.entryWords[b+1] = c.entryWords[b] + (counts[b]+63)/64
 	}
 	c.entryIdx = make([]int32, len(c.contribSector))
 	for g := 0; g < c.numCells; g++ {
@@ -199,6 +205,7 @@ func (c *ModelCore) NumSectors() int { return c.numSectors }
 func (c *ModelCore) Bytes() int64 {
 	arrays := int64(len(c.contribSector))*4 + int64(len(c.contribBaseDB))*4 +
 		int64(len(c.contribElev))*4 + int64(len(c.gridStart))*4
-	derived := int64(len(c.cellCenters))*16 + int64(len(c.contribSector))*8 + int64(len(c.entryIdx))*4
+	derived := int64(len(c.cellCenters))*16 + int64(len(c.contribSector))*8 + int64(len(c.entryIdx))*4 +
+		int64(len(c.entryWords))*4
 	return arrays + derived
 }

@@ -62,7 +62,7 @@ func sameRadio(t *testing.T, where string, got, want *State) {
 		got, want []float64
 	}{
 		{"powerMw", got.powerMw, want.powerMw},
-		{"linkGain", slices.Concat(got.linkGain...), slices.Concat(want.linkGain...)},
+		{"linkGain", slices.Concat(got.linkGains()...), slices.Concat(want.linkGains()...)},
 	} {
 		if len(arr.got) != len(arr.want) {
 			t.Fatalf("%s: %s has %d entries, NewState %d", where, arr.name, len(arr.got), len(arr.want))
@@ -151,7 +151,7 @@ func TestDeriveRederivesOtherLinkTables(t *testing.T) {
 	}
 	want := fork.NewState(src.Cfg.Clone())
 	sameRadio(t, "fork tables", moved, want)
-	if want.linkGain[1][0] == src.linkGain[1][0] {
+	if want.rows[1].gain[0] == src.rows[1].gain[0] {
 		t.Fatal("fork state reads the source's link row")
 	}
 	sameRows(t, "source", src, before)
@@ -229,7 +229,7 @@ type sectorRows struct {
 
 func copyRows(s *State) sectorRows {
 	out := sectorRows{powerMw: slices.Clone(s.powerMw)}
-	for _, row := range s.linkGain {
+	for _, row := range s.linkGains() {
 		out.linkGain = append(out.linkGain, slices.Clone(row))
 	}
 	return out
@@ -240,12 +240,12 @@ func copyRows(s *State) sectorRows {
 func sameRows(t *testing.T, where string, s *State, want sectorRows) {
 	t.Helper()
 	for b, row := range want.linkGain {
-		if len(s.linkGain[b]) != len(row) {
-			t.Fatalf("%s: sector %d link row has %d entries, want %d", where, b, len(s.linkGain[b]), len(row))
+		if len(s.rows[b].gain) != len(row) {
+			t.Fatalf("%s: sector %d link row has %d entries, want %d", where, b, len(s.rows[b].gain), len(row))
 		}
 		for i, v := range row {
-			if math.Float64bits(s.linkGain[b][i]) != math.Float64bits(v) {
-				t.Fatalf("%s: linkGain[%d][%d] = %v, was %v", where, b, i, s.linkGain[b][i], v)
+			if math.Float64bits(s.rows[b].gain[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: linkGain[%d][%d] = %v, was %v", where, b, i, s.rows[b].gain[i], v)
 			}
 		}
 	}

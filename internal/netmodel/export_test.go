@@ -10,11 +10,20 @@ import (
 	"magus/internal/utility"
 )
 
+// linkGains returns the gains of each sector's installed row.
+func (s *State) linkGains() [][]float64 {
+	out := make([][]float64, len(s.rows))
+	for b, row := range s.rows {
+		out[b] = row.gain
+	}
+	return out
+}
+
 // entryMw returns the received power of the contributor entry at
 // position pos: its sector's power times its installed row's gain.
 func (s *State) entryMw(pos int32) float64 {
 	b := s.Model.core.contribSector[pos]
-	return s.powerMw[b] * s.linkGain[b][s.Model.core.entryIdx[pos]]
+	return s.powerMw[b] * s.rows[b].gain[s.Model.core.entryIdx[pos]]
 }
 
 // newStateGridScan is NewState with the grid-major pass the
@@ -81,9 +90,9 @@ func (s *State) speculateFull(moves []config.Change, u utility.Func, touched fun
 			m := s.Model
 			powerMw := units.DbmToMw(s.Cfg.PowerDbm(b) + ch.PowerDelta)
 			power := !newOff && !s.Cfg.Off(b) && ch.TiltDelta == 0
-			row := s.linkGain[b]
+			row := s.rows[b].gain
 			if ch.TiltDelta != 0 && !newOff {
-				row = m.gainRow(b, s.Cfg.TiltIndex(b)+ch.TiltDelta)
+				row = m.gainRow(b, s.Cfg.TiltIndex(b)+ch.TiltDelta).gain
 			}
 			for i, ref := range m.core.sectorEntries[b] {
 				old := s.entryMw(ref.Pos)
@@ -118,7 +127,7 @@ func (s *State) skippedEntries(mv config.Change) map[int32]bool {
 	ch := res.Applied
 	b := ch.Sector
 	m := s.Model
-	fragile := s.fragile()
+	fragile := s.fragile().bits
 	theta := m.noiseMw / weakDivisor
 	oldMw := units.DbmToMw(s.Cfg.PowerDbm(b))
 	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b) + ch.PowerDelta)
@@ -127,9 +136,9 @@ func (s *State) skippedEntries(mv config.Change) map[int32]bool {
 	if s.Cfg.Off(b) {
 		oldMw = 0
 	}
-	row := s.linkGain[b]
+	row := s.rows[b].gain
 	if ch.TiltDelta != 0 && !newOff {
-		row = m.gainRow(b, s.Cfg.TiltIndex(b)+ch.TiltDelta)
+		row = m.gainRow(b, s.Cfg.TiltIndex(b)+ch.TiltDelta).gain
 	}
 	skipped := map[int32]bool{}
 	for i, ref := range m.core.sectorEntries[b] {
@@ -140,7 +149,7 @@ func (s *State) skippedEntries(mv config.Change) map[int32]bool {
 		if !newOff {
 			nrp = powerMw * row[i]
 		}
-		if power && row[i] != 0 && row[i] <= weak || !power && weakEntry(theta, oldMw*s.linkGain[b][i], nrp) {
+		if power && row[i] != 0 && row[i] <= weak || !power && weakEntry(theta, oldMw*s.rows[b].gain[i], nrp) {
 			skipped[ref.Pos] = true
 		}
 	}

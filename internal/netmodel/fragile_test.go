@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -110,7 +111,7 @@ func rowPowers(t *testing.T, s *State) {
 		if math.Float64bits(s.powerMw[b]) != math.Float64bits(want) {
 			t.Fatalf("sector %d: powerMw %v, configured %v", b, s.powerMw[b], want)
 		}
-		if !sameRow(s.linkGain[b], s.Model.gainRow(b, s.Cfg.TiltIndex(b))) {
+		if !sameRow(s.rows[b].gain, s.Model.gainRow(b, s.Cfg.TiltIndex(b)).gain) {
 			t.Fatalf("sector %d: installed row is not the model's row at its tilt", b)
 		}
 	}
@@ -126,7 +127,7 @@ func TestFragileSetFresh(t *testing.T) {
 	n := m.Net.NumSectors()
 	check := func(where string, s *State) {
 		t.Helper()
-		if got, want := s.fragile(), s.buildFragile(); !slices.Equal(got, want) {
+		if got, want := s.fragile().bits, s.buildFragile(); !slices.Equal(got, want) {
 			t.Fatalf("%s: cached fragile set differs from a fresh build", where)
 		}
 	}
@@ -253,4 +254,113 @@ func TestSINRImproversServedFirst(t *testing.T) {
 		t.Fatalf("served pass settled %d of %d members", served, total)
 	}
 	t.Logf("served pass settled %d of %d members", served, total)
+}
+
+// sameEntryBits fails unless each sector's words of the state's fragile
+// entry bits hold exactly the entries at fragile grids.
+func sameEntryBits(t *testing.T, where string, s *State) {
+	t.Helper()
+	c := s.Model.core
+	f := s.fragile()
+	entries := f.entryBits(c)
+	if want := int(c.entryWords[len(c.entryWords)-1]); len(entries) != want {
+		t.Fatalf("%s: %d entry words, want %d", where, len(entries), want)
+	}
+	for b, refs := range c.sectorEntries {
+		words := entries[c.entryWords[b]:c.entryWords[b+1]]
+		if len(words) != (len(refs)+63)/64 {
+			t.Fatalf("%s: sector %d has %d words for %d entries", where, b, len(words), len(refs))
+		}
+		for i, ref := range refs {
+			if got, want := words[i>>6]&(1<<(i&63)) != 0, f.bits.has(ref.Grid); got != want {
+				t.Fatalf("%s: sector %d entry %d (grid %d): entry bit %v, grid bit %v", where, b, i, ref.Grid, got, want)
+			}
+		}
+		if i := len(refs); i%64 != 0 && words[len(words)-1]>>(i%64) != 0 {
+			t.Fatalf("%s: sector %d sets bits past its %d entries", where, b, i)
+		}
+	}
+}
+
+// TestFragileEntryBits: after random Applies of every shape, each
+// sector's fragile entry bits match the grid-set predicate, and power
+// moves priced from them match the full scan, also on sectors whose
+// configured power lies above their MaxPowerDbm (their +1 dB moves clamp
+// to a power-down). The bits are derived from an earlier generation's:
+// the last one scored, one whose set never built entry bits in between,
+// or a generation of the state a clone was taken from.
+func TestFragileEntryBits(t *testing.T) {
+	u := utility.Performance
+	for name, m := range weakSkipModels(t) {
+		t.Run(name, func(t *testing.T) {
+			s := baseline(t, m)
+			for b := 0; b < m.Net.NumSectors(); b += 5 {
+				sec := &m.Net.Sectors[b]
+				sec.MaxPowerDbm = s.Cfg.PowerDbm(b) - 2
+				sec.MinPowerDbm = min(sec.MinPowerDbm, sec.MaxPowerDbm)
+			}
+			rng := rand.New(rand.NewSource(17))
+			moves := everyMove(m)
+			for round := 0; round < 6; round++ {
+				sameEntryBits(t, fmt.Sprintf("round %d", round), s)
+				s.Utility(u)
+				sameResults(t, name, moves, s.SpeculateBatch(moves, u, nil), s.speculateFull(moves, u, nil))
+				applyEveryShape(t, s, rng)
+				switch round % 3 {
+				case 1:
+					s.fragile()
+					s.MustApply(randomBatchChange(rng, m.Net.NumSectors()))
+				case 2:
+					s = s.Clone()
+					s.MustApply(randomBatchChange(rng, m.Net.NumSectors()))
+				}
+			}
+		})
+	}
+}
+
+// TestFragileConcurrentFirstUse: goroutines score power moves at once on
+// a state whose rows have no band order and whose generation has no
+// fragile set yet, so each may build both; all must get the full scan's
+// results, and the band orders and entry bits they leave published must
+// be the ones a single builder derives.
+func TestFragileConcurrentFirstUse(t *testing.T) {
+	u := utility.Performance
+	m := testModel(t)
+	s := baseline(t, m)
+	s.Utility(u)
+	var moves []config.Change
+	for b := 0; b < m.Net.NumSectors(); b++ {
+		moves = append(moves, config.Change{Sector: b, PowerDelta: 1}, config.Change{Sector: b, PowerDelta: -1})
+	}
+	oracle := baseline(t, testModel(t))
+	oracle.Utility(u)
+	want := oracle.speculateFull(moves, u, nil)
+
+	const workers = 6
+	results := make([][]BatchResult, workers)
+	entries := make([][]uint64, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range results {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			entries[w] = s.fragile().entryBits(m.core)
+			results[w] = s.SpeculateBatch(moves, u, nil)
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for w, got := range results {
+		sameResults(t, fmt.Sprintf("worker %d", w), moves, got, want)
+		if !slices.Equal(entries[w], entries[0]) {
+			t.Fatalf("worker %d derived other entry bits", w)
+		}
+	}
+	sameEntryBits(t, "published", s)
+	for b, row := range s.rows {
+		checkBands(t, fmt.Sprintf("sector %d", b), row.gain, row.bandOrder())
+	}
 }

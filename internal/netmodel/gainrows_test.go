@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -45,20 +46,24 @@ func sameRow(a, b []float64) bool {
 // states at one tilt (fresh, retilted, built on a fork) share it.
 func TestGainRowsMatchFreshRows(t *testing.T) {
 	m := testModel(t)
-	var entries, settings int64
+	var entries, settings, spans int64
 	for b := range m.Net.Sectors {
 		tt := m.Net.Sectors[b].Tilts
 		entries += int64(len(m.core.sectorEntries[b]))
 		settings = max(settings, int64(tt.NumSettings()))
 		for idx := tt.MinIndex(); idx <= tt.MaxIndex(); idx++ {
 			row := m.gainRow(b, idx)
-			sameBits(t, fmt.Sprintf("sector %d tilt %d", b, idx), row, freshRow(m, b, idx))
-			if !sameRow(row, m.gainRow(b, idx)) {
+			sameBits(t, fmt.Sprintf("sector %d tilt %d", b, idx), row.gain, freshRow(m, b, idx))
+			if m.gainRow(b, idx) != row {
 				t.Fatalf("sector %d tilt %d: second request built another row", b, idx)
 			}
+			row.bandOrder()
+			spans += int64(exponentSpan(row.gain))
 		}
 	}
-	if got, bound := m.LinkRowBytes(), entries*settings*8; got <= 0 || got > bound {
+	// 8 B per entry for the gains, and for a row with a band order 4 B
+	// per nonzero entry and 4 B per binary exponent its gains span.
+	if got, bound := m.LinkRowBytes(), entries*settings*12+spans*4; got <= 0 || got > bound {
 		t.Fatalf("LinkRowBytes = %d, want in (0, %d]", got, bound)
 	}
 
@@ -69,12 +74,12 @@ func TestGainRowsMatchFreshRows(t *testing.T) {
 	moved.MustApply(config.Change{Sector: b, TiltDelta: 1})
 	forked := m.ForkUsers().NewState(moved.Cfg.Clone())
 	for s := range m.Net.Sectors {
-		if !sameRow(a.linkGain[s], fresh.linkGain[s]) {
+		if !sameRow(a.rows[s].gain, fresh.rows[s].gain) {
 			t.Fatalf("sector %d: two states at one tilt hold different rows", s)
 		}
 	}
-	want := m.gainRow(b, moved.Cfg.TiltIndex(b))
-	if !sameRow(moved.linkGain[b], want) || !sameRow(forked.linkGain[b], want) {
+	want := m.gainRow(b, moved.Cfg.TiltIndex(b)).gain
+	if !sameRow(moved.rows[b].gain, want) || !sameRow(forked.rows[b].gain, want) {
 		t.Fatalf("sector %d: retilted and forked states do not share the cached row", b)
 	}
 }
@@ -118,7 +123,7 @@ func TestGainRowsInstallLinkTable(t *testing.T) {
 		baseline(t, oracle)
 		install(t, oracle, b, 3)
 		for i := idx - 1; i <= idx+1; i++ {
-			sameBits(t, fmt.Sprintf("tilt %d", i), m.gainRow(b, i), freshRow(oracle, b, i))
+			sameBits(t, fmt.Sprintf("tilt %d", i), m.gainRow(b, i).gain, freshRow(oracle, b, i))
 		}
 		sameRadio(t, "NewState", m.NewState(s.Cfg.Clone()), oracle.NewState(s.Cfg.Clone()))
 		refreshed := s.Clone()
@@ -142,13 +147,13 @@ func TestGainRowsInstallLinkTable(t *testing.T) {
 		m := testModel(t)
 		s := baseline(t, m)
 		early := m.ForkUsers()
-		analytic := append([]float64(nil), s.linkGain[b]...)
+		analytic := append([]float64(nil), s.rows[b].gain...)
 		install(t, m, b, 3)
 		if early.LinkRows() == m.LinkRows() {
 			t.Fatal("first install kept the row cache the earlier fork shares")
 		}
-		sameBits(t, "early fork NewState", early.NewState(s.Cfg.Clone()).linkGain[b], analytic)
-		sameBits(t, "source state", s.linkGain[b], analytic)
+		sameBits(t, "early fork NewState", early.NewState(s.Cfg.Clone()).rows[b].gain, analytic)
+		sameBits(t, "source state", s.rows[b].gain, analytic)
 	})
 
 	t.Run("fork sharing tables", func(t *testing.T) {
@@ -246,4 +251,153 @@ func TestGainRowsConcurrentFill(t *testing.T) {
 			}
 		}
 	}
+}
+
+// exponentSpan returns one more than the number of binary exponents
+// from the smallest to the largest nonzero gain of a row, 1 when it has
+// none: the length of the row's band starts.
+func exponentSpan(gain []float64) int {
+	lo, hi := math.MaxInt, -1
+	for _, v := range gain {
+		if v != 0 {
+			e := int(math.Float64bits(v)>>52) & 0x7ff
+			lo, hi = min(lo, e), max(hi, e)
+		}
+	}
+	if hi < 0 {
+		return 1
+	}
+	return hi - lo + 2
+}
+
+// checkBands fails unless bands is r's band order: a permutation of
+// r's nonzero entries, grouped by descending exponent with each group in
+// ascending index order, and start marking every group's first entry.
+func checkBands(t *testing.T, where string, gain []float64, bands *gainBands) {
+	t.Helper()
+	var nonzero []int32
+	for i, v := range gain {
+		if v != 0 {
+			nonzero = append(nonzero, int32(i))
+		}
+	}
+	sorted := slices.Clone(bands.order)
+	slices.Sort(sorted)
+	if !slices.Equal(sorted, nonzero) {
+		t.Fatalf("%s: band order %v is not a permutation of the nonzero entries %v", where, bands.order, nonzero)
+	}
+	if n := len(bands.start); n != exponentSpan(gain) || bands.start[0] != 0 || int(bands.start[n-1]) != len(bands.order) {
+		t.Fatalf("%s: band starts %v do not span the %d entries", where, bands.start, len(bands.order))
+	}
+	for k := 0; k+1 < len(bands.start); k++ {
+		group := bands.order[bands.start[k]:bands.start[k+1]]
+		for j, i := range group {
+			if e := gainExp(gain[i]); e != bands.hi-k {
+				t.Fatalf("%s: entry %d (gain %v, exponent %d) sits in the group of exponent %d", where, i, gain[i], e, bands.hi-k)
+			}
+			if j > 0 && group[j-1] >= i {
+				t.Fatalf("%s: group of exponent %d is not in ascending index order: %v", where, bands.hi-k, group)
+			}
+		}
+	}
+}
+
+// bandRows returns hand-made rows with zeros, repeated values, exact
+// powers of two and subnormal gains, and the test model's rows: with
+// all, one per sector and tilt setting, otherwise those of two sectors
+// at their lowest tilt.
+func bandRows(t *testing.T, all bool) map[string][]float64 {
+	t.Helper()
+	m := testModel(t)
+	rows := map[string][]float64{
+		"empty":     {},
+		"all zero":  {0, 0, 0},
+		"one":       {0.5},
+		"subnormal": {math.SmallestNonzeroFloat64, 0, 1e-310, 3e-320, math.Float64frombits(1<<52 - 1)},
+		"mixed": {1e-12, 0, 0.25, 0.5, 0.5, 1, 2e-13, math.Nextafter(0.5, 0), math.Nextafter(0.25, 1),
+			1e-300, 4e-320, 0, 1e-12, 3, 0.75, math.MaxFloat64, 1e-12},
+	}
+	for b := range m.Net.Sectors {
+		tt := m.Net.Sectors[b].Tilts
+		for idx := tt.MinIndex(); idx <= tt.MaxIndex(); idx++ {
+			if all || b < 2 && idx == tt.MinIndex() {
+				rows[fmt.Sprintf("sector %d tilt %d", b, idx)] = m.gainRow(b, idx).gain
+			}
+		}
+	}
+	return rows
+}
+
+// TestGainRowsBandOrder: a row's band order is a permutation of its
+// nonzero entries, grouped by descending binary exponent with ascending
+// indexes inside a group.
+func TestGainRowsBandOrder(t *testing.T) {
+	for name, gain := range bandRows(t, true) {
+		row := &linkRow{gain: gain}
+		bands := row.bandOrder()
+		checkBands(t, name, gain, bands)
+		if row.bandOrder() != bands {
+			t.Fatalf("%s: second use built another band order", name)
+		}
+	}
+}
+
+// TestGainRowsBandQuery: strongMarks marks exactly {i : gain[i] > t} for
+// t at every gain of the row and at every band edge (the powers of two
+// bounding each exponent), one ulp either side of each, at ±0, +Inf and
+// through the subnormal range; a NaN or negative t marks every nonzero
+// entry.
+func TestGainRowsBandQuery(t *testing.T) {
+	for name, gain := range bandRows(t, false) {
+		row := &linkRow{gain: gain}
+		thresholds := []float64{0, math.Copysign(0, -1), math.Inf(1), math.MaxFloat64,
+			math.SmallestNonzeroFloat64, 2e-320, 1e-310, math.Float64frombits(1<<52 - 1), math.Float64frombits(1 << 52)}
+		for _, v := range gain {
+			edge := math.Float64frombits(math.Float64bits(v) &^ (1<<52 - 1))
+			for _, x := range []float64{v, edge, 2 * edge} {
+				thresholds = append(thresholds, x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)))
+			}
+		}
+		n := (len(gain) + 63) / 64
+		for _, th := range append(thresholds, math.NaN(), -1, math.Inf(-1)) {
+			marks := make([]uint64, n)
+			row.strongMarks(th, marks)
+			for i, v := range gain {
+				want := v != 0 && !(v <= th)
+				if got := marks[i>>6]&(1<<(i&63)) != 0; got != want {
+					t.Fatalf("%s: t = %v (%#x): entry %d (gain %v) marked %v, want %v",
+						name, th, math.Float64bits(th), i, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGainRowsConcurrentBandOrder: goroutines first-use one row's band
+// order at once under -race; all get the one published order.
+func TestGainRowsConcurrentBandOrder(t *testing.T) {
+	m := testModel(t)
+	row := m.gainRow(0, m.Net.Sectors[0].Tilts.MinIndex())
+	const workers = 6
+	got := make([]*gainBands, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			marks := make([]uint64, (len(row.gain)+63)/64)
+			row.strongMarks(1e-12, marks)
+			got[w] = row.bandOrder()
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for w, bands := range got {
+		if bands != got[0] {
+			t.Fatalf("worker %d holds a band order that was not published", w)
+		}
+	}
+	checkBands(t, "concurrent", row.gain, got[0])
 }

@@ -28,17 +28,17 @@ type State struct {
 	load    []float64 // per sector: sum of UE weights over served grids
 	served  []int32   // per sector: number of served grids
 
-	// Per-sector link rows: linkGain[b][i] is the linear link gain,
+	// Per-sector link rows: rows[b].gain[i] is the linear link gain,
 	// DbmToMw of the link budget (base loss plus vertical attenuation at
 	// the sector's current tilt), of sector b's i-th entry in
 	// sectorEntries[b] order. Every received power is
-	// powerMw[b] * linkGain[b][i], one exp per sector and one multiply
+	// powerMw[b] * rows[b].gain[i], one exp per sector and one multiply
 	// per entry, and no state keeps a per-entry copy. Each row is the
 	// Model's cached row for the sector's tilt (gainRow), installed by
 	// NewState or RefreshSector and never written, so states, Clones
-	// and forks at one tilt share one row: a copy costs one header per
-	// sector, and a retilt costs a header once the row is cached.
-	linkGain [][]float64
+	// and forks at one tilt share one row: a copy costs one pointer per
+	// sector, and a retilt costs a pointer once the row is cached.
+	rows []*linkRow
 
 	// Fragile-grid cache for SpeculateBatch's weak-entry skip (see
 	// fragile.go): radioGen counts updateRate calls, through which every
@@ -99,18 +99,18 @@ func (m *Model) NewState(cfg *config.Config) *State {
 // row and power, leaving the per-grid evaluation to the caller.
 func (m *Model) newStateShell(cfg *config.Config) *State {
 	s := &State{
-		Model:    m,
-		Cfg:      cfg,
-		powerMw:  make([]float64, m.Net.NumSectors()),
-		totalMw:  make([]float64, m.Grid.NumCells()),
-		bestSec:  make([]int32, m.Grid.NumCells()),
-		bestMw:   make([]float64, m.Grid.NumCells()),
-		level:    make([]uint8, m.Grid.NumCells()),
-		load:     make([]float64, m.Net.NumSectors()),
-		served:   make([]int32, m.Net.NumSectors()),
-		linkGain: make([][]float64, m.Net.NumSectors()),
+		Model:   m,
+		Cfg:     cfg,
+		powerMw: make([]float64, m.Net.NumSectors()),
+		totalMw: make([]float64, m.Grid.NumCells()),
+		bestSec: make([]int32, m.Grid.NumCells()),
+		bestMw:  make([]float64, m.Grid.NumCells()),
+		level:   make([]uint8, m.Grid.NumCells()),
+		load:    make([]float64, m.Net.NumSectors()),
+		served:  make([]int32, m.Net.NumSectors()),
+		rows:    make([]*linkRow, m.Net.NumSectors()),
 	}
-	for b := range s.linkGain {
+	for b := range s.rows {
 		s.installSector(b)
 	}
 	return s
@@ -127,7 +127,7 @@ func (s *State) Clone() *State {
 		Model:     s.Model,
 		Cfg:       s.Cfg.Clone(),
 		powerMw:   append([]float64(nil), s.powerMw...),
-		linkGain:  append([][]float64(nil), s.linkGain...),
+		rows:      append([]*linkRow(nil), s.rows...),
 		totalMw:   append([]float64(nil), s.totalMw...),
 		bestSec:   append([]int32(nil), s.bestSec...),
 		bestMw:    append([]float64(nil), s.bestMw...),
@@ -170,7 +170,7 @@ func (s *State) CloneOn(fork *Model) *State {
 // current tilt and the power it is read at (0 off-air); the row it
 // replaces is left as it was for any state still sharing it.
 func (s *State) installSector(b int) {
-	s.linkGain[b] = s.Model.gainRow(b, s.Cfg.TiltIndex(b))
+	s.rows[b] = s.Model.gainRow(b, s.Cfg.TiltIndex(b))
 	s.powerMw[b] = 0
 	if !s.Cfg.Off(b) {
 		s.powerMw[b] = units.DbmToMw(s.Cfg.PowerDbm(b))
@@ -194,7 +194,7 @@ func (s *State) evaluateGrids() {
 		bestSec[g] = -1
 	}
 	for b, refs := range m.core.sectorEntries {
-		powerMw, row := s.powerMw[b], s.linkGain[b][:len(refs)]
+		powerMw, row := s.powerMw[b], s.rows[b].gain[:len(refs)]
 		b32 := int32(b)
 		for i, ref := range refs {
 			g := ref.Grid
@@ -235,16 +235,16 @@ func (s *State) evaluateGrids() {
 }
 
 // scanEntries folds the received powers of the contributor entries at
-// positions [lo, hi), powerMw[b] * linkGain[b][i] each, into a grid
+// positions [lo, hi), powerMw[b] * rows[b].gain[i] each, into a grid
 // scan's running sum and strongest sector, in ascending position order;
 // a scan starts from (0, -1, 0). A later entry takes the lead only when
 // strictly stronger, so ties go to the lower sector ID.
 func (s *State) scanEntries(lo, hi int32, total float64, best int32, bestMw float64) (float64, int32, float64) {
 	c := s.Model.core
 	secs, idx := c.contribSector[lo:hi], c.entryIdx[lo:hi]
-	powerMw, linkGain := s.powerMw, s.linkGain
+	powerMw, rows := s.powerMw, s.rows
 	for k, b := range secs {
-		rp := powerMw[b] * linkGain[b][idx[k]]
+		rp := powerMw[b] * rows[b].gain[idx[k]]
 		total += rp
 		if rp > bestMw {
 			bestMw = rp
@@ -318,9 +318,9 @@ func (s *State) MustApply(ch config.Change) config.Change {
 // row for its tilt; states sharing the old one keep it, and the old
 // powers are read from it.
 func (s *State) RefreshSector(b int) {
-	oldMw, oldRow := s.powerMw[b], s.linkGain[b]
+	oldMw, oldRow := s.powerMw[b], s.rows[b].gain
 	s.installSector(b)
-	powerMw, row := s.powerMw[b], s.linkGain[b]
+	powerMw, row := s.powerMw[b], s.rows[b].gain
 	b32 := int32(b)
 	for i, ref := range s.Model.core.sectorEntries[b] {
 		s.updateEntry(int(ref.Grid), b32, oldMw*oldRow[i], powerMw*row[i])
@@ -338,7 +338,7 @@ func (s *State) applySectorPower(b int) {
 	powerMw := units.DbmToMw(s.Cfg.PowerDbm(b))
 	s.powerMw[b] = powerMw
 	b32 := int32(b)
-	row := s.linkGain[b]
+	row := s.rows[b].gain
 	for i, ref := range s.Model.core.sectorEntries[b] {
 		old := oldMw * row[i]
 		if old == 0 {
@@ -721,7 +721,7 @@ func (s *State) servesImproved(b int, factor float64) bool {
 // coversImproved reports whether scaling sector b's power by factor
 // raises the SINR of any affected grid among b's contributor entries.
 func (s *State) coversImproved(b int, factor float64) bool {
-	powerMw, row := s.powerMw[b], s.linkGain[b]
+	powerMw, row := s.powerMw[b], s.rows[b].gain
 	for i, ref := range s.Model.core.sectorEntries[b] {
 		if s.affectedMark[ref.Grid] && s.sinrRises(int(ref.Grid), int32(b), powerMw*row[i], factor) {
 			return true
